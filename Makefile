@@ -2,14 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build vet lint gcfacts test race bench-smoke bench-core bench-sim bench-gate bench-record fuzz-smoke obs-smoke quality-gate quality-baseline ci
+.PHONY: all build vet lint gcfacts test e2ebench-test race bench-smoke bench-core bench-sim bench-gate bench-record fuzz-smoke obs-smoke quality-gate quality-baseline ci
 
 # Extra worker counts the determinism tests sweep on top of their
-# built-in {1, 4, GOMAXPROCS} matrix. Comma-separated. The matrix
-# helper is replicated per kernel package as workerMatrix in
-# internal/core/equivalence_test.go, internal/statevector/kernels_test.go,
-# internal/densitymatrix/workers_test.go, and
-# internal/noise/trajectory_determinism_test.go.
+# built-in {1, 2, 4, 8, GOMAXPROCS} matrix. Comma-separated. Read by the
+# one shared helper, testutil.WorkerMatrix in internal/testutil.
 QBEEP_TEST_WORKERS ?= 2,3,7,16
 
 all: build
@@ -44,6 +41,12 @@ gcfacts:
 
 test:
 	$(GO) test ./...
+
+# e2ebench-test: vet and test the end-to-end benchmark module. It is its
+# own Go module (replace qbeep => ../), so the root `go test ./...` never
+# builds it, yet it imports the internal packages it measures.
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # race covers the packages with real concurrency or lock-cheap atomics:
 # the obs registry/sinks, the parallel fan-out, the mitigation core, the
@@ -140,4 +143,4 @@ quality-baseline:
 	$(GO) run ./cmd/qbeep-experiments -fig 7 -scale 0.05 -shots 1024 -run-ledger .quality-gate/runs.ndjson > .quality-gate/stdout.txt; \
 	$(GO) run ./cmd/qbeep-ledger -write-baseline QUALITY_baseline.json -commit "$$(git rev-parse --short HEAD)" .quality-gate/runs.ndjson
 
-ci: vet lint test race bench-smoke obs-smoke bench-gate quality-gate
+ci: vet lint test e2ebench-test race bench-smoke obs-smoke bench-gate quality-gate

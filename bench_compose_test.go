@@ -5,6 +5,7 @@ package qbeep
 // stale-calibration sensitivity.
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/algorithms"
@@ -31,7 +32,7 @@ func BenchmarkAblationComposition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.Execute(w.Circuit, 4096, mathx.NewRNG(55))
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, mathx.NewRNG(55))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func BenchmarkAblationComposition(b *testing.B) {
 	b.Run("qbeep-only", func(b *testing.B) {
 		var fid float64
 		for i := 0; i < b.N; i++ {
-			out, err := core.Mitigate(raw, lb.Lambda(), core.NewOptions())
+			out, err := core.MitigateCtx(context.Background(), raw, lb.Lambda(), core.NewOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -75,7 +76,7 @@ func BenchmarkAblationComposition(b *testing.B) {
 				b.Fatal(err)
 			}
 			// The readout term is now handled; mitigate the remainder.
-			out, err := core.Mitigate(corrected, lb.Lambda(), core.NewOptions())
+			out, err := core.MitigateCtx(context.Background(), corrected, lb.Lambda(), core.NewOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -92,7 +93,7 @@ func BenchmarkAblationEnsemble(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ideal, err := w.IdealDist()
+	ideal, err := w.IdealDist(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func BenchmarkAblationEnsemble(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := exec.Execute(w.Circuit, 2048, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, 1, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func BenchmarkAblationEnsemble(b *testing.B) {
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			out, err := core.Mitigate(worst.Counts, worst.Lambda, core.NewOptions())
+			out, err := core.MitigateCtx(context.Background(), worst.Counts, worst.Lambda, core.NewOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func BenchmarkAblationEnsemble(b *testing.B) {
 	b.Run("ensemble", func(b *testing.B) {
 		var fid float64
 		for i := 0; i < b.N; i++ {
-			out, err := core.MitigateEnsemble(members, core.NewOptions())
+			out, err := core.MitigateEnsemble(context.Background(), members, core.NewOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -172,7 +173,7 @@ func BenchmarkAblationStaleCalibration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.Execute(w.Circuit, 4096, rng)
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func BenchmarkAblationStaleCalibration(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var fid float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Mitigate(raw, tc.lambda, core.NewOptions())
+				out, err := core.MitigateCtx(context.Background(), raw, tc.lambda, core.NewOptions())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,6 +8,7 @@ package qbeep
 // paper-sized corpora.
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/algorithms"
@@ -30,7 +31,7 @@ func benchCfg() experiments.Config {
 func BenchmarkFigure1(b *testing.B) {
 	var pstGain float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure1(benchCfg())
+		res, err := experiments.Figure1(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	var wins float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2(benchCfg())
+		res, err := experiments.Figure2(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var iod float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure4(benchCfg())
+		res, err := experiments.Figure4(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var qb float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure6(benchCfg())
+		res, err := experiments.Figure6(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure7(benchCfg())
+		res, err := experiments.Figure7(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunQASMBench(benchCfg())
+		res, err := experiments.RunQASMBench(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var machines float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure9(benchCfg())
+		res, err := experiments.Figure9(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure10(benchCfg())
+		res, err := experiments.Figure10(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkFigure11(b *testing.B) {
 	var r float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure11(benchCfg())
+		res, err := experiments.Figure11(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func ablationCounts(b *testing.B) (raw, ideal *bitstring.Dist, lambda float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.Execute(w.Circuit, 4096, mathx.NewRNG(99))
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, mathx.NewRNG(99))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func BenchmarkAblationEdgeModel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.NewOptions()
 				opts.Weighter = tc.w
-				out, err := core.Mitigate(raw, lambda, opts)
+				out, err := core.MitigateCtx(context.Background(), raw, lambda, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -239,7 +240,7 @@ func BenchmarkAblationIterations(b *testing.B) {
 				opts := core.NewOptions()
 				opts.Iterations = tc.iters
 				opts.LearningRate = tc.lr
-				out, err := core.Mitigate(raw, lambda, opts)
+				out, err := core.MitigateCtx(context.Background(), raw, lambda, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -258,14 +259,14 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 		b.Run(formatEps(eps), func(b *testing.B) {
 			var fid, edges float64
 			for i := 0; i < b.N; i++ {
-				g, err := core.BuildStateGraph(raw, core.PoissonEdges{Lambda: lambda}, eps)
+				g, err := core.BuildStateGraphCtx(context.Background(), raw, core.PoissonEdges{Lambda: lambda}, eps, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
 				edges = float64(g.NumEdges())
 				opts := core.NewOptions()
 				opts.Epsilon = eps
-				out, err := core.Mitigate(raw, lambda, opts)
+				out, err := core.MitigateCtx(context.Background(), raw, lambda, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -304,7 +305,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.Execute(w.Circuit, 4096, mathx.NewRNG(99))
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, mathx.NewRNG(99))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var fid float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Mitigate(raw, tc.lambda, core.NewOptions())
+				out, err := core.MitigateCtx(context.Background(), raw, tc.lambda, core.NewOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -373,7 +374,7 @@ func BenchmarkMitigateThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Mitigate(raw, 1.6, core.NewOptions()); err != nil {
+		if _, err := core.MitigateCtx(context.Background(), raw, 1.6, core.NewOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

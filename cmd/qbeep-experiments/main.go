@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -139,15 +140,15 @@ func run() error {
 
 	type runner struct {
 		id  string
-		run func(experiments.Config) error
+		run func(context.Context, experiments.Config) error
 	}
 	runners := []runner{
-		{"1", func(c experiments.Config) error {
-			_, err := experiments.Figure1(c)
+		{"1", func(ctx context.Context, c experiments.Config) error {
+			_, err := experiments.Figure1(ctx, c)
 			return err
 		}},
-		{"2", func(c experiments.Config) error {
-			res, err := experiments.Figure2(c)
+		{"2", func(ctx context.Context, c experiments.Config) error {
+			res, err := experiments.Figure2(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -160,22 +161,22 @@ func run() error {
 				return nil
 			})
 		}},
-		{"4", func(c experiments.Config) error {
-			res, err := experiments.Figure4(c)
+		{"4", func(ctx context.Context, c experiments.Config) error {
+			res, err := experiments.Figure4(ctx, c)
 			if err != nil {
 				return err
 			}
 			return dump("4", res.WriteCSV)
 		}},
-		{"6", func(c experiments.Config) error {
-			res, err := experiments.Figure6(c)
+		{"6", func(ctx context.Context, c experiments.Config) error {
+			res, err := experiments.Figure6(ctx, c)
 			if err != nil {
 				return err
 			}
 			return dump("6", res.WriteCSV)
 		}},
-		{"7", func(c experiments.Config) error {
-			res, err := experiments.Figure7(c)
+		{"7", func(ctx context.Context, c experiments.Config) error {
+			res, err := experiments.Figure7(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -184,8 +185,8 @@ func run() error {
 	}
 	// Figures 8, 9 and 11 share one sweep; run it once if any is selected.
 	if selected["8"] || selected["9"] || selected["11"] {
-		runners = append(runners, runner{"8/9/11", func(c experiments.Config) error {
-			res, err := experiments.RunQASMBench(c)
+		runners = append(runners, runner{"8/9/11", func(ctx context.Context, c experiments.Config) error {
+			res, err := experiments.RunQASMBench(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -196,15 +197,15 @@ func run() error {
 		delete(selected, "11")
 		selected["8/9/11"] = true
 	}
-	runners = append(runners, runner{"10", func(c experiments.Config) error {
-		res, err := experiments.Figure10(c)
+	runners = append(runners, runner{"10", func(ctx context.Context, c experiments.Config) error {
+		res, err := experiments.Figure10(ctx, c)
 		if err != nil {
 			return err
 		}
 		return dump("10", res.WriteCSV)
 	}})
-	runners = append(runners, runner{"ablations", func(c experiments.Config) error {
-		_, err := experiments.Ablations(c)
+	runners = append(runners, runner{"ablations", func(ctx context.Context, c experiments.Config) error {
+		_, err := experiments.Ablations(ctx, c)
 		return err
 	}})
 
@@ -232,6 +233,10 @@ func run() error {
 		return nil
 	}
 
+	// One root span covers the whole sweep, so every figure's inductions
+	// and mitigations land in one connected trace.
+	ctx, sp := obs.Start(context.Background(), "qbeep.experiments")
+	defer sp.End()
 	ran := 0
 	for _, r := range runners {
 		if !selected[r.id] {
@@ -239,7 +244,7 @@ func run() error {
 		}
 		fmt.Printf("\n==== Figure %s ====\n", r.id)
 		t0 := time.Now()
-		err := r.run(cfg)
+		err := r.run(ctx, cfg)
 		runReport.AddFigure(r.id, time.Since(t0), err)
 		if err != nil {
 			// The partial report still lands on disk so a crashed sweep

@@ -13,8 +13,8 @@
 //	           and internal/obs
 //	spanend    obs spans must be ended on all return paths
 //	floatcmp   no ==/!= on floats outside the exact-comparison allowlist
-//	ctxflow    context.Background()/TODO() only at the process edge or
-//	           in Background-wrapper shims; received ctx must thread
+//	ctxflow    context.Background()/TODO() only at the process edge
+//	           (package main); received ctx must thread
 //	poolsafe   //qbeep:pooled scratch fields must not outlive the
 //	           borrow; pool checkouts must reset before reuse
 //	directive  the //qbeep: grammar itself: unknown verbs, unknown

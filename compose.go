@@ -1,6 +1,7 @@
 package qbeep
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/bitstring"
@@ -66,7 +67,7 @@ func MitigateEnsemble(runs []EnsembleRun, opts Options) (Counts, error) {
 		}
 		members[i] = core.EnsembleMember{Counts: d, Lambda: r.Lambda}
 	}
-	out, err := core.MitigateEnsemble(members, core.Options{
+	out, err := core.MitigateEnsemble(context.Background(), members, core.Options{ //qbeep:allow-ctx ctx-less public convenience form roots its own context
 		Iterations: opts.Iterations,
 		Epsilon:    opts.Epsilon,
 	})

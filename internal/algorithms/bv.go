@@ -10,6 +10,7 @@
 package algorithms
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/bitstring"
@@ -31,9 +32,10 @@ type Workload struct {
 	Deterministic bool
 }
 
-// IdealDist returns the exact output distribution over the data qubits.
-func (w *Workload) IdealDist() (*bitstring.Dist, error) {
-	full, err := statevector.IdealDist(w.Circuit)
+// IdealDist returns the exact output distribution over the data qubits;
+// the "sim.run" span parents under the span active in ctx.
+func (w *Workload) IdealDist(ctx context.Context) (*bitstring.Dist, error) {
+	full, err := statevector.IdealDistCtx(ctx, w.Circuit)
 	if err != nil {
 		return nil, err
 	}

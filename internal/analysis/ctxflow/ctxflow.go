@@ -1,31 +1,21 @@
 // Package ctxflow enforces the context-plumbing convention from
 // DESIGN.md §10: context.Background() and context.TODO() are roots that
 // detach work from cancellation, so they may only be minted at the
-// process edge. Inside the library they are allowed in exactly one
-// shape — the documented Background-wrapper shim, a non-Ctx function
-// whose body hands the fresh root straight to its Ctx variant:
+// process edge. Package main (the cmd/ binaries) is the process edge and
+// is exempt wholesale; test files are never loaded by the driver.
+// Everywhere else a root is a finding, worded by where it sits: inside a
+// function that already receives a context (it must thread the received
+// ctx through) or in a ctx-less function (it must accept a ctx instead).
 //
-//	func (t *TrajectorySampler) Sample(...) (...) {
-//	    return t.SampleCtx(context.Background(), ...)
-//	}
-//
-// Everything else is a flag: a Background() minted inside a function
-// that already receives a context (it must thread the received ctx
-// through), a Background() assigned to a variable or passed to a
-// non-Ctx callee (cancellation silently severed mid-pipeline), or a
-// Ctx-suffixed function minting its own root. Package main (the cmd/
-// binaries) is the process edge and is exempt wholesale; test files are
-// never loaded by the driver.
-//
-// //qbeep:allow-ctx suppresses a deliberate root with a rationale —
-// the obs shutdown timeout and the nil-ctx normalization in the tracer
-// are the two sanctioned cases.
+// //qbeep:allow-ctx suppresses a deliberate root with a rationale: the
+// ctx-less convenience forms of the public qbeep package, the pinned
+// qaoa.NewInstance signature, the obs shutdown timeout and the nil-ctx
+// normalization in the tracer.
 package ctxflow
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"qbeep/internal/analysis"
 )
@@ -33,16 +23,9 @@ import (
 // Analyzer is the ctxflow checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "context.Background()/TODO() only at the process edge (package main) or as the direct " +
-		"argument of a Background-wrapper shim forwarding to the Ctx variant; functions that " +
-		"receive a context must thread it through",
+	Doc: "context.Background()/TODO() only at the process edge (package main); " +
+		"functions that receive a context must thread it through",
 	Run: run,
-}
-
-// funcFrame is one entry in the lexical function stack during the walk.
-type funcFrame struct {
-	name   string // declared name; "" for function literals
-	hasCtx bool   // declares a context.Context parameter
 }
 
 func run(pass *analysis.Pass) error {
@@ -50,70 +33,51 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		var stack []funcFrame
-		// parent tracks each node's enclosing node so a Background() call
-		// can see whether it is a direct call argument; the explicit walk
-		// (ast.Inspect cannot say which node a post-order visit exits)
-		// keeps the function stack accurate.
-		parent := make(map[ast.Node]ast.Node)
-		walk(pass, file, &stack, parent)
+		// recv counts the enclosing functions (declarations and literals)
+		// that declare a context.Context parameter. frames mirrors the
+		// ast.Inspect descent, one entry per open node, so the nil
+		// post-visit knows whether the node it closes was such a function.
+		var frames []bool
+		recv := 0
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				if frames[len(frames)-1] {
+					recv--
+				}
+				frames = frames[:len(frames)-1]
+				return true
+			}
+			var ft *ast.FuncType
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				ft = n.Type
+			case *ast.FuncLit:
+				ft = n.Type
+			case *ast.CallExpr:
+				if which := backgroundOrTODO(pass, n); which != "" {
+					report(pass, n, which, recv > 0)
+				}
+			}
+			hasCtx := ft != nil && hasCtxParam(pass, ft)
+			if hasCtx {
+				recv++
+			}
+			frames = append(frames, hasCtx)
+			return true
+		})
 	}
 	return nil
 }
 
-// walk descends the AST keeping the function stack and parent links
-// accurate.
-func walk(pass *analysis.Pass, n ast.Node, stack *[]funcFrame, parent map[ast.Node]ast.Node) {
-	switch fn := n.(type) {
-	case *ast.FuncDecl:
-		*stack = append(*stack, funcFrame{name: fn.Name.Name, hasCtx: hasCtxParam(pass, fn.Type)})
-		defer func() { *stack = (*stack)[:len(*stack)-1] }()
-	case *ast.FuncLit:
-		*stack = append(*stack, funcFrame{hasCtx: hasCtxParam(pass, fn.Type)})
-		defer func() { *stack = (*stack)[:len(*stack)-1] }()
-	case *ast.CallExpr:
-		if which := backgroundOrTODO(pass, fn); which != "" {
-			checkRoot(pass, fn, which, *stack, parent)
-		}
-	}
-	children := childNodes(n)
-	for _, c := range children {
-		parent[c] = n
-		walk(pass, c, stack, parent)
-	}
-}
-
-// checkRoot decides whether one context.Background()/TODO() call is the
-// sanctioned wrapper-shim shape.
-func checkRoot(pass *analysis.Pass, call *ast.CallExpr, which string, stack []funcFrame, parent map[ast.Node]ast.Node) {
-	// Received-context rule: any enclosing function (closure or decl)
-	// already holding a ctx must thread it, never mint a root.
-	for _, f := range stack {
-		if f.hasCtx {
-			pass.Report(call.Pos(), "ctx",
-				"context.%s() inside a function that receives a context: thread the received ctx through (//qbeep:allow-ctx to override)", which)
-			return
-		}
-	}
-	// Wrapper-shim rule: the root must be a direct argument of a call to
-	// a Ctx-suffixed callee, from a non-Ctx-suffixed named function.
-	encl := ""
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i].name != "" {
-			encl = stack[i].name
-			break
-		}
-	}
-	if outer, ok := parent[call].(*ast.CallExpr); ok && strings.HasSuffix(calleeName(outer), "Ctx") {
-		if encl != "" && !strings.HasSuffix(encl, "Ctx") {
-			return // the documented Background-wrapper shim
-		}
+// report flags one context.Background()/TODO() root.
+func report(pass *analysis.Pass, call *ast.CallExpr, which string, received bool) {
+	if received {
 		pass.Report(call.Pos(), "ctx",
-			"context.%s() forwarded to a Ctx variant from %q, which is itself a Ctx variant: accept and thread a ctx parameter instead (//qbeep:allow-ctx to override)", which, encl)
+			"context.%s() inside a function that receives a context: thread the received ctx through (//qbeep:allow-ctx to override)", which)
 		return
 	}
 	pass.Report(call.Pos(), "ctx",
-		"context.%s() outside package main and outside a Background-wrapper shim: accept a ctx parameter or forward directly to the Ctx variant (//qbeep:allow-ctx to override)", which)
+		"context.%s() outside package main: accept a ctx parameter and thread it (//qbeep:allow-ctx with a rationale for a deliberate root)", which)
 }
 
 // backgroundOrTODO returns "Background" or "TODO" when call is that
@@ -132,18 +96,6 @@ func backgroundOrTODO(pass *analysis.Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	return sel.Sel.Name
-}
-
-// calleeName extracts the bare called-function name from a call
-// expression: f(...) → "f", recv.Method(...) → "Method".
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }
 
 // hasCtxParam reports whether the signature declares a parameter of
@@ -167,20 +119,4 @@ func hasCtxParam(pass *analysis.Pass, ft *ast.FuncType) bool {
 		}
 	}
 	return false
-}
-
-// childNodes lists a node's direct children in source order.
-func childNodes(n ast.Node) []ast.Node {
-	var out []ast.Node
-	ast.Inspect(n, func(c ast.Node) bool {
-		if c == nil {
-			return false
-		}
-		if c == n {
-			return true
-		}
-		out = append(out, c)
-		return false // direct children only; walk recurses itself
-	})
-	return out
 }

@@ -1,6 +1,6 @@
-// Package a exercises the ctxflow rules: wrapper shims pass, every
-// other Background()/TODO() root is flagged, and received contexts must
-// be threaded.
+// Package a exercises the ctxflow rules: every Background()/TODO() root
+// outside package main is flagged, received contexts must be threaded,
+// and //qbeep:allow-ctx admits a deliberate root.
 package a
 
 import "context"
@@ -11,26 +11,21 @@ func (s *sampler) SampleCtx(ctx context.Context, n int) int { _ = ctx; return n 
 
 func runCtx(ctx context.Context, n int) int { _ = ctx; return n }
 
-// Sample is the sanctioned Background-wrapper shim: non-Ctx name, root
-// passed directly to the Ctx variant.
+// Sample is a Background-wrapper twin: a ctx-less function handing a
+// fresh root straight to its Ctx variant is flagged like any other root.
 func (s *sampler) Sample(n int) int {
-	return s.SampleCtx(context.Background(), n)
+	return s.SampleCtx(context.Background(), n) // want `context\.Background\(\) outside package main`
 }
 
-// Run is a sanctioned shim over a plain function.
-func Run(n int) int {
-	return runCtx(context.Background(), n)
-}
-
-// stash assigns the root to a variable first — not a shim.
+// stash assigns the root to a variable first.
 func stash(n int) int {
-	ctx := context.Background() // want `context\.Background\(\) outside package main and outside a Background-wrapper shim`
+	ctx := context.Background() // want `context\.Background\(\) outside package main`
 	return runCtx(ctx, n)
 }
 
 // todoRoot mints a TODO root into a non-Ctx callee.
 func todoRoot() context.Context {
-	return context.TODO() // want `context\.TODO\(\) outside package main and outside a Background-wrapper shim`
+	return context.TODO() // want `context\.TODO\(\) outside package main`
 }
 
 // threaded receives a ctx but mints a fresh root anyway.
@@ -47,10 +42,11 @@ func closureThreaded() func(context.Context) int {
 	}
 }
 
-// DoubleCtx is itself a Ctx variant minting a root — it must accept
-// one instead.
-func DoubleCtx(n int) int {
-	return runCtx(context.Background(), n) // want `context\.Background\(\) forwarded to a Ctx variant from "DoubleCtx"`
+// afterClosure: leaving a ctx-receiving closure restores the ctx-less
+// wording for the rest of the enclosing function.
+func afterClosure() int {
+	f := func(ctx context.Context) int { return runCtx(ctx, 1) }
+	return f(context.TODO()) // want `context\.TODO\(\) outside package main`
 }
 
 // allowed is a deliberate root carrying the audited escape hatch.

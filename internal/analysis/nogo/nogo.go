@@ -2,7 +2,7 @@
 // machinery: outside internal/par (the deterministic sharding helper)
 // and internal/obs (the debug server), raw `go` statements and
 // sync.WaitGroup fan-out are forbidden. Every parallel path that goes
-// through par.ForEach inherits index-addressed result slots, the
+// through par.ForEachCtx inherits index-addressed result slots, the
 // worker-count matrix tests, and the par.* metrics; a raw goroutine
 // inherits none of that and is exactly how worker-count-dependent
 // output sneaks back in.
@@ -43,11 +43,11 @@ func run(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Report(n.Pos(), "go",
-					"raw go statement outside internal/par and internal/obs: route fan-out through par.ForEach so it inherits deterministic sharding (//qbeep:allow-go to override)")
+					"raw go statement outside internal/par and internal/obs: route fan-out through par.ForEachCtx so it inherits deterministic sharding (//qbeep:allow-go to override)")
 			case *ast.SelectorExpr:
 				if isWaitGroup(pass, n) {
 					pass.Report(n.Pos(), "waitgroup",
-						"sync.WaitGroup outside internal/par and internal/obs: route fan-out through par.ForEach (//qbeep:allow-waitgroup to override)")
+						"sync.WaitGroup outside internal/par and internal/obs: route fan-out through par.ForEachCtx (//qbeep:allow-waitgroup to override)")
 				}
 			}
 			return true

@@ -1,6 +1,5 @@
 // Package spanend enforces the obs span lifecycle: every span returned
-// by obs.StartSpan or the two-value obs.Start(ctx, name) must be ended
-// on every return path of the function that started it. A leaked span
+// by obs.Start(ctx, name) must be ended on every return path of the function that started it. A leaked span
 // never reaches the sink, so the trace silently under-reports exactly
 // the runs that failed — the worst possible bias for an observability
 // layer.
@@ -9,7 +8,7 @@
 //
 //   - `defer sp.End()` (directly or inside a deferred closure) always
 //     satisfies it — that is the recommended form.
-//   - otherwise every return statement lexically after the StartSpan
+//   - otherwise every return statement lexically after the Start
 //     must be preceded by an sp.End() call in the same or an enclosing
 //     block (straight-line code with an explicit End before the final
 //     return passes; an early `return err` inside an if-block does
@@ -33,7 +32,7 @@ import (
 // Analyzer is the spanend checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "spanend",
-	Doc:  "every obs.StartSpan / obs.Start span must be ended on all return paths of the starting function",
+	Doc:  "every obs.Start span must be ended on all return paths of the starting function",
 	Run:  run,
 }
 
@@ -58,7 +57,6 @@ func run(pass *analysis.Pass) error {
 type spanVar struct {
 	obj      types.Object
 	name     string // variable name
-	fun      string // "StartSpan" or "Start"
 	spanName string // span-name string-literal argument, if constant
 	pos      token.Pos
 	escapes  bool
@@ -93,7 +91,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			if sv, ok := spanStart(pass, n); ok {
 				if sv.obj == nil {
 					pass.Report(n.Pos(), "spanleak",
-						"span result of obs.%s%s discarded: the span can never be ended", sv.fun, spanLabel(sv))
+						"span result of obs.Start%s discarded: the span can never be ended", spanLabel(sv))
 					return
 				}
 				spans[sv.obj] = sv
@@ -101,9 +99,9 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
-				if fun, ok := startFun(pass, call); ok {
+				if isStart(pass, call) {
 					pass.Report(n.Pos(), "spanleak",
-						"span result of obs.%s%s discarded: the span can never be ended", fun, spanLabel(&spanVar{spanName: spanNameOf(call)}))
+						"span result of obs.Start%s discarded: the span can never be ended", spanLabel(&spanVar{spanName: spanNameOf(call)}))
 				}
 			}
 		case *ast.ReturnStmt:
@@ -150,7 +148,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			if !covered(ret, sv.ends) {
 				pass.Report(ret.pos, "spanleak",
-					"return without ending span%s started at %s: prefer `defer %s.End()` right after StartSpan",
+					"return without ending span%s started at %s: prefer `defer %s.End()` right after Start",
 					spanLabel(sv), pass.Fset.Position(sv.pos), sv.name)
 			}
 		}
@@ -292,8 +290,8 @@ func blockSet(stack []ast.Node) map[*ast.BlockStmt]bool {
 	return out
 }
 
-// spanStart recognizes `sp := obs.StartSpan(...)` and the two-value
-// `ctx, sp := obs.Start(ctx, ...)` (and the `=` forms). A blank
+// spanStart recognizes `ctx, sp := obs.Start(ctx, ...)` (and the `=`
+// form). A blank
 // identifier in the span position is a discard (obj nil); any other
 // assignment shape is left to escape analysis. The context result of
 // Start is not tracked — only the span carries the End obligation.
@@ -305,24 +303,14 @@ func spanStart(pass *analysis.Pass, assign *ast.AssignStmt) (*spanVar, bool) {
 	if !ok {
 		return nil, false
 	}
-	fun, ok := startFun(pass, call)
+	if !isStart(pass, call) || len(assign.Lhs) != 2 {
+		return nil, false
+	}
+	id, ok := assign.Lhs[1].(*ast.Ident) // (ctx, span)
 	if !ok {
 		return nil, false
 	}
-	var target ast.Expr
-	switch {
-	case fun == "StartSpan" && len(assign.Lhs) == 1:
-		target = assign.Lhs[0]
-	case fun == "Start" && len(assign.Lhs) == 2:
-		target = assign.Lhs[1] // (ctx, span)
-	default:
-		return nil, false
-	}
-	id, ok := target.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	sv := &spanVar{fun: fun, spanName: spanNameOf(call), pos: assign.Pos()}
+	sv := &spanVar{spanName: spanNameOf(call), pos: assign.Pos()}
 	if id.Name == "_" {
 		return sv, true
 	}
@@ -331,31 +319,28 @@ func spanStart(pass *analysis.Pass, assign *ast.AssignStmt) (*spanVar, bool) {
 	return sv, sv.obj != nil
 }
 
-// startFun reports whether call invokes StartSpan or Start from an obs
-// package (matched by import-path base so analysistest stubs work),
-// returning the function name.
-func startFun(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+// isStart reports whether call invokes Start from an obs package
+// (matched by import-path base so analysistest stubs work).
+func isStart(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "StartSpan" && sel.Sel.Name != "Start") {
-		return "", false
+	if !ok || sel.Sel.Name != "Start" {
+		return false
 	}
 	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return "", false
+		return false
 	}
 	if analysis.PkgPathBase(fn.Pkg().Path()) != "obs" {
-		return "", false
+		return false
 	}
 	// Package-level functions only: methods that happen to be named Start
 	// (obs.TraceFlags.Start) don't return spans.
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return "", false
-	}
-	return sel.Sel.Name, true
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil
 }
 
 // spanNameOf extracts the string-literal span name for diagnostics; the
-// name is the sole StartSpan argument or Start's second.
+// name is Start's second argument.
 func spanNameOf(call *ast.CallExpr) string {
 	if len(call.Args) == 0 {
 		return ""

@@ -10,39 +10,8 @@ import (
 
 var errFail = errors.New("fail")
 
-func leakNoEnd() {
-	sp := obs.StartSpan("leak") // want `never ended`
-	sp.SetAttr("k", 1)
-}
-
-func leakEarlyReturn(fail bool) error {
-	sp := obs.StartSpan("early")
-	if fail {
-		return errFail // want `return without ending span`
-	}
-	sp.End()
-	return nil
-}
-
-func discardedStmt() {
-	obs.StartSpan("discard") // want `discarded`
-}
-
-func discardedBlank() {
-	_ = obs.StartSpan("blank") // want `discarded`
-}
-
-func okDefer(fail bool) error {
-	sp := obs.StartSpan("defer")
-	defer sp.End()
-	if fail {
-		return errFail
-	}
-	return nil
-}
-
-func okDeferClosure(fail bool) error {
-	sp := obs.StartSpan("closure")
+func okDeferClosure(ctx context.Context, fail bool) error {
+	_, sp := obs.Start(ctx, "closure")
 	defer func() {
 		sp.SetAttr("failed", fail)
 		sp.End()
@@ -53,39 +22,18 @@ func okDeferClosure(fail bool) error {
 	return nil
 }
 
-func okStraightLine() {
-	sp := obs.StartSpan("line")
-	sp.SetAttr("k", 2)
-	sp.End()
-}
-
-func okEndBeforeEveryReturn(fail bool) error {
-	sp := obs.StartSpan("explicit")
-	if fail {
-		sp.End()
-		return errFail
-	}
-	sp.End()
-	return nil
-}
-
-func allowedLeak() {
-	sp := obs.StartSpan("handed-off") //qbeep:allow-spanleak fixture: deliberately leaked
+func allowedLeak(ctx context.Context) {
+	_, sp := obs.Start(ctx, "handed-off") //qbeep:allow-spanleak fixture: deliberately leaked
 	sp.SetAttr("k", 3)
 }
 
-// escaping spans are the callee's responsibility, not flagged here.
-func escapes() obs.Span {
-	sp := obs.StartSpan("escape")
-	return sp
-}
-
-func passedAlong(finish func(obs.Span)) {
-	sp := obs.StartSpan("passed")
+// A span passed to a call escapes: its lifetime is the callee's problem.
+func passedAlong(ctx context.Context, finish func(obs.Span)) {
+	_, sp := obs.Start(ctx, "passed")
 	finish(sp)
 }
 
-// --- two-value obs.Start(ctx, name) form ---
+// --- leaks, discards and the basic ending shapes ---
 
 func ctxLeakNoEnd(ctx context.Context) {
 	ctx, sp := obs.Start(ctx, "ctx-leak") // want `never ended`

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -21,7 +23,7 @@ func testTranspiled(t *testing.T) (*transpile.Result, *device.Backend) {
 		t.Fatal(err)
 	}
 	c := circuit.New("ghz", 5).H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4).MeasureAll()
-	res, err := transpile.Transpile(c, b, nil)
+	res, err := transpile.TranspileCtx(context.Background(), c, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +65,11 @@ func TestEstimateLambdaGrowsWithDepth(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		deep.H(0).CX(0, 1).CX(1, 2).CX(2, 3)
 	}
-	lbS, _, err := EstimateLambdaFor(shallow, b)
+	lbS, _, err := EstimateLambdaForCtx(context.Background(), shallow, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbD, _, err := EstimateLambdaFor(deep, b)
+	lbD, _, err := EstimateLambdaForCtx(context.Background(), deep, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +82,11 @@ func TestEstimateLambdaWorseMachineHigher(t *testing.T) {
 	good, _ := device.ByName("galway")  // quality 0.7
 	bad, _ := device.ByName("nairobi2") // quality 1.8
 	c := circuit.New("chain", 5).H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4)
-	lbG, _, err := EstimateLambdaFor(c, good)
+	lbG, _, err := EstimateLambdaForCtx(context.Background(), c, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbB, _, err := EstimateLambdaFor(c, bad)
+	lbB, _, err := EstimateLambdaForCtx(context.Background(), c, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +126,18 @@ func TestInverseDistanceEdges(t *testing.T) {
 }
 
 func TestBuildStateGraphValidation(t *testing.T) {
-	if _, err := BuildStateGraph(nil, PoissonEdges{Lambda: 1}, 0.05); err == nil {
+	if _, err := BuildStateGraphCtx(context.Background(), nil, PoissonEdges{Lambda: 1}, 0.05, 0); err == nil {
 		t.Error("nil counts should error")
 	}
 	d := bitstring.NewDist(3)
-	if _, err := BuildStateGraph(d, PoissonEdges{Lambda: 1}, 0.05); err == nil {
+	if _, err := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1}, 0.05, 0); err == nil {
 		t.Error("empty counts should error")
 	}
 	d.Add(0, 1)
-	if _, err := BuildStateGraph(d, PoissonEdges{Lambda: 1}, 0); err == nil {
+	if _, err := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1}, 0, 0); err == nil {
 		t.Error("zero epsilon should error")
 	}
-	if _, err := BuildStateGraph(d, nil, 0.05); err == nil {
+	if _, err := BuildStateGraphCtx(context.Background(), d, nil, 0.05, 0); err == nil {
 		t.Error("nil weighter should error")
 	}
 }
@@ -147,7 +149,7 @@ func TestStateGraphEdges(t *testing.T) {
 	d.Add(0b000, 90)
 	d.Add(0b001, 8)
 	d.Add(0b111, 2)
-	g, err := BuildStateGraph(d, PoissonEdges{Lambda: 1}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestStateGraphEdges(t *testing.T) {
 		t.Errorf("edges %d want 3", g.NumEdges())
 	}
 	// With a tighter threshold the distance-3 edge drops.
-	g2, _ := BuildStateGraph(d, PoissonEdges{Lambda: 1}, 0.1)
+	g2, _ := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1}, 0.1, 0)
 	if g2.NumEdges() != 2 {
 		t.Errorf("edges %d want 2 at eps=0.1", g2.NumEdges())
 	}
@@ -173,7 +175,7 @@ func TestStepMovesMassTowardDominant(t *testing.T) {
 	d.Add(0b0010, 100)
 	d.Add(0b0100, 100)
 	d.Add(0b1000, 100)
-	g, err := BuildStateGraph(d, PoissonEdges{Lambda: 1}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestStepPreservesNonNegativity(t *testing.T) {
 		d.Add(0b000, float64(c0)+1)
 		d.Add(0b001, float64(c1))
 		d.Add(0b011, float64(c2))
-		g, err := BuildStateGraph(d, PoissonEdges{Lambda: 1.5}, 0.05)
+		g, err := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 		if err != nil {
 			return false
 		}
@@ -233,7 +235,7 @@ func TestMitigateImprovesBVStyleCounts(t *testing.T) {
 	ideal.Add(truth, 1)
 
 	before := bitstring.Fidelity(ideal, raw)
-	out, err := Mitigate(raw, 1.2, NewOptions())
+	out, err := MitigateCtx(context.Background(), raw, 1.2, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +257,7 @@ func TestMitigateTrackedTrace(t *testing.T) {
 	ideal := bitstring.NewDist(3)
 	ideal.Add(0b000, 1)
 	opts := NewOptions()
-	out, trace, err := MitigateTracked(raw, 1, opts, ideal)
+	out, trace, err := MitigateTrackedCtx(context.Background(), raw, 1, opts, ideal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +270,7 @@ func TestMitigateTrackedTrace(t *testing.T) {
 	if !approx(bitstring.Fidelity(ideal, out), trace[len(trace)-1], 1e-9) {
 		t.Error("final trace entry should match output fidelity")
 	}
-	if _, _, err := MitigateTracked(raw, 1, opts, nil); err == nil {
+	if _, _, err := MitigateTrackedCtx(context.Background(), raw, 1, opts, nil); err == nil {
 		t.Error("nil ideal should error")
 	}
 }
@@ -276,49 +278,83 @@ func TestMitigateTrackedTrace(t *testing.T) {
 func TestMitigateValidation(t *testing.T) {
 	raw := bitstring.NewDist(3)
 	raw.Add(0, 10)
-	if _, err := Mitigate(raw, -1, NewOptions()); err == nil {
+	if _, err := MitigateCtx(context.Background(), raw, -1, NewOptions()); err == nil {
 		t.Error("negative lambda should error")
 	}
 	bad := NewOptions()
 	bad.Iterations = 0
-	if _, err := Mitigate(raw, 1, bad); err == nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("zero iterations should error")
 	}
 	bad = NewOptions()
 	bad.Epsilon = 1.5
-	if _, err := Mitigate(raw, 1, bad); err == nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("bad epsilon should error")
 	}
 	bad = NewOptions()
 	bad.ConvergeTol = -0.01
-	if _, err := Mitigate(raw, 1, bad); err == nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("negative converge tolerance should error")
 	}
 	bad = NewOptions()
 	bad.ConvergeTol = math.NaN()
-	if _, err := Mitigate(raw, 1, bad); err == nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("NaN converge tolerance should error")
 	}
 	bad = NewOptions()
 	bad.TopK = -3
-	if _, err := Mitigate(raw, 1, bad); err == nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("negative top-k should error")
 	}
 	ok := NewOptions()
 	ok.ConvergeTol = 0
 	ok.TopK = 0
-	if _, err := Mitigate(raw, 1, ok); err != nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, ok); err != nil {
 		t.Errorf("zero converge tolerance and top-k are the exact defaults: %v", err)
 	}
-	if _, err := Mitigate(bitstring.NewDist(3), 1, NewOptions()); err == nil {
+	if _, err := MitigateCtx(context.Background(), bitstring.NewDist(3), 1, NewOptions()); err == nil {
 		t.Error("empty counts should error")
+	}
+}
+
+// TestMitigateCtxCancelled: a cancelled ctx stops the flow iteration
+// before the next round and surfaces ctx's error, both when it arrives
+// cancelled and when it is cancelled mid-run.
+func TestMitigateCtxCancelled(t *testing.T) {
+	raw := bitstring.NewDist(3)
+	raw.Add(0b101, 90)
+	raw.Add(0b100, 10)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MitigateCtx(dead, raw, 1, NewOptions()); !errors.Is(err, context.Canceled) {
+		t.Errorf("MitigateCtx on a cancelled ctx: err = %v", err)
+	}
+	if _, _, err := MitigateTrackedCtx(dead, raw, 1, NewOptions(), raw); !errors.Is(err, context.Canceled) {
+		t.Errorf("MitigateTrackedCtx on a cancelled ctx: err = %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := NewOptions()
+	rounds := 0
+	opts.OnIteration = func(IterationStats) {
+		rounds++
+		if rounds == 2 {
+			cancel()
+		}
+	}
+	if _, err := MitigateCtx(ctx, raw, 1, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("mid-run cancel: err = %v", err)
+	}
+	if rounds != 2 {
+		t.Errorf("ran %d rounds after cancelling in round 2", rounds)
 	}
 }
 
 func TestMitigateSingleOutcomeIsStable(t *testing.T) {
 	raw := bitstring.NewDist(4)
 	raw.Add(0b1010, 100)
-	out, err := Mitigate(raw, 1, NewOptions())
+	out, err := MitigateCtx(context.Background(), raw, 1, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +368,7 @@ func TestMitigateZeroLambdaNoEdges(t *testing.T) {
 	raw := bitstring.NewDist(3)
 	raw.Add(0b000, 60)
 	raw.Add(0b001, 40)
-	out, err := Mitigate(raw, 0, NewOptions())
+	out, err := MitigateCtx(context.Background(), raw, 0, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,12 +402,12 @@ func TestMitigateHAMMERWeighterAblation(t *testing.T) {
 	ideal.Add(truth, 1)
 
 	opts := NewOptions()
-	poisOut, err := Mitigate(raw, 3, opts)
+	poisOut, err := MitigateCtx(context.Background(), raw, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Weighter = InverseDistanceEdges{}
-	hammerOut, err := Mitigate(raw, 3, opts)
+	hammerOut, err := MitigateCtx(context.Background(), raw, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,11 +424,11 @@ func TestGraphScalesWithEpsilon(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		raw.Add(bitstring.BitString(rng.Intn(1024)), 1)
 	}
-	loose, err := BuildStateGraph(raw, PoissonEdges{Lambda: 2}, 0.01)
+	loose, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 2}, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := BuildStateGraph(raw, PoissonEdges{Lambda: 2}, 0.2)
+	tight, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 2}, 0.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +453,7 @@ func BenchmarkMitigate4096Shots10Q(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mitigate(raw, 1.5, NewOptions()); err != nil {
+		if _, err := MitigateCtx(context.Background(), raw, 1.5, NewOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 package core
 
-// Edge discovery for the state graph. BuildStateGraph's pair scan is the
+// Edge discovery for the state graph. BuildStateGraphCtx's pair scan is the
 // innermost loop of the whole pipeline — it runs once per mitigation,
 // thousands of times per figure corpus — so it gets an engine of its own:
 //

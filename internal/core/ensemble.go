@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -26,7 +27,7 @@ type EnsembleMember struct {
 //
 // The returned distribution is normalized to the mean member total, so it
 // remains comparable to a single induction's counts.
-func MitigateEnsemble(members []EnsembleMember, opts Options) (*bitstring.Dist, error) {
+func MitigateEnsemble(ctx context.Context, members []EnsembleMember, opts Options) (*bitstring.Dist, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: empty ensemble")
 	}
@@ -50,8 +51,8 @@ func MitigateEnsemble(members []EnsembleMember, opts Options) (*bitstring.Dist, 
 	// member order, so the result is identical to a serial loop
 	// regardless of GOMAXPROCS.
 	mitigated := make([]*bitstring.Dist, len(members))
-	if err := par.ForEach(len(members), 0, func(i int) error {
-		out, err := Mitigate(members[i].Counts, members[i].Lambda, opts)
+	if err := par.ForEachCtx(ctx, len(members), 0, func(i int) error {
+		out, err := MitigateCtx(ctx, members[i].Counts, members[i].Lambda, opts)
 		if err != nil {
 			return fmt.Errorf("core: ensemble member %d: %w", i, err)
 		}

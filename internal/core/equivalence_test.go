@@ -1,42 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/mathx"
+	"qbeep/internal/testutil"
 )
-
-// workerMatrix returns the worker counts the equivalence tests sweep:
-// {1, 2, 4, 8, GOMAXPROCS} plus any extras from QBEEP_TEST_WORKERS (a
-// comma-separated list, set by the Makefile race target) — deduplicated.
-func workerMatrix(t *testing.T) []int {
-	t.Helper()
-	counts := []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)}
-	if env := os.Getenv("QBEEP_TEST_WORKERS"); env != "" {
-		for _, f := range strings.Split(env, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v < 1 {
-				t.Fatalf("QBEEP_TEST_WORKERS entry %q: %v", f, err)
-			}
-			counts = append(counts, v)
-		}
-	}
-	seen := map[int]bool{}
-	out := counts[:0]
-	for _, w := range counts {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
 
 // uniformDist draws `support` distinct outcomes uniformly over width n
 // with random positive counts — the widest Hamming-weight spread, which
@@ -129,7 +101,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 		{14, 500, 0.5, 7},
 		{16, 600, 1.5, 8},
 	}
-	workers := workerMatrix(t)
+	workers := testutil.WorkerMatrix(t)
 	for _, c := range cases {
 		// Mix a clustered and a uniform corpus: clustered data packs the
 		// weight buckets, uniform data spreads them.
@@ -146,7 +118,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
-					g, err := buildStateGraph(raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, 0)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -173,7 +145,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 	}
 	var ref *StateGraph
 	for _, strat := range []scanStrategy{scanBucket, scanSphere} {
-		g, err := buildStateGraph(raw, InverseDistanceEdges{}, 0.05, 4, strat)
+		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +184,9 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 		}
 		oracle := og.Dist().Normalized(raw.Total())
 
-		for _, w := range workerMatrix(t) {
+		for _, w := range testutil.WorkerMatrix(t) {
 			opts.BuildWorkers = w
-			out, err := Mitigate(raw, c.lambda, opts)
+			out, err := MitigateCtx(context.Background(), raw, c.lambda, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +200,7 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 // ascending, and degrees sum to 2E.
 func TestCSRAdjacencyConsistent(t *testing.T) {
 	raw := uniformDist(10, 250, 31)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +230,7 @@ func TestCSRAdjacencyConsistent(t *testing.T) {
 // first call, the 20-iteration mitigation loop allocates nothing.
 func TestStepAllocationFree(t *testing.T) {
 	raw := uniformDist(10, 300, 41)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +251,7 @@ func TestGraphFidelityMatchesDistSnapshot(t *testing.T) {
 	raw := poissonCounts(8, 0b10110100, 1.5, 3000, 51)
 	ideal := bitstring.NewDist(8)
 	ideal.Add(0b10110100, 1)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

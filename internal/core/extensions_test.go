@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,24 +29,24 @@ func poissonCounts(n int, truth bitstring.BitString, lambda float64, shots int, 
 }
 
 func TestMitigateEnsembleValidation(t *testing.T) {
-	if _, err := MitigateEnsemble(nil, NewOptions()); err == nil {
+	if _, err := MitigateEnsemble(context.Background(), nil, NewOptions()); err == nil {
 		t.Error("empty ensemble should error")
 	}
 	good := poissonCounts(4, 0b1010, 0.8, 500, 1)
-	if _, err := MitigateEnsemble([]EnsembleMember{
+	if _, err := MitigateEnsemble(context.Background(), []EnsembleMember{
 		{Counts: good, Lambda: 0.8},
 		{Counts: bitstring.NewDist(4), Lambda: 0.8},
 	}, NewOptions()); err == nil {
 		t.Error("empty member should error")
 	}
 	other := poissonCounts(5, 0b01010, 0.8, 500, 2)
-	if _, err := MitigateEnsemble([]EnsembleMember{
+	if _, err := MitigateEnsemble(context.Background(), []EnsembleMember{
 		{Counts: good, Lambda: 0.8},
 		{Counts: other, Lambda: 0.8},
 	}, NewOptions()); err == nil {
 		t.Error("width mismatch should error")
 	}
-	if _, err := MitigateEnsemble([]EnsembleMember{
+	if _, err := MitigateEnsemble(context.Background(), []EnsembleMember{
 		{Counts: good, Lambda: -1},
 	}, NewOptions()); err == nil {
 		t.Error("negative lambda should error")
@@ -60,7 +61,7 @@ func TestMitigateEnsembleWeighsCleanMembers(t *testing.T) {
 	clean := poissonCounts(n, truth, 0.4, 2000, 3)
 	dirty := poissonCounts(n, truth, 3.5, 2000, 4)
 
-	merged, err := MitigateEnsemble([]EnsembleMember{
+	merged, err := MitigateEnsemble(context.Background(), []EnsembleMember{
 		{Counts: clean, Lambda: 0.4},
 		{Counts: dirty, Lambda: 3.5},
 	}, NewOptions())
@@ -69,7 +70,7 @@ func TestMitigateEnsembleWeighsCleanMembers(t *testing.T) {
 	}
 	// The ensemble must beat the dirty member alone and sit at or above
 	// the naive unweighted average of the two mitigated members.
-	dirtyOnly, err := Mitigate(dirty, 3.5, NewOptions())
+	dirtyOnly, err := MitigateCtx(context.Background(), dirty, 3.5, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,11 @@ func TestMitigateEnsembleWeighsCleanMembers(t *testing.T) {
 
 func TestMitigateEnsembleSingleMemberMatchesMitigate(t *testing.T) {
 	raw := poissonCounts(5, 0b10110, 1.0, 1500, 5)
-	solo, err := Mitigate(raw, 1.0, NewOptions())
+	solo, err := MitigateCtx(context.Background(), raw, 1.0, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := MitigateEnsemble([]EnsembleMember{{Counts: raw, Lambda: 1.0}}, NewOptions())
+	ens, err := MitigateEnsemble(context.Background(), []EnsembleMember{{Counts: raw, Lambda: 1.0}}, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestProbeCalibrationImprovesLambdaOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.Execute(w.Circuit, 2048, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestProbeCalibrationImprovesLambdaOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.Execute(w.Circuit, 4096, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,14 +81,9 @@ func EstimateLambda(res *transpile.Result, b *device.Backend) (LambdaBreakdown, 
 	return out, nil
 }
 
-// EstimateLambdaFor transpiles the logical circuit onto the backend and
-// evaluates Eq. 2 — the one-call convenience used by examples and the CLI.
-func EstimateLambdaFor(c *circuit.Circuit, b *device.Backend) (LambdaBreakdown, *transpile.Result, error) {
-	return EstimateLambdaForCtx(context.Background(), c, b)
-}
-
-// EstimateLambdaForCtx is EstimateLambdaFor with trace-context
-// propagation: the "transpile" span parents under the span active in ctx.
+// EstimateLambdaForCtx transpiles the logical circuit onto the backend
+// and evaluates Eq. 2 — the one-call convenience used by examples and the
+// CLI. The "transpile" span parents under the span active in ctx.
 func EstimateLambdaForCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend) (LambdaBreakdown, *transpile.Result, error) {
 	res, err := transpile.TranspileCtx(ctx, c, b, nil)
 	if err != nil {

@@ -39,7 +39,7 @@ type IterationStats struct {
 // hands to Options.OnQuality: the Hamming-spectrum quality block of a
 // runledger.Record (DESIGN.md §16), computed once after the final
 // iteration. The ground-truth fields are populated only on tracked
-// runs (MitigateTracked); spectra are centered on the ideal mode when
+// runs (MitigateTrackedCtx); spectra are centered on the ideal mode when
 // one is known, else on the raw mode.
 type QualityStats struct {
 	// HellingerShift is H(raw, mitigated): how far induction moved the
@@ -136,35 +136,26 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// Mitigate runs Q-BEEP over raw counts with the pre-induction rate λ and
-// returns the mitigated distribution (same total mass, re-normalized).
-func Mitigate(counts *bitstring.Dist, lambda float64, opts Options) (*bitstring.Dist, error) {
-	out, _, err := mitigateCtx(context.Background(), counts, lambda, opts, nil)
-	return out, err
-}
-
-// MitigateCtx is Mitigate with trace-context propagation: the
-// "core.mitigate" span (and its graph-build and per-iteration children)
-// parent under the span active in ctx.
+// MitigateCtx runs Q-BEEP over raw counts with the pre-induction rate λ
+// and returns the mitigated distribution (same total mass,
+// re-normalized). The "core.mitigate" span (and its graph-build and
+// per-iteration children) parent under the span active in ctx; a
+// cancelled ctx stops the run before the next flow iteration and
+// returns ctx's error.
 func MitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options) (*bitstring.Dist, error) {
 	out, _, err := mitigateCtx(ctx, counts, lambda, opts, nil)
 	return out, err
 }
 
-// MitigateTracked is Mitigate plus the per-iteration fidelity trace
-// against the supplied ideal distribution (Fig. 7(c)). trace[0] is the
-// pre-mitigation fidelity; trace[i] the fidelity after iteration i.
+// MitigateTrackedCtx is MitigateCtx plus the per-iteration fidelity
+// trace against the supplied ideal distribution (Fig. 7(c)). trace[0] is
+// the pre-mitigation fidelity; trace[i] the fidelity after iteration i.
 // Tracked runs additionally record the per-iteration Hellinger distance
 // to ideal into the "core.mitigate.hellinger" histogram and onto the
 // iteration spans, so convergence is observable without a callback.
-func MitigateTracked(counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist) (*bitstring.Dist, []float64, error) {
-	return MitigateTrackedCtx(context.Background(), counts, lambda, opts, ideal)
-}
-
-// MitigateTrackedCtx is MitigateTracked with trace-context propagation.
 func MitigateTrackedCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist) (*bitstring.Dist, []float64, error) {
 	if ideal == nil {
-		return nil, nil, fmt.Errorf("core: MitigateTracked requires an ideal distribution")
+		return nil, nil, fmt.Errorf("core: MitigateTrackedCtx requires an ideal distribution")
 	}
 	return mitigateCtx(ctx, counts, lambda, opts, ideal)
 }
@@ -256,6 +247,9 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	}
 	executed := 0
 	for i := 1; i <= opts.Iterations; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		executed = i
 		if iterate(i) {
 			break

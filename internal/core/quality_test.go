@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/bitstring"
@@ -26,7 +27,7 @@ func TestOnQualityUntracked(t *testing.T) {
 	opts := NewOptions()
 	var got []QualityStats
 	opts.OnQuality = func(q QualityStats) { got = append(got, q) }
-	out, err := Mitigate(raw, 1, opts)
+	out, err := MitigateCtx(context.Background(), raw, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestOnQualityTracked(t *testing.T) {
 	opts := NewOptions()
 	var q QualityStats
 	opts.OnQuality = func(s QualityStats) { q = s }
-	out, trace, err := MitigateTracked(raw, 1, opts, ideal)
+	out, trace, err := MitigateTrackedCtx(context.Background(), raw, 1, opts, ideal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestOnQualityConverged(t *testing.T) {
 	opts.ConvergeTol = 0.5 // trips immediately
 	var q QualityStats
 	opts.OnQuality = func(s QualityStats) { q = s }
-	if _, err := Mitigate(raw, 1, opts); err != nil {
+	if _, err := MitigateCtx(context.Background(), raw, 1, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !q.Converged {

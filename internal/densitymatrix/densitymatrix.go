@@ -7,6 +7,7 @@
 package densitymatrix
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -46,6 +47,9 @@ type Density struct {
 	scratch []complex128 // reusable output buffer for out-of-place kernels
 	signs   []float64    // reusable ±1 table for diagonal conjugations
 	workers int          // row shard count; 0 = auto
+	// ctx parents the row shard fan-outs' worker spans (SetContext);
+	// nil until set.
+	ctx context.Context
 }
 
 // SetWorkers sets the row shard count: w > 1 shards the kernels over w
@@ -61,6 +65,12 @@ func (d *Density) SetWorkers(w int) {
 
 // parMinRows is the row-space size below which auto mode stays serial.
 const parMinRows = 1 << 6
+
+// SetContext parents the row shard fan-outs' "par.worker" spans under
+// the span active in ctx for the rest of this matrix's evolution.
+func (d *Density) SetContext(ctx context.Context) {
+	d.ctx = ctx
+}
 
 // resolveWorkers picks the shard count for a kernel over `rows` row slots.
 func (d *Density) resolveWorkers(rows int) int {
@@ -89,7 +99,7 @@ func (d *Density) shard(rows int, fn func(lo, hi int)) {
 		return
 	}
 	chunk := (rows + w - 1) / w
-	_ = par.ForEach(w, w, func(k int) error {
+	_ = par.ForEachCtx(d.ctx, w, w, func(k int) error {
 		lo := k * chunk
 		hi := lo + chunk
 		if hi > rows {

@@ -1,6 +1,7 @@
 package densitymatrix
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -67,7 +68,7 @@ func TestUnitaryAgreesWithStatevector(t *testing.T) {
 		if c.Err() != nil {
 			t.Fatal(c.Err())
 		}
-		sv, err := statevector.Run(c)
+		sv, err := statevector.RunCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestCSWAPMatchesStatevector(t *testing.T) {
 			}
 		}
 		c.CSWAP(0, 1, 2)
-		sv, err := statevector.Run(c)
+		sv, err := statevector.RunCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

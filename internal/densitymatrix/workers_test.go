@@ -1,40 +1,12 @@
 package densitymatrix
 
 import (
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
+	"qbeep/internal/testutil"
 )
-
-// dmWorkerMatrix mirrors the statevector equivalence matrix: {1, 2, 4,
-// GOMAXPROCS} plus QBEEP_TEST_WORKERS entries, deduplicated.
-func dmWorkerMatrix(t *testing.T) []int {
-	t.Helper()
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	if env := os.Getenv("QBEEP_TEST_WORKERS"); env != "" {
-		for _, f := range strings.Split(env, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v < 1 {
-				t.Fatalf("QBEEP_TEST_WORKERS entry %q: %v", f, err)
-			}
-			counts = append(counts, v)
-		}
-	}
-	seen := map[int]bool{}
-	out := counts[:0]
-	for _, w := range counts {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
 
 // TestDensityDeterministicAcrossWorkers pins that row-pair sharding is
 // bitwise invariant in the worker count: the same circuit plus noise
@@ -69,7 +41,7 @@ func TestDensityDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// The channel parameters must match across builds: re-seed per build.
 	var want *Density
-	for _, w := range dmWorkerMatrix(t) {
+	for _, w := range testutil.WorkerMatrix(t) {
 		rng = mathx.NewRNG(31)
 		got := build(w)
 		if want == nil {

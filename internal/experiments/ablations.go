@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 
 	"qbeep/internal/algorithms"
@@ -34,7 +35,7 @@ type AblationResult struct {
 // BV on medellin) and prints the table. The same sweeps exist as Go
 // benchmarks; this runner makes them part of the reproducible experiment
 // pipeline.
-func Ablations(cfg Config) (*AblationResult, error) {
+func Ablations(ctx context.Context, cfg Config) (*AblationResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -51,7 +52,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := execute(exec, w.Circuit, cfg.Shots, cfg.Batch, cfg.rng(99))
+	run, err := exec.ExecuteCtx(ctx, w.Circuit, cfg.Shots, cfg.Batch, cfg.rng(99))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +71,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	res := &AblationResult{RawFidelity: bitstring.Fidelity(ideal, raw)}
 
 	score := func(study, variant string, opts core.Options, lambda, extra float64) error {
-		out, err := core.Mitigate(raw, lambda, opts)
+		out, err := core.MitigateCtx(ctx, raw, lambda, opts)
 		if err != nil {
 			return err
 		}
@@ -111,7 +112,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	for _, eps := range []float64{0.01, 0.05, 0.2} {
 		o := core.NewOptions()
 		o.Epsilon = eps
-		g, err := core.BuildStateGraph(raw, core.PoissonEdges{Lambda: lb.Lambda()}, eps)
+		g, err := core.BuildStateGraphCtx(ctx, raw, core.PoissonEdges{Lambda: lb.Lambda()}, eps, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +159,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.Mitigate(corrected, lb.Lambda(), core.NewOptions())
+	out, err := core.MitigateCtx(ctx, corrected, lb.Lambda(), core.NewOptions())
 	if err != nil {
 		return nil, err
 	}

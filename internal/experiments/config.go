@@ -35,7 +35,7 @@ type Config struct {
 	// only the k heaviest edges per vertex. 0 is the exact engine.
 	TopK int
 	// Batch, when > 1, splits every induction's shot loop into that many
-	// blocks fanned across the worker pool (noise.ExecuteBatchCtx).
+	// blocks fanned across the worker pool (noise.Executor.ExecuteCtx).
 	// Counts depend on (Seed, Batch) but not on worker count; 0 or 1 is
 	// the serial shot loop.
 	Batch int

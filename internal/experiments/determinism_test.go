@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -11,11 +12,11 @@ import (
 func TestRunnersDeterministic(t *testing.T) {
 	cfg := QuickConfig()
 
-	a7, err := Figure7(cfg)
+	a7, err := Figure7(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b7, err := Figure7(cfg)
+	b7, err := Figure7(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +29,11 @@ func TestRunnersDeterministic(t *testing.T) {
 		}
 	}
 
-	a6, err := Figure6(cfg)
+	a6, err := Figure6(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b6, err := Figure6(cfg)
+	b6, err := Figure6(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestRunnersDeterministic(t *testing.T) {
 		t.Fatalf("Figure6 sample counts differ")
 	}
 
-	a10, err := Figure10(cfg)
+	a10, err := Figure10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b10, err := Figure10(cfg)
+	b10, err := Figure10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestRunnersDeterministic(t *testing.T) {
 		}
 	}
 
-	a8, err := RunQASMBench(cfg)
+	a8, err := RunQASMBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b8, err := RunQASMBench(cfg)
+	b8, err := RunQASMBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"qbeep/internal/algorithms"
@@ -45,7 +46,7 @@ type Figure7Result struct {
 // fidelity per state-graph iteration. Shape targets: Q-BEEP mean PST
 // improvement above HAMMER's and above 1; some regressions expected
 // (paper: 14 %).
-func Figure7(cfg Config) (*Figure7Result, error) {
+func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -89,9 +90,9 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 	// Phase 2: run in parallel into index-addressed slots.
 	cases := make([]BVCase, len(tasks))
 	traces := make([][]float64, len(tasks))
-	err = par.ForEach(len(tasks), 0, func(i int) error {
+	err = par.ForEachCtx(ctx, len(tasks), 0, func(i int) error {
 		tk := tasks[i]
-		out, err := runWorkload(tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, tk.track)
+		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, tk.track)
 		if err != nil {
 			return err
 		}

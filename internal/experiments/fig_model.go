@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"qbeep/internal/algorithms"
 	"qbeep/internal/bitstring"
 	"qbeep/internal/device"
@@ -37,7 +38,7 @@ type Figure6Result struct {
 // against the observed error spectrum by Hellinger distance. Expected
 // ordering (paper): MLE Poisson < Q-BEEP < the non-Poisson models, with
 // Q-BEEP the best pre-induction model.
-func Figure6(cfg Config) (*Figure6Result, error) {
+func Figure6(ctx context.Context, cfg Config) (*Figure6Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -82,9 +83,9 @@ func Figure6(cfg Config) (*Figure6Result, error) {
 
 	// Phase 2 (parallel): execute and score each circuit into its slot.
 	samples := make([]*ModelDistances, len(tasks))
-	err = par.ForEach(len(tasks), 0, func(i int) error {
+	err = par.ForEachCtx(ctx, len(tasks), 0, func(i int) error {
 		tk := tasks[i]
-		out, err := runWorkload(tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
+		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"qbeep/internal/core"
@@ -43,14 +44,14 @@ type Figure10Result struct {
 // Shape targets: mean relative CR improvement > 1 with a high success
 // rate, the post-mitigation CR CDF shifted right, and λ estimates mostly
 // in the 0–2 band.
-func Figure10(cfg Config) (*Figure10Result, error) {
+func Figure10(ctx context.Context, cfg Config) (*Figure10Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	defer figureSpan("10")()
 	rng := cfg.rng(10)
 	count := cfg.scaled(340, 8)
-	instances, err := qaoa.Dataset(count, 6, 12, 3, rng)
+	instances, err := qaoa.Dataset(ctx, count, 6, 12, 3, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -65,14 +66,14 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		rngs[i] = rng.Split(uint64(i))
 	}
 	cases := make([]QAOACase, len(instances))
-	err = par.ForEach(len(instances), 0, func(i int) error {
+	err = par.ForEachCtx(ctx, len(instances), 0, func(i int) error {
 		inst := instances[i]
 		b := backends[i%len(backends)]
 		exec, err := noise.NewExecutor(b, noise.DefaultModel())
 		if err != nil {
 			return err
 		}
-		run, err := execute(exec, inst.Circuit, cfg.Shots, cfg.Batch, rngs[i])
+		run, err := exec.ExecuteCtx(ctx, inst.Circuit, cfg.Shots, cfg.Batch, rngs[i])
 		if err != nil {
 			return err
 		}
@@ -80,7 +81,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		mitigated, err := core.Mitigate(run.Counts, lambda.Lambda(), core.NewOptions())
+		mitigated, err := core.MitigateCtx(ctx, run.Counts, lambda.Lambda(), core.NewOptions())
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -44,14 +45,14 @@ type Figure1Result struct {
 // the error cluster sits away from distance 0, with Q-BEEP's predicted
 // spectrum tracking it while HAMMER's fixed weighting cannot; (b) raw vs
 // Q-BEEP vs ideal probabilities for an 8-qubit BV induction.
-func Figure1(cfg Config) (*Figure1Result, error) {
+func Figure1(ctx context.Context, cfg Config) (*Figure1Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	defer figureSpan("1")()
 	rng := cfg.rng(1)
 
-	spec, err := spectrumForBV(9, "medellin", cfg, rng)
+	spec, err := spectrumForBV(ctx, 9, "medellin", cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +67,7 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := runWorkload(w, b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), rng, false)
+	out, err := runWorkload(ctx, w, b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), rng, false)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +89,7 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 
 // Figure2 reproduces Fig. 2: spectrum comparisons for BV circuits of 8
 // widths, each on a distinct backend.
-func Figure2(cfg Config) ([]SpectrumResult, error) {
+func Figure2(ctx context.Context, cfg Config) ([]SpectrumResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -98,7 +99,7 @@ func Figure2(cfg Config) ([]SpectrumResult, error) {
 	backends := []string{"istanbul", "jakarta2", "kyiv", "lagos2", "medellin", "nairobi2", "oslo2", "pinnacle"}
 	out := make([]SpectrumResult, 0, len(widths))
 	for i, n := range widths {
-		spec, err := spectrumForBV(n, backends[i], cfg, rng)
+		spec, err := spectrumForBV(ctx, n, backends[i], cfg, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +122,7 @@ func Figure2(cfg Config) ([]SpectrumResult, error) {
 
 // spectrumForBV runs one BV induction and assembles the spectrum
 // comparison.
-func spectrumForBV(n int, backend string, cfg Config, rng *mathx.RNG) (*SpectrumResult, error) {
+func spectrumForBV(ctx context.Context, n int, backend string, cfg Config, rng *mathx.RNG) (*SpectrumResult, error) {
 	w, err := algorithms.BernsteinVazirani(n, algorithms.RandomSecret(n, rng))
 	if err != nil {
 		return nil, err
@@ -130,7 +131,7 @@ func spectrumForBV(n int, backend string, cfg Config, rng *mathx.RNG) (*Spectrum
 	if err != nil {
 		return nil, err
 	}
-	out, err := runWorkload(w, b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), rng, false)
+	out, err := runWorkload(ctx, w, b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), rng, false)
 	if err != nil {
 		return nil, err
 	}

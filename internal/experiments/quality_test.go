@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func runQualityWorkload(t *testing.T) *Outcome {
 		t.Fatal(err)
 	}
 	cfg := QuickConfig()
-	out, err := runWorkload(w, b, 256, 1, cfg.mitigateOptions(), mathx.NewRNG(99), false)
+	out, err := runWorkload(context.Background(), w, b, 256, 1, cfg.mitigateOptions(), mathx.NewRNG(99), false)
 	if err != nil {
 		t.Fatal(err)
 	}

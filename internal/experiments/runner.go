@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"qbeep/internal/algorithms"
 	"qbeep/internal/bitstring"
-	"qbeep/internal/circuit"
 	"qbeep/internal/core"
 	"qbeep/internal/device"
 	"qbeep/internal/hammer"
@@ -28,16 +28,6 @@ type Outcome struct {
 	Trace    []float64 // per-iteration fidelity when tracked
 }
 
-// execute routes one induction through the serial shot loop or, when
-// batch > 1, the block-fanned batch path. Every runner shares this
-// switch so a single -batch flag covers the whole figure suite.
-func execute(exec *noise.Executor, c *circuit.Circuit, shots, batch int, rng *mathx.RNG) (*noise.Run, error) {
-	if batch > 1 {
-		return exec.ExecuteBatch(c, shots, batch, rng)
-	}
-	return exec.Execute(c, shots, rng)
-}
-
 // runWorkload executes the workload on the backend under the default
 // hardware-like noise model and applies Q-BEEP (Eq. 2 λ, with the
 // caller's core options — iteration schedule, convergence tolerance,
@@ -46,13 +36,13 @@ func execute(exec *noise.Executor, c *circuit.Circuit, shots, batch int, rng *ma
 // fidelity trace (costs one fidelity evaluation per iteration). Every
 // completed workload is logged at info level (circuit, backend,
 // elapsed) — the progress feed for multi-minute figure runs.
-func runWorkload(w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
+func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
 	t0 := time.Now()
 	exec, err := noise.NewExecutor(b, noise.DefaultModel())
 	if err != nil {
 		return nil, err
 	}
-	run, err := execute(exec, w.Circuit, shots, batch, rng)
+	run, err := exec.ExecuteCtx(ctx, w.Circuit, shots, batch, rng)
 	if err != nil {
 		return nil, fmt.Errorf("executing %s on %s: %w", w.Circuit.Name, b.Name, err)
 	}
@@ -77,9 +67,9 @@ func runWorkload(w *algorithms.Workload, b *device.Backend, shots, batch int, op
 	var trace []float64
 	m0 := time.Now()
 	if track {
-		qb, trace, err = core.MitigateTracked(raw, lambda.Lambda(), opts, ideal)
+		qb, trace, err = core.MitigateTrackedCtx(ctx, raw, lambda.Lambda(), opts, ideal)
 	} else {
-		qb, err = core.Mitigate(raw, lambda.Lambda(), opts)
+		qb, err = core.MitigateCtx(ctx, raw, lambda.Lambda(), opts)
 	}
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -11,7 +12,7 @@ import (
 // contract at runtime (the static side is the //qbeep:pooled marker on
 // trajArena plus the allocfree facts on the replay path): once the
 // arenas are warm, the per-shot cost is zero heap allocations —
-// everything Sample still allocates is per-call (the merged result Dist,
+// everything SampleCtx still allocates is per-call (the merged result Dist,
 // span bookkeeping) and independent of the shot count. Measured as the
 // marginal allocations between a small and a large batch, so the
 // per-call constant cancels instead of needing a brittle absolute bound.
@@ -29,7 +30,7 @@ func TestTrajectorySteadyStateAllocs(t *testing.T) {
 	rng := mathx.NewRNG(17)
 
 	sample := func(shots int) {
-		if _, err := ts.Sample(c, 0, shots, rng); err != nil {
+		if _, err := ts.SampleCtx(context.Background(), c, 0, shots, rng); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
+	"qbeep/internal/testutil"
 )
 
 // oracleCircuits builds a spread of circuits for the replay-equivalence
@@ -81,9 +82,9 @@ func TestTrajectoryMatchesPerGateOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range trajWorkerMatrix(t) {
+		for _, w := range testutil.WorkerMatrix(t) {
 			ts.SetWorkers(w)
-			got, err := ts.Sample(c, 0, shots, mathx.NewRNG(uint64(50+ci)))
+			got, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(uint64(50+ci)))
 			if err != nil {
 				t.Fatalf("circuit %d workers=%d: %v", ci, w, err)
 			}
@@ -92,75 +93,13 @@ func TestTrajectoryMatchesPerGateOracle(t *testing.T) {
 	}
 }
 
-// TestSampleBatchMatchesSerial pins the batch contract: SampleBatch
-// results are bit-for-bit identical to serial Sample calls with
-// mathx.NewRNG(req.Seed), per request, at every worker count.
-func TestSampleBatchMatchesSerial(t *testing.T) {
-	b := testBackend(t)
-	bs, err := NewBatchSampler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := NewTrajectorySampler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.SetWorkers(1)
-
-	cs := oracleCircuits()
-	var reqs []BatchRequest
-	for i, c := range cs {
-		reqs = append(reqs, BatchRequest{
-			Circuit: c,
-			Init:    0,
-			Shots:   120 + 35*i, // uneven sizes: blocks straddle request edges
-			Seed:    uint64(900 + i),
-		})
-	}
-	want := make([]*bitstring.Dist, len(reqs))
-	for i, req := range reqs {
-		want[i], err = serial.Sample(req.Circuit, req.Init, req.Shots, mathx.NewRNG(req.Seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, w := range trajWorkerMatrix(t) {
-		bs.SetWorkers(w)
-		got, err := bs.SampleBatch(context.Background(), reqs)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i := range reqs {
-			requireSameDist(t, reqs[i].Circuit.Name, got[i], want[i])
-		}
-	}
-}
-
-// TestSampleBatchRejectsBadInput pins the validation paths.
-func TestSampleBatchRejectsBadInput(t *testing.T) {
-	bs, err := NewBatchSampler(testBackend(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bs.SampleBatch(context.Background(), nil); err == nil {
-		t.Fatal("SampleBatch accepted an empty batch")
-	}
-	reqs := []BatchRequest{{Circuit: nil, Shots: 10}}
-	if _, err := bs.SampleBatch(context.Background(), reqs); err == nil {
-		t.Fatal("SampleBatch accepted a nil circuit")
-	}
-	reqs = []BatchRequest{{Circuit: circuit.New("z", 2).H(0), Shots: 0}}
-	if _, err := bs.SampleBatch(context.Background(), reqs); err == nil {
-		t.Fatal("SampleBatch accepted zero shots")
-	}
-}
-
-// TestExecuteBatchDeterministicAcrossBlocks pins the executor batch
+// TestExecuteBatchDeterministicAcrossBlocks pins the blocked execute
 // path: for a fixed (seed, blocks) the counts are identical across
-// repeated runs and across worker counts (GOMAXPROCS is fixed in-test,
-// but the block-keyed streams make worker scheduling irrelevant by
-// construction), and blocks<=1 reproduces the serial path exactly.
+// repeated runs (the block-keyed streams make worker scheduling
+// irrelevant by construction), and blocks<=1 is the serial path that
+// ExecuteTranspiledCtx runs on the same transpilation.
 func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
+	ctx := context.Background()
 	b := testBackend(t)
 	exec, err := NewExecutor(b, DefaultModel())
 	if err != nil {
@@ -169,24 +108,29 @@ func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
 	c := circuit.New("batchdet", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
 	const shots = 600
 
-	serial, err := exec.Execute(c, shots, mathx.NewRNG(42))
+	serial, err := exec.ExecuteCtx(ctx, c, shots, 1, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOne, err := exec.ExecuteBatch(c, shots, 1, mathx.NewRNG(42))
+	viaZero, err := exec.ExecuteCtx(ctx, c, shots, 0, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameDist(t, "blocks=1", viaOne.Counts, serial.Counts)
+	requireSameDist(t, "blocks=0", viaZero.Counts, serial.Counts)
+	viaTranspiled, err := exec.ExecuteTranspiledCtx(ctx, c, serial.Transpiled, shots, mathx.NewRNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDist(t, "transpiled", viaTranspiled.Counts, serial.Counts)
 
-	first, err := exec.ExecuteBatch(c, shots, 7, mathx.NewRNG(42))
+	first, err := exec.ExecuteCtx(ctx, c, shots, 7, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Counts.Total() != serial.Counts.Total() {
 		t.Fatalf("batch total %v, want %v", first.Counts.Total(), serial.Counts.Total())
 	}
-	again, err := exec.ExecuteBatch(c, shots, 7, mathx.NewRNG(42))
+	again, err := exec.ExecuteCtx(ctx, c, shots, 7, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}

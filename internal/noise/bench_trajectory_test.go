@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -26,7 +27,7 @@ func BenchmarkTrajectory(b *testing.B) {
 	rng := mathx.NewRNG(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ts.Sample(c, 0, 100, rng); err != nil {
+		if _, err := ts.SampleCtx(context.Background(), c, 0, 100, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

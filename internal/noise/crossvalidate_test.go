@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestTrajectoryMatchesDensityMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shots = 40000
-	sampled, err := ts.Sample(c, 0, shots, mathx.NewRNG(3))
+	sampled, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestFastExecutorLambdaMatchesRealizedEHD(t *testing.T) {
 		}
 	}
 	c.MeasureAll()
-	run, err := exec.Execute(c, 20000, mathx.NewRNG(8))
+	run, err := exec.ExecuteCtx(context.Background(), c, 20000, 1, mathx.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFastExecutorSpectrumIsPoissonLike(t *testing.T) {
 		c.Barrier()
 	}
 	c.MeasureAll()
-	run, err := exec.Execute(c, 20000, mathx.NewRNG(13))
+	run, err := exec.ExecuteCtx(context.Background(), c, 20000, 1, mathx.NewRNG(13))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/bitstring"
@@ -39,8 +40,9 @@ func NewDensityExecutor(b *device.Backend) (*DensityExecutor, error) {
 // ExecuteExact evolves the logical circuit (gates act on logical qubits;
 // calibration uses the mean device statistics, as the circuit is not
 // routed here) and returns the exact outcome distribution, plus a sampled
-// counts distribution when shots > 0.
-func (e *DensityExecutor) ExecuteExact(c *circuit.Circuit, shots int, rng *mathx.RNG) (exact *bitstring.Dist, sampled *bitstring.Dist, err error) {
+// counts distribution when shots > 0. The matrix's row shard fan-outs
+// parent their worker spans under the span active in ctx.
+func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (exact *bitstring.Dist, sampled *bitstring.Dist, err error) {
 	if err := c.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -78,6 +80,7 @@ func (e *DensityExecutor) ExecuteExact(c *circuit.Circuit, shots int, rng *mathx
 	if err != nil {
 		return nil, nil, err
 	}
+	dm.SetContext(ctx)
 	for _, g := range c.Gates {
 		if err := dm.Apply(g); err != nil {
 			return nil, nil, err

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,17 +20,17 @@ func TestDensityExecutorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide := circuit.New("wide", 12).H(0)
-	if _, _, err := e.ExecuteExact(wide, 0, nil); err == nil {
+	if _, _, err := e.ExecuteExact(context.Background(), wide, 0, nil); err == nil {
 		t.Error("over-wide circuit should error")
 	}
 	c := circuit.New("ok", 2).H(0)
-	if _, _, err := e.ExecuteExact(c, -1, nil); err == nil {
+	if _, _, err := e.ExecuteExact(context.Background(), c, -1, nil); err == nil {
 		t.Error("negative shots should error")
 	}
-	if _, _, err := e.ExecuteExact(c, 10, nil); err == nil {
+	if _, _, err := e.ExecuteExact(context.Background(), c, 10, nil); err == nil {
 		t.Error("shots without RNG should error")
 	}
-	if _, _, err := e.ExecuteExact(circuit.New("bad", 1).H(9), 0, nil); err == nil {
+	if _, _, err := e.ExecuteExact(context.Background(), circuit.New("bad", 1).H(9), 0, nil); err == nil {
 		t.Error("broken circuit should error")
 	}
 }
@@ -37,7 +38,7 @@ func TestDensityExecutorValidation(t *testing.T) {
 func TestDensityExecutorExactMass(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewDensityExecutor(b)
-	exact, _, err := e.ExecuteExact(ghz(4), 0, nil)
+	exact, _, err := e.ExecuteExact(context.Background(), ghz(4), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDensityExecutorExactMass(t *testing.T) {
 func TestDensityExecutorSampling(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewDensityExecutor(b)
-	exact, sampled, err := e.ExecuteExact(ghz(3), 8000, mathx.NewRNG(4))
+	exact, sampled, err := e.ExecuteExact(context.Background(), ghz(3), 8000, mathx.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestDensityAgainstFastExecutorDirection(t *testing.T) {
 	}
 	c.MeasureAll()
 
-	fr, err := fast.Execute(c, 8000, mathx.NewRNG(6))
+	fr, err := fast.ExecuteCtx(context.Background(), c, 8000, 1, mathx.NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _, err := exact.ExecuteExact(c, 0, nil)
+	ex, _, err := exact.ExecuteExact(context.Background(), c, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

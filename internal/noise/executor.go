@@ -16,14 +16,16 @@ import (
 	"qbeep/internal/transpile"
 )
 
-// Induction metrics (see internal/obs): sampling throughput plus the
-// correlated-burst channel's realized event stream.
+// Induction metrics (see internal/obs): sampling throughput, the
+// correlated-burst channel's realized event stream, and the worker-pool
+// occupancy (busy fraction) of the most recent blocked induction.
 var (
-	metExecute     = obs.Default.Timer("noise.execute")
-	metShots       = obs.Default.Counter("noise.shots")
-	metShotsPerSec = obs.Default.Gauge("noise.shots_per_sec")
-	metBurstEvents = obs.Default.Counter("noise.burst.events")
-	metBurstFlips  = obs.Default.Counter("noise.burst.flips")
+	metExecute        = obs.Default.Timer("noise.execute")
+	metShots          = obs.Default.Counter("noise.shots")
+	metShotsPerSec    = obs.Default.Gauge("noise.shots_per_sec")
+	metBurstEvents    = obs.Default.Counter("noise.burst.events")
+	metBurstFlips     = obs.Default.Counter("noise.burst.flips")
+	metBatchOccupancy = obs.Default.Gauge("sim.batch.occupancy")
 )
 
 // Run is the outcome of a noisy induction: the raw logical counts, the
@@ -58,17 +60,22 @@ func NewExecutor(b *device.Backend, m Model) (*Executor, error) {
 // Backend returns the executor's backend.
 func (e *Executor) Backend() *device.Backend { return e.backend }
 
-// Execute transpiles c onto the backend and samples shots measurement
-// outcomes under the failure-event model. The ideal distribution comes from
-// the logical circuit (transpilation is semantics-preserving), so register
-// width is bounded by the logical width, not the physical device size.
-func (e *Executor) Execute(c *circuit.Circuit, shots int, rng *mathx.RNG) (*Run, error) {
-	return e.ExecuteCtx(context.Background(), c, shots, rng)
-}
-
-// ExecuteCtx is Execute with trace-context propagation: the transpile
-// and noise.execute spans parent under the span active in ctx.
-func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (*Run, error) {
+// ExecuteCtx transpiles c onto the backend and samples shots measurement
+// outcomes under the failure-event model. The ideal distribution comes
+// from the logical circuit (transpilation is semantics-preserving), so
+// register width is bounded by the logical width, not the physical
+// device size. The transpile and noise.execute spans parent under the
+// span active in ctx.
+//
+// blocks <= 1 draws every shot from rng in order. blocks > 1 splits the
+// shot loop into that many blocks (capped at shots) fanned across the
+// shared par pool: each block samples from its own RNG stream keyed by
+// (rng's first Uint64, block index), and block counts merge in block
+// order. Blocked counts are therefore deterministic for a given (seed,
+// blocks) at any worker count, but they come from a different stream
+// family than the serial draw sequence: statistically equivalent to
+// serial counts, not bitwise equal to them.
+func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots, blocks int, rng *mathx.RNG) (*Run, error) {
 	if shots <= 0 {
 		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
 	}
@@ -79,22 +86,23 @@ func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecuteTranspiledCtx(ctx, c, res, shots, rng)
+	return e.execute(ctx, c, res, shots, min(blocks, shots), rng)
 }
 
-// ExecuteTranspiled is Execute for a circuit already transpiled (the
-// caller controls layout / reuses the artifact).
-func (e *Executor) ExecuteTranspiled(logical *circuit.Circuit, res *transpile.Result, shots int, rng *mathx.RNG) (*Run, error) {
-	return e.ExecuteTranspiledCtx(context.Background(), logical, res, shots, rng)
-}
-
-// ExecuteTranspiledCtx is ExecuteTranspiled with trace-context
-// propagation: the "noise.execute" span covers the ideal reference run
-// (its "sim.run" child), rate derivation, and sampling.
+// ExecuteTranspiledCtx is ExecuteCtx's serial path for a circuit already
+// transpiled (the caller controls layout / reuses the artifact).
 func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots int, rng *mathx.RNG) (*Run, error) {
+	return e.execute(ctx, logical, res, shots, 1, rng)
+}
+
+// execute is the one induction body behind ExecuteCtx and
+// ExecuteTranspiledCtx: the "noise.execute" span covers the ideal
+// reference run (its "sim.run" child), rate derivation, the sampler
+// precompute and the shot loop (see ExecuteCtx for blocks).
+func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots, blocks int, rng *mathx.RNG) (*Run, error) {
 	ctx, sp := obs.Start(ctx, "noise.execute")
-	// Ending via defer keeps the span from leaking on the ideal-run and
-	// rates error returns (qbeep-lint spanend).
+	// Ending via defer keeps the span from leaking on the ideal-run,
+	// rates and fan-out error returns (qbeep-lint spanend).
 	defer sp.End()
 	ideal, err := statevector.IdealDistCtx(ctx, logical)
 	if err != nil {
@@ -105,7 +113,18 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 		return nil, err
 	}
 	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
-	counts := e.sampleNoisy(logical, ideal, res, rates, shots, rng)
+	ns := e.newNoisySampler(logical, ideal, res, rates)
+	var counts *bitstring.Dist
+	if blocks <= 1 {
+		counts = bitstring.NewDist(logical.N)
+		ns.sample(shots, rng, counts)
+	} else {
+		counts, err = ns.sampleBlocks(ctx, shots, blocks, rng)
+		if err != nil {
+			return nil, err
+		}
+		sp.SetAttr("blocks", blocks)
+	}
 	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
 	metExecute.ObserveDuration(elapsed)
 	metShots.Add(int64(shots))
@@ -116,116 +135,6 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 	sp.SetAttr("shots", shots)
 	obs.Logger().Debug("noisy induction",
 		"circuit", logical.Name, "backend", e.backend.Name,
-		"shots", shots, "elapsed", elapsed)
-	return &Run{
-		Counts:     counts,
-		Ideal:      ideal,
-		Transpiled: res,
-		Rates:      rates,
-		Shots:      shots,
-	}, nil
-}
-
-// ExecuteBatch is ExecuteBatchCtx with a background context.
-func (e *Executor) ExecuteBatch(c *circuit.Circuit, shots, blocks int, rng *mathx.RNG) (*Run, error) {
-	return e.ExecuteBatchCtx(context.Background(), c, shots, blocks, rng)
-}
-
-// ExecuteBatchCtx is ExecuteCtx with the shot loop split into blocks and
-// fanned across the shared par pool. Transpilation, the ideal reference
-// run and rate derivation happen once; each block then samples from its
-// own RNG stream keyed by (rng's first Uint64, block index), and block
-// counts merge in block order. Counts are therefore deterministic for a
-// given (seed, blocks) at any worker count — but the stream family
-// differs from the serial ExecuteCtx draw sequence, so batch counts are
-// statistically equivalent to serial counts, not bitwise equal to them.
-// blocks <= 1 falls back to the serial path.
-func (e *Executor) ExecuteBatchCtx(ctx context.Context, c *circuit.Circuit, shots, blocks int, rng *mathx.RNG) (*Run, error) {
-	if blocks <= 1 {
-		return e.ExecuteCtx(ctx, c, shots, rng)
-	}
-	if shots <= 0 {
-		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
-	}
-	if c.N > statevector.MaxQubits {
-		return nil, fmt.Errorf("noise: %d logical qubits exceeds simulator limit %d", c.N, statevector.MaxQubits)
-	}
-	res, err := transpile.TranspileCtx(ctx, c, e.backend, nil)
-	if err != nil {
-		return nil, err
-	}
-	if blocks > shots {
-		blocks = shots
-	}
-
-	ctx, sp := obs.Start(ctx, "noise.execute")
-	defer sp.End()
-	ideal, err := statevector.IdealDistCtx(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := Rates(res, e.backend, e.model)
-	if err != nil {
-		return nil, err
-	}
-	ns := e.newNoisySampler(c, ideal, res, rates)
-	// One base drawn from the caller's generator keys every block stream,
-	// so the whole batch consumes exactly one value of the caller's RNG.
-	base := rng.Uint64()
-	chunk := (shots + blocks - 1) / blocks
-
-	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
-	bctx, bsp := obs.Start(ctx, "sim.batch")
-	locals := make([]*bitstring.Dist, blocks)
-	stats, perr := par.ForEachStatsCtx(bctx, blocks, 0, func(b int) error {
-		lo := b * chunk
-		hi := lo + chunk
-		if hi > shots {
-			hi = shots
-		}
-		if lo >= hi {
-			return nil
-		}
-		brng := mathx.NewStream(base, uint64(b))
-		locals[b] = bitstring.NewDist(c.N)
-		ns.sample(hi-lo, brng, locals[b])
-		return nil
-	})
-	occupancy := stats.Utilization()
-	bsp.SetAttr("blocks", blocks)
-	bsp.SetAttr("shots", shots)
-	bsp.SetAttr("occupancy", occupancy)
-	bsp.End()
-	if perr != nil {
-		return nil, perr
-	}
-
-	// Merge in block order: integral counts make the fold exact and the
-	// order canonical regardless of which worker finished first.
-	counts := bitstring.NewDist(c.N)
-	var outs []bitstring.BitString
-	for _, l := range locals {
-		if l == nil {
-			continue
-		}
-		outs = l.OutcomesInto(outs)
-		for _, v := range outs {
-			counts.Add(v, l.Count(v))
-		}
-	}
-
-	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
-	metExecute.ObserveDuration(elapsed)
-	metShots.Add(int64(shots))
-	if secs := elapsed.Seconds(); secs > 0 {
-		metShotsPerSec.Set(float64(shots) / secs)
-	}
-	metBatchOccupancy.Set(occupancy)
-	sp.SetAttr("circuit", c.Name)
-	sp.SetAttr("shots", shots)
-	sp.SetAttr("blocks", blocks)
-	obs.Logger().Debug("noisy batch induction",
-		"circuit", c.Name, "backend", e.backend.Name,
 		"shots", shots, "blocks", blocks, "elapsed", elapsed)
 	return &Run{
 		Counts:     counts,
@@ -236,15 +145,49 @@ func (e *Executor) ExecuteBatchCtx(ctx context.Context, c *circuit.Circuit, shot
 	}, nil
 }
 
-// sampleNoisy draws shots outcomes: an ideal sample perturbed by flip
-// events from each enabled channel.
-func (e *Executor) sampleNoisy(logical *circuit.Circuit, ideal *bitstring.Dist,
-	res *transpile.Result, rates EventRates, shots int, rng *mathx.RNG) *bitstring.Dist {
-
-	ns := e.newNoisySampler(logical, ideal, res, rates)
-	counts := bitstring.NewDist(logical.N)
-	ns.sample(shots, rng, counts)
-	return counts
+// sampleBlocks is the blocks > 1 shot loop of ExecuteCtx: one base drawn
+// from the caller's generator keys every block stream, so the whole
+// induction consumes exactly one value of rng. The fan-out runs under a
+// "sim.batch" span whose pool occupancy also lands on the
+// sim.batch.occupancy gauge.
+func (ns *noisySampler) sampleBlocks(ctx context.Context, shots, blocks int, rng *mathx.RNG) (*bitstring.Dist, error) {
+	base := rng.Uint64()
+	chunk := (shots + blocks - 1) / blocks
+	ctx, sp := obs.Start(ctx, "sim.batch")
+	defer sp.End()
+	locals := make([]*bitstring.Dist, blocks)
+	stats, err := par.ForEachStatsCtx(ctx, blocks, 0, func(b int) error {
+		lo := b * chunk
+		hi := min(lo+chunk, shots)
+		if lo >= hi {
+			return nil
+		}
+		locals[b] = bitstring.NewDist(ns.n)
+		ns.sample(hi-lo, mathx.NewStream(base, uint64(b)), locals[b])
+		return nil
+	})
+	occupancy := stats.Utilization()
+	metBatchOccupancy.Set(occupancy)
+	sp.SetAttr("blocks", blocks)
+	sp.SetAttr("shots", shots)
+	sp.SetAttr("occupancy", occupancy)
+	if err != nil {
+		return nil, err
+	}
+	// Merge in block order: integral counts make the fold exact and the
+	// order canonical regardless of which worker finished first.
+	counts := bitstring.NewDist(ns.n)
+	var outs []bitstring.BitString
+	for _, l := range locals {
+		if l == nil {
+			continue
+		}
+		outs = l.OutcomesInto(outs)
+		for _, v := range outs {
+			counts.Add(v, l.Count(v))
+		}
+	}
+	return counts, nil
 }
 
 // noisySampler is the shot loop of the failure-event model with every

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -41,11 +42,11 @@ func TestNewExecutorValidation(t *testing.T) {
 func TestExecuteArgs(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	if _, err := e.Execute(ghz(3), 0, mathx.NewRNG(1)); err == nil {
+	if _, err := e.ExecuteCtx(context.Background(), ghz(3), 0, 1, mathx.NewRNG(1)); err == nil {
 		t.Error("zero shots should error")
 	}
 	wide := circuit.New("wide", 30).H(0)
-	if _, err := e.Execute(wide, 10, mathx.NewRNG(1)); err == nil {
+	if _, err := e.ExecuteCtx(context.Background(), wide, 10, 1, mathx.NewRNG(1)); err == nil {
 		t.Error("over-wide circuit should error")
 	}
 }
@@ -53,7 +54,7 @@ func TestExecuteArgs(t *testing.T) {
 func TestNoiselessModelIsIdeal(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, Model{}) // all channels off
-	run, err := e.Execute(ghz(4), 4000, mathx.NewRNG(2))
+	run, err := e.ExecuteCtx(context.Background(), ghz(4), 4000, 1, mathx.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestNoiselessModelIsIdeal(t *testing.T) {
 func TestDefaultModelInjectsErrors(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	run, err := e.Execute(ghz(5), 4096, mathx.NewRNG(3))
+	run, err := e.ExecuteCtx(context.Background(), ghz(5), 4096, 1, mathx.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestDefaultModelInjectsErrors(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	r1, err := e.Execute(ghz(4), 512, mathx.NewRNG(7))
+	r1, err := e.ExecuteCtx(context.Background(), ghz(4), 512, 1, mathx.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := e.Execute(ghz(4), 512, mathx.NewRNG(7))
+	r2, _ := e.ExecuteCtx(context.Background(), ghz(4), 512, 1, mathx.NewRNG(7))
 	if bitstring.TVD(r1.Counts, r2.Counts) != 0 {
 		t.Error("same seed produced different counts")
 	}
@@ -106,7 +107,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestRatesComposition(t *testing.T) {
 	b := testBackend(t)
 	c := ghz(4)
-	res, err := transpile.Transpile(c, b, nil)
+	res, err := transpile.TranspileCtx(context.Background(), c, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestRatesComposition(t *testing.T) {
 func TestLambdaGrowsWithCircuitSize(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	small, err := e.Execute(ghz(3), 64, mathx.NewRNG(1))
+	small, err := e.ExecuteCtx(context.Background(), ghz(3), 64, 1, mathx.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestLambdaGrowsWithCircuitSize(t *testing.T) {
 		deep.H(0).CX(0, 1).CX(1, 2).CX(0, 1)
 	}
 	deep.MeasureAll()
-	big, err := e.Execute(deep, 64, mathx.NewRNG(1))
+	big, err := e.ExecuteCtx(context.Background(), deep, 64, 1, mathx.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestEHDGrowsWithGateCountUnderBursts(t *testing.T) {
 			c.Barrier()
 		}
 		c.MeasureAll()
-		run, err := e.Execute(c, 2048, rng)
+		run, err := e.ExecuteCtx(context.Background(), c, 2048, 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +208,11 @@ func TestMarkovianStaysLocal(t *testing.T) {
 
 	markov, _ := NewExecutor(b, MarkovianModel())
 	burst, _ := NewExecutor(b, DefaultModel())
-	rm, err := markov.Execute(deep, 2048, rng)
+	rm, err := markov.ExecuteCtx(context.Background(), deep, 2048, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := burst.Execute(deep, 2048, rng)
+	rb, err := burst.ExecuteCtx(context.Background(), deep, 2048, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestT1DecayIsDirectional(t *testing.T) {
 		c.Barrier()
 	}
 	c.MeasureAll()
-	run, err := e.Execute(c, 4096, mathx.NewRNG(5))
+	run, err := e.ExecuteCtx(context.Background(), c, 4096, 1, mathx.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestTrajectorySampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := ghz(4)
-	d, err := ts.Sample(c, 0, 400, mathx.NewRNG(9))
+	d, err := ts.SampleCtx(context.Background(), c, 0, 400, mathx.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +283,10 @@ func TestTrajectorySampler(t *testing.T) {
 	if d.Prob(0)+d.Prob(0b1111) < 0.7 {
 		t.Errorf("GHZ mass %v too low", d.Prob(0)+d.Prob(0b1111))
 	}
-	if _, err := ts.Sample(c, 0, 0, mathx.NewRNG(1)); err == nil {
+	if _, err := ts.SampleCtx(context.Background(), c, 0, 0, mathx.NewRNG(1)); err == nil {
 		t.Error("zero shots should error")
 	}
-	if _, err := ts.Sample(circuit.New("wide", 15).H(0), 0, 10, mathx.NewRNG(1)); err == nil {
+	if _, err := ts.SampleCtx(context.Background(), circuit.New("wide", 15).H(0), 0, 10, mathx.NewRNG(1)); err == nil {
 		t.Error("over-wide should error")
 	}
 	if _, err := NewTrajectorySampler(nil); err == nil {
@@ -319,11 +320,11 @@ func TestBurstScaleRaisesEHD(t *testing.T) {
 	c.MeasureAll()
 	lo, _ := NewExecutor(b, Model{BurstScale: 0.2, BurstWalk: true})
 	hi, _ := NewExecutor(b, Model{BurstScale: 8, BurstWalk: true})
-	rl, err := lo.Execute(c, 2048, rng)
+	rl, err := lo.ExecuteCtx(context.Background(), c, 2048, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := hi.Execute(c, 2048, rng)
+	rh, err := hi.ExecuteCtx(context.Background(), c, 2048, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func BenchmarkExecuteGHZ8(b *testing.B) {
 	rng := mathx.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(c, 1024, rng); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), c, 1024, 1, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,20 +39,19 @@ var (
 // precompiled per-qubit op table — the hot loop performs no per-gate
 // lowering and allocates nothing. Shots fan out across par workers, each
 // owning a pooled arena (state buffer, probability scratch, local Dist,
-// reseedable RNG stream) that persists across Sample calls, so
+// reseedable RNG stream) that persists across SampleCtx calls, so
 // steady-state sampling is allocation-free (pinned by the
 // trajectory_allocs_steady benchparse ceiling).
 //
 // Every shot draws from its own RNG stream derived from the caller's
-// generator (one Uint64 draw per Sample keys streams by shot index), so
+// generator (one Uint64 draw per call keys streams by shot index), so
 // the counts are deterministic for a fixed seed regardless of the worker
 // count. Note this changes the realized random stream relative to the
 // seed repository, which threaded a single serial RNG through every
 // shot; distributions agree statistically but not shot-for-shot.
 //
-// A TrajectorySampler is not safe for concurrent use: Sample calls share
-// the arenas (and the caller's RNG). Use one sampler per goroutine, or
-// BatchSampler to fan whole requests through one pool.
+// A TrajectorySampler is not safe for concurrent use: SampleCtx calls
+// share the arenas (and the caller's RNG). Use one sampler per goroutine.
 type TrajectorySampler struct {
 	backend *device.Backend
 	workers int
@@ -64,7 +63,7 @@ type TrajectorySampler struct {
 	readout float64
 
 	// Per-call compile scratch and per-worker arenas, pooled across
-	// Sample calls (see the concurrency note above).
+	// SampleCtx calls (see the concurrency note above).
 	steps  []trajStep
 	paulis [][3]statevector.CompiledOp
 	pauliN int
@@ -82,7 +81,7 @@ type trajStep struct {
 }
 
 // trajArena is one worker's pooled scratch: reused across shots and
-// across Sample calls so the steady-state hot loop never allocates. The
+// across SampleCtx calls so the steady-state hot loop never allocates. The
 // sampler owns its arenas; they are re-created only when the register
 // width changes.
 //
@@ -144,17 +143,12 @@ func (t *TrajectorySampler) SetWorkers(w int) {
 // pauliKinds indexes the injectable Paulis.
 var pauliKinds = [3]circuit.Kind{circuit.X, circuit.Y, circuit.Z}
 
-// Sample runs shots trajectories of the logical circuit from basis state
-// init. Gate error rates use the backend's mean calibration (the logical
-// circuit is not routed here; this sampler is a physics-level control, not
-// a device-exact one).
-func (t *TrajectorySampler) Sample(c *circuit.Circuit, init bitstring.BitString, shots int, rng *mathx.RNG) (*bitstring.Dist, error) {
-	return t.SampleCtx(context.Background(), c, init, shots, rng)
-}
-
-// SampleCtx is Sample with trace-context propagation: the
-// "sim.trajectory" span parents under the span active in ctx, and the
-// shot fan-out's worker spans parent under it.
+// SampleCtx runs shots trajectories of the logical circuit from basis
+// state init. Gate error rates use the backend's mean calibration (the
+// logical circuit is not routed here; this sampler is a physics-level
+// control, not a device-exact one). The "sim.trajectory" span parents
+// under the span active in ctx, and the shot fan-out's worker spans
+// parent under it.
 func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, init bitstring.BitString, shots int, rng *mathx.RNG) (*bitstring.Dist, error) {
 	if err := t.checkRequest(c, init, shots); err != nil {
 		return nil, err
@@ -164,7 +158,7 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 	}
 
 	// One draw keys every shot's stream; the caller's generator advances
-	// by exactly one Uint64 per Sample call.
+	// by exactly one Uint64 per SampleCtx call.
 	base := rng.Uint64()
 
 	workers := t.workers
@@ -189,7 +183,7 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 		// difference between ~13 and ~4 steady-state allocations.
 		a := t.arenas[0]
 		a.resetCounts(c.N)
-		err = t.runShots(a, a.counts, t.steps, init, base, 0, shots)
+		err = t.runShots(a, init, base, 0, shots)
 	} else {
 		err = par.ForEachCtx(ctx, workers, workers, func(w int) error {
 			lo := w * chunk
@@ -199,7 +193,7 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 			}
 			a := t.arenas[w]
 			a.resetCounts(c.N)
-			return t.runShots(a, a.counts, t.steps, init, base, lo, hi)
+			return t.runShots(a, init, base, lo, hi)
 		})
 	}
 	if err != nil {
@@ -250,30 +244,17 @@ func (t *TrajectorySampler) checkRequest(c *circuit.Circuit, init bitstring.BitS
 }
 
 // compile lowers the circuit into the sampler's step scratch (reused
-// across calls: zero steady-state allocations) and refreshes the Pauli
-// injection table when the register width changes. Unlike the fused
-// Run pipeline this is strictly per-gate: injections happen *between*
+// across calls: zero steady-state allocations), annotating each step
+// with its injection probability, and refreshes the Pauli injection
+// table when the register width changes. Unlike the fused RunCtx
+// pipeline this is strictly per-gate: injections happen *between*
 // gates, so each gate keeps its own kernel op.
 func (t *TrajectorySampler) compile(c *circuit.Circuit) error {
-	steps, err := t.compileSteps(c, t.steps[:0])
-	if err != nil {
-		return err
-	}
-	t.steps = steps
-	if t.pauliN != c.N {
-		t.paulis = statevector.NewPauliOps(c.N)
-		t.pauliN = c.N
-	}
-	return nil
-}
-
-// compileSteps lowers the circuit's gates into trajectory steps appended
-// to dst[:len(dst)], annotating each with its injection probability.
-func (t *TrajectorySampler) compileSteps(c *circuit.Circuit, dst []trajStep) ([]trajStep, error) {
+	t.steps = t.steps[:0]
 	for _, g := range c.Gates {
 		co, err := statevector.CompileGate(c.N, g)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step := trajStep{op: co, inject: g.Kind.IsUnitary(), nq: len(g.Qubits)}
 		copy(step.q[:], g.Qubits)
@@ -281,9 +262,13 @@ func (t *TrajectorySampler) compileSteps(c *circuit.Circuit, dst []trajStep) ([]
 		if step.nq >= 2 {
 			step.p = t.err2q
 		}
-		dst = append(dst, step)
+		t.steps = append(t.steps, step)
 	}
-	return dst, nil
+	if t.pauliN != c.N {
+		t.paulis = statevector.NewPauliOps(c.N)
+		t.pauliN = c.N
+	}
+	return nil
 }
 
 // growArenas ensures at least n pooled worker arenas exist.
@@ -297,8 +282,7 @@ func (t *TrajectorySampler) growArenas(n int) {
 
 // resetCounts readies the arena's local Dist for a width-n batch,
 // re-materializing it only on a width change. It sits on the per-task
-// path of both the trajectory and batch samplers, so it must stay
-// within the inlining budget.
+// path of the sampler, so it must stay within the inlining budget.
 //
 //qbeep:mustinline
 func (a *trajArena) resetCounts(n int) {
@@ -309,12 +293,12 @@ func (a *trajArena) resetCounts(n int) {
 	}
 }
 
-// runShots samples shots [lo, hi) of a compiled trajectory program into
-// dst, replaying steps on the arena's pooled state with per-shot RNG
-// streams keyed (base, shot index). The arena's state buffer
-// re-materializes only on a width change.
-func (t *TrajectorySampler) runShots(a *trajArena, dst *bitstring.Dist, steps []trajStep, init bitstring.BitString, base uint64, lo, hi int) error {
-	n := dst.Width()
+// runShots samples shots [lo, hi) of the compiled trajectory program
+// into the arena's counts, replaying the steps on the arena's pooled
+// state with per-shot RNG streams keyed (base, shot index). The arena's
+// state buffer re-materializes only on a width change.
+func (t *TrajectorySampler) runShots(a *trajArena, init bitstring.BitString, base uint64, lo, hi int) error {
+	n := a.counts.Width()
 	if a.st == nil || a.st.N() != n {
 		st, err := statevector.New(n)
 		if err != nil {
@@ -325,10 +309,7 @@ func (t *TrajectorySampler) runShots(a *trajArena, dst *bitstring.Dist, steps []
 		st.SetWorkers(1)
 		a.st = st
 	}
-	paulis := t.paulis
-	if len(paulis) != n {
-		paulis = statevector.NewPauliOps(n)
-	}
+	steps, paulis := t.steps, t.paulis
 	for s := lo; s < hi; s++ {
 		a.rng.ReseedStream(base, uint64(s))
 		if err := a.st.Reset(init); err != nil {
@@ -352,7 +333,7 @@ func (t *TrajectorySampler) runShots(a *trajArena, dst *bitstring.Dist, steps []
 				out = out.FlipBit(q)
 			}
 		}
-		dst.Add(out, 1)
+		a.counts.Add(out, 1)
 	}
 	return nil
 }

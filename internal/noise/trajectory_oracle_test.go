@@ -11,7 +11,7 @@ import (
 // trajectory sampler: per-gate Apply with a freshly built Gate per Pauli
 // injection, exactly as the pre-replay code path worked. It consumes the
 // caller's generator and per-shot streams in the same order as
-// TrajectorySampler.runShots, so Sample must reproduce its counts
+// TrajectorySampler.runShots, so SampleCtx must reproduce its counts
 // bit-for-bit — the equivalence bar for the compiled-replay rewrite.
 // It is also the slow side of the trajectory_replay_speedup benchparse
 // ratio (BenchmarkTrajectoryPerGate).

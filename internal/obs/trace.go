@@ -64,8 +64,8 @@ type sinkBox struct {
 var spanSink atomic.Pointer[sinkBox]
 
 // SetSpanSink installs the destination for completed spans; nil disables
-// tracing (the default). While disabled, Start and StartSpan return an
-// inert Span whose methods are no-ops and allocate nothing.
+// tracing (the default). While disabled, Start returns an inert Span
+// whose methods are no-ops and allocate nothing.
 func SetSpanSink(s SpanSink) {
 	if s == nil {
 		spanSink.Store(nil)
@@ -164,14 +164,6 @@ func TraceIDFrom(ctx context.Context) uint64 {
 		return ref.trace.id
 	}
 	return 0
-}
-
-// StartSpan begins a root span with no context — each call opens its
-// own single-span trace. Retained for call sites with no context to
-// thread; prefer Start.
-func StartSpan(name string) Span {
-	_, sp := Start(context.Background(), name) //qbeep:allow-ctx documented Background-wrapper shim: StartSpan exists for ctx-less call sites
-	return sp
 }
 
 // SetAttr attaches an attribute to the span; a no-op when inert.

@@ -10,7 +10,7 @@ import (
 
 func TestSpanDisabledIsInert(t *testing.T) {
 	SetSpanSink(nil)
-	s := StartSpan("nothing")
+	_, s := Start(context.Background(), "nothing")
 	s.SetAttr("k", 1)
 	s.End() // must not panic or deliver anywhere
 	if TracingEnabled() {
@@ -19,12 +19,13 @@ func TestSpanDisabledIsInert(t *testing.T) {
 }
 
 // TestSpanDisabledPathAllocs is the no-op sink allocation check: with
-// tracing disabled, StartSpan/End must allocate nothing, so leaving
+// tracing disabled, Start/End must allocate nothing, so leaving
 // instrumentation in hot paths is free.
 func TestSpanDisabledPathAllocs(t *testing.T) {
 	SetSpanSink(nil)
+	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() {
-		s := StartSpan("hot")
+		_, s := Start(ctx, "hot")
 		s.End()
 	}); n != 0 {
 		t.Fatalf("disabled span allocates %v per op", n)
@@ -36,7 +37,7 @@ func TestSpanDeliversToSink(t *testing.T) {
 	SetSpanSink(&c)
 	defer SetSpanSink(nil)
 
-	s := StartSpan("work")
+	_, s := Start(context.Background(), "work")
 	s.SetAttr("items", 3)
 	s.End()
 	s.End() // double End must not double-deliver
@@ -222,7 +223,7 @@ func TestSpanSinkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := StartSpan("p")
+				_, s := Start(context.Background(), "p")
 				s.End()
 			}
 		}()

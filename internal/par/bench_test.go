@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ func BenchmarkForEachTinyTasks(b *testing.B) {
 			var sink atomic.Int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := ForEach(256, workers, func(int) error {
+				if err := ForEachCtx(context.Background(), 256, workers, func(int) error {
 					sink.Add(1)
 					return nil
 				}); err != nil {

@@ -7,6 +7,7 @@ package par
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -31,7 +32,7 @@ var (
 	metWorkerBusyMax = obs.Default.Gauge("par.worker_busy_ratio_max")
 )
 
-// Stats describes one ForEachStats batch.
+// Stats describes one ForEachStatsCtx batch.
 type Stats struct {
 	// Durations holds the wall time of each task, index-addressed.
 	Durations []time.Duration
@@ -39,7 +40,7 @@ type Stats struct {
 	// that worker executed. len(WorkerBusy) == Workers; a worker's idle
 	// time is Elapsed minus its entry.
 	WorkerBusy []time.Duration
-	// FirstErr is the index of the task whose error ForEachStats
+	// FirstErr is the index of the task whose error ForEachStatsCtx
 	// returned (the first error observed), or -1 if every task
 	// succeeded. Later tasks still ran to completion.
 	FirstErr int
@@ -89,35 +90,25 @@ func (s Stats) WorkerBusyRatios() (min, mean, max float64) {
 	return min, mean, max
 }
 
-// ForEach runs fn(i) for every i in [0, n) across at most workers
+// ForEachCtx runs fn(i) for every i in [0, n) across at most workers
 // goroutines (GOMAXPROCS when workers <= 0). It returns the first error
-// encountered; other tasks still run to completion. fn must only write to
-// per-index state — the helper provides no other synchronization.
-func ForEach(n, workers int, fn func(i int) error) error {
-	_, err := ForEachStatsCtx(context.Background(), n, workers, fn)
-	return err
-}
-
-// ForEachCtx is ForEach with trace-context propagation: when tracing is
-// enabled, each worker goroutine runs under a "par.worker" span parented
-// to the span active in ctx, so fan-out regions show their per-worker
+// encountered; other tasks still run to completion. A task that panics
+// fails with an error naming its index and the panic value instead of
+// taking the process down. fn must only write to per-index state — the
+// helper provides no other synchronization. When tracing is enabled,
+// each worker goroutine runs under a "par.worker" span parented to the
+// span active in ctx, so fan-out regions show their per-worker
 // utilization in the trace forest.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	_, err := ForEachStatsCtx(ctx, n, workers, fn)
 	return err
 }
 
-// ForEachStats is ForEach plus per-task timing: every task's duration is
-// recorded (index-addressed in the returned Stats and observed into the
-// "par.task_seconds" histogram), errors are logged with their task index,
-// and the batch's worker utilization is published as the
-// "par.utilization" gauge.
-func ForEachStats(n, workers int, fn func(i int) error) (Stats, error) {
-	return ForEachStatsCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachStatsCtx is ForEachStats with trace-context propagation (see
-// ForEachCtx).
+// ForEachStatsCtx is ForEachCtx plus per-task timing: every task's
+// duration is recorded (index-addressed in the returned Stats and
+// observed into the "par.task_seconds" histogram), errors are logged
+// with their task index, and the batch's worker utilization is
+// published as the "par.utilization" gauge.
 func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) (Stats, error) {
 	stats := Stats{FirstErr: -1}
 	if n <= 0 {
@@ -148,7 +139,7 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 	)
 	runTask := func(i int) time.Duration {
 		t0 := time.Now()
-		err := fn(i)
+		err := call(fn, i)
 		d := time.Since(t0)
 		stats.Durations[i] = d // per-index slot: no lock needed
 		metTask.ObserveTrace(d.Seconds(), traceID)
@@ -221,6 +212,17 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 			"worker_busy_max", busyMax, "first_err_index", stats.FirstErr)
 	}
 	return stats, first
+}
+
+// call runs one task, converting a panic into the task's error so one
+// bad task fails its batch instead of the whole process.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("par: task %d panicked: %v", i, r)
+		}
+	}()
+	return fn(i)
 }
 
 // max64 avoids a negative idle reading when the rounding of the two

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -11,7 +12,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	const n = 100
 	results := make([]int, n)
-	err := ForEach(n, 8, func(i int) error {
+	err := ForEachCtx(context.Background(), n, 8, func(i int) error {
 		results[i] = i * i
 		return nil
 	})
@@ -27,7 +28,7 @@ func TestForEachRunsAll(t *testing.T) {
 
 func TestForEachSequentialFallback(t *testing.T) {
 	order := make([]int, 0, 5)
-	err := ForEach(5, 1, func(i int) error {
+	err := ForEachCtx(context.Background(), 5, 1, func(i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -43,7 +44,7 @@ func TestForEachSequentialFallback(t *testing.T) {
 
 func TestForEachPropagatesError(t *testing.T) {
 	var calls int64
-	err := ForEach(50, 4, func(i int) error {
+	err := ForEachCtx(context.Background(), 50, 4, func(i int) error {
 		atomic.AddInt64(&calls, 1)
 		if i == 13 {
 			return fmt.Errorf("boom at %d", i)
@@ -65,7 +66,7 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls int64
 		const n = 60
-		stats, err := ForEachStats(n, workers, func(i int) error {
+		stats, err := ForEachStatsCtx(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt64(&calls, 1)
 			if i == 7 {
 				return fmt.Errorf("boom at %d", i)
@@ -87,7 +88,7 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 // TestForEachStatsFirstErrMatchesError checks the index always names the
 // task whose error was returned, even when several tasks fail.
 func TestForEachStatsFirstErrMatchesError(t *testing.T) {
-	stats, err := ForEachStats(40, 4, func(i int) error {
+	stats, err := ForEachStatsCtx(context.Background(), 40, 4, func(i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("fail %d", i)
 		}
@@ -103,7 +104,7 @@ func TestForEachStatsFirstErrMatchesError(t *testing.T) {
 
 func TestForEachStatsDurations(t *testing.T) {
 	const n = 8
-	stats, err := ForEachStats(n, 4, func(i int) error {
+	stats, err := ForEachStatsCtx(context.Background(), n, 4, func(i int) error {
 		time.Sleep(time.Duration(i%2+1) * time.Millisecond)
 		return nil
 	})
@@ -130,14 +131,14 @@ func TestForEachStatsDurations(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return fmt.Errorf("nope") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return fmt.Errorf("nope") }); err != nil {
 		t.Fatal("zero tasks should be a no-op")
 	}
 }
 
 func TestForEachDefaultWorkers(t *testing.T) {
 	var sum int64
-	if err := ForEach(200, 0, func(i int) error {
+	if err := ForEachCtx(context.Background(), 200, 0, func(i int) error {
 		atomic.AddInt64(&sum, int64(i))
 		return nil
 	}); err != nil {
@@ -153,7 +154,7 @@ func TestForEachDefaultWorkers(t *testing.T) {
 // reduction must stay ordered and within [0, 1].
 func TestWorkerBusyAccounting(t *testing.T) {
 	const n, workers = 32, 4
-	stats, err := ForEachStats(n, workers, func(i int) error {
+	stats, err := ForEachStatsCtx(context.Background(), n, workers, func(i int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -185,7 +186,7 @@ func TestWorkerBusyAccounting(t *testing.T) {
 // TestWorkerBusySingleWorker: the sequential fast path accounts its one
 // worker too.
 func TestWorkerBusySingleWorker(t *testing.T) {
-	stats, err := ForEachStats(8, 1, func(int) error {
+	stats, err := ForEachStatsCtx(context.Background(), 8, 1, func(int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -197,5 +198,34 @@ func TestWorkerBusySingleWorker(t *testing.T) {
 	}
 	if _, _, max := stats.WorkerBusyRatios(); max <= 0 {
 		t.Fatal("single-worker busy ratio is zero")
+	}
+}
+
+// TestForEachPanicBecomesError: a panicking task fails the batch with
+// an error naming its index and the panic value, the other tasks still
+// run, and Stats.FirstErr points at the panicking task.
+func TestForEachPanicBecomesError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var calls int64
+		const n = 20
+		stats, err := ForEachStatsCtx(context.Background(), n, workers, func(i int) error {
+			atomic.AddInt64(&calls, 1)
+			if i == 11 {
+				panic("kaboom")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: panic was swallowed", workers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "task 11") || !strings.Contains(msg, "kaboom") {
+			t.Fatalf("workers=%d: err = %q, want the task index and panic value", workers, msg)
+		}
+		if stats.FirstErr != 11 {
+			t.Fatalf("workers=%d: FirstErr = %d, want 11", workers, stats.FirstErr)
+		}
+		if got := atomic.LoadInt64(&calls); got != n {
+			t.Fatalf("workers=%d: %d of %d tasks ran", workers, got, n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package qaoa
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -35,6 +36,12 @@ var (
 // simulator (lowest expected cost wins). Registers are limited by the
 // state-vector simulator.
 func NewInstance(g *Graph, p int) (*Instance, error) {
+	return newInstance(context.Background(), g, p) //qbeep:allow-ctx ctx-less signature is pinned by the e2ebench module's QAOA corpus builder
+}
+
+// newInstance is NewInstance with the grid search's ideal runs parented
+// under the span active in ctx.
+func newInstance(ctx context.Context, g *Graph, p int) (*Instance, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("qaoa: depth %d must be positive", p)
 	}
@@ -62,7 +69,7 @@ func NewInstance(g *Graph, p int) (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			ideal, err := statevector.IdealDist(c)
+			ideal, err := statevector.IdealDistCtx(ctx, c)
 			if err != nil {
 				return nil, err
 			}
@@ -84,8 +91,9 @@ func NewInstance(g *Graph, p int) (*Instance, error) {
 
 // Dataset generates count QAOA instances mixing 3-regular and Erdős–Rényi
 // graphs with sizes in [minN, maxN] and depths 1..maxP — the synthetic
-// stand-in for the 340-solution Sycamore corpus.
-func Dataset(count, minN, maxN, maxP int, rng *mathx.RNG) ([]*Instance, error) {
+// stand-in for the 340-solution Sycamore corpus. The grid searches fan
+// out under the span active in ctx.
+func Dataset(ctx context.Context, count, minN, maxN, maxP int, rng *mathx.RNG) ([]*Instance, error) {
 	if count <= 0 || minN < 4 || maxN < minN || maxP <= 0 {
 		return nil, fmt.Errorf("qaoa: bad dataset spec (%d, %d, %d, %d)", count, minN, maxN, maxP)
 	}
@@ -118,8 +126,8 @@ func Dataset(count, minN, maxN, maxP int, rng *mathx.RNG) ([]*Instance, error) {
 		specs = append(specs, spec{g: g, p: 1 + rng.Intn(maxP)})
 	}
 	out := make([]*Instance, count)
-	err := par.ForEach(count, 0, func(i int) error {
-		inst, err := NewInstance(specs[i].g, specs[i].p)
+	err := par.ForEachCtx(ctx, count, 0, func(i int) error {
+		inst, err := newInstance(ctx, specs[i].g, specs[i].p)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package qaoa
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -194,7 +195,7 @@ func TestQAOABeatsRandomGuessing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := statevector.IdealDist(inst.Circuit)
+	ideal, err := statevector.IdealDistCtx(context.Background(), inst.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestNewInstanceValidation(t *testing.T) {
 
 func TestDataset(t *testing.T) {
 	rng := mathx.NewRNG(12)
-	insts, err := Dataset(6, 6, 10, 2, rng)
+	insts, err := Dataset(context.Background(), 6, 6, 10, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +246,17 @@ func TestDataset(t *testing.T) {
 			t.Errorf("instance %d: depth %d", i, inst.P)
 		}
 	}
-	if _, err := Dataset(0, 6, 10, 2, rng); err == nil {
+	if _, err := Dataset(context.Background(), 0, 6, 10, 2, rng); err == nil {
 		t.Error("zero count should error")
 	}
 }
 
 func TestDatasetDeterministic(t *testing.T) {
-	a, err := Dataset(3, 6, 8, 1, mathx.NewRNG(77))
+	a, err := Dataset(context.Background(), 3, 6, 8, 1, mathx.NewRNG(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Dataset(3, 6, 8, 1, mathx.NewRNG(77))
+	b, _ := Dataset(context.Background(), 3, 6, 8, 1, mathx.NewRNG(77))
 	for i := range a {
 		if a[i].Graph.N != b[i].Graph.N || len(a[i].Graph.Edges) != len(b[i].Graph.Edges) {
 			t.Fatal("dataset not deterministic")

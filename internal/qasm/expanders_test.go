@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,11 +13,11 @@ import (
 // global phase, using a superposition probe to expose phases.
 func equivalentSrc(t *testing.T, srcA, srcB string) {
 	t.Helper()
-	a, err := Parse(srcA)
+	a, err := ParseCtx(context.Background(), srcA)
 	if err != nil {
 		t.Fatalf("A: %v", err)
 	}
-	b, err := Parse(srcB)
+	b, err := ParseCtx(context.Background(), srcB)
 	if err != nil {
 		t.Fatalf("B: %v", err)
 	}
@@ -36,11 +37,11 @@ func equivalentSrc(t *testing.T, srcA, srcB string) {
 	for _, g := range b.Gates {
 		pb.Append(g)
 	}
-	sa, err := statevector.Run(pa)
+	sa, err := statevector.RunCtx(context.Background(), pa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := statevector.Run(pb)
+	sb, err := statevector.RunCtx(context.Background(), pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestExpanderArityErrors(t *testing.T) {
 		"qreg q[1];\nrzz(0.1) q[0];",
 	}
 	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
+		if _, err := ParseCtx(context.Background(), src); err == nil {
 			t.Errorf("should reject %q", src)
 		}
 	}
@@ -114,7 +115,7 @@ u(0.1,0.2,0.3) q[2];
 rzz(0.5) q[1],q[2];
 measure q[0] -> c[0];
 `
-	c, err := Parse(src)
+	c, err := ParseCtx(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

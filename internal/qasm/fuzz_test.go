@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		c, err := Parse(src)
+		c, err := ParseCtx(context.Background(), src)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -34,7 +35,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted program failed to serialize: %v", err)
 		}
-		back, err := Parse(out)
+		back, err := ParseCtx(context.Background(), out)
 		if err != nil {
 			t.Fatalf("serialized program failed to re-parse: %v\n%s", err, out)
 		}
@@ -69,7 +70,7 @@ func FuzzParseQASM(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		c, err := Parse(src)
+		c, err := ParseCtx(context.Background(), src)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -85,7 +86,7 @@ func FuzzParseQASM(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted circuit failed to serialize: %v", err)
 		}
-		c2, err := Parse(out1)
+		c2, err := ParseCtx(context.Background(), out1)
 		if err != nil {
 			t.Fatalf("serialized program failed to re-parse: %v\n%s", err, out1)
 		}

@@ -16,7 +16,7 @@ import (
 	"qbeep/internal/obs"
 )
 
-// metParse times Parse calls (seconds; see internal/obs).
+// metParse times ParseCtx calls (seconds; see internal/obs).
 var metParse = obs.Default.Timer("qasm.parse")
 
 // Write renders the circuit as an OpenQASM 2.0 program with one quantum
@@ -143,16 +143,11 @@ var expanders = map[string]func(params []float64, qubits []int) ([]circuit.Gate,
 	},
 }
 
-// Parse reads an OpenQASM 2.0 program in the supported subset and returns
-// the circuit. The classical register is implicit (measurements map qubit
-// i to clbit i); gate parameters accept numeric literals and simple
-// pi-expressions (pi, -pi, pi/2, 3*pi/4, ...).
-func Parse(src string) (*circuit.Circuit, error) {
-	return ParseCtx(context.Background(), src)
-}
-
-// ParseCtx is Parse with trace-context propagation: the "qasm.parse" span
-// parents under the span active in ctx.
+// ParseCtx reads an OpenQASM 2.0 program in the supported subset and
+// returns the circuit. The classical register is implicit (measurements
+// map qubit i to clbit i); gate parameters accept numeric literals and
+// simple pi-expressions (pi, -pi, pi/2, 3*pi/4, ...). The "qasm.parse"
+// span parents under the span active in ctx.
 func ParseCtx(ctx context.Context, src string) (*circuit.Circuit, error) {
 	_, sp := obs.Start(ctx, "qasm.parse")
 	// Ending via defer keeps the span from leaking on parse errors

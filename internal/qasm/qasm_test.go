@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -67,18 +68,18 @@ func TestRoundTripPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Parse(src)
+		back, err := ParseCtx(context.Background(), src)
 		if err != nil {
 			t.Fatalf("parse failed: %v\n%s", err, src)
 		}
 		if back.N != orig.N {
 			t.Fatalf("width %d vs %d", back.N, orig.N)
 		}
-		sa, err := statevector.Run(orig)
+		sa, err := statevector.RunCtx(context.Background(), orig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := statevector.Run(back)
+		sb, err := statevector.RunCtx(context.Background(), back)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestRoundTripSuite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		back, err := Parse(src)
+		back, err := ParseCtx(context.Background(), src)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
@@ -118,7 +119,7 @@ rz(-pi/2) q[0];
 rz(3*pi/4) q[0];
 rz(0.25) q[0];
 `
-	c, err := Parse(src)
+	c, err := ParseCtx(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ barrier q[0],q[1],q[2];
 cnot q[0],q[1];
 measure q[2] -> c[2];
 `
-	c, err := Parse(src)
+	c, err := ParseCtx(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestParseErrors(t *testing.T) {
 		"qreg q[2];\nh q[0] q[1];",   // still fine? ensure parse path
 	}
 	for i, src := range cases[:10] {
-		if _, err := Parse(src); err == nil {
+		if _, err := ParseCtx(context.Background(), src); err == nil {
 			t.Errorf("case %d should error: %q", i, src)
 		}
 	}

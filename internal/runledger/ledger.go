@@ -13,7 +13,7 @@ import (
 // Writer appends records to an NDJSON ledger: one JSON object per
 // line, flushed per record so a crashed run still leaves every
 // completed record on disk. Safe for concurrent use (experiment
-// workloads append from par.ForEach workers); the first write error is
+// workloads append from par.ForEachCtx workers); the first write error is
 // latched and returned by every subsequent call, mirroring
 // obs.NDJSONSink.
 type Writer struct {

@@ -1,44 +1,16 @@
 package statevector
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
+	"qbeep/internal/testutil"
 )
-
-// workerMatrix returns the worker counts the equivalence tests sweep:
-// {1, 2, 4, GOMAXPROCS} plus any extras from QBEEP_TEST_WORKERS (a
-// comma-separated list, set by the Makefile race target) — deduplicated.
-func workerMatrix(t *testing.T) []int {
-	t.Helper()
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	if env := os.Getenv("QBEEP_TEST_WORKERS"); env != "" {
-		for _, f := range strings.Split(env, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v < 1 {
-				t.Fatalf("QBEEP_TEST_WORKERS entry %q: %v", f, err)
-			}
-			counts = append(counts, v)
-		}
-	}
-	seen := map[int]bool{}
-	out := counts[:0]
-	for _, w := range counts {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
 
 // allKinds is every unitary gate kind the simulator supports, used to
 // build randomized circuits that exercise every kernel.
@@ -88,7 +60,7 @@ func naiveRunFrom(t *testing.T, c *circuit.Circuit, init bitstring.BitString) *S
 // kernel engine is bit-for-bit identical to the naiveApply oracle for
 // every gate kind, width 1-12, and any worker count.
 func TestKernelMatchesOracleBitwise(t *testing.T) {
-	workers := workerMatrix(t)
+	workers := testutil.WorkerMatrix(t)
 	for n := 1; n <= 12; n++ {
 		for trial := 0; trial < 3; trial++ {
 			rng := mathx.NewRNG(uint64(1000*n + trial))
@@ -96,7 +68,7 @@ func TestKernelMatchesOracleBitwise(t *testing.T) {
 			init := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
 			want := naiveRunFrom(t, c, init)
 			for _, w := range workers {
-				got, err := RunConfigured(c, init, RunConfig{Workers: w, NoFuse: true})
+				got, err := RunConfiguredCtx(context.Background(), c, init, RunConfig{Workers: w, NoFuse: true})
 				if err != nil {
 					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
 				}
@@ -145,14 +117,14 @@ func TestApplyMatchesOracleBitwise(t *testing.T) {
 // engine agrees with the oracle within 1e-12 per amplitude for random
 // circuits across widths and worker counts.
 func TestFusedMatchesOracleTolerance(t *testing.T) {
-	workers := workerMatrix(t)
+	workers := testutil.WorkerMatrix(t)
 	for n := 1; n <= 12; n++ {
 		for trial := 0; trial < 3; trial++ {
 			rng := mathx.NewRNG(uint64(9000*n + trial))
 			c := randomCircuit(n, 40+3*n, rng)
 			want := naiveRunFrom(t, c, 0)
 			for _, w := range workers {
-				got, err := RunConfigured(c, 0, RunConfig{Workers: w})
+				got, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{Workers: w})
 				if err != nil {
 					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
 				}
@@ -212,12 +184,12 @@ func TestFusionCollapsesRuns(t *testing.T) {
 // with mixer gates hoisted across them, and the result still agrees with
 // the gate-by-gate oracle within 1e-12 for every worker count.
 func TestQAOAFusionMatchesOracle(t *testing.T) {
-	workers := workerMatrix(t)
+	workers := testutil.WorkerMatrix(t)
 	for _, n := range []int{4, 9, 12} {
 		c := qaoaCircuit(n, 2)
 		want := naiveRunFrom(t, c, 0)
 		for _, w := range workers {
-			got, err := RunConfigured(c, 0, RunConfig{Workers: w})
+			got, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{Workers: w})
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
@@ -264,11 +236,11 @@ func TestDiagRunFusionCollapsesCostLayer(t *testing.T) {
 func TestRunConfiguredMatchesRun(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	c := randomCircuit(6, 50, rng)
-	a, err := Run(c)
+	a, err := RunCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunConfigured(c, 0, RunConfig{})
+	b, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,4 @@
-// Compiled-program replay, cache-blocked (tiled) application and the
-// circuit batch runner.
+// Compiled-program replay and cache-blocked (tiled) application.
 //
 // A Program is the reusable form of what RunConfiguredCtx previously
 // rebuilt on every call: the circuit's gate list lowered (and, unless
@@ -21,20 +20,10 @@
 package statevector
 
 import (
-	"context"
 	"fmt"
 
-	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
-	"qbeep/internal/obs"
 	"qbeep/internal/par"
-)
-
-// Batch metrics (see internal/obs): jobs executed through RunBatch and
-// the worker-pool occupancy (busy fraction) of the most recent batch.
-var (
-	metBatchJobs      = obs.Default.Counter("sim.batch.jobs")
-	metBatchOccupancy = obs.Default.Gauge("sim.batch.occupancy")
 )
 
 // Program is a circuit compiled to kernel ops, reusable across replays:
@@ -246,84 +235,4 @@ func NewPauliOps(n int) [][3]CompiledOp {
 		tbl[q][2] = CompiledOp{o: op{kind: opDiag1, q0: q, d0: 1, d1: -1}}
 	}
 	return tbl
-}
-
-// BatchJob is one circuit execution request for RunBatch.
-type BatchJob struct {
-	Circuit *circuit.Circuit
-	Init    bitstring.BitString
-}
-
-// BatchConfig tunes RunBatch.
-type BatchConfig struct {
-	// Workers is the job-level pool width (0 = GOMAXPROCS). Kernel
-	// sharding inside each job stays off: parallelism lives at the job
-	// level, so the pool is busy whenever jobs remain.
-	Workers int
-	// TileBits selects cache-blocked replay per job (0 = DefaultTileBits,
-	// negative disables tiling).
-	TileBits int
-	// NoFuse disables gate fusion at compile time (see RunConfig).
-	NoFuse bool
-}
-
-// RunBatch executes many circuits through one shared worker pool and
-// returns their final states in job order. Each distinct *circuit.Circuit
-// compiles once (repeated pointers share the Program), jobs replay
-// tile-blocked on single-shard states, and every state is bitwise
-// identical to a serial RunConfigured of its job at any worker count or
-// tile size. The pool's occupancy (busy fraction) lands on the
-// sim.batch.occupancy gauge and the "sim.batch" span.
-func RunBatch(ctx context.Context, jobs []BatchJob, cfg BatchConfig) ([]*State, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("statevector: empty batch")
-	}
-	tileBits := cfg.TileBits
-	if tileBits == 0 {
-		tileBits = DefaultTileBits
-	}
-	programs := make([]*Program, len(jobs))
-	byCircuit := make(map[*circuit.Circuit]*Program, len(jobs))
-	for i, j := range jobs {
-		if j.Circuit == nil {
-			return nil, fmt.Errorf("statevector: batch job %d has nil circuit", i)
-		}
-		p, ok := byCircuit[j.Circuit]
-		if !ok {
-			var err error
-			p, err = Compile(j.Circuit, RunConfig{NoFuse: cfg.NoFuse})
-			if err != nil {
-				return nil, fmt.Errorf("statevector: batch job %d: %w", i, err)
-			}
-			byCircuit[j.Circuit] = p
-		}
-		programs[i] = p
-	}
-
-	ctx, sp := obs.Start(ctx, "sim.batch")
-	defer sp.End()
-	states := make([]*State, len(jobs))
-	stats, err := par.ForEachStatsCtx(ctx, len(jobs), cfg.Workers, func(i int) error {
-		st, err := NewBasis(jobs[i].Circuit.N, jobs[i].Init)
-		if err != nil {
-			return err
-		}
-		st.SetWorkers(1)
-		if err := st.RunProgramTiled(programs[i], tileBits); err != nil {
-			return err
-		}
-		states[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	occupancy := stats.Utilization()
-	metBatchJobs.Add(int64(len(jobs)))
-	metBatchOccupancy.Set(occupancy)
-	sp.SetAttr("jobs", len(jobs))
-	sp.SetAttr("workers", stats.Workers)
-	sp.SetAttr("tile_bits", tileBits)
-	sp.SetAttr("occupancy", occupancy)
-	return states, nil
 }

@@ -1,13 +1,13 @@
 package statevector
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
+	"qbeep/internal/testutil"
 )
 
 // TestRunProgramMatchesOracleBitwise pins the replay contract: an unfused
@@ -15,7 +15,7 @@ import (
 // the naiveApply oracle for random circuits, width 1-12, any worker
 // count — the same bar the one-shot RunConfigured path clears.
 func TestRunProgramMatchesOracleBitwise(t *testing.T) {
-	workers := workerMatrix(t)
+	workers := testutil.WorkerMatrix(t)
 	for n := 1; n <= 12; n++ {
 		for trial := 0; trial < 3; trial++ {
 			rng := mathx.NewRNG(uint64(4000*n + trial))
@@ -122,7 +122,7 @@ func TestProgramReplayIsReusable(t *testing.T) {
 // (including degenerate ones beyond the register width) and every worker
 // count, fused and unfused.
 func TestRunProgramTiledBitwise(t *testing.T) {
-	workers := workerMatrix(t)
+	workers := testutil.WorkerMatrix(t)
 	for _, noFuse := range []bool{false, true} {
 		for n := 2; n <= 12; n += 2 {
 			rng := mathx.NewRNG(uint64(6000*n) + boolInt(noFuse))
@@ -205,60 +205,6 @@ func TestPauliOpsMatchGates(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRunBatchMatchesSerial pins the batch contract: RunBatch output is
-// bitwise identical to serial RunConfigured for every job at every
-// worker count and tile size, including jobs that share one compiled
-// circuit.
-func TestRunBatchMatchesSerial(t *testing.T) {
-	rng := mathx.NewRNG(777)
-	shared := randomCircuit(7, 45, rng)
-	jobs := []BatchJob{
-		{Circuit: shared, Init: 0},
-		{Circuit: randomCircuit(4, 25, rng), Init: 3},
-		{Circuit: shared, Init: 17}, // same circuit, different init: shares the Program
-		{Circuit: randomCircuit(9, 60, rng), Init: 0},
-		{Circuit: randomCircuit(1, 8, rng), Init: 1},
-	}
-	want := make([]*State, len(jobs))
-	for i, j := range jobs {
-		s, err := RunConfigured(j.Circuit, j.Init, RunConfig{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = s
-	}
-	for _, w := range workerMatrix(t) {
-		for _, tileBits := range []int{-1, 0, 3, DefaultTileBits} {
-			got, err := RunBatch(context.Background(), jobs, BatchConfig{Workers: w, TileBits: tileBits})
-			if err != nil {
-				t.Fatalf("workers=%d tileBits=%d: %v", w, tileBits, err)
-			}
-			if len(got) != len(jobs) {
-				t.Fatalf("workers=%d: %d states for %d jobs", w, len(got), len(jobs))
-			}
-			for i := range jobs {
-				for a := range want[i].amp {
-					if got[i].amp[a] != want[i].amp[a] {
-						t.Fatalf("workers=%d tileBits=%d job=%d amp[%d]: batch %v serial %v",
-							w, tileBits, i, a, got[i].amp[a], want[i].amp[a])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRunBatchRejectsBadInput pins the validation paths.
-func TestRunBatchRejectsBadInput(t *testing.T) {
-	if _, err := RunBatch(context.Background(), nil, BatchConfig{}); err == nil {
-		t.Fatal("RunBatch accepted an empty batch")
-	}
-	jobs := []BatchJob{{Circuit: nil}}
-	if _, err := RunBatch(context.Background(), jobs, BatchConfig{}); err == nil {
-		t.Fatal("RunBatch accepted a nil circuit")
 	}
 }
 

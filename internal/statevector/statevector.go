@@ -328,33 +328,17 @@ type RunConfig struct {
 	TileBits int
 }
 
-// Run applies every gate of the circuit to a fresh |0...0⟩ state and
-// returns the final state.
-func Run(c *circuit.Circuit) (*State, error) {
-	return RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
-}
-
-// RunCtx is Run with trace-context propagation (see RunConfiguredCtx).
+// RunCtx applies every gate of the circuit to a fresh |0...0⟩ state and
+// returns the final state (see RunConfiguredCtx).
 func RunCtx(ctx context.Context, c *circuit.Circuit) (*State, error) {
 	return RunConfiguredCtx(ctx, c, 0, RunConfig{})
 }
 
-// RunFrom applies the circuit to the basis state |init⟩.
-func RunFrom(c *circuit.Circuit, init bitstring.BitString) (*State, error) {
-	return RunConfiguredCtx(context.Background(), c, init, RunConfig{})
-}
-
-// RunConfigured applies the circuit to |init⟩ with explicit engine
+// RunConfiguredCtx applies the circuit to |init⟩ with explicit engine
 // configuration. The whole gate list is compiled (and, unless NoFuse is
-// set, fused) before any amplitude is touched.
-func RunConfigured(c *circuit.Circuit, init bitstring.BitString, cfg RunConfig) (*State, error) {
-	return RunConfiguredCtx(context.Background(), c, init, cfg)
-}
-
-// RunConfiguredCtx is RunConfigured with trace-context propagation: the
-// "sim.run" span parents under the span active in ctx, and while the
-// run is live the amplitude shard fan-outs parent their "par.worker"
-// spans under it.
+// set, fused) before any amplitude is touched. The "sim.run" span
+// parents under the span active in ctx, and while the run is live the
+// amplitude shard fan-outs parent their "par.worker" spans under it.
 func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.BitString, cfg RunConfig) (*State, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -390,13 +374,8 @@ func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.Bi
 	return s, nil
 }
 
-// IdealDist returns the exact output distribution of the circuit (scaled to
-// probability 1): the paper's "true solution" reference.
-func IdealDist(c *circuit.Circuit) (*bitstring.Dist, error) {
-	return IdealDistCtx(context.Background(), c)
-}
-
-// IdealDistCtx is IdealDist with trace-context propagation.
+// IdealDistCtx returns the exact output distribution of the circuit
+// (scaled to probability 1): the paper's "true solution" reference.
 func IdealDistCtx(ctx context.Context, c *circuit.Circuit) (*bitstring.Dist, error) {
 	s, err := RunCtx(ctx, c)
 	if err != nil {

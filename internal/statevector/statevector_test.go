@@ -1,6 +1,7 @@
 package statevector
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -15,7 +16,7 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func mustRun(t *testing.T, c *circuit.Circuit) *State {
 	t.Helper()
-	s, err := Run(c)
+	s, err := RunCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestNormPreservedRandomCircuit(t *testing.T) {
 				c.Append(circuit.Gate{Kind: k, Qubits: []int{q, q2}})
 			}
 		}
-		s, err := Run(c)
+		s, err := RunCtx(context.Background(), c)
 		return err == nil && approx(s.Norm(), 1, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -280,7 +281,7 @@ func TestSampleConvergence(t *testing.T) {
 func TestRunFromInitialState(t *testing.T) {
 	// X on qubit 1 from |01⟩ gives |11⟩.
 	c := circuit.New("x1", 2).X(1)
-	s, err := RunFrom(c, 0b01)
+	s, err := RunConfiguredCtx(context.Background(), c, 0b01, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestRunFromInitialState(t *testing.T) {
 
 func TestRunPropagatesBuildError(t *testing.T) {
 	c := circuit.New("bad", 2).H(7)
-	if _, err := Run(c); err == nil {
+	if _, err := RunCtx(context.Background(), c); err == nil {
 		t.Error("expected build error to propagate")
 	}
 }
@@ -313,7 +314,7 @@ func TestIdealDistBV(t *testing.T) {
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
-	d, err := IdealDist(c)
+	d, err := IdealDistCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func BenchmarkRun12QubitGHZ(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(c); err != nil {
+		if _, err := RunCtx(context.Background(), c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,7 +366,7 @@ func BenchmarkSample4096Shots(b *testing.B) {
 	for q := 0; q < 9; q++ {
 		c.CX(q, q+1)
 	}
-	s, err := Run(c)
+	s, err := RunCtx(context.Background(), c)
 	if err != nil {
 		b.Fatal(err)
 	}

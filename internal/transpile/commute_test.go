@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -123,7 +124,7 @@ func TestCommuteReducesBVDepth(t *testing.T) {
 	// pass can shrink; assert it never grows and semantics hold.
 	b := mustBackend(t, "galway")
 	c := circuit.New("bv-ish", 5).H(0).H(1).H(2).CX(0, 4).CX(2, 4).H(0).H(1).H(2)
-	res, err := Transpile(c, b, nil)
+	res, err := TranspileCtx(context.Background(), c, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

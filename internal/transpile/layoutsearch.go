@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -19,11 +20,11 @@ import (
 //
 // The search is deterministic given seed. trials = 0 degrades to plain
 // greedy transpilation.
-func SearchLayout(c *circuit.Circuit, b *device.Backend, trials int, seed uint64) (*Result, error) {
+func SearchLayout(ctx context.Context, c *circuit.Circuit, b *device.Backend, trials int, seed uint64) (*Result, error) {
 	if trials < 0 {
 		return nil, fmt.Errorf("transpile: negative trials %d", trials)
 	}
-	best, err := Transpile(c, b, nil)
+	best, err := TranspileCtx(ctx, c, b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +39,7 @@ func SearchLayout(c *circuit.Circuit, b *device.Backend, trials int, seed uint64
 	}
 	for t := 0; t < trials; t++ {
 		layout := randomLayout(dec.N, b.N(), rng)
-		res, err := transpileWithLayout(c, b, layout)
+		res, err := TranspileCtx(ctx, c, b, layout)
 		if err != nil {
 			// Some random placements can be unroutable on sparse
 			// topologies; skip them rather than fail the search.
@@ -53,11 +54,6 @@ func SearchLayout(c *circuit.Circuit, b *device.Backend, trials int, seed uint64
 		}
 	}
 	return best, nil
-}
-
-// transpileWithLayout is Transpile with an explicit initial layout.
-func transpileWithLayout(c *circuit.Circuit, b *device.Backend, layout Layout) (*Result, error) {
-	return Transpile(c, b, layout)
 }
 
 // randomLayout places n logical qubits on distinct random physical qubits.

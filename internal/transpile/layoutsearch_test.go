@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -17,7 +18,7 @@ func searchCircuit() *circuit.Circuit {
 
 func TestSearchLayoutValidation(t *testing.T) {
 	b := mustBackend(t, "istanbul")
-	if _, err := SearchLayout(searchCircuit(), b, -1, 1); err == nil {
+	if _, err := SearchLayout(context.Background(), searchCircuit(), b, -1, 1); err == nil {
 		t.Error("negative trials should error")
 	}
 }
@@ -25,11 +26,11 @@ func TestSearchLayoutValidation(t *testing.T) {
 func TestSearchLayoutZeroTrialsEqualsGreedy(t *testing.T) {
 	b := mustBackend(t, "istanbul")
 	c := searchCircuit()
-	greedy, err := Transpile(c, b, nil)
+	greedy, err := TranspileCtx(context.Background(), c, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	searched, err := SearchLayout(c, b, 0, 1)
+	searched, err := SearchLayout(context.Background(), c, b, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSearchLayoutZeroTrialsEqualsGreedy(t *testing.T) {
 func TestSearchLayoutNeverWorseThanGreedy(t *testing.T) {
 	b := mustBackend(t, "nairobi2") // noisy machine: placement matters
 	c := searchCircuit()
-	greedy, err := Transpile(c, b, nil)
+	greedy, err := TranspileCtx(context.Background(), c, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSearchLayoutNeverWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searched, err := SearchLayout(c, b, 12, 7)
+	searched, err := SearchLayout(context.Background(), c, b, 12, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestSearchLayoutNeverWorseThanGreedy(t *testing.T) {
 func TestSearchLayoutDeterministic(t *testing.T) {
 	b := mustBackend(t, "kyiv")
 	c := searchCircuit()
-	a1, err := SearchLayout(c, b, 6, 42)
+	a1, err := SearchLayout(context.Background(), c, b, 6, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := SearchLayout(c, b, 6, 42)
+	a2, err := SearchLayout(context.Background(), c, b, 6, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

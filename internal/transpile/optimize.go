@@ -225,17 +225,11 @@ func pass[T any](ctx context.Context, name string, fn func() (T, error)) (T, err
 	return fn()
 }
 
-// Transpile lowers, places, routes and optimizes c for backend b. A nil
-// layout selects GreedyLayout. Each pass reports its wall time to the
-// obs registry (transpile.decompose/layout/route/optimize/schedule) and
-// the whole lowering runs under a "transpile" span.
-func Transpile(c *circuit.Circuit, b *device.Backend, layout Layout) (*Result, error) {
-	return TranspileCtx(context.Background(), c, b, layout)
-}
-
-// TranspileCtx is Transpile with trace-context propagation: the
-// "transpile" span parents under the span active in ctx, with one child
-// span per pass.
+// TranspileCtx lowers, places, routes and optimizes c for backend b. A
+// nil layout selects GreedyLayout. Each pass reports its wall time to the
+// obs registry (transpile.decompose/layout/route/optimize/schedule); the
+// whole lowering runs under a "transpile" span parented under the span
+// active in ctx, with one child span per pass.
 func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*Result, error) {
 	ctx, sp := obs.Start(ctx, "transpile")
 	// Ending via defer keeps the span from leaking on the per-pass error

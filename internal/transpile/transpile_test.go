@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,11 +22,11 @@ func equivalent(t *testing.T, a, b *circuit.Circuit) {
 	}
 	// Basis probes.
 	for init := 0; init < 1<<uint(a.N); init++ {
-		sa, err := statevector.RunFrom(a, bitstring.BitString(init))
+		sa, err := statevector.RunConfiguredCtx(context.Background(), a, bitstring.BitString(init), statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := statevector.RunFrom(b, bitstring.BitString(init))
+		sb, err := statevector.RunConfiguredCtx(context.Background(), b, bitstring.BitString(init), statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +54,11 @@ func equivalent(t *testing.T, a, b *circuit.Circuit) {
 	for _, g := range b.Gates {
 		probeB.Append(g)
 	}
-	sa, err := statevector.Run(probeA)
+	sa, err := statevector.RunCtx(context.Background(), probeA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := statevector.Run(probeB)
+	sb, err := statevector.RunCtx(context.Background(), probeB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestRoutePreservesSemanticsOnLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := statevector.Run(routed)
+	s, err := statevector.RunCtx(context.Background(), routed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func probMap(s *statevector.State) map[uint64]float64 {
 func TestTranspileEndToEnd(t *testing.T) {
 	b, _ := device.ByName("eldorado")
 	c := circuit.New("adder-ish", 4).H(0).CCX(0, 1, 2).CX(1, 3).T(2).MeasureAll()
-	res, err := Transpile(c, b, nil)
+	res, err := TranspileCtx(context.Background(), c, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package zne
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,11 +82,11 @@ func TestFoldPreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sa, err := statevector.Run(c)
+			sa, err := statevector.RunCtx(context.Background(), c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sb, err := statevector.Run(f)
+			sb, err := statevector.RunCtx(context.Background(), f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,8 +104,8 @@ func TestFoldCCXSelfInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, _ := statevector.Run(c)
-	sb, _ := statevector.Run(f)
+	sa, _ := statevector.RunCtx(context.Background(), c)
+	sb, _ := statevector.RunCtx(context.Background(), f)
 	fid, _ := sa.FidelityWith(sb)
 	if !approx(fid, 1, 1e-12) {
 		t.Errorf("CCX folding broke semantics: %v", fid)
@@ -168,7 +169,7 @@ func TestZNERecoversExpectationOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.Execute(folded, 4096, rng)
+		run, err := exec.ExecuteCtx(context.Background(), folded, 4096, 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

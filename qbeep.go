@@ -101,7 +101,7 @@ func (l Lambda) Total() float64 { return l.T1 + l.T2 + l.Gates }
 // lambda and returns the mitigated distribution (same total mass). All
 // keys must share one register width.
 func Mitigate(counts Counts, lambda float64, opts Options) (Counts, error) {
-	return MitigateCtx(context.Background(), counts, lambda, opts)
+	return MitigateCtx(context.Background(), counts, lambda, opts) //qbeep:allow-ctx ctx-less public convenience form roots its own context
 }
 
 // MitigateCtx is Mitigate with trace-context propagation: the
@@ -130,7 +130,7 @@ func MitigateCtx(ctx context.Context, counts Counts, lambda float64, opts Option
 // against a known ideal distribution (useful for convergence plots;
 // paper Fig. 7(c)). trace[0] is the pre-mitigation fidelity.
 func MitigateTracked(counts Counts, lambda float64, opts Options, ideal Counts) (Counts, []float64, error) {
-	return MitigateTrackedCtx(context.Background(), counts, lambda, opts, ideal)
+	return MitigateTrackedCtx(context.Background(), counts, lambda, opts, ideal) //qbeep:allow-ctx ctx-less public convenience form roots its own context
 }
 
 // MitigateTrackedCtx is MitigateTracked with trace-context propagation
@@ -164,7 +164,7 @@ func MitigateTrackedCtx(ctx context.Context, counts Counts, lambda float64, opts
 // calibration snapshot — strictly pre-induction. Backend names resolve
 // exactly like Simulate/SimulateExact, including "ion-5".
 func EstimateLambdaQASM(qasmSource, backend string) (Lambda, error) {
-	return EstimateLambdaQASMCtx(context.Background(), qasmSource, backend)
+	return EstimateLambdaQASMCtx(context.Background(), qasmSource, backend) //qbeep:allow-ctx ctx-less public convenience form roots its own context
 }
 
 // EstimateLambdaQASMCtx is EstimateLambdaQASM with trace-context
@@ -242,7 +242,7 @@ type SimResult struct {
 // bursts) and returns raw counts, the ideal distribution, and the λ
 // estimate. seed makes the run reproducible.
 func Simulate(qasmSource, backend string, shots int, seed uint64) (*SimResult, error) {
-	return SimulateCtx(context.Background(), qasmSource, backend, shots, seed)
+	return SimulateCtx(context.Background(), qasmSource, backend, shots, seed) //qbeep:allow-ctx ctx-less public convenience form roots its own context
 }
 
 // SimulateCtx is Simulate with trace-context propagation: the parse,
@@ -250,48 +250,19 @@ func Simulate(qasmSource, backend string, shots int, seed uint64) (*SimResult, e
 // active in ctx, giving one connected trace for the whole synthetic
 // pipeline.
 func SimulateCtx(ctx context.Context, qasmSource, backend string, shots int, seed uint64) (*SimResult, error) {
-	c, err := qasm.ParseCtx(ctx, qasmSource)
-	if err != nil {
-		return nil, err
-	}
-	b, err := backendByAnyName(backend)
-	if err != nil {
-		return nil, err
-	}
-	exec, err := noise.NewExecutor(b, noise.DefaultModel())
-	if err != nil {
-		return nil, err
-	}
-	run, err := exec.ExecuteCtx(ctx, c, shots, mathx.NewRNG(seed))
-	if err != nil {
-		return nil, err
-	}
-	lb, err := core.EstimateLambda(run.Transpiled, b)
-	if err != nil {
-		return nil, err
-	}
-	return &SimResult{
-		Raw:             run.Counts.StringCounts(),
-		Ideal:           run.Ideal.StringCounts(),
-		Lambda:          Lambda{T1: lb.T1, T2: lb.T2, Gates: lb.Gates, Time: lb.Time},
-		TranspiledGates: run.Transpiled.GatesAfter,
-		Swaps:           run.Transpiled.SwapsAdded,
-	}, nil
+	return SimulateBatchedCtx(ctx, qasmSource, backend, shots, 1, seed)
 }
 
 // SimulateBatched is SimulateBatchedCtx with a background context.
 func SimulateBatched(qasmSource, backend string, shots, batch int, seed uint64) (*SimResult, error) {
-	return SimulateBatchedCtx(context.Background(), qasmSource, backend, shots, batch, seed)
+	return SimulateBatchedCtx(context.Background(), qasmSource, backend, shots, batch, seed) //qbeep:allow-ctx ctx-less public convenience form roots its own context
 }
 
 // SimulateBatchedCtx is SimulateCtx with the shot loop split into batch
-// blocks fanned across the worker pool (see noise.ExecuteBatchCtx).
+// blocks fanned across the worker pool (see noise.Executor.ExecuteCtx).
 // Counts are deterministic for a given (seed, batch) at any worker
 // count; batch <= 1 is exactly SimulateCtx.
 func SimulateBatchedCtx(ctx context.Context, qasmSource, backend string, shots, batch int, seed uint64) (*SimResult, error) {
-	if batch <= 1 {
-		return SimulateCtx(ctx, qasmSource, backend, shots, seed)
-	}
 	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return nil, err
@@ -304,7 +275,7 @@ func SimulateBatchedCtx(ctx context.Context, qasmSource, backend string, shots, 
 	if err != nil {
 		return nil, err
 	}
-	run, err := exec.ExecuteBatchCtx(ctx, c, shots, batch, mathx.NewRNG(seed))
+	run, err := exec.ExecuteCtx(ctx, c, shots, batch, mathx.NewRNG(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +298,8 @@ func SimulateBatchedCtx(ctx context.Context, qasmSource, backend string, shots, 
 // shots outcomes from it. Use it to validate results from the fast
 // hardware-style model at small widths.
 func SimulateExact(qasmSource, backend string, shots int, seed uint64) (exact, sampled Counts, err error) {
-	c, err := qasm.Parse(qasmSource)
+	ctx := context.Background() //qbeep:allow-ctx ctx-less public convenience form roots its own context
+	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -343,7 +315,7 @@ func SimulateExact(qasmSource, backend string, shots int, seed uint64) (exact, s
 	if shots > 0 {
 		rng = mathx.NewRNG(seed)
 	}
-	ex, sm, err := exec.ExecuteExact(c, shots, rng)
+	ex, sm, err := exec.ExecuteExact(ctx, c, shots, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -405,7 +377,8 @@ func PST(counts Counts, correct string) (float64, error) {
 // basis and topology and returns the routed program as OpenQASM, plus the
 // scheduled duration in seconds.
 func TranspileQASM(qasmSource, backend string) (string, float64, error) {
-	c, err := qasm.Parse(qasmSource)
+	ctx := context.Background() //qbeep:allow-ctx ctx-less public convenience form roots its own context
+	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return "", 0, err
 	}
@@ -413,7 +386,7 @@ func TranspileQASM(qasmSource, backend string) (string, float64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	res, err := transpile.Transpile(c, b, nil)
+	res, err := transpile.TranspileCtx(ctx, c, b, nil)
 	if err != nil {
 		return "", 0, err
 	}

@@ -1,6 +1,8 @@
 package qbeep
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -71,6 +73,20 @@ func TestMitigateValidatesInput(t *testing.T) {
 	}
 	if _, err := Mitigate(Counts{"01": 1}, 1, Options{}); err == nil {
 		t.Error("zero options should error")
+	}
+}
+
+// TestMitigateCtxCancelled: the public Ctx forms hand a cancelled ctx
+// through to the flow iteration, which returns ctx's error.
+func TestMitigateCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	counts := Counts{"101": 90, "100": 10}
+	if _, err := MitigateCtx(ctx, counts, 1, NewOptions()); !errors.Is(err, context.Canceled) {
+		t.Errorf("MitigateCtx: err = %v", err)
+	}
+	if _, _, err := MitigateTrackedCtx(ctx, counts, 1, NewOptions(), Counts{"101": 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("MitigateTrackedCtx: err = %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,7 +35,7 @@ func run() error {
 	// A trace-stamped worst observation must surface as _window_worst.
 	obs.Default.Histogram("smoke.stamped").ObserveTrace(0.5, 7)
 	// One real fan-out batch populates the par_worker_busy_ratio gauges.
-	if err := par.ForEach(8, 2, func(int) error { return nil }); err != nil {
+	if err := par.ForEachCtx(context.Background(), 8, 2, func(int) error { return nil }); err != nil {
 		return err
 	}
 	// A real tiny mitigation and λ estimation drive the quality families

@@ -1,6 +1,7 @@
 package qbeep
 
 import (
+	"context"
 	"qbeep/internal/qasm"
 	"qbeep/internal/zne"
 )
@@ -13,7 +14,7 @@ import (
 // composes with Q-BEEP (ZNE corrects expectation values, Q-BEEP corrects
 // distributions).
 func FoldQASM(qasmSource string, scale int) (string, error) {
-	c, err := qasm.Parse(qasmSource)
+	c, err := qasm.ParseCtx(context.Background(), qasmSource) //qbeep:allow-ctx ctx-less public convenience form roots its own context
 	if err != nil {
 		return "", err
 	}
