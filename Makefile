@@ -128,11 +128,18 @@ obs-smoke:
 # means (λ, Hellinger shift, fidelity, PST) against the pinned
 # QUALITY_baseline.json. Unlike bench-gate's wall-clock ratios, every
 # gated metric is a seed-deterministic model output, so any delta is a
-# real behavioral change, not machine noise.
+# real behavioral change, not machine noise. Every ledger record must
+# also carry the trace ID of the run's qbeep.experiments root span, so
+# each record joins its spans in trace.ndjson.
 quality-gate:
 	@set -e; rm -rf .quality-gate; mkdir -p .quality-gate; \
 	$(GO) run ./cmd/qbeep-experiments -fig 7 -scale 0.05 -shots 1024 \
 		-run-ledger .quality-gate/runs.ndjson -trace .quality-gate/trace.ndjson > .quality-gate/stdout.txt; \
+	root=$$(grep -m1 '"name":"qbeep.experiments"' .quality-gate/trace.ndjson | sed 's/.*"trace":\([0-9]*\).*/\1/'); \
+	if [ -z "$$root" ]; then echo "quality-gate: no qbeep.experiments root span in trace.ndjson"; exit 1; fi; \
+	if grep -v "\"trace\":$$root," .quality-gate/runs.ndjson | grep -q .; then \
+		echo "quality-gate: runs.ndjson records lack the experiments trace ID $$root"; exit 1; \
+	fi; \
 	$(GO) run ./cmd/qbeep-ledger -gate -baseline QUALITY_baseline.json .quality-gate/runs.ndjson
 
 # quality-baseline: regenerate QUALITY_baseline.json from the same

@@ -243,9 +243,9 @@ func run() error {
 			continue
 		}
 		fmt.Printf("\n==== Figure %s ====\n", r.id)
-		t0 := time.Now()
-		err := r.run(ctx, cfg)
-		runReport.AddFigure(r.id, time.Since(t0), err)
+		err := runReport.RunFigure(ctx, r.id, func(ctx context.Context) error {
+			return r.run(ctx, cfg)
+		})
 		if err != nil {
 			// The partial report still lands on disk so a crashed sweep
 			// keeps its timing evidence.

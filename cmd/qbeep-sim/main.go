@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"qbeep"
 	"qbeep/internal/bitstring"
@@ -71,11 +70,7 @@ func run() error {
 		stopTrace()
 		return err
 	}
-	t0 := time.Now()
-	sim, err := simulate(string(src), *backend, *shots, *batch, *seed)
-	if err == nil && obs.RunLedgerEnabled() {
-		recordLedger(*qasmPath, src, *backend, *shots, sim, time.Since(t0).Seconds())
-	}
+	sim, err := simulate(*qasmPath, src, *backend, *shots, *batch, *seed)
 	// Flush the trace and ledger even on failure; their own errors
 	// surface only when the run otherwise succeeded.
 	if terr := stopTrace(); err == nil {
@@ -128,11 +123,13 @@ func run() error {
 
 // simulate runs the synthetic induction under the "qbeep.pipeline" root
 // span, so -trace output from qbeep-sim and qbeep share one analyzable
-// shape (parse, transpile, ideal run and induction as children).
-func simulate(src, backend string, shots, batch int, seed uint64) (*qbeep.SimResult, error) {
+// shape (parse, transpile, ideal run and induction as children). With a
+// run ledger installed it appends the induction's record, stamped with
+// the pipeline's trace and timed by the pipeline span.
+func simulate(qasmPath string, src []byte, backend string, shots, batch int, seed uint64) (*qbeep.SimResult, error) {
 	ctx, sp := obs.Start(context.Background(), "qbeep.pipeline")
 	defer sp.End()
-	sim, err := qbeep.SimulateBatchedCtx(ctx, src, backend, shots, batch, seed)
+	sim, err := qbeep.SimulateBatchedCtx(ctx, string(src), backend, shots, batch, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -140,6 +137,10 @@ func simulate(src, backend string, shots, batch int, seed uint64) (*qbeep.SimRes
 	sp.SetAttr("shots", shots)
 	if batch > 1 {
 		sp.SetAttr("batch", batch)
+	}
+	wall := sp.End()
+	if obs.RunLedgerEnabled() {
+		recordLedger(ctx, qasmPath, src, backend, shots, sim, wall.Seconds())
 	}
 	return sim, nil
 }
@@ -149,9 +150,10 @@ func simulate(src, backend string, shots, batch int, seed uint64) (*qbeep.SimRes
 // counts' fidelity/Hellinger against it and the Hamming spectrum
 // centered on the ideal mode — the pre-mitigation half of the quality
 // story (cmd/qbeep appends the post-mitigation half).
-func recordLedger(qasmPath string, src []byte, backend string, shots int, sim *qbeep.SimResult, simulateS float64) {
+func recordLedger(ctx context.Context, qasmPath string, src []byte, backend string, shots int, sim *qbeep.SimResult, simulateS float64) {
 	rec := runledger.Record{
 		Tool:        "qbeep-sim",
+		TraceID:     obs.TraceIDFrom(ctx),
 		Backend:     backend,
 		Circuit:     filepath.Base(qasmPath),
 		CircuitHash: runledger.HashBytes(src),

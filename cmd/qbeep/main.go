@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"qbeep"
 	"qbeep/internal/bitstring"
@@ -124,23 +123,22 @@ func run() error {
 
 // pipeline runs the mitigation workflow under the "qbeep.pipeline" root
 // span: loading counts, resolving λ, the optional DOT dump, mitigation,
-// and output.
+// and output. Loading, estimation and mitigation each run under a child
+// span ("qbeep.load", "qbeep.estimate", "qbeep.mitigate") whose duration
+// is the wall time of the matching run-ledger stage.
 func pipeline(cfg config) error {
 	ctx, sp := obs.Start(context.Background(), "qbeep.pipeline")
 	// Ending via defer keeps the span from leaking on the many error
 	// returns (qbeep-lint spanend); attributes set below still precede it.
 	defer sp.End()
 
-	// Per-stage wall clocks for the run-ledger record (zero cost when no
-	// ledger is installed: three time.Since calls and no allocation).
-	var loadS, estimateS, mitigateS float64
-
-	t0 := time.Now()
-	file, err := results.Load(cfg.countsPath)
+	var stages []runledger.Stage
+	file, err := stage(ctx, &stages, "load", func(context.Context) (*results.File, error) {
+		return results.Load(cfg.countsPath)
+	})
 	if err != nil {
 		return err
 	}
-	loadS = time.Since(t0).Seconds()
 	counts := file.Counts
 
 	lam := cfg.lambda
@@ -160,12 +158,12 @@ func pipeline(cfg config) error {
 			return err
 		}
 		qasmSrc = src
-		t0 = time.Now()
-		est, err := qbeep.EstimateLambdaQASMCtx(ctx, string(src), cfg.backend)
+		est, err := stage(ctx, &stages, "estimate", func(ctx context.Context) (qbeep.Lambda, error) {
+			return qbeep.EstimateLambdaQASMCtx(ctx, string(src), cfg.backend)
+		})
 		if err != nil {
 			return err
 		}
-		estimateS = time.Since(t0).Seconds()
 		lam = est.Total()
 		obs.Logger().Info("estimated lambda",
 			"lambda", lam, "t1", est.T1, "t2", est.T2, "gates", est.Gates, "schedule_s", est.Time)
@@ -204,17 +202,17 @@ func pipeline(cfg config) error {
 	if obs.RunLedgerEnabled() {
 		opts.OnQuality = func(q qbeep.QualityStats) { qstats = q }
 	}
-	t0 = time.Now()
-	mitigated, err := qbeep.MitigateCtx(ctx, counts, lam, opts)
+	mitigated, err := stage(ctx, &stages, "mitigate", func(ctx context.Context) (qbeep.Counts, error) {
+		return qbeep.MitigateCtx(ctx, counts, lam, opts)
+	})
 	if err != nil {
 		return err
 	}
-	mitigateS = time.Since(t0).Seconds()
 	sp.SetAttr("counts", cfg.countsPath)
 	sp.SetAttr("lambda", lam)
 	sp.SetAttr("iterations", cfg.iterations)
 	if obs.RunLedgerEnabled() {
-		recordLedger(ctx, cfg, file, qasmSrc, lam, qstats, loadS, estimateS, mitigateS)
+		recordLedger(ctx, cfg, file, qasmSrc, lam, qstats, stages)
 	}
 	out, err := json.MarshalIndent(mitigated, "", "  ")
 	if err != nil {
@@ -228,11 +226,21 @@ func pipeline(cfg config) error {
 	return os.WriteFile(cfg.outPath, out, 0o644)
 }
 
+// stage runs one pipeline stage under the child span "qbeep.<name>" and
+// appends the span's duration to stages as the run-ledger stage name, so
+// trace and ledger read one clock.
+func stage[T any](ctx context.Context, stages *[]runledger.Stage, name string, fn func(context.Context) (T, error)) (T, error) {
+	ctx, sp := obs.Start(ctx, "qbeep."+name)
+	v, err := fn(ctx)
+	*stages = append(*stages, runledger.Stage{Name: name, WallS: sp.End().Seconds()})
+	return v, err
+}
+
 // recordLedger assembles and appends this run's quality record. The
 // circuit identity prefers the counts envelope's name, then the QASM
 // path; the hash covers the QASM source when λ was estimated from one,
 // otherwise the counts file itself.
-func recordLedger(ctx context.Context, cfg config, file *results.File, qasmSrc []byte, lam float64, q qbeep.QualityStats, loadS, estimateS, mitigateS float64) {
+func recordLedger(ctx context.Context, cfg config, file *results.File, qasmSrc []byte, lam float64, q qbeep.QualityStats, stages []runledger.Stage) {
 	circuit := file.Circuit
 	if circuit == "" && cfg.qasmPath != "" {
 		circuit = filepath.Base(cfg.qasmPath)
@@ -258,11 +266,6 @@ func recordLedger(ctx context.Context, cfg config, file *results.File, qasmSrc [
 			shots += c
 		}
 	}
-	stages := []runledger.Stage{{Name: "load", WallS: loadS}}
-	if estimateS > 0 {
-		stages = append(stages, runledger.Stage{Name: "estimate", WallS: estimateS})
-	}
-	stages = append(stages, runledger.Stage{Name: "mitigate", WallS: mitigateS})
 	rec := runledger.Record{
 		Tool:        "qbeep",
 		TraceID:     obs.TraceIDFrom(ctx),

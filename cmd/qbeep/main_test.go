@@ -344,3 +344,101 @@ measure q[1] -> c[1];
 		}
 	}
 }
+
+// TestPipelineLedgerJoinsTrace runs the estimate path with both -trace
+// and -run-ledger: the record carries the pipeline's trace ID, and every
+// ledger stage's wall_s is exactly the duration of the span covering it
+// ("qbeep.load", "qbeep.estimate", "qbeep.mitigate") — trace and ledger
+// read one clock.
+func TestPipelineLedgerJoinsTrace(t *testing.T) {
+	dir := t.TempDir()
+	countsPath := filepath.Join(dir, "counts.json")
+	if err := os.WriteFile(countsPath, []byte(`{"00": 900, "01": 60, "10": 40}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	qasmPath := filepath.Join(dir, "bell.qasm")
+	const src = `OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[2];
+h q[0];
+cx q[0],q[1];
+measure q[0] -> c[0];
+measure q[1] -> c[1];
+`
+	if err := os.WriteFile(qasmPath, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, "run.ndjson")
+	ledgerPath := filepath.Join(dir, "ledger.ndjson")
+	tf := obs.TraceFlags{Path: tracePath}
+	stopTrace, err := tf.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf := obs.LedgerFlags{Path: ledgerPath}
+	stopLedger, err := lf.Start()
+	if err != nil {
+		stopTrace()
+		t.Fatal(err)
+	}
+	perr := pipeline(config{
+		countsPath: countsPath,
+		lambda:     -1,
+		qasmPath:   qasmPath,
+		backend:    "istanbul",
+		iterations: 3,
+		epsilon:    0.05,
+		outPath:    filepath.Join(dir, "out.json"),
+	})
+	if err := stopTrace(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stopLedger(); err != nil {
+		t.Fatal(err)
+	}
+	if perr != nil {
+		t.Fatal(perr)
+	}
+
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	forest, err := tracefile.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(forest.Traces) != 1 {
+		t.Fatalf("got %d traces, want 1", len(forest.Traces))
+	}
+	tr := forest.Traces[0]
+	byName := map[string]*tracefile.Span{}
+	for _, s := range tr.Spans {
+		byName[s.Name] = s
+	}
+	recs, err := runledger.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("got %d ledger records, want 1", len(recs))
+	}
+	r := recs[0]
+	if root := tr.Root(); root == nil || r.TraceID == 0 || r.TraceID != root.TraceID {
+		t.Fatalf("record trace %d does not join the pipeline trace (root %+v)", r.TraceID, root)
+	}
+	if len(r.Stages) != 3 {
+		t.Fatalf("stages = %+v, want load, estimate, mitigate", r.Stages)
+	}
+	for _, st := range r.Stages {
+		sp := byName["qbeep."+st.Name]
+		if sp == nil || sp.Parent == nil || sp.Parent.Name != "qbeep.pipeline" {
+			t.Fatalf("stage %q has no span under qbeep.pipeline: %+v", st.Name, sp)
+		}
+		if want := sp.Duration.Seconds(); st.WallS != want {
+			t.Errorf("stage %q wall_s = %v, span says %v", st.Name, st.WallS, want)
+		}
+	}
+}

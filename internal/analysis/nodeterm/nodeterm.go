@@ -9,8 +9,9 @@
 //     source is process-wide mutable state that silently couples
 //     callers. No directive lifts this; it is a hard ban.
 //  2. time.Now / time.Since: wall-clock reads are nondeterministic
-//     inputs. Metric/span timing sites are legitimate and carry a
-//     //qbeep:allow-time directive with a rationale.
+//     inputs. Kernel timing reads the obs span clock instead
+//     (metX.ObserveDuration(sp.End())); a deliberate exception carries
+//     a //qbeep:allow-time directive with a rationale.
 //  3. Iterating a map while accumulating floating-point values into
 //     outer state, or printing from the loop body: Go randomizes map
 //     iteration order, and float addition is not associative, so such
@@ -64,7 +65,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				if name, ok := timeCall(pass, n); ok {
 					pass.Report(n.Pos(), "time",
-						"time.%s in deterministic kernel package %s: wall-clock reads are nondeterministic inputs (annotate timing sites with //qbeep:allow-time)",
+						"time.%s in deterministic kernel package %s: wall-clock reads are nondeterministic inputs (time the region with an obs span: metX.ObserveDuration(sp.End()))",
 						name, pass.Pkg.Name())
 				}
 			case *ast.RangeStmt:

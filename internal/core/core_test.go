@@ -11,10 +11,34 @@ import (
 	"qbeep/internal/circuit"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
+	"qbeep/internal/obs"
 	"qbeep/internal/transpile"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// watchIterations installs a span sink for the rest of the test that
+// hands fn every "core.mitigate.iter" span, one per flow iteration in
+// round order: the trace is where per-iteration telemetry lives.
+func watchIterations(t *testing.T, fn func(obs.SpanEvent)) {
+	t.Helper()
+	obs.SetSpanSink(obs.SinkFunc(func(e obs.SpanEvent) {
+		if e.Name == "core.mitigate.iter" {
+			fn(e)
+		}
+	}))
+	t.Cleanup(func() { obs.SetSpanSink(nil) })
+}
+
+// spanAttr returns the value of the span attribute key, nil when absent.
+func spanAttr(e obs.SpanEvent, key string) any {
+	for _, a := range e.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
+}
 
 func testTranspiled(t *testing.T) (*transpile.Result, *device.Backend) {
 	t.Helper()
@@ -335,15 +359,14 @@ func TestMitigateCtxCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := NewOptions()
 	rounds := 0
-	opts.OnIteration = func(IterationStats) {
+	watchIterations(t, func(obs.SpanEvent) {
 		rounds++
 		if rounds == 2 {
 			cancel()
 		}
-	}
-	if _, err := MitigateCtx(ctx, raw, 1, opts); !errors.Is(err, context.Canceled) {
+	})
+	if _, err := MitigateCtx(ctx, raw, 1, NewOptions()); !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-run cancel: err = %v", err)
 	}
 	if rounds != 2 {

@@ -4,36 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/obs"
 )
-
-// IterationStats is the per-iteration observability record the mitigation
-// loop hands to Options.OnIteration (and, through cmd/qbeep -trace, to
-// users): where probability mass moved and how fast the fixed point is
-// approached (paper Fig. 7(c) territory, without needing an ideal
-// distribution).
-type IterationStats struct {
-	// Iteration is 1-based.
-	Iteration int `json:"iteration"`
-	// Eta is the learning rate used this iteration.
-	Eta float64 `json:"eta"`
-	// FlowMoved is the gross mass carried along edges.
-	FlowMoved float64 `json:"flow_moved"`
-	// L1Delta is the net per-vertex change Σ|Δcount| (≈ 0 at convergence).
-	L1Delta float64 `json:"l1_delta"`
-	// StepHellinger is the Hellinger distance between this iteration's
-	// pre- and post-step distributions — the per-iteration convergence
-	// delta that Options.ConvergeTol tests against.
-	StepHellinger float64 `json:"step_hellinger"`
-	// Vertices and Edges describe the state graph under the ε threshold.
-	Vertices int `json:"vertices"`
-	Edges    int `json:"edges"`
-	// Duration is the wall time of this iteration.
-	Duration time.Duration `json:"duration_ns"`
-}
 
 // QualityStats is the end-of-run quality record the mitigation loop
 // hands to Options.OnQuality: the Hamming-spectrum quality block of a
@@ -81,10 +55,6 @@ type Options struct {
 	// Weighter is the edge model; nil selects PoissonEdges with the λ
 	// passed to Mitigate.
 	Weighter EdgeWeighter
-	// OnIteration, when non-nil, receives one IterationStats per update
-	// round. Per-iteration wall clocks are only taken when set, so the
-	// nil default costs nothing.
-	OnIteration func(IterationStats)
 	// OnQuality, when non-nil, receives one QualityStats after the
 	// final iteration — the hook the -run-ledger recorder hangs off.
 	// The Hamming spectra and entropy are computed only when set
@@ -178,13 +148,13 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 		w = PoissonEdges{Lambda: lambda}
 	}
 	ctx, sp := obs.Start(ctx, "core.mitigate")
-	// Ending via defer keeps the span from leaking on the graph-build
-	// error return (qbeep-lint spanend); attributes below still precede it.
+	// The deferred End covers the error returns (qbeep-lint spanend); a
+	// successful run ends the span below, and its duration is the one the
+	// core.mitigate timer records.
 	defer sp.End()
 	// Convergence observations carry the trace ID so the worst sample on
 	// /metrics (_window_worst) names the trace to inspect in qbeep-trace.
 	traceID := obs.TraceIDFrom(ctx)
-	stop := metMitigate.Start()
 	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, scanAuto, opts.TopK)
 	if err != nil {
 		return nil, nil, err
@@ -200,10 +170,6 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	// exit early, so the converged attrs land on the triggering span.
 	iterate := func(i int) bool {
 		eta := opts.LearningRate(i)
-		var t0 time.Time
-		if opts.OnIteration != nil {
-			t0 = time.Now() //qbeep:allow-time per-iteration callback timing, not kernel state
-		}
 		// One child span per update round; inert (and free) unless a
 		// sink is installed.
 		_, isp := obs.Start(ctx, "core.mitigate.iter")
@@ -219,18 +185,6 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 			isp.SetAttr("iterations_saved", opts.Iterations-i)
 		}
 		metIterFlow.ObserveTrace(last.FlowMoved, traceID)
-		if opts.OnIteration != nil {
-			opts.OnIteration(IterationStats{
-				Iteration:     i,
-				Eta:           eta,
-				FlowMoved:     last.FlowMoved,
-				L1Delta:       last.L1Delta,
-				StepHellinger: last.Hellinger,
-				Vertices:      g.NumVertices(),
-				Edges:         g.NumEdges(),
-				Duration:      time.Since(t0), //qbeep:allow-time per-iteration callback timing, not kernel state
-			})
-		}
 		if ideal != nil {
 			// Fidelity straight off the node slice: snapshotting a Dist
 			// per iteration was the tracked loop's dominant allocation.
@@ -257,7 +211,6 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	}
 	saved := opts.Iterations - executed
 	out := g.Dist().Normalized(counts.Total())
-	stop()
 	metMitigateRuns.Inc()
 	metMitigateIters.Add(int64(executed))
 	metMitigateSaved.Add(int64(saved))
@@ -293,6 +246,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 		}
 		opts.OnQuality(q)
 	}
+	metMitigate.ObserveDuration(sp.End())
 	obs.Logger().Debug("mitigation finished",
 		"iterations", executed, "iterations_saved", saved, "vertices", g.NumVertices(),
 		"edges", g.NumEdges(), "final_l1_delta", last.L1Delta)

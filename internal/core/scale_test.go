@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"qbeep/internal/bitstring"
+	"qbeep/internal/obs"
 	"qbeep/internal/testutil"
 )
 
@@ -203,7 +204,7 @@ func TestConvergeTolZeroBitwise(t *testing.T) {
 	opts := NewOptions()
 	opts.ConvergeTol = 0
 	iters := 0
-	opts.OnIteration = func(IterationStats) { iters++ }
+	watchIterations(t, func(obs.SpanEvent) { iters++ })
 	got, err := MitigateCtx(context.Background(), raw, 1.2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -222,25 +223,26 @@ func TestConvergeTolEarlyExit(t *testing.T) {
 	raw := poissonCounts(10, bitstring.BitString(0x1a6), 1.2, 3000, 62)
 	opts := NewOptions()
 	opts.ConvergeTol = 0.01
-	var stats []IterationStats
-	opts.OnIteration = func(s IterationStats) { stats = append(stats, s) }
+	var steps []float64 // per-iteration step Hellinger, in round order
+	watchIterations(t, func(e obs.SpanEvent) {
+		steps = append(steps, spanAttr(e, "step_hellinger").(float64))
+	})
 	ref, err := MitigateCtx(context.Background(), raw, 1.2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) == 0 || len(stats) >= opts.Iterations {
-		t.Fatalf("expected an early exit, ran %d of %d iterations", len(stats), opts.Iterations)
+	obs.SetSpanSink(nil)
+	if len(steps) == 0 || len(steps) >= opts.Iterations {
+		t.Fatalf("expected an early exit, ran %d of %d iterations", len(steps), opts.Iterations)
 	}
-	last := stats[len(stats)-1]
-	if last.StepHellinger > opts.ConvergeTol {
-		t.Fatalf("exited with step Hellinger %v above tolerance %v", last.StepHellinger, opts.ConvergeTol)
+	if last := steps[len(steps)-1]; last > opts.ConvergeTol {
+		t.Fatalf("exited with step Hellinger %v above tolerance %v", last, opts.ConvergeTol)
 	}
-	for _, s := range stats[:len(stats)-1] {
-		if s.StepHellinger <= opts.ConvergeTol {
-			t.Fatalf("iteration %d already met the tolerance (%v) but the loop continued", s.Iteration, s.StepHellinger)
+	for i, h := range steps[:len(steps)-1] {
+		if h <= opts.ConvergeTol {
+			t.Fatalf("iteration %d already met the tolerance (%v) but the loop continued", i+1, h)
 		}
 	}
-	opts.OnIteration = nil
 	for _, w := range testutil.WorkerMatrix(t) {
 		opts.BuildWorkers = w
 		out, err := MitigateCtx(context.Background(), raw, 1.2, opts)

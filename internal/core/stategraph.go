@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/mathx"
@@ -269,7 +268,6 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "core.graph.build")
-	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
 	g, vals := initStateGraph(counts, w, eps)
 	tab := newWeightTable(w, eps, g.n, g.radius)
 	// Scan only to the effective radius: the model's tail cutoff always
@@ -285,8 +283,6 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	if topK > 0 {
 		dropped = g.sparsifyTopK(topK)
 	}
-	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
-	metGraphBuild.ObserveDuration(elapsed)
 	metGraphVerts.Set(float64(len(g.nodes)))
 	metGraphEdges.Set(float64(len(g.edges)))
 	metGraphPruned.Set(float64(g.pruned))
@@ -305,7 +301,8 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		sp.SetAttr("top_k", topK)
 		sp.SetAttr("edges_dropped", dropped)
 	}
-	sp.End()
+	elapsed := sp.End()
+	metGraphBuild.ObserveDuration(elapsed)
 	// Gated on the level check: assembling the key/value list boxes a
 	// dozen arguments, a measurable slice of the per-build allocations
 	// when debug logging is off (the default).

@@ -39,7 +39,6 @@ func Ablations(ctx context.Context, cfg Config) (*AblationResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("ablations")()
 	w, err := algorithms.BernsteinVazirani(10, 0b1011010011)
 	if err != nil {
 		return nil, err

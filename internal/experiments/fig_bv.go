@@ -50,7 +50,6 @@ func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("7")()
 	rng := cfg.rng(7)
 	backends, err := device.CatalogSubset(8, 16)
 	if err != nil {

@@ -42,7 +42,6 @@ func Figure6(ctx context.Context, cfg Config) (*Figure6Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("6")()
 	rng := cfg.rng(6)
 	total := cfg.scaled(2750, 30)
 	backends, err := device.Catalog()

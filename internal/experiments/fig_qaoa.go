@@ -48,7 +48,6 @@ func Figure10(ctx context.Context, cfg Config) (*Figure10Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("10")()
 	rng := cfg.rng(10)
 	count := cfg.scaled(340, 8)
 	instances, err := qaoa.Dataset(ctx, count, 6, 12, 3, rng)

@@ -39,7 +39,6 @@ func RunQASMBench(ctx context.Context, cfg Config) (*QASMBenchResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("8/9/11")()
 	rng := cfg.rng(8)
 	backends, err := device.Catalog()
 	if err != nil {

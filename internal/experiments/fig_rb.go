@@ -42,7 +42,6 @@ func Figure4(ctx context.Context, cfg Config) (*Figure4Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("4")()
 	rng := cfg.rng(4)
 	res := &Figure4Result{}
 

@@ -49,7 +49,6 @@ func Figure1(ctx context.Context, cfg Config) (*Figure1Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("1")()
 	rng := cfg.rng(1)
 
 	spec, err := spectrumForBV(ctx, 9, "medellin", cfg, rng)
@@ -93,7 +92,6 @@ func Figure2(ctx context.Context, cfg Config) ([]SpectrumResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("2")()
 	rng := cfg.rng(2)
 	widths := []int{5, 6, 8, 9, 10, 12, 13, 14}
 	backends := []string{"istanbul", "jakarta2", "kyiv", "lagos2", "medellin", "nairobi2", "oslo2", "pinnacle"}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -25,8 +26,8 @@ var metQualityPST = obs.Default.Histogram("quality.pst_improvement")
 
 // activeFigure tags quality samples and ledger records with the figure
 // whose runner is executing. Figures run serially (the CLI walks its
-// table; runners call figureSpan), but workloads inside one figure fan
-// out through par — hence an atomic, written by figureSpan only.
+// table through RunReport.RunFigure), but workloads inside one figure
+// fan out through par — hence an atomic, written by RunFigure only.
 var activeFigure atomic.Value // string
 
 func currentFigure() string {
@@ -117,12 +118,13 @@ func hellingerFromFidelity(f float64) float64 {
 }
 
 // recordQuality is runWorkload's quality epilogue: o is the completed
-// outcome, q the core loop's QualityStats, mitigateWallS the measured
-// mitigation wall time. It prefers the workload's exact expected
+// outcome, q the core loop's QualityStats, mitigateWallS the duration
+// of the mitigation span. It prefers the workload's exact expected
 // bitstring over core's mode-derived spectrum center, observes the
 // PST-improvement histogram, feeds the report aggregator, and appends
-// a ledger record when one is installed.
-func recordQuality(o *Outcome, q core.QualityStats, mitigateWallS float64) {
+// a ledger record, stamped with the trace active in ctx, when one is
+// installed.
+func recordQuality(ctx context.Context, o *Outcome, q core.QualityStats, mitigateWallS float64) {
 	fRaw, fQB, _ := o.fidelity3()
 	q.FidelityRaw, q.FidelityMitigated = fRaw, fQB
 	q.HellingerRaw = hellingerFromFidelity(fRaw)
@@ -161,6 +163,7 @@ func recordQuality(o *Outcome, q core.QualityStats, mitigateWallS float64) {
 	}
 	rec := runledger.Record{
 		Tool:        "qbeep-experiments",
+		TraceID:     obs.TraceIDFrom(ctx),
 		Figure:      fig,
 		Backend:     o.Backend.Name,
 		Circuit:     o.Workload.Circuit.Name,

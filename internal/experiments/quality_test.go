@@ -16,6 +16,12 @@ import (
 // runQualityWorkload executes one tiny deterministic BV workload.
 func runQualityWorkload(t *testing.T) *Outcome {
 	t.Helper()
+	return runQualityWorkloadCtx(t, context.Background())
+}
+
+// runQualityWorkloadCtx is runQualityWorkload under the span in ctx.
+func runQualityWorkloadCtx(t *testing.T, ctx context.Context) *Outcome {
+	t.Helper()
 	w, err := algorithms.BernsteinVazirani(4, 0b1011)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +31,7 @@ func runQualityWorkload(t *testing.T) *Outcome {
 		t.Fatal(err)
 	}
 	cfg := QuickConfig()
-	out, err := runWorkload(context.Background(), w, b, 256, 1, cfg.mitigateOptions(), mathx.NewRNG(99), false)
+	out, err := runWorkload(ctx, w, b, 256, 1, cfg.mitigateOptions(), mathx.NewRNG(99), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +121,65 @@ func TestQualitySummaryInReport(t *testing.T) {
 	// Identical seeds: byte-identical workloads, so the spread is zero.
 	if found.HellingerShift.Min != found.HellingerShift.Max {
 		t.Fatalf("equal seeds must produce identical samples: %+v", found.HellingerShift)
+	}
+}
+
+// TestWorkloadLedgerJoinsTrace: run through RunFigure under a traced
+// "qbeep.experiments" root, a workload's ledger record carries the root's
+// trace ID and the figure tag, its mitigate stage's wall_s is exactly the
+// "experiments.mitigate" span's duration, and the report entry's elapsed
+// time is exactly the "experiments.figure" span's.
+func TestWorkloadLedgerJoinsTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.ndjson")
+	f := obs.LedgerFlags{Path: path}
+	stop, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink obs.CollectorSink
+	obs.SetSpanSink(&sink)
+	defer obs.SetSpanSink(nil)
+	ctx, root := obs.Start(context.Background(), "qbeep.experiments")
+	rep := NewRunReport(QuickConfig(), time.Now())
+	ferr := rep.RunFigure(ctx, "join", func(ctx context.Context) error {
+		runQualityWorkloadCtx(t, ctx)
+		return nil
+	})
+	root.End()
+	obs.SetSpanSink(nil)
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+
+	spans := map[string][]obs.SpanEvent{}
+	for _, e := range sink.Events() {
+		spans[e.Name] = append(spans[e.Name], e)
+	}
+	for _, name := range []string{"qbeep.experiments", "experiments.figure", "experiments.workload", "experiments.mitigate"} {
+		if len(spans[name]) != 1 {
+			t.Fatalf("%d %q spans, want 1", len(spans[name]), name)
+		}
+	}
+	traceID := spans["qbeep.experiments"][0].TraceID
+	recs, err := runledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("want 1 ledger record, got %d", len(recs))
+	}
+	r := recs[0]
+	if r.TraceID == 0 || r.TraceID != traceID || r.Figure != "join" {
+		t.Fatalf("record trace %d figure %q; want trace %d figure \"join\"", r.TraceID, r.Figure, traceID)
+	}
+	mwall, ok := runledger.MetricValue(&r, runledger.MetricMitigateWallS)
+	if want := spans["experiments.mitigate"][0].Duration.Seconds(); !ok || mwall != want {
+		t.Fatalf("mitigate wall_s = %v, span says %v", mwall, want)
+	}
+	if len(rep.Figures) != 1 || rep.Figures[0].ElapsedNS != spans["experiments.figure"][0].Duration.Nanoseconds() {
+		t.Fatalf("report figures %+v disagree with the figure span %v", rep.Figures, spans["experiments.figure"][0].Duration)
 	}
 }

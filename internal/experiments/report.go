@@ -1,28 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"time"
 
 	"qbeep/internal/obs"
 )
-
-// figureSpan logs the start of a figure runner at info level and returns
-// the completion hook: defer figureSpan("7")(). Long runs stop being
-// silent (the CLI's -log-level defaults to info), while library and test
-// use stays quiet under the default discarding logger.
-func figureSpan(id string) func() {
-	t0 := time.Now()
-	// Figures run serially; the active ID tags the quality samples and
-	// ledger records their workloads emit (see quality.go).
-	activeFigure.Store(id)
-	obs.Logger().Info("figure start", "figure", id)
-	return func() {
-		activeFigure.Store("")
-		obs.Logger().Info("figure done", "figure", id, "elapsed", time.Since(t0))
-	}
-}
 
 // FigureReport is one figure's entry in a RunReport.
 type FigureReport struct {
@@ -65,8 +50,28 @@ func NewRunReport(cfg Config, started time.Time) *RunReport {
 	}
 }
 
-// AddFigure records one figure's outcome.
-func (r *RunReport) AddFigure(id string, elapsed time.Duration, err error) {
+// RunFigure runs one figure under an "experiments.figure" span and
+// records its outcome. The span is the figure's one stopwatch: its
+// duration is the elapsed time of both the "figure done" log line and
+// the report entry. Start and finish are logged at info level, so long
+// runs stop being silent (the CLI's -log-level defaults to info). While
+// run executes, the figure ID tags the quality samples and ledger
+// records its workloads emit (see quality.go).
+func (r *RunReport) RunFigure(ctx context.Context, id string, run func(context.Context) error) error {
+	ctx, sp := obs.Start(ctx, "experiments.figure")
+	sp.SetAttr("figure", id)
+	activeFigure.Store(id)
+	obs.Logger().Info("figure start", "figure", id)
+	err := run(ctx)
+	activeFigure.Store("")
+	elapsed := sp.End()
+	obs.Logger().Info("figure done", "figure", id, "elapsed", elapsed)
+	r.addFigure(id, elapsed, err)
+	return err
+}
+
+// addFigure records one figure's outcome.
+func (r *RunReport) addFigure(id string, elapsed time.Duration, err error) {
 	fr := FigureReport{
 		ID:        id,
 		Status:    "ok",

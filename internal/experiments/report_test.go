@@ -12,8 +12,8 @@ func TestRunReportRoundTrip(t *testing.T) {
 	cfg := QuickConfig()
 	started := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	r := NewRunReport(cfg, started)
-	r.AddFigure("1", 150*time.Millisecond, nil)
-	r.AddFigure("7", 2*time.Second, errors.New("induction failed"))
+	r.addFigure("1", 150*time.Millisecond, nil)
+	r.addFigure("7", 2*time.Second, errors.New("induction failed"))
 	r.Finalize()
 
 	var buf bytes.Buffer

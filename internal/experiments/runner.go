@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"qbeep/internal/algorithms"
 	"qbeep/internal/bitstring"
@@ -33,11 +32,15 @@ type Outcome struct {
 // caller's core options — iteration schedule, convergence tolerance,
 // top-k mode) and HAMMER. batch > 1 fans the shot loop across the
 // worker pool (see Config.Batch). track enables the per-iteration
-// fidelity trace (costs one fidelity evaluation per iteration). Every
-// completed workload is logged at info level (circuit, backend,
-// elapsed) — the progress feed for multi-minute figure runs.
+// fidelity trace (costs one fidelity evaluation per iteration). The
+// workload runs under an "experiments.workload" span and its mitigation
+// under an "experiments.mitigate" child, whose duration is the ledger
+// record's mitigate stage. Every completed workload is logged at info
+// level (circuit, backend, elapsed) — the progress feed for
+// multi-minute figure runs.
 func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
-	t0 := time.Now()
+	ctx, sp := obs.Start(ctx, "experiments.workload")
+	defer sp.End()
 	exec, err := noise.NewExecutor(b, noise.DefaultModel())
 	if err != nil {
 		return nil, err
@@ -65,23 +68,25 @@ func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend,
 	opts.OnQuality = func(q core.QualityStats) { qstats = q }
 	var qb *bitstring.Dist
 	var trace []float64
-	m0 := time.Now()
+	mctx, msp := obs.Start(ctx, "experiments.mitigate")
 	if track {
-		qb, trace, err = core.MitigateTrackedCtx(ctx, raw, lambda.Lambda(), opts, ideal)
+		qb, trace, err = core.MitigateTrackedCtx(mctx, raw, lambda.Lambda(), opts, ideal)
 	} else {
-		qb, err = core.MitigateCtx(ctx, raw, lambda.Lambda(), opts)
+		qb, err = core.MitigateCtx(mctx, raw, lambda.Lambda(), opts)
 	}
+	mitigateWall := msp.End()
 	if err != nil {
 		return nil, err
 	}
-	mitigateWallS := time.Since(m0).Seconds()
 	hm, err := hammer.Mitigate(raw, hammer.NewOptions())
 	if err != nil {
 		return nil, err
 	}
+	sp.SetAttr("circuit", w.Circuit.Name)
+	sp.SetAttr("backend", b.Name)
 	obs.Logger().Info("workload done",
 		"circuit", w.Circuit.Name, "backend", b.Name,
-		"shots", shots, "elapsed", time.Since(t0))
+		"shots", shots, "elapsed", sp.End())
 	out := &Outcome{
 		Workload: w,
 		Backend:  b,
@@ -92,7 +97,7 @@ func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend,
 		Lambda:   lambda,
 		Trace:    trace,
 	}
-	recordQuality(out, qstats, mitigateWallS)
+	recordQuality(ctx, out, qstats, mitigateWall.Seconds())
 	return out, nil
 }
 

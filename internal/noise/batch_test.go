@@ -7,6 +7,7 @@ import (
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
+	"qbeep/internal/obs"
 	"qbeep/internal/testutil"
 )
 
@@ -135,4 +136,39 @@ func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameDist(t, "blocks=7 rerun", again.Counts, first.Counts)
+}
+
+// TestTrajectoryTimerReadsSpanClock: the sim.trajectory timer records
+// exactly the duration of the batch's "sim.trajectory" span, at one
+// worker and across a fan-out.
+func TestTrajectoryTimerReadsSpanClock(t *testing.T) {
+	ts, err := NewTrajectorySampler(testBackend(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New("clock-probe", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3)
+	c.MeasureAll()
+	for _, w := range []int{1, 2} {
+		ts.SetWorkers(w)
+		var sink obs.CollectorSink
+		obs.SetSpanSink(&sink)
+		count, sum := metTraj.Count(), metTraj.Sum()
+		_, err := ts.SampleCtx(context.Background(), c, 0, 200, mathx.NewRNG(5))
+		obs.SetSpanSink(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spans []obs.SpanEvent
+		for _, e := range sink.Events() {
+			if e.Name == "sim.trajectory" {
+				spans = append(spans, e)
+			}
+		}
+		if len(spans) != 1 || metTraj.Count() != count+1 {
+			t.Fatalf("workers=%d: %d spans, timer count +%d; want one of each", w, len(spans), metTraj.Count()-count)
+		}
+		if got, want := metTraj.Sum(), sum+spans[0].Duration.Seconds(); got != want {
+			t.Fatalf("workers=%d: timer sum %v, want %v", w, got, want)
+		}
+	}
 }

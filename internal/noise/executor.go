@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -101,8 +100,9 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 // precompute and the shot loop (see ExecuteCtx for blocks).
 func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots, blocks int, rng *mathx.RNG) (*Run, error) {
 	ctx, sp := obs.Start(ctx, "noise.execute")
-	// Ending via defer keeps the span from leaking on the ideal-run,
-	// rates and fan-out error returns (qbeep-lint spanend).
+	// The deferred End covers the ideal-run, rates and fan-out error
+	// returns (qbeep-lint spanend); a successful induction ends the span
+	// below, and its duration feeds the noise.execute timer and rate.
 	defer sp.End()
 	ideal, err := statevector.IdealDistCtx(ctx, logical)
 	if err != nil {
@@ -112,7 +112,6 @@ func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *t
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
 	ns := e.newNoisySampler(logical, ideal, res, rates)
 	var counts *bitstring.Dist
 	if blocks <= 1 {
@@ -125,14 +124,14 @@ func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *t
 		}
 		sp.SetAttr("blocks", blocks)
 	}
-	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
+	sp.SetAttr("circuit", logical.Name)
+	sp.SetAttr("shots", shots)
+	elapsed := sp.End()
 	metExecute.ObserveDuration(elapsed)
 	metShots.Add(int64(shots))
 	if secs := elapsed.Seconds(); secs > 0 {
 		metShotsPerSec.Set(float64(shots) / secs)
 	}
-	sp.SetAttr("circuit", logical.Name)
-	sp.SetAttr("shots", shots)
 	obs.Logger().Debug("noisy induction",
 		"circuit", logical.Name, "backend", e.backend.Name,
 		"shots", shots, "blocks", blocks, "elapsed", elapsed)

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -172,10 +171,10 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 	t.growArenas(workers)
 
 	ctx, sp := obs.Start(ctx, "sim.trajectory")
-	// Ending via defer keeps the span from leaking on the fan-out error
-	// path (qbeep-lint spanend); attributes set below still precede it.
+	// The deferred End covers the fan-out error path (qbeep-lint
+	// spanend); a successful batch ends the span below, and its duration
+	// feeds the sim.trajectory timer and rate.
 	defer sp.End()
-	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
 	var err error
 	if workers == 1 {
 		// Serial fast path: a one-worker fan-out buys nothing and its
@@ -200,13 +199,6 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 		return nil, err
 	}
 	counts := t.mergeArenas(c.N, workers)
-	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
-	metTraj.ObserveDuration(elapsed)
-	metTrajShots.Add(int64(shots))
-	metTrajWorkers.Set(float64(workers))
-	if secs := elapsed.Seconds(); secs > 0 {
-		metTrajPerSec.Set(float64(shots) / secs)
-	}
 	// Attr values box at the call site even for an inert span, so the
 	// whole block gates on tracing to keep the steady state alloc-free.
 	if obs.TracingEnabled() {
@@ -215,6 +207,13 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 		sp.SetAttr("gates", len(c.Gates))
 		sp.SetAttr("shots", shots)
 		sp.SetAttr("workers", workers)
+	}
+	elapsed := sp.End()
+	metTraj.ObserveDuration(elapsed)
+	metTrajShots.Add(int64(shots))
+	metTrajWorkers.Set(float64(workers))
+	if secs := elapsed.Seconds(); secs > 0 {
+		metTrajPerSec.Set(float64(shots) / secs)
 	}
 	// Enabled-gated: the variadic args would box on every call otherwise,
 	// breaking the steady-state zero-allocation contract.

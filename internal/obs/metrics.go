@@ -206,7 +206,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Timer is a histogram over durations, recorded in seconds.
+// Timer is a histogram over durations, recorded in seconds. Call sites
+// observe the duration their span's End returns, so a timer and the
+// trace read one clock.
 type Timer struct {
 	Histogram
 }
@@ -218,13 +220,6 @@ func (t *Timer) ObserveDuration(d time.Duration) { t.Observe(d.Seconds()) }
 // (see Histogram.ObserveTrace).
 func (t *Timer) ObserveDurationTrace(d time.Duration, trace uint64) {
 	t.ObserveTrace(d.Seconds(), trace)
-}
-
-// Start returns a stop function that records the elapsed time when
-// called: defer timer.Start()().
-func (t *Timer) Start() func() {
-	t0 := time.Now()
-	return func() { t.ObserveDuration(time.Since(t0)) }
 }
 
 // Registry is a named collection of metrics. Get-or-create lookups take

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"sync"
@@ -180,16 +181,29 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 }
 
-func TestTimerStart(t *testing.T) {
-	var tm Timer
-	stop := tm.Start()
-	time.Sleep(time.Millisecond)
-	stop()
-	if tm.Count() != 1 {
-		t.Fatalf("timer count = %d", tm.Count())
-	}
-	if tm.Sum() <= 0 {
-		t.Fatalf("timer sum = %v, want > 0", tm.Sum())
+// TestTimerObservesSpanEnd is the timing idiom every call site uses:
+// the timer records the span's own duration, so with tracing off it
+// still times and with tracing on it agrees with the trace exactly.
+func TestTimerObservesSpanEnd(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		var c CollectorSink
+		if traced {
+			SetSpanSink(&c)
+		}
+		var tm Timer
+		_, sp := Start(context.Background(), "timed")
+		time.Sleep(time.Millisecond)
+		tm.ObserveDuration(sp.End())
+		SetSpanSink(nil)
+		if tm.Count() != 1 {
+			t.Fatalf("traced=%v: timer count = %d", traced, tm.Count())
+		}
+		if tm.Sum() < time.Millisecond.Seconds() {
+			t.Fatalf("traced=%v: timer sum = %v, want >= 1ms", traced, tm.Sum())
+		}
+		if ev := c.Events(); traced && (len(ev) != 1 || ev[0].Duration.Seconds() != tm.Sum()) {
+			t.Fatalf("timer sum %v disagrees with the delivered span %+v", tm.Sum(), ev)
+		}
 	}
 }
 

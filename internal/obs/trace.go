@@ -65,7 +65,8 @@ var spanSink atomic.Pointer[sinkBox]
 
 // SetSpanSink installs the destination for completed spans; nil disables
 // tracing (the default). While disabled, Start returns an inert Span
-// whose methods are no-ops and allocate nothing.
+// that still keeps time (End returns its duration) but delivers nothing
+// and allocates nothing.
 func SetSpanSink(s SpanSink) {
 	if s == nil {
 		spanSink.Store(nil)
@@ -103,8 +104,10 @@ type spanRef struct {
 	spanID uint64
 }
 
-// Span is a lightweight timed region. The zero value (returned while
-// tracing is disabled) is inert.
+// Span is a lightweight timed region and the pipeline's one stopwatch:
+// End returns the elapsed time, which metric timers and run-ledger
+// stages record instead of reading a clock of their own. A span started
+// while tracing is disabled is inert — it times but delivers nothing.
 type Span struct {
 	name     string
 	start    time.Time
@@ -121,11 +124,12 @@ type Span struct {
 // trace root when ctx carries none) and returns a derived context that
 // parents further Start calls under the new span. The sink is captured
 // at start so a span outlives sink swaps consistently. While tracing is
-// disabled it returns ctx unchanged and an inert Span at zero cost.
+// disabled it returns ctx unchanged and an inert Span: one clock read,
+// no allocation.
 func Start(ctx context.Context, name string) (context.Context, Span) {
 	b := spanSink.Load()
 	if b == nil || b.sink == nil {
-		return ctx, Span{}
+		return ctx, Span{start: time.Now()}
 	}
 	if ctx == nil {
 		ctx = context.Background() //qbeep:allow-ctx nil-ctx normalization: Start tolerates nil for legacy callers
@@ -174,16 +178,24 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// End completes the span and delivers it to the sink; a no-op when
-// inert.
-func (s *Span) End() {
+// End completes the span, delivers it to the sink (none when inert) and
+// returns its duration — exactly the Duration the sink receives. Only
+// the first End counts: later calls return 0 and deliver nothing, so a
+// deferred End may back up an explicit one on error paths.
+func (s *Span) End() time.Duration {
+	if s.start.IsZero() {
+		return 0
+	}
+	d := time.Since(s.start)
+	start := s.start
+	s.start = time.Time{}
 	if s.sink == nil {
-		return
+		return d
 	}
 	ev := SpanEvent{
 		Name:     s.name,
-		Start:    s.start,
-		Duration: time.Since(s.start),
+		Start:    start,
+		Duration: d,
 		Attrs:    s.attrs,
 	}
 	if s.hasRes {
@@ -207,6 +219,7 @@ func (s *Span) End() {
 	}
 	s.sink.OnSpan(ev)
 	s.sink = nil
+	return d
 }
 
 // CollectorSink accumulates span events in memory — the test and

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanDisabledIsInert(t *testing.T) {
@@ -19,8 +20,9 @@ func TestSpanDisabledIsInert(t *testing.T) {
 }
 
 // TestSpanDisabledPathAllocs is the no-op sink allocation check: with
-// tracing disabled, Start/End must allocate nothing, so leaving
-// instrumentation in hot paths is free.
+// tracing disabled, Start/End must allocate nothing (the inert span's
+// one clock read is its whole cost), so leaving instrumentation in hot
+// paths is free.
 func TestSpanDisabledPathAllocs(t *testing.T) {
 	SetSpanSink(nil)
 	ctx := context.Background()
@@ -29,6 +31,42 @@ func TestSpanDisabledPathAllocs(t *testing.T) {
 		s.End()
 	}); n != 0 {
 		t.Fatalf("disabled span allocates %v per op", n)
+	}
+}
+
+// TestSpanEndReturnsDeliveredDuration pins End's contract: it returns
+// exactly the Duration the sink receives, and only the first End counts.
+func TestSpanEndReturnsDeliveredDuration(t *testing.T) {
+	var c CollectorSink
+	SetSpanSink(&c)
+	defer SetSpanSink(nil)
+
+	_, s := Start(context.Background(), "work")
+	d := s.End()
+	if again := s.End(); again != 0 {
+		t.Fatalf("second End = %v, want 0", again)
+	}
+	ev := c.Events()
+	if len(ev) != 1 {
+		t.Fatalf("got %d events, want exactly 1", len(ev))
+	}
+	if d <= 0 || ev[0].Duration != d {
+		t.Fatalf("End returned %v, sink received %v", d, ev[0].Duration)
+	}
+}
+
+// TestInertSpanTimes: with tracing off a span still keeps time — End
+// returns a positive duration — and a second End returns 0. That it
+// does so without allocating is TestSpanDisabledPathAllocs.
+func TestInertSpanTimes(t *testing.T) {
+	SetSpanSink(nil)
+	_, s := Start(context.Background(), "inert")
+	time.Sleep(time.Millisecond)
+	if d := s.End(); d < time.Millisecond {
+		t.Fatalf("inert End = %v, want >= 1ms", d)
+	}
+	if d := s.End(); d != 0 {
+		t.Fatalf("second inert End = %v, want 0", d)
 	}
 }
 

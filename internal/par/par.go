@@ -175,7 +175,6 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				t0 := time.Now()
 				_, wsp := obs.Start(ctx, "par.worker")
 				tasks := 0
 				var busy time.Duration
@@ -187,7 +186,6 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 				wsp.SetAttr("worker", w)
 				wsp.SetAttr("tasks", tasks)
 				wsp.SetAttr("busy_ns", busy.Nanoseconds())
-				wsp.SetAttr("idle_ns", max64(time.Since(t0).Nanoseconds()-busy.Nanoseconds(), 0))
 				wsp.End()
 			}(w)
 		}
@@ -223,13 +221,4 @@ func call(fn func(i int) error, i int) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// max64 avoids a negative idle reading when the rounding of the two
-// clocks disagrees.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -151,9 +151,9 @@ var expanders = map[string]func(params []float64, qubits []int) ([]circuit.Gate,
 func ParseCtx(ctx context.Context, src string) (*circuit.Circuit, error) {
 	_, sp := obs.Start(ctx, "qasm.parse")
 	// Ending via defer keeps the span from leaking on parse errors
-	// (qbeep-lint spanend); attributes set below still precede it.
-	defer sp.End()
-	defer metParse.Start()()
+	// (qbeep-lint spanend) and times every parse, failed ones included,
+	// off the span's clock; attributes set below still precede it.
+	defer func() { metParse.ObserveDuration(sp.End()) }()
 	name := "qasm"
 	n := 0
 	var c *circuit.Circuit

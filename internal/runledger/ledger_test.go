@@ -28,7 +28,7 @@ func fixtureRecords() []Record {
 			Shots:       1024,
 			Stages: []Stage{
 				{Name: "load", WallS: 0.002},
-				{Name: "mitigate", WallS: 0.031, CPUS: 0.030},
+				{Name: "mitigate", WallS: 0.031},
 			},
 			Quality: Quality{
 				HellingerShift:     0.18,
@@ -150,6 +150,19 @@ func TestReadRejectsMalformedLine(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader([]byte("{\"schema\":99}\n"))); err == nil {
 		t.Fatal("want error for newer schema")
+	}
+}
+
+// TestReadLegacyStageCPU: stages once carried a never-filled cpu_s
+// field; ledgers written then still read, the field ignored.
+func TestReadLegacyStageCPU(t *testing.T) {
+	const old = `{"schema":1,"tool":"qbeep","stages":[{"name":"mitigate","wall_s":0.031,"cpu_s":0.03}],"quality":{"hellinger_shift":0.1}}`
+	recs, err := Read(bytes.NewReader([]byte(old + "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || len(recs[0].Stages) != 1 || recs[0].Stages[0].WallS != 0.031 {
+		t.Fatalf("legacy record read as %+v", recs)
 	}
 }
 

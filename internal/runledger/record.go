@@ -52,10 +52,12 @@ type Record struct {
 }
 
 // Stage is one timed pipeline phase (load, estimate, mitigate, ...).
+// WallS is the duration of the span that covered the phase; the
+// record's trace ID leads to that span and its CPU and allocation
+// deltas.
 type Stage struct {
 	Name  string  `json:"name"`
 	WallS float64 `json:"wall_s"`
-	CPUS  float64 `json:"cpu_s,omitempty"`
 }
 
 // Quality is the mitigation-quality block. HellingerShift is always

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -354,23 +353,20 @@ func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.Bi
 	s.SetWorkers(cfg.Workers)
 	runCtx, sp := obs.Start(ctx, "sim.run")
 	s.ctx = runCtx
-	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
 	err = s.RunProgramTiled(p, cfg.TileBits)
 	s.ctx = nil
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
-	metRun.ObserveDuration(elapsed)
-	metRuns.Inc()
-	metGates.Add(int64(len(c.Gates)))
-	metWidth.Set(float64(c.N))
 	sp.SetAttr("circuit", c.Name)
 	sp.SetAttr("width", c.N)
 	sp.SetAttr("gates", len(c.Gates))
 	sp.SetAttr("ops", p.Ops())
-	sp.End()
+	metRun.ObserveDuration(sp.End())
+	metRuns.Inc()
+	metGates.Add(int64(len(c.Gates)))
+	metWidth.Set(float64(c.N))
 	return s, nil
 }
 

@@ -3,7 +3,6 @@ package transpile
 import (
 	"context"
 	"math"
-	"time"
 
 	"qbeep/internal/circuit"
 	"qbeep/internal/device"
@@ -218,61 +217,59 @@ type Result struct {
 }
 
 // pass runs one transpiler stage under a child span of ctx, so the
-// trace forest shows where a slow lowering spent its time.
-func pass[T any](ctx context.Context, name string, fn func() (T, error)) (T, error) {
+// trace forest shows where a slow lowering spent its time; a successful
+// stage records the span's duration into its timer.
+func pass[T any](ctx context.Context, name string, tm *obs.Timer, fn func() (T, error)) (T, error) {
 	_, sp := obs.Start(ctx, name)
-	defer sp.End()
-	return fn()
+	v, err := fn()
+	if d := sp.End(); err == nil {
+		tm.ObserveDuration(d)
+	}
+	return v, err
 }
 
 // TranspileCtx lowers, places, routes and optimizes c for backend b. A
-// nil layout selects GreedyLayout. Each pass reports its wall time to the
-// obs registry (transpile.decompose/layout/route/optimize/schedule); the
-// whole lowering runs under a "transpile" span parented under the span
-// active in ctx, with one child span per pass.
+// nil layout selects GreedyLayout. The whole lowering runs under a
+// "transpile" span parented under the span active in ctx, with one
+// child span per pass; each span's duration is what its timer in the
+// obs registry records (transpile, transpile.decompose/layout/route/
+// optimize/schedule).
 func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*Result, error) {
 	ctx, sp := obs.Start(ctx, "transpile")
-	// Ending via defer keeps the span from leaking on the per-pass error
-	// returns (qbeep-lint spanend); attributes set below still precede it.
+	// The deferred End covers the per-pass error returns (qbeep-lint
+	// spanend); a successful lowering ends the span below.
 	defer sp.End()
-	stopAll := metTranspile.Start()
-	t0 := time.Now()
-	dec, err := pass(ctx, "transpile.decompose", func() (*circuit.Circuit, error) {
+	dec, err := pass(ctx, "transpile.decompose", metDecompose, func() (*circuit.Circuit, error) {
 		return Decompose(c)
 	})
 	if err != nil {
 		return nil, err
 	}
-	metDecompose.ObserveDuration(sincePass(&t0))
 	if layout == nil {
-		layout, err = pass(ctx, "transpile.layout", func() (Layout, error) {
+		layout, err = pass(ctx, "transpile.layout", metLayout, func() (Layout, error) {
 			return GreedyLayout(dec, b)
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	metLayout.ObserveDuration(sincePass(&t0))
 	cxBefore := dec.CountKind(circuit.CX)
 	routed, final, err := routePass(ctx, dec, b, layout)
 	if err != nil {
 		return nil, err
 	}
-	metRoute.ObserveDuration(sincePass(&t0))
-	opt, err := pass(ctx, "transpile.optimize", func() (*circuit.Circuit, error) {
+	opt, err := pass(ctx, "transpile.optimize", metOptimize, func() (*circuit.Circuit, error) {
 		return Optimize(routed)
 	})
 	if err != nil {
 		return nil, err
 	}
-	metOptimize.ObserveDuration(sincePass(&t0))
-	t, err := pass(ctx, "transpile.schedule", func() (float64, error) {
+	t, err := pass(ctx, "transpile.schedule", metSchedule, func() (float64, error) {
 		return ScheduleTime(opt, b)
 	})
 	if err != nil {
 		return nil, err
 	}
-	metSchedule.ObserveDuration(sincePass(&t0))
 	res := &Result{
 		Circuit:     opt,
 		Initial:     layout,
@@ -282,13 +279,13 @@ func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, la
 		GatesBefore: c.GateCount(),
 		GatesAfter:  opt.GateCount(),
 	}
-	stopAll()
-	metRuns.Inc()
-	metSwaps.Add(int64(res.SwapsAdded))
 	sp.SetAttr("circuit", c.Name)
 	sp.SetAttr("backend", b.Name)
 	sp.SetAttr("swaps", res.SwapsAdded)
 	sp.SetAttr("gates_after", res.GatesAfter)
+	metTranspile.ObserveDuration(sp.End())
+	metRuns.Inc()
+	metSwaps.Add(int64(res.SwapsAdded))
 	obs.Logger().Debug("transpiled",
 		"circuit", c.Name, "backend", b.Name, "gates_before", res.GatesBefore,
 		"gates_after", res.GatesAfter, "swaps", res.SwapsAdded, "schedule_s", t)
@@ -299,17 +296,11 @@ func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, la
 // single-value pass helper doesn't fit).
 func routePass(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*circuit.Circuit, Layout, error) {
 	_, sp := obs.Start(ctx, "transpile.route")
-	defer sp.End()
-	return Route(c, b, layout)
-}
-
-// sincePass reads the elapsed time since *t0 and resets it, chaining
-// per-pass timings off one clock read per boundary.
-func sincePass(t0 *time.Time) time.Duration {
-	now := time.Now()
-	d := now.Sub(*t0)
-	*t0 = now
-	return d
+	routed, final, err := Route(c, b, layout)
+	if d := sp.End(); err == nil {
+		metRoute.ObserveDuration(d)
+	}
+	return routed, final, err
 }
 
 // Pass timers and transpilation counters (see internal/obs).
