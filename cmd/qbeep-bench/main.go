@@ -119,10 +119,15 @@ func run(args []string, out io.Writer) error {
 		printSuite(out, name, parsed, derived)
 
 		if *trajectory != "" {
+			procs, err := benchparse.Procs(parsed.Results)
+			if err != nil {
+				return fmt.Errorf("suite %s: %w", name, err)
+			}
 			row := benchparse.Row{
 				Commit:     *commit,
 				Date:       *date,
 				Suite:      name,
+				GOMAXPROCS: procs,
 				Go:         parsed.Go,
 				CPU:        parsed.CPU,
 				Benchmarks: benchparse.EntriesFromResults(parsed.Results),
@@ -131,7 +136,7 @@ func run(args []string, out io.Writer) error {
 			if err := appendRow(*trajectory, row); err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "recorded %s@%s into %s\n", name, *commit, *trajectory)
+			fmt.Fprintf(out, "recorded %s@%s (GOMAXPROCS=%d) into %s\n", name, *commit, procs, *trajectory)
 		}
 
 		if *compare {
@@ -238,7 +243,7 @@ func appendRow(path string, row benchparse.Row) error {
 		return err
 	}
 	if tr.Description == "" {
-		tr.Description = "Benchmark trajectory, one row per (commit, suite), appended by cmd/qbeep-bench. Rows are ordered by date, suite, commit; re-running at a commit replaces its row. Derived ratios are the machine-stable signal; ns_op is advisory."
+		tr.Description = "Benchmark trajectory, one row per (commit, suite, gomaxprocs), appended by cmd/qbeep-bench. Rows are ordered by date, suite, commit, gomaxprocs; re-running at a commit and core count replaces its row. Derived ratios are the machine-stable signal; ns_op is advisory."
 	}
 	tr.Append(row)
 	return tr.Save(path)

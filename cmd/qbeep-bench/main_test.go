@@ -113,7 +113,7 @@ func TestTrajectoryRecording(t *testing.T) {
 		t.Fatalf("got %d rows, want 1", len(tr.Rows))
 	}
 	row := tr.Rows[0]
-	if row.Commit != "abc123" || row.Suite != "sim" || row.Date != "2026-08-08" {
+	if row.Commit != "abc123" || row.Suite != "sim" || row.Date != "2026-08-08" || row.GOMAXPROCS != 4 {
 		t.Fatalf("row = %+v", row)
 	}
 	if len(row.Benchmarks) != 4 || row.Derived["fused_speedup_vs_naive"] == 0 {

@@ -12,7 +12,7 @@
 //
 // Directives live in the function's doc comment, like //go:noinline.
 // The facts they pin are exactly the ones PRs 2-8 established by manual
-// `-gcflags=-m` inspection — the applyOp/applyOpPar split keeping the
+// `-gcflags=-m` inspection — the closure-free applyOp keeping the
 // serial gate path allocation-free, the zero-alloc Step and trajectory
 // replay loops, the inlinable RNG and bitstring primitives — so a
 // refactor that quietly re-introduces a per-op heap move or pushes a
@@ -25,7 +25,8 @@
 // own source lines, so each function is accountable for its own body —
 // annotate the callee too if its allocations matter. This also means an
 // allocfree function may still *trigger* an allocation in a non-inlined
-// callee (applyOp's parallel branch does, deliberately, in applyOpPar);
+// callee (applyOp's sharded branch does, deliberately and once per
+// state, in bindShards);
 // the gate pins where allocations are allowed to live, and the
 // AllocsPerRun regression tests pin the end-to-end counts.
 //

@@ -23,6 +23,7 @@ import (
 // genuine zero-allocation result.
 type Result struct {
 	Name       string  // GOMAXPROCS suffix stripped: BenchmarkRun-4 → BenchmarkRun
+	Procs      int     // GOMAXPROCS from that suffix; go test omits it at 1
 	Iterations int64   // b.N of the final run
 	NsOp       float64 // nanoseconds per operation
 	BOp        int64   // bytes allocated per operation (-1 without -benchmem)
@@ -104,7 +105,8 @@ func Parse(r io.Reader) (*Output, error) {
 
 // parseBenchLine decodes one "BenchmarkName-P  N  <value> <unit>..." line.
 func parseBenchLine(fields []string) (Result, error) {
-	res := Result{Name: stripProcSuffix(fields[0]), BOp: -1, AllocsOp: -1}
+	name, procs := splitProcSuffix(fields[0])
+	res := Result{Name: name, Procs: procs, BOp: -1, AllocsOp: -1}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return res, fmt.Errorf("iterations %q: %w", fields[1], err)
@@ -134,18 +136,34 @@ func parseBenchLine(fields []string) (Result, error) {
 	return res, nil
 }
 
-// stripProcSuffix removes the trailing -GOMAXPROCS go test appends to
-// benchmark names (BenchmarkRun-4 → BenchmarkRun), leaving sub-benchmark
-// paths (BenchmarkBuild/V512/lambda1) intact.
-func stripProcSuffix(name string) string {
+// splitProcSuffix separates the trailing -GOMAXPROCS go test appends to
+// benchmark names (BenchmarkRun-4 → BenchmarkRun, 4), leaving
+// sub-benchmark paths (BenchmarkBuild/V512/lambda1) intact. go test
+// prints no suffix at GOMAXPROCS=1, so a bare name reports 1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i <= 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs < 1 {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
+}
+
+// Procs returns the GOMAXPROCS every result ran at, or an error when a
+// transcript mixes several (go test -cpu 1,2): one trajectory row
+// describes one setting.
+func Procs(results []Result) (int, error) {
+	procs := 0
+	for _, r := range results {
+		if procs != 0 && r.Procs != procs {
+			return 0, fmt.Errorf("benchparse: results mix GOMAXPROCS %d and %d (%s)", procs, r.Procs, r.Name)
+		}
+		procs = r.Procs
+	}
+	return procs, nil
 }
 
 // Entry is one benchmark in a baseline or trajectory row — the same
@@ -327,11 +345,13 @@ func Compare(base *Baseline, results []Result, threshold float64) []Finding {
 	return out
 }
 
-// Row is one trajectory observation: a suite's results at a commit.
+// Row is one trajectory observation: a suite's results at a commit and
+// GOMAXPROCS. Rows recorded before GOMAXPROCS was tracked carry 0.
 type Row struct {
 	Commit     string             `json:"commit"`
 	Date       string             `json:"date"` // YYYY-MM-DD
 	Suite      string             `json:"suite"`
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Go         string             `json:"go,omitempty"`
 	CPU        string             `json:"cpu,omitempty"`
 	Benchmarks []Entry            `json:"benchmarks"`
@@ -362,12 +382,14 @@ func LoadTrajectory(path string) (*Trajectory, error) {
 }
 
 // Append records one row, idempotently: a row with the same (commit,
-// suite) replaces the previous observation instead of duplicating it, so
-// re-running the harness at one commit converges. Rows keep a stable
-// order — date, then suite, then commit — regardless of append order.
+// suite, GOMAXPROCS) replaces the previous observation instead of
+// duplicating it, so re-running the harness at one commit converges,
+// while runs at different core counts keep a row each. Rows keep a
+// stable order — date, suite, commit, then GOMAXPROCS — regardless of
+// append order.
 func (tr *Trajectory) Append(row Row) {
 	for i := range tr.Rows {
-		if tr.Rows[i].Commit == row.Commit && tr.Rows[i].Suite == row.Suite {
+		if r := tr.Rows[i]; r.Commit == row.Commit && r.Suite == row.Suite && r.GOMAXPROCS == row.GOMAXPROCS {
 			tr.Rows[i] = row
 			tr.sortRows()
 			return
@@ -386,7 +408,10 @@ func (tr *Trajectory) sortRows() {
 		if a.Suite != b.Suite {
 			return a.Suite < b.Suite
 		}
-		return a.Commit < b.Commit
+		if a.Commit != b.Commit {
+			return a.Commit < b.Commit
+		}
+		return a.GOMAXPROCS < b.GOMAXPROCS
 	})
 }
 

@@ -1,6 +1,7 @@
 package benchparse
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -80,17 +81,44 @@ func TestParseFailVerdict(t *testing.T) {
 }
 
 func TestStripProcSuffix(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkRun-4":                      "BenchmarkRun",
-		"BenchmarkRun-128":                    "BenchmarkRun",
-		"BenchmarkBuild/V512/lambda1-4":       "BenchmarkBuild/V512/lambda1",
-		"BenchmarkForEachTinyTasks/workers1":  "BenchmarkForEachTinyTasks/workers1",
-		"BenchmarkOdd-name":                   "BenchmarkOdd-name",
-		"BenchmarkForEachTinyTasks/workers-4": "BenchmarkForEachTinyTasks/workers",
+	type split struct {
+		name  string
+		procs int
+	}
+	cases := map[string]split{
+		"BenchmarkRun-4":                      {"BenchmarkRun", 4},
+		"BenchmarkRun-128":                    {"BenchmarkRun", 128},
+		"BenchmarkRun":                        {"BenchmarkRun", 1},
+		"BenchmarkBuild/V512/lambda1-4":       {"BenchmarkBuild/V512/lambda1", 4},
+		"BenchmarkForEachTinyTasks/workers1":  {"BenchmarkForEachTinyTasks/workers1", 1},
+		"BenchmarkOdd-name":                   {"BenchmarkOdd-name", 1},
+		"BenchmarkForEachTinyTasks/workers-4": {"BenchmarkForEachTinyTasks/workers", 4},
 	}
 	for in, want := range cases {
-		if got := stripProcSuffix(in); got != want {
-			t.Errorf("stripProcSuffix(%q) = %q, want %q", in, got, want)
+		if name, procs := splitProcSuffix(in); name != want.name || procs != want.procs {
+			t.Errorf("splitProcSuffix(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
+		}
+	}
+}
+
+// TestProcsRecordedPerRow: the GOMAXPROCS suffix becomes Result.Procs,
+// a transcript at one setting yields it, and a mixed one (-cpu 1,2) is
+// refused rather than averaged into one row.
+func TestProcsRecordedPerRow(t *testing.T) {
+	const one = "BenchmarkStep \t 10 \t 100 ns/op\nBenchmarkRun \t 10 \t 200 ns/op\n"
+	const two = "BenchmarkStep-2 \t 10 \t 60 ns/op\nBenchmarkRun-2 \t 10 \t 120 ns/op\n"
+	for _, c := range []struct {
+		transcript string
+		procs      int
+		ok         bool
+	}{{one, 1, true}, {two, 2, true}, {one + two, 0, false}} {
+		out, err := Parse(strings.NewReader(c.transcript))
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs, err := Procs(out.Results)
+		if (err == nil) != c.ok || procs != c.procs {
+			t.Fatalf("Procs = %d, %v; want %d (ok=%v)", procs, err, c.procs, c.ok)
 		}
 	}
 }
@@ -283,6 +311,12 @@ func TestTrajectoryAppendIdempotentAndOrdered(t *testing.T) {
 	tr.Append(row("aaa", "2026-08-05", "core", 540))
 	// ...and a re-run at an existing (commit, suite) replaces, not duplicates.
 	tr.Append(row("bbb", "2026-08-07", "sim", 1190))
+	// The same commit and suite at another GOMAXPROCS is a row of its own,
+	// ordered after the lower core count.
+	two := row("aaa", "2026-08-05", "core", 300)
+	two.GOMAXPROCS = 2
+	tr.Append(two)
+	tr.Append(two)
 	if err := tr.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -290,17 +324,18 @@ func TestTrajectoryAppendIdempotentAndOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3: %+v", len(back.Rows), back.Rows)
+	if len(back.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4: %+v", len(back.Rows), back.Rows)
 	}
-	wantOrder := []string{"core/aaa", "sim/aaa", "sim/bbb"}
+	wantOrder := []string{"core/aaa/0", "core/aaa/2", "sim/aaa/0", "sim/bbb/0"}
 	for i, w := range wantOrder {
-		got := back.Rows[i].Suite + "/" + back.Rows[i].Commit
+		r := back.Rows[i]
+		got := fmt.Sprintf("%s/%s/%d", r.Suite, r.Commit, r.GOMAXPROCS)
 		if got != w {
 			t.Fatalf("row %d = %s, want %s (rows %+v)", i, got, w, back.Rows)
 		}
 	}
-	if back.Rows[2].Benchmarks[0].NsOp != 1190 {
-		t.Fatalf("re-append did not replace: %+v", back.Rows[2])
+	if back.Rows[3].Benchmarks[0].NsOp != 1190 {
+		t.Fatalf("re-append did not replace: %+v", back.Rows[3])
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"qbeep/internal/bitstring"
 )
@@ -14,8 +15,9 @@ import (
 // graph before and after Step calls is the quickest way to see where
 // counts flowed — the right panel of the paper's Fig. 5.
 //
-// maxEdges caps the rendered edges (heaviest first; 0 = no cap) so large
-// graphs stay viewable.
+// maxEdges caps the rendered edges so large graphs stay viewable (0 = no
+// cap). Edges are emitted heaviest first, equal weights in ascending
+// (a, b) order, so the cap keeps the same edges on every run.
 func (g *StateGraph) WriteDOT(w io.Writer, maxEdges int) error {
 	if _, err := fmt.Fprintf(w, "graph stategraph {\n  layout=neato;\n  node [shape=circle];\n"); err != nil {
 		return err
@@ -33,8 +35,23 @@ func (g *StateGraph) WriteDOT(w io.Writer, maxEdges int) error {
 			return err
 		}
 	}
-	edges := append([]edge(nil), g.edges...)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].weight > edges[j].weight })
+	// Each edge once, from its lower endpoint's row: (a, b) ascending.
+	// The stable sort keeps that order inside each weight — weights take
+	// one value per distance, so ties are the rule — which fixes exactly
+	// which edges a cap keeps.
+	type dotEdge struct {
+		a, b   int32
+		weight float64
+	}
+	edges := make([]dotEdge, 0, g.NumEdges())
+	for a := range g.nodes {
+		for p := g.adjStart[a]; p < g.adjStart[a+1]; p++ {
+			if b := g.adjNbr[p]; int(b) > a {
+				edges = append(edges, dotEdge{int32(a), b, g.tab.perString[g.adjDist[p]]})
+			}
+		}
+	}
+	slices.SortStableFunc(edges, func(x, y dotEdge) int { return cmp.Compare(y.weight, x.weight) })
 	if maxEdges > 0 && len(edges) > maxEdges {
 		edges = edges[:maxEdges]
 	}
@@ -67,7 +84,7 @@ type Stats struct {
 func (g *StateGraph) Stats() Stats {
 	return Stats{
 		Vertices:    len(g.nodes),
-		Edges:       len(g.edges),
+		Edges:       g.NumEdges(),
 		PrunedEdges: g.pruned,
 		Radius:      g.radius,
 		Total:       g.total,

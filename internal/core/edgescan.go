@@ -22,14 +22,14 @@ package core
 //     sphere walk, popcount-histogram work quantiles for the bucket
 //     scan), level 2 splits heavy partitions into contiguous scan
 //     ranges. Workers drain tasks with per-worker packed-hit scratch,
-//     and per-task edge lists merge in ascending task order, so the edge
-//     array comes out in canonical ascending (a, b) order — bit-for-bit
-//     identical to the serial O(V²) scan for any strategy, any
-//     partitioning, and any worker count.
+//     and per-task hit lists merge in ascending task order into the
+//     graph's adjacency rows, each ascending — bit-for-bit identical to
+//     the serial O(V²) scan for any strategy, any partitioning, and any
+//     worker count.
 //
-// The seed's serial scan survives below as bruteScanEdges: the randomized
-// equivalence tests use it as the oracle, and BenchmarkBuildStateGraphBrute
-// measures the engine against it.
+// The seed's serial scan survives in the tests as bruteScanEdges: the
+// randomized equivalence tests use it as the oracle, and
+// BenchmarkBuildStateGraphBrute measures the engine against it.
 
 import (
 	"context"
@@ -85,17 +85,20 @@ const sphereMaxWidth = 28
 // stay on one goroutine — fan-out overhead would dominate the work.
 const scanSerialThreshold = 1 << 12
 
-// weightTable precomputes the per-distance edge data once per build.
-// perString[d] is the stored edge weight w(d)/C(n,d) for shells whose
-// model mass passes ε, and 0 for shells inside the radius that fail the
-// threshold (those candidates count as pruned). Index 0 is unused:
-// vertices are distinct outcomes, so pair distances are >= 1.
+// weightTable precomputes the per-distance edge data once per build and
+// stays with the graph as its only weight storage: each adjacency entry
+// carries its distance, which indexes the table. perString[d] is the
+// stored edge weight w(d)/C(n,d) for shells whose model mass passes ε,
+// and 0 for shells inside the radius that fail the threshold (those
+// candidates count as pruned). Index 0 is unused: vertices are distinct
+// outcomes, so pair distances are >= 1. The table spans every uint8, so
+// indexing it with a stored distance needs no bounds check.
 type weightTable struct {
-	perString []float64
+	perString [256]float64
 }
 
 func newWeightTable(w EdgeWeighter, eps float64, n, radius int) weightTable {
-	t := weightTable{perString: make([]float64, radius+1)}
+	var t weightTable
 	for d := 1; d <= radius && d <= n; d++ {
 		if shell := w.Weight(d); shell >= eps {
 			t.perString[d] = shell / float64(bitstring.SphereSize(n, d))
@@ -124,7 +127,7 @@ type edgeScanner struct {
 	vals   []bitstring.BitString // node values in node-index (ascending) order
 	n      int
 	radius int
-	tab    weightTable
+	tab    *weightTable
 
 	// Flat popcount buckets (counting-sort layout): bucket w's node
 	// indices, ascending, are bucketIdx[bucketStart[w]:bucketStart[w+1]].
@@ -365,16 +368,17 @@ func cutByWork(prefix []float64, lo, hi, k int) []scanTask {
 	return out
 }
 
-// scanEdges discovers every thresholded edge. The returned slice is in
-// canonical ascending (a, b) order regardless of strategy, partitioning,
-// or worker count; pruned counts candidate pairs within the radius
-// dropped by ε, matching the serial scan's accounting exactly. deg holds
-// vertex i's degree at index i+1 — tallied while the edges materialize,
-// so buildCSR can skip its counting pass.
-func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab weightTable, workers int, strat scanStrategy) (edges []edge, deg []int32, pruned int, used scanStrategy) {
+// scanEdges discovers every thresholded edge and lays the result out as
+// the graph's adjacency rows: vertex i's neighbours, ascending, are
+// nbr[start[i]:start[i+1]], each with its Hamming distance in dist.
+// Every edge appears in both endpoints' rows, and the rows are identical
+// regardless of strategy, partitioning, or worker count; pruned counts
+// candidate pairs within the radius dropped by ε, matching the serial
+// scan's accounting exactly.
+func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab *weightTable, workers int, strat scanStrategy) (start, nbr []int32, dist []uint8, pruned int, used scanStrategy) {
 	nV := len(vals)
 	if radius <= 0 || nV < 2 {
-		return nil, make([]int32, nV+1), 0, scanNone
+		return make([]int32, nV+1), nil, nil, 0, scanNone
 	}
 	sc := &edgeScanner{vals: vals, n: n, radius: radius, tab: tab}
 	// Flat buckets by counting sort: the histogram prefix sum is the
@@ -505,29 +509,45 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		})
 	}
 
-	var total int
-	for i := range results {
-		total += len(results[i].hits)
-		pruned += results[i].pruned
+	// Rows from the per-task forward hits (b > a, packed b<<8 | d): one
+	// degree pass, then one fill pass in ascending a. Row b receives its
+	// lower neighbours while the a < b runs are visited and its own
+	// forward run after them, so every row comes out ascending.
+	start = make([]int32, nV+1)
+	for ti := range results {
+		r := &results[ti]
+		pruned += r.pruned
+		lo := tasks[ti].lo
+		for k := 0; k+1 < len(r.starts); k++ {
+			run := r.hits[r.starts[k]:r.starts[k+1]]
+			start[lo+k+1] += int32(len(run))
+			for _, p := range run {
+				start[(p>>8)+1]++
+			}
+		}
 	}
-	tabPS := tab.perString
-	edges = make([]edge, 0, total)
-	deg = make([]int32, nV+1)
+	for i := 0; i < nV; i++ {
+		start[i+1] += start[i]
+	}
+	nbr = make([]int32, start[nV])
+	dist = make([]uint8, start[nV])
+	next := make([]int32, nV)
+	copy(next, start[:nV])
 	for ti := range results {
 		r := &results[ti]
 		lo := tasks[ti].lo
 		for k := 0; k+1 < len(r.starts); k++ {
 			a := lo + k
-			run := r.hits[r.starts[k]:r.starts[k+1]]
-			deg[a+1] += int32(len(run))
-			for _, p := range run {
-				b := int(p >> 8)
-				deg[b+1]++
-				edges = append(edges, edge{a: a, b: b, weight: tabPS[p&0xff]})
+			for _, p := range r.hits[r.starts[k]:r.starts[k+1]] {
+				b, d := p>>8, uint8(p)
+				nbr[next[a]], dist[next[a]] = int32(b), d
+				next[a]++
+				nbr[next[b]], dist[next[b]] = int32(a), d
+				next[b]++
 			}
 		}
 	}
-	return edges, deg, pruned, strat
+	return start, nbr, dist, pruned, strat
 }
 
 // scanRange emits the edges (a, b) with a in the task's range and b > a,
@@ -543,7 +563,7 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 	// Hoist the scanner fields: the appends below keep the compiler from
 	// proving the fields loop-invariant, and these are the two hottest
 	// loops in the pipeline.
-	vals, tab, radius := sc.vals, sc.tab.perString, sc.radius
+	vals, tab, radius := sc.vals, &sc.tab.perString, sc.radius
 	if strat == scanSphere {
 		seen, lut, masks := sc.seen, sc.lut, sc.masks
 		// idxOf resolves a confirmed hit to its node index: direct table
@@ -694,28 +714,4 @@ func sortPacked(s []uint64) {
 		}
 		s[j+1] = v
 	}
-}
-
-// bruteScanEdges is the seed's serial O(V²) pairwise scan, kept verbatim
-// as the reference implementation. It deliberately re-derives every
-// per-pair quantity through the EdgeWeighter the way the original code
-// did, so it stays an independent oracle for the engine above.
-func bruteScanEdges(vals []bitstring.BitString, n, radius int, w EdgeWeighter, eps float64) ([]edge, int) {
-	var edges []edge
-	var pruned int
-	for i := 0; i < len(vals); i++ {
-		for j := i + 1; j < len(vals); j++ {
-			d := bitstring.Hamming(vals[i], vals[j])
-			if d > radius {
-				continue
-			}
-			wt := w.Weight(d)
-			if wt < eps {
-				pruned++
-				continue
-			}
-			edges = append(edges, edge{a: i, b: j, weight: wt / float64(bitstring.SphereSize(n, d))})
-		}
-	}
-	return edges, pruned
 }

@@ -37,10 +37,11 @@ func sameGraph(t *testing.T, label string, want, got *StateGraph) {
 }
 
 // sameEdges asserts the parts that define mitigation output — vertex set,
-// exact edge list with weights, CSR layout. This is the contract against
-// the brute oracle: the engine scans only the effective radius, so its
-// radius/pruned telemetry is narrower than the seed scan's, but the edge
-// set and every weight must be bit-for-bit identical.
+// adjacency rows with their distances, and every edge's weight. This is
+// the contract against the brute oracle: the engine scans only the
+// effective radius, so its radius/pruned telemetry is narrower than the
+// seed scan's, but the rows and every weight must be bit-for-bit
+// identical. got must also satisfy the row invariants (checkRows).
 func sameEdges(t *testing.T, label string, want, got *StateGraph) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() {
@@ -49,21 +50,23 @@ func sameEdges(t *testing.T, label string, want, got *StateGraph) {
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("%s: edges %d want %d", label, got.NumEdges(), want.NumEdges())
 	}
-	for ei := range want.edges {
-		w, g := want.edges[ei], got.edges[ei]
-		if w.a != g.a || w.b != g.b || w.weight != g.weight {
-			t.Fatalf("%s: edge %d = (%d,%d,%v) want (%d,%d,%v)",
-				label, ei, g.a, g.b, g.weight, w.a, w.b, w.weight)
-		}
-	}
+	checkRows(t, label, got)
 	for i := 0; i <= want.NumVertices(); i++ {
 		if got.adjStart[i] != want.adjStart[i] {
 			t.Fatalf("%s: adjStart[%d] = %d want %d", label, i, got.adjStart[i], want.adjStart[i])
 		}
 	}
-	for i := range want.adjEdges {
-		if got.adjEdges[i] != want.adjEdges[i] {
-			t.Fatalf("%s: adjEdges[%d] = %d want %d", label, i, got.adjEdges[i], want.adjEdges[i])
+	for p := range want.adjNbr {
+		if got.adjNbr[p] != want.adjNbr[p] || got.adjDist[p] != want.adjDist[p] {
+			t.Fatalf("%s: row entry %d = (%d, d=%d) want (%d, d=%d)",
+				label, p, got.adjNbr[p], got.adjDist[p], want.adjNbr[p], want.adjDist[p])
+		}
+	}
+	we, ge := edgesOf(want), edgesOf(got)
+	for ei := range we {
+		if w, g := we[ei], ge[ei]; w != g {
+			t.Fatalf("%s: edge %d = (%d,%d,%v) want (%d,%d,%v)",
+				label, ei, g.a, g.b, g.weight, w.a, w.b, w.weight)
 		}
 	}
 }
@@ -195,35 +198,25 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCSRAdjacencyConsistent checks the CSR layout against the edge
-// list: every edge appears exactly once in each endpoint's row, rows are
-// ascending, and degrees sum to 2E.
+// TestCSRAdjacencyConsistent checks the adjacency rows against the
+// edge model: rows ascending, adjacency symmetric, degrees summing to
+// 2E, every stored distance equal to the Hamming distance — and every
+// edge of the brute oracle present at its weight.
 func TestCSRAdjacencyConsistent(t *testing.T) {
 	raw := uniformDist(10, 250, 31)
 	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var degSum int
-	for i := 0; i < g.NumVertices(); i++ {
-		inc := g.IncidentEdges(i)
-		if len(inc) != g.Degree(i) {
-			t.Fatalf("vertex %d: len(IncidentEdges) %d != Degree %d", i, len(inc), g.Degree(i))
-		}
-		degSum += len(inc)
-		for k, ei := range inc {
-			e := g.edges[ei]
-			if e.a != i && e.b != i {
-				t.Fatalf("vertex %d: edge %d does not touch it", i, ei)
-			}
-			if k > 0 && inc[k-1] >= ei {
-				t.Fatalf("vertex %d: incident edges not ascending: %v", i, inc)
-			}
-		}
+	if g.NumEdges() == 0 {
+		t.Fatal("want a non-trivial graph")
 	}
-	if degSum != 2*g.NumEdges() {
-		t.Fatalf("degree sum %d want %d", degSum, 2*g.NumEdges())
+	checkRows(t, "auto", g)
+	oracle, err := buildStateGraphBrute(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameEdges(t, "vs brute", oracle, g)
 }
 
 // TestStepAllocationFree pins the scratch-reuse contract: after the
@@ -242,6 +235,26 @@ func TestStepAllocationFree(t *testing.T) {
 		g.Step(0.5)
 	}); n != 0 {
 		t.Fatalf("Step allocates %v per op after warm-up", n)
+	}
+
+	// Sharded: an explicit worker count on a graph above the auto-mode
+	// grain, so the phases fan out through the bound shards every call.
+	big := uniformDist(12, 600, 43)
+	gs, err := BuildStateGraphCtx(context.Background(), big, PoissonEdges{Lambda: 2}, 0.05, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*gs.NumEdges() < stepParMinHalfEdges {
+		t.Fatalf("sharded case has %d half-edges, want >= %d", 2*gs.NumEdges(), stepParMinHalfEdges)
+	}
+	gs.Step(1)
+	if gs.scratch.shards == nil || gs.scratch.shards.Len() != 2 {
+		t.Fatal("workers=2 graph did not bind two shards")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		gs.Step(0.5)
+	}); n != 0 {
+		t.Fatalf("sharded Step allocates %v per op after warm-up", n)
 	}
 }
 

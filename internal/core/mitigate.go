@@ -61,9 +61,11 @@ type Options struct {
 	// (two O(support) passes); the Hellinger shift itself is always
 	// observed into the quality.hellinger_shift histogram.
 	OnQuality func(QualityStats)
-	// BuildWorkers caps the worker count of the state-graph edge scan
-	// (<= 0 selects GOMAXPROCS). The mitigated output is identical for
-	// every value — this is purely a throughput knob.
+	// BuildWorkers caps the worker count of both the state-graph edge
+	// scan and the flow iteration's gather phases (<= 0 selects
+	// GOMAXPROCS, with graphs too small to pay for a fan-out iterating
+	// inline). The mitigated output is identical for every value — this
+	// is purely a throughput knob.
 	BuildWorkers int
 	// ConvergeTol, when positive, exits the update loop early once the
 	// per-iteration Hellinger delta (StepStats.Hellinger) falls to or
@@ -172,7 +174,9 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 		eta := opts.LearningRate(i)
 		// One child span per update round; inert (and free) unless a
 		// sink is installed.
-		_, isp := obs.Start(ctx, "core.mitigate.iter")
+		// The round's context parents Step's shard worker spans.
+		ictx, isp := obs.Start(ctx, "core.mitigate.iter")
+		g.ctx = ictx
 		last = g.Step(eta)
 		isp.SetAttr("iteration", i)
 		isp.SetAttr("eta", eta)

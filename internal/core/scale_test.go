@@ -104,19 +104,23 @@ func TestTopKGraphStructure(t *testing.T) {
 	if ref.NumEdges() >= exact.NumEdges() {
 		t.Fatalf("top-k dropped nothing: %d edges vs exact %d", ref.NumEdges(), exact.NumEdges())
 	}
-	// Subset in canonical order: walk both ascending edge lists in step.
-	ei := 0
-	for _, ae := range ref.edges {
-		for ei < len(exact.edges) && (exact.edges[ei].a != ae.a || exact.edges[ei].b != ae.b) {
-			ei++
+	// Row by row, the approximate graph's entries are a subset of the
+	// exact graph's in the same ascending order, at the same distances.
+	checkRows(t, "topk", ref)
+	for i := 0; i < ref.NumVertices(); i++ {
+		ex := exact.adjStart[i]
+		for p := ref.adjStart[i]; p < ref.adjStart[i+1]; p++ {
+			for ex < exact.adjStart[i+1] && exact.adjNbr[ex] != ref.adjNbr[p] {
+				ex++
+			}
+			if ex == exact.adjStart[i+1] {
+				t.Fatalf("approx entry (%d,%d) not in exact row %d (or out of order)", i, ref.adjNbr[p], i)
+			}
+			if exact.adjDist[ex] != ref.adjDist[p] || exact.tab.perString[exact.adjDist[ex]] != ref.tab.perString[ref.adjDist[p]] {
+				t.Fatalf("approx entry (%d,%d) distance/weight differs from exact", i, ref.adjNbr[p])
+			}
+			ex++
 		}
-		if ei == len(exact.edges) {
-			t.Fatalf("approx edge (%d,%d) not in exact edge list (or out of order)", ae.a, ae.b)
-		}
-		if exact.edges[ei].weight != ae.weight {
-			t.Fatalf("approx edge (%d,%d) weight %v differs from exact %v", ae.a, ae.b, ae.weight, exact.edges[ei].weight)
-		}
-		ei++
 	}
 	for i := 0; i < exact.NumVertices(); i++ {
 		want := exact.Degree(i)

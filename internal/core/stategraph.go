@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
+	"qbeep/internal/par"
 )
 
 // EdgeWeighter maps a Hamming distance to a reclassification weight. The
@@ -91,31 +93,35 @@ type node struct {
 	count float64
 }
 
-// edge connects two vertices with the model weight of their distance.
-// Edges are stored in canonical ascending (a, b) order with a < b.
-type edge struct {
-	a, b   int // node indices
-	weight float64
-}
-
 // StateGraph is the Bayesian network over observed bit-strings (paper
 // §3.4, Fig. 5): vertices are the observed outcomes, edges link pairs whose
 // model weight passes the ε threshold.
 //
-// The adjacency is laid out in CSR form (adjStart/adjEdges) and the Step
-// working set lives in a reusable scratch struct, so the 20-iteration
-// mitigation loop is allocation-free after the first call.
+// The adjacency is stored once, as compact CSR rows: vertex i's
+// neighbours are adjNbr[adjStart[i]:adjStart[i+1]], ascending, and
+// adjDist holds each entry's Hamming distance, which indexes the
+// per-distance weight table. Every edge appears in both endpoints' rows,
+// so an edge costs 2×(4+1) = 10 resident bytes. Step gathers over these
+// rows (see Step), and its working set lives in a reusable scratch
+// struct, so the 20-iteration mitigation loop is allocation-free after
+// the first call.
 type StateGraph struct {
 	n          int
 	nodes      []node
-	edges      []edge
-	adjStart   []int32 // CSR row offsets: vertex i's incident edges are adjEdges[adjStart[i]:adjStart[i+1]]
-	adjEdges   []int32 // flat incident-edge indices, ascending within each vertex
+	adjStart   []int32 // CSR row offsets, len V+1
+	adjNbr     []int32 // neighbour indices, ascending within each row
+	adjDist    []uint8 // Hamming distance of each row entry
+	tab        weightTable
 	total      float64
 	radius     int
 	selfWeight float64 // model weight at distance 0 (the "stay" term)
 	pruned     int     // candidate pairs within the scan radius dropped by the ε threshold
-	scratch    stepScratch
+	// workers caps the flow iteration's shard count like the edge scan's
+	// (<= 0 selects GOMAXPROCS above stepParMinHalfEdges); ctx parents
+	// the shards' worker spans.
+	workers int
+	ctx     context.Context
+	scratch stepScratch
 }
 
 func validateBuild(counts *bitstring.Dist, w EdgeWeighter, eps float64) error {
@@ -147,66 +153,37 @@ func initStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*State
 	return g, vals
 }
 
-// buildCSR lays the vertex→incident-edge adjacency out as a flat CSR
-// pair: two counting passes, no per-vertex slices, no reallocation.
-func (g *StateGraph) buildCSR() {
-	nV := len(g.nodes)
-	counts := make([]int32, nV+1)
-	for _, e := range g.edges {
-		counts[e.a+1]++
-		counts[e.b+1]++
-	}
-	g.buildCSRCounted(counts)
-}
-
-// buildCSRCounted finishes the CSR layout from precomputed degrees
-// (vertex i's degree at index i+1 — the layout scanEdges tallies while
-// materializing edges, saving a counting pass over the edge list). Takes
-// ownership of counts as the offset array.
-func (g *StateGraph) buildCSRCounted(counts []int32) {
-	nV := len(g.nodes)
-	g.adjStart = counts
-	for i := 0; i < nV; i++ {
-		g.adjStart[i+1] += g.adjStart[i]
-	}
-	g.adjEdges = make([]int32, 2*len(g.edges))
-	next := make([]int32, nV)
-	copy(next, g.adjStart[:nV])
-	for ei, e := range g.edges {
-		g.adjEdges[next[e.a]] = int32(ei)
-		next[e.a]++
-		g.adjEdges[next[e.b]] = int32(ei)
-		next[e.b]++
-	}
-}
-
 // sparsifyTopK prunes the graph to each vertex's k heaviest incident
 // edges — the opt-in approximation behind Options.TopK. Selection is by
-// (weight descending, canonical edge index ascending), so ties resolve
-// identically on every run, and an edge survives when either endpoint
-// selects it (the symmetric k-NN union), keeping the graph undirected
-// with every vertex retaining min(k, degree) edges or more. Surviving
-// edges keep their canonical ascending (a, b) order, so the filtered
-// graph — like the exact scan — is independent of the worker count.
-// Returns the number of edges dropped.
+// (weight descending, neighbour ascending) — within a row, neighbour
+// order is canonical (a, b) edge order — so ties resolve identically on
+// every run, and an edge survives when either endpoint selects it (the
+// symmetric k-NN union), keeping the graph undirected with every vertex
+// retaining min(k, degree) edges or more. Surviving entries keep their
+// ascending row order, so the filtered graph — like the exact scan — is
+// independent of the worker count. Returns the number of edges dropped.
 func (g *StateGraph) sparsifyTopK(k int) int {
 	nV := len(g.nodes)
-	if k <= 0 || len(g.edges) == 0 {
+	if k <= 0 || len(g.adjNbr) == 0 {
 		return 0
 	}
-	keep := make([]bool, len(g.edges))
-	var scratch []int32
+	w := &g.tab.perString
+	keep := make([]bool, len(g.adjNbr))
+	var order []int32
 	for i := 0; i < nV; i++ {
-		inc := g.IncidentEdges(i)
-		if len(inc) <= k {
-			for _, ei := range inc {
-				keep[ei] = true
+		lo, hi := g.adjStart[i], g.adjStart[i+1]
+		if int(hi-lo) <= k {
+			for p := lo; p < hi; p++ {
+				keep[p] = true
 			}
 			continue
 		}
-		scratch = append(scratch[:0], inc...)
-		slices.SortFunc(scratch, func(x, y int32) int {
-			wx, wy := g.edges[x].weight, g.edges[y].weight
+		order = order[:0]
+		for p := lo; p < hi; p++ {
+			order = append(order, p)
+		}
+		slices.SortFunc(order, func(x, y int32) int {
+			wx, wy := w[g.adjDist[x]], w[g.adjDist[y]]
 			if wx > wy {
 				return -1
 			}
@@ -215,27 +192,47 @@ func (g *StateGraph) sparsifyTopK(k int) int {
 			}
 			return int(x - y)
 		})
-		for _, ei := range scratch[:k] {
-			keep[ei] = true
+		for _, p := range order[:k] {
+			keep[p] = true
 		}
 	}
-	deg := make([]int32, nV+1)
-	out := g.edges[:0]
-	for ei := range g.edges {
-		if !keep[ei] {
-			continue
+	// Symmetrize: row b's entries for lower neighbours come first and in
+	// ascending order, so visiting rows ascending meets each mirror entry
+	// at row b's lower-entry cursor.
+	mirror := make([]int32, nV)
+	copy(mirror, g.adjStart[:nV])
+	kept := 0
+	for a := 0; a < nV; a++ {
+		for p := g.adjStart[a]; p < g.adjStart[a+1]; p++ {
+			b := g.adjNbr[p]
+			if int(b) < a {
+				continue
+			}
+			q := mirror[b]
+			mirror[b]++
+			if keep[p] || keep[q] {
+				keep[p], keep[q] = true, true
+				kept++
+			}
 		}
-		e := g.edges[ei]
-		deg[e.a+1]++
-		deg[e.b+1]++
-		out = append(out, e)
 	}
-	dropped := len(g.edges) - len(out)
+	dropped := len(g.adjNbr)/2 - kept
 	if dropped == 0 {
-		return 0 // existing CSR still valid
+		return 0
 	}
-	g.edges = out
-	g.buildCSRCounted(deg)
+	start := make([]int32, nV+1)
+	nbr := make([]int32, 0, 2*kept)
+	dist := make([]uint8, 0, 2*kept)
+	for i := 0; i < nV; i++ {
+		for p := g.adjStart[i]; p < g.adjStart[i+1]; p++ {
+			if keep[p] {
+				nbr = append(nbr, g.adjNbr[p])
+				dist = append(dist, g.adjDist[p])
+			}
+		}
+		start[i+1] = int32(len(nbr))
+	}
+	g.adjStart, g.adjNbr, g.adjDist = start, nbr, dist
 	return dropped
 }
 
@@ -256,9 +253,12 @@ func (g *StateGraph) sparsifyTopK(k int) int {
 // the edge-scan worker count (<= 0 selects GOMAXPROCS); the result is
 // independent of it: vertex ranges emit their edges in canonical
 // ascending (a, b) order and are concatenated in range order, so the
-// edge array — and every downstream Step — never depends on scheduling.
+// adjacency rows — and every downstream Step — never depend on
+// scheduling. The same workers value caps the shard count of Step's
+// flow iteration, whose output is equally independent of it.
 // The "core.graph.build" span becomes a child of the span active in ctx,
-// and the parallel edge scan's worker spans parent under it.
+// and the parallel edge scan's worker spans parent under it; Step's
+// worker spans parent under the span active in ctx itself.
 func BuildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
 	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, 0)
 }
@@ -267,24 +267,23 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	if err := validateBuild(counts, w, eps); err != nil {
 		return nil, err
 	}
-	ctx, sp := obs.Start(ctx, "core.graph.build")
 	g, vals := initStateGraph(counts, w, eps)
-	tab := newWeightTable(w, eps, g.n, g.radius)
+	g.workers, g.ctx = workers, ctx
+	ctx, sp := obs.Start(ctx, "core.graph.build")
+	g.tab = newWeightTable(w, eps, g.n, g.radius)
 	// Scan only to the effective radius: the model's tail cutoff always
 	// ends in at least one shell that fails ε, and such dead boundary
 	// shells are the largest by far. Edges are unaffected (those shells
 	// cannot produce any); only the pruned tally narrows its scope.
-	g.radius = tab.effectiveRadius()
+	g.radius = g.tab.effectiveRadius()
 	var used scanStrategy
-	var deg []int32
-	g.edges, deg, g.pruned, used = scanEdges(ctx, vals, g.n, g.radius, tab, workers, strat)
-	g.buildCSRCounted(deg)
+	g.adjStart, g.adjNbr, g.adjDist, g.pruned, used = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
 	dropped := 0
 	if topK > 0 {
 		dropped = g.sparsifyTopK(topK)
 	}
 	metGraphVerts.Set(float64(len(g.nodes)))
-	metGraphEdges.Set(float64(len(g.edges)))
+	metGraphEdges.Set(float64(g.NumEdges()))
 	metGraphPruned.Set(float64(g.pruned))
 	metGraphRadius.Set(float64(g.radius))
 	switch used {
@@ -294,7 +293,7 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		metGraphScanBucket.Inc()
 	}
 	sp.SetAttr("vertices", len(g.nodes))
-	sp.SetAttr("edges", len(g.edges))
+	sp.SetAttr("edges", g.NumEdges())
 	sp.SetAttr("pruned", g.pruned)
 	sp.SetAttr("strategy", used.String())
 	if topK > 0 {
@@ -308,23 +307,10 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	// when debug logging is off (the default).
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
 		l.Debug("state graph built",
-			"vertices", len(g.nodes), "edges", len(g.edges), "pruned", g.pruned,
+			"vertices", len(g.nodes), "edges", g.NumEdges(), "pruned", g.pruned,
 			"radius", g.radius, "width", g.n, "strategy", used.String(),
 			"top_k", topK, "edges_dropped", dropped, "elapsed", elapsed)
 	}
-	return g, nil
-}
-
-// buildStateGraphBrute runs the seed's serial O(V²) reference scan (see
-// bruteScanEdges). Kept as the oracle for the equivalence tests and the
-// baseline for BenchmarkBuildStateGraphBrute.
-func buildStateGraphBrute(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*StateGraph, error) {
-	if err := validateBuild(counts, w, eps); err != nil {
-		return nil, err
-	}
-	g, vals := initStateGraph(counts, w, eps)
-	g.edges, g.pruned = bruteScanEdges(vals, g.n, g.radius, w, eps)
-	g.buildCSR()
 	return g, nil
 }
 
@@ -332,7 +318,7 @@ func buildStateGraphBrute(counts *bitstring.Dist, w EdgeWeighter, eps float64) (
 func (g *StateGraph) NumVertices() int { return len(g.nodes) }
 
 // NumEdges returns the edge count.
-func (g *StateGraph) NumEdges() int { return len(g.edges) }
+func (g *StateGraph) NumEdges() int { return len(g.adjNbr) / 2 }
 
 // Radius returns the maximum Hamming distance spanned by edges: the
 // largest shell whose model weight passes the ε threshold.
@@ -341,13 +327,6 @@ func (g *StateGraph) Radius() int { return g.radius }
 // Degree returns the number of edges incident to vertex i.
 func (g *StateGraph) Degree(i int) int {
 	return int(g.adjStart[i+1] - g.adjStart[i])
-}
-
-// IncidentEdges returns the indices of the edges incident to vertex i,
-// ascending. The slice aliases the graph's CSR storage — callers must
-// not modify it.
-func (g *StateGraph) IncidentEdges(i int) []int32 {
-	return g.adjEdges[g.adjStart[i]:g.adjStart[i+1]]
 }
 
 // Dist snapshots the current vertex counts as a distribution, pre-sized
@@ -403,36 +382,216 @@ func hellingerFromFidelity(f float64) float64 {
 	return math.Sqrt(1 - bc)
 }
 
+// stepParMinHalfEdges is the auto-mode shard grain: each flow-iteration
+// shard gets at least this many row entries, so graphs below it run the
+// kernels inline — at a few hundred vertices a fan-out costs more than
+// it saves (explicit worker counts shard unconditionally, so the
+// equivalence tests cover every path).
+const stepParMinHalfEdges = 1 << 15
+
+// Step's gather phases, run in order; see Step.
+const (
+	phaseNormalizer = iota
+	phaseCap
+	phaseDelta
+)
+
+// flowVertex is the part of one vertex's Step working set that the
+// delta gathers read from its neighbours: 32 bytes, so two share a cache
+// line and a neighbour costs one line. The first two phases gather only
+// the probabilities, so those also live in a dense vector of their own,
+// a quarter of the footprint.
+type flowVertex struct {
+	prob  float64 // count / total, a copy of stepScratch.prob[i]
+	z     float64 // posterior normalizer Z_i
+	ec    float64 // eta · count
+	scale float64 // reclassification-overflow cap factor
+}
+
+// flowResult is the part only the vertex's own shard writes and the
+// serial apply pass reads.
+type flowResult struct {
+	moved float64 // capped out-flow Σ_j f_ij·s_i
+	delta float64 // net count change
+}
+
 // stepScratch holds Step's working set, sized once per graph so the
-// iteration loop performs no allocations after the first call.
+// iteration loop performs no allocations after the first call. eta and
+// phase are the per-call arguments the shards read.
 //
 //qbeep:pooled
 type stepScratch struct {
-	prob, z, outflow, inflow, scale, delta []float64 // per vertex
-	flowAB, flowBA                         []float64 // per edge
+	prob   []float64
+	v      []flowVertex
+	res    []flowResult
+	eta    float64
+	phase  int
+	bounds []int32 // shard k covers vertices [bounds[k], bounds[k+1])
+	shards *par.Shards
 }
 
-func (s *stepScratch) ensure(nV, nE int) {
-	if cap(s.prob) < nV {
-		s.prob = make([]float64, nV)
-		s.z = make([]float64, nV)
-		s.outflow = make([]float64, nV)
-		s.inflow = make([]float64, nV)
-		s.scale = make([]float64, nV)
-		s.delta = make([]float64, nV)
+// stepWorkers resolves the flow iteration's shard count.
+func (g *StateGraph) stepWorkers() int {
+	w := g.workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+		if limit := len(g.adjNbr) / stepParMinHalfEdges; w > limit {
+			w = limit
+		}
 	}
-	s.prob = s.prob[:nV]
-	s.z = s.z[:nV]
-	s.outflow = s.outflow[:nV]
-	s.inflow = s.inflow[:nV]
-	s.scale = s.scale[:nV]
-	s.delta = s.delta[:nV]
-	if cap(s.flowAB) < nE {
-		s.flowAB = make([]float64, nE)
-		s.flowBA = make([]float64, nE)
+	if w > len(g.nodes) {
+		w = len(g.nodes)
 	}
-	s.flowAB = s.flowAB[:nE]
-	s.flowBA = s.flowBA[:nE]
+	return w
+}
+
+// initStep sizes the scratch and, for a sharded graph, binds the shard
+// tasks and cuts the vertex ranges at equal (row entries + vertices)
+// work, so a few heavy rows cannot leave one shard with most of it.
+func (g *StateGraph) initStep() {
+	nV := len(g.nodes)
+	s := &g.scratch
+	s.prob = make([]float64, nV)
+	s.v = make([]flowVertex, nV)
+	s.res = make([]flowResult, nV)
+	w := g.stepWorkers()
+	if w <= 1 {
+		return
+	}
+	s.bounds = make([]int32, w+1)
+	total := int64(g.adjStart[nV]) + int64(nV)
+	for k := 1; k < w; k++ {
+		target := total * int64(k) / int64(w)
+		s.bounds[k] = int32(sort.Search(nV, func(i int) bool {
+			return int64(g.adjStart[i])+int64(i) >= target
+		}))
+	}
+	s.bounds[w] = int32(nV)
+	s.shards = par.NewShards(w, g.stepShard)
+}
+
+// runPhase runs one gather phase over every vertex: inline on an
+// unsharded graph, else across the bound shards. A shard panic (only a
+// corrupt graph can cause one) resurfaces on the calling goroutine.
+//
+//qbeep:allocfree
+func (g *StateGraph) runPhase(phase int) {
+	s := &g.scratch
+	if s.shards == nil {
+		g.phaseRange(phase, 0, len(g.nodes))
+		return
+	}
+	s.phase = phase
+	if err := s.shards.Run(g.ctx, s.shards.Len()); err != nil {
+		panic(err)
+	}
+}
+
+// stepShard runs the current phase over shard k's vertex range.
+//
+//qbeep:allocfree
+func (g *StateGraph) stepShard(k int) {
+	b := g.scratch.bounds
+	g.phaseRange(g.scratch.phase, int(b[k]), int(b[k+1]))
+}
+
+// phaseRange runs one gather phase over vertices [lo, hi).
+//
+//qbeep:allocfree
+func (g *StateGraph) phaseRange(phase, lo, hi int) {
+	switch phase {
+	case phaseNormalizer:
+		g.normalizerRange(lo, hi)
+	case phaseCap:
+		g.capRange(lo, hi)
+	case phaseDelta:
+		g.deltaRange(lo, hi)
+	}
+}
+
+// normalizerRange computes Z_i = w_0·P_i + Σ_j w_ij·P_j and eta·count_i
+// for vertices [lo, hi).
+//
+//qbeep:allocfree
+func (g *StateGraph) normalizerRange(lo, hi int) {
+	prob, v, w, start, nbr, dist := g.scratch.prob, g.scratch.v, &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
+	sw, eta := g.selfWeight, g.scratch.eta
+	for i := lo; i < hi; i++ {
+		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
+		ds = ds[:len(row)]
+		z := sw * prob[i]
+		for p, j := range row {
+			z += w[ds[p]] * prob[j]
+		}
+		v[i] = flowVertex{prob: prob[i], z: z, ec: eta * g.nodes[i].count}
+	}
+}
+
+// capRange computes each vertex's out-flow Σ_j f_ij, with
+// f_ij = eta·count_i·w_ij·P_j / Z_i, and the Algorithm 1 overflow cap
+// s_i = (count_i + in-flow) / out-flow where the out-flow exceeds
+// count_i + in-flow. Every flow carries the sign of eta, so an out-flow
+// within count_i can never exceed count_i + in-flow (in-flow >= 0
+// whenever out-flow > 0): the in-flow gather runs only for vertices
+// whose out-flow exceeds their count, which is rare for eta <= 1.
+//
+//qbeep:allocfree
+func (g *StateGraph) capRange(lo, hi int) {
+	prob, v, res, w, start, nbr, dist := g.scratch.prob, g.scratch.v, g.scratch.res, &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
+	for i := lo; i < hi; i++ {
+		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
+		ds = ds[:len(row)]
+		vi := &v[i]
+		scale, moved := 1.0, 0.0
+		if zi := vi.z; zi > 0 {
+			ec := vi.ec
+			var out float64
+			for p, j := range row {
+				out += ec * w[ds[p]] * prob[j] / zi
+			}
+			if c := g.nodes[i].count; out > c {
+				var in float64
+				pi := vi.prob
+				for p, j := range row {
+					if vj := &v[j]; vj.z > 0 {
+						in += vj.ec * w[ds[p]] * pi / vj.z
+					}
+				}
+				if limit := c + in; out > limit {
+					scale = limit / out
+				}
+			}
+			moved = out * scale
+		}
+		vi.scale = scale
+		res[i].moved = moved
+	}
+}
+
+// deltaRange computes delta_i = Σ_j (f_ji·s_j − f_ij·s_i), recomputing
+// both flows of every incident edge.
+//
+//qbeep:allocfree
+func (g *StateGraph) deltaRange(lo, hi int) {
+	v, res, w, start, nbr, dist := g.scratch.v, g.scratch.res, &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
+	for i := lo; i < hi; i++ {
+		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
+		ds = ds[:len(row)]
+		vi := v[i]
+		var delta float64
+		for p, j := range row {
+			wt, vj := w[ds[p]], &v[j]
+			var fij, fji float64
+			if vi.z > 0 {
+				fij = vi.ec * wt * vj.prob / vi.z
+			}
+			if vj.z > 0 {
+				fji = vj.ec * wt * vi.prob / vj.z
+			}
+			delta += fji*vj.scale - fij*vi.scale
+		}
+		res[i].delta = delta
+	}
 }
 
 // Step performs one reclassification iteration with learning rate eta
@@ -454,8 +613,19 @@ func (s *stepScratch) ensure(nV, nE int) {
 // dominant string hands essentially all of its counts over — the behavior
 // §5 of the paper describes.
 //
+// The update is pull-based: three per-vertex gather phases over the
+// adjacency rows (normalizers, out-flows and caps, net deltas), each a
+// pure function of the previous phases' per-vertex results, then one
+// serial apply pass. Each row lists its neighbours in ascending order,
+// which is the canonical edge order, so every per-vertex sum adds the
+// same terms in the same order as an edge-ordered scatter would: counts,
+// L1Delta and Hellinger are bit-identical to it, and independent of the
+// shard count. The phases shard across fixed vertex ranges (see
+// stepWorkers) with no shared writes.
+//
 // All working vectors live in the graph's scratch struct: after the first
-// call, Step allocates nothing (pinned by TestStepAllocationFree).
+// call, Step allocates nothing, sharded or not (pinned by
+// TestStepAllocationFree).
 //
 // The returned StepStats reports how much mass actually moved, so callers
 // can observe convergence without re-diffing distributions.
@@ -465,74 +635,31 @@ func (g *StateGraph) Step(eta float64) StepStats {
 	if g.total <= 0 {
 		return StepStats{}
 	}
-	g.scratch.ensure(len(g.nodes), len(g.edges))
 	s := &g.scratch
+	if len(s.v) != len(g.nodes) {
+		g.initStep()
+	}
 	prob := s.prob
 	for i := range g.nodes {
 		prob[i] = g.nodes[i].count / g.total
 	}
-	// Posterior normalizer per node: Z_A = w_0·P_A + Σ w_AC·P_C.
-	z := s.z
-	for i := range z {
-		z[i] = g.selfWeight * prob[i]
-	}
-	for _, e := range g.edges {
-		z[e.a] += e.weight * prob[e.b]
-		z[e.b] += e.weight * prob[e.a]
-	}
-	outflow, inflow := s.outflow, s.inflow
-	for i := range outflow {
-		outflow[i] = 0
-		inflow[i] = 0
-	}
-	flowAB, flowBA := s.flowAB, s.flowBA
-	for ei, e := range g.edges {
-		var fab, fba float64
-		if z[e.a] > 0 {
-			fab = eta * g.nodes[e.a].count * e.weight * prob[e.b] / z[e.a]
-			outflow[e.a] += fab
-			inflow[e.b] += fab
-		}
-		if z[e.b] > 0 {
-			fba = eta * g.nodes[e.b].count * e.weight * prob[e.a] / z[e.b]
-			outflow[e.b] += fba
-			inflow[e.a] += fba
-		}
-		flowAB[ei] = fab
-		flowBA[ei] = fba
-	}
-	// Reclassification overflow: cap outflow at count + inflow (paper
-	// Algorithm 1). With eta <= 1 the posterior normalization already
-	// keeps outflow <= count, so the cap only binds in ablations.
-	scale := s.scale
-	for i := range scale {
-		scale[i] = 1
-		if limit := g.nodes[i].count + inflow[i]; outflow[i] > limit && outflow[i] > 0 {
-			scale[i] = limit / outflow[i]
-		}
-	}
-	delta := s.delta
-	for i := range delta {
-		delta[i] = 0
-	}
-	var st StepStats
-	for ei, e := range g.edges {
-		fab := flowAB[ei] * scale[e.a]
-		fba := flowBA[ei] * scale[e.b]
-		delta[e.a] += fba - fab
-		delta[e.b] += fab - fba
-		st.FlowMoved += fab + fba
-	}
+	s.eta = eta
+	g.runPhase(phaseNormalizer)
+	g.runPhase(phaseCap)
+	g.runPhase(phaseDelta)
 	// The apply pass also accumulates the Bhattacharyya overlap between
 	// the pre- and post-step counts, yielding the per-iteration Hellinger
 	// delta (the Options.ConvergeTol signal) without a second scan. It
 	// only reads the counts, so the update itself stays bit-identical to
 	// the fixed-schedule path.
+	var st StepStats
+	res := s.res
 	prevTotal := g.total
 	var bcSum float64
 	g.total = 0
 	for i := range g.nodes {
-		c := g.nodes[i].count + delta[i]
+		st.FlowMoved += res[i].moved
+		c := g.nodes[i].count + res[i].delta
 		if c < 0 {
 			c = 0
 		}
@@ -560,7 +687,7 @@ func (g *StateGraph) Step(eta float64) StepStats {
 // StepStats summarizes one reclassification iteration.
 type StepStats struct {
 	// FlowMoved is the gross mass carried along edges (both directions,
-	// after the overflow cap).
+	// after the overflow cap), summed per vertex in vertex order.
 	FlowMoved float64
 	// L1Delta is Σ_i |Δcount_i|: the net per-vertex change actually
 	// applied, the natural convergence signal (≈ 0 at the fixed point).

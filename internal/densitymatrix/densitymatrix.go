@@ -50,6 +50,47 @@ type Density struct {
 	// ctx parents the row shard fan-outs' worker spans (SetContext);
 	// nil until set.
 	ctx context.Context
+	// shards runs the row kernels, bound once per matrix; pend holds one
+	// kernel call's arguments for them (see shard).
+	shards *par.Shards
+	pend   rowKernel
+	// daggers is apply1's reusable buffer of K† per Kraus operator.
+	daggers []Matrix2
+}
+
+// Row kernels, selected by rowKernel.kind.
+const (
+	kernelKraus = iota // Σ_k K ρ K† on qubit mask (apply1)
+	kernelPerm         // basis permutation perm (applyPerm)
+	kernelSigns        // diagonal ±1 conjugation by signs (applyDiagSigns)
+)
+
+// rowKernel is one kernel call: which kernel, over how many row slots
+// split into n shards, and the kernel's operands. The out-of-place
+// kernels write d.scratch.
+type rowKernel struct {
+	kind, rows, n int
+	mask          int
+	kraus         []Matrix2
+	perm          basisPerm
+}
+
+// basisPerm is a controlled bit-flip permutation of basis indices: an
+// index with every ctrl bit set has its flip bits flipped — or, with
+// swap, its two flip bits exchanged (flipped only when they differ).
+type basisPerm struct {
+	ctrl, flip int
+	swap       bool
+}
+
+func (p basisPerm) apply(i int) int {
+	if i&p.ctrl != p.ctrl {
+		return i
+	}
+	if f := i & p.flip; p.swap && (f == 0 || f == p.flip) {
+		return i
+	}
+	return i ^ p.flip
 }
 
 // SetWorkers sets the row shard count: w > 1 shards the kernels over w
@@ -90,26 +131,40 @@ func (d *Density) resolveWorkers(rows int) int {
 	return w
 }
 
-// shard runs fn(lo, hi) over a partition of [0, rows) across the resolved
-// worker count. fn must only write state owned by its row range.
-func (d *Density) shard(rows int, fn func(lo, hi int)) {
-	w := d.resolveWorkers(rows)
+// shard runs the kernel described by d.pend over a partition of its row
+// slots across the resolved worker count. Each kernel writes only state
+// owned by its row range.
+func (d *Density) shard() {
+	w := d.resolveWorkers(d.pend.rows)
 	if w <= 1 {
-		fn(0, rows)
+		d.kernelRange(0, d.pend.rows)
 		return
 	}
-	chunk := (rows + w - 1) / w
-	_ = par.ForEachCtx(d.ctx, w, w, func(k int) error {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo < hi {
-			fn(lo, hi)
-		}
-		return nil
-	})
+	if d.shards == nil || d.shards.Len() < w {
+		d.shards = par.NewShards(w, d.runShard)
+	}
+	d.pend.n = w
+	err := d.shards.Run(d.ctx, w)
+	if err != nil {
+		panic(err) // kernels cannot fail: resurface the shard's panic here
+	}
+}
+
+func (d *Density) runShard(k int) {
+	if lo, hi := par.Range(k, d.pend.n, d.pend.rows); lo < hi {
+		d.kernelRange(lo, hi)
+	}
+}
+
+func (d *Density) kernelRange(lo, hi int) {
+	switch d.pend.kind {
+	case kernelKraus:
+		d.krausRows(lo, hi)
+	case kernelPerm:
+		d.permRows(lo, hi)
+	case kernelSigns:
+		d.signRows(lo, hi)
+	}
 }
 
 // swapScratch installs the scratch buffer as ρ, keeping the old storage
@@ -206,97 +261,103 @@ func (d *Density) Dist() *bitstring.Dist {
 // disjoint rows of the output, so the fan-out is race-free and the result
 // is bitwise identical for any worker count.
 func (d *Density) apply1(q int, kraus []Matrix2) {
-	mask := 1 << uint(q)
-	dim := d.dim
-	rho := d.rho
-	next := d.ensureScratch(true)
+	d.daggers = d.daggers[:0]
 	// Precompute each operator's dagger once, outside the hot loops.
-	daggers := make([]Matrix2, len(kraus))
-	for i, k := range kraus {
-		daggers[i] = k.Dagger()
+	for _, k := range kraus {
+		d.daggers = append(d.daggers, k.Dagger())
 	}
-	d.shard(dim>>1, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			r0 := (t&^(mask-1))<<1 | t&(mask-1)
-			r1 := r0 | mask
-			row0 := rho[r0*dim : r0*dim+dim]
-			row1 := rho[r1*dim : r1*dim+dim]
-			out0 := next[r0*dim : r0*dim+dim]
-			out1 := next[r1*dim : r1*dim+dim]
-			for ki := range kraus {
-				k, kd := kraus[ki], daggers[ki]
-				for cb := 0; cb < dim; cb += mask << 1 {
-					for c0 := cb; c0 < cb+mask; c0++ {
-						c1 := c0 | mask
-						// 2x2 block of ρ in (r, c) qubit-q space.
-						p00 := row0[c0]
-						p01 := row0[c1]
-						p10 := row1[c0]
-						p11 := row1[c1]
-						// K ρ K† on the block.
-						a00 := k[0][0]*p00 + k[0][1]*p10
-						a01 := k[0][0]*p01 + k[0][1]*p11
-						a10 := k[1][0]*p00 + k[1][1]*p10
-						a11 := k[1][0]*p01 + k[1][1]*p11
-						out0[c0] += a00*kd[0][0] + a01*kd[1][0]
-						out0[c1] += a00*kd[0][1] + a01*kd[1][1]
-						out1[c0] += a10*kd[0][0] + a11*kd[1][0]
-						out1[c1] += a10*kd[0][1] + a11*kd[1][1]
-					}
+	d.ensureScratch(true)
+	d.pend = rowKernel{kind: kernelKraus, rows: d.dim >> 1, mask: 1 << uint(q), kraus: kraus}
+	d.shard()
+	d.pend = rowKernel{}
+	d.swapScratch()
+}
+
+// krausRows applies apply1's channel to compressed row pairs [lo, hi).
+func (d *Density) krausRows(lo, hi int) {
+	mask, dim, rho, next := d.pend.mask, d.dim, d.rho, d.scratch
+	kraus, daggers := d.pend.kraus, d.daggers
+	for t := lo; t < hi; t++ {
+		r0 := (t&^(mask-1))<<1 | t&(mask-1)
+		r1 := r0 | mask
+		row0 := rho[r0*dim : r0*dim+dim]
+		row1 := rho[r1*dim : r1*dim+dim]
+		out0 := next[r0*dim : r0*dim+dim]
+		out1 := next[r1*dim : r1*dim+dim]
+		for ki := range kraus {
+			k, kd := kraus[ki], daggers[ki]
+			for cb := 0; cb < dim; cb += mask << 1 {
+				for c0 := cb; c0 < cb+mask; c0++ {
+					c1 := c0 | mask
+					// 2x2 block of ρ in (r, c) qubit-q space.
+					p00 := row0[c0]
+					p01 := row0[c1]
+					p10 := row1[c0]
+					p11 := row1[c1]
+					// K ρ K† on the block.
+					a00 := k[0][0]*p00 + k[0][1]*p10
+					a01 := k[0][0]*p01 + k[0][1]*p11
+					a10 := k[1][0]*p00 + k[1][1]*p10
+					a11 := k[1][0]*p01 + k[1][1]*p11
+					out0[c0] += a00*kd[0][0] + a01*kd[1][0]
+					out0[c1] += a00*kd[0][1] + a01*kd[1][1]
+					out1[c0] += a10*kd[0][0] + a11*kd[1][0]
+					out1[c1] += a10*kd[0][1] + a11*kd[1][1]
 				}
 			}
 		}
-	})
-	d.swapScratch()
+	}
 }
 
 // applyPerm conjugates ρ by a basis permutation: row r of the output is
 // row perm(r) rearranged by the same permutation on columns. Every input
 // row writes exactly one output row, so row shards never collide, and the
 // scratch needs no zeroing (the permutation covers every entry).
-func (d *Density) applyPerm(perm func(int) int) {
-	dim := d.dim
-	rho := d.rho
-	next := d.ensureScratch(false)
-	d.shard(dim, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			src := rho[r*dim : r*dim+dim]
-			dst := next[perm(r)*dim : perm(r)*dim+dim]
-			for c, v := range src {
-				dst[perm(c)] = v
-			}
-		}
-	})
+func (d *Density) applyPerm(perm basisPerm) {
+	d.ensureScratch(false)
+	d.pend = rowKernel{kind: kernelPerm, rows: d.dim, perm: perm}
+	d.shard()
+	d.pend = rowKernel{}
 	d.swapScratch()
+}
+
+// permRows applies applyPerm's permutation to input rows [lo, hi).
+func (d *Density) permRows(lo, hi int) {
+	dim, rho, next, perm := d.dim, d.rho, d.scratch, d.pend.perm
+	for r := lo; r < hi; r++ {
+		src := rho[r*dim : r*dim+dim]
+		pr := perm.apply(r)
+		dst := next[pr*dim : pr*dim+dim]
+		for c, v := range src {
+			dst[perm.apply(c)] = v
+		}
+	}
 }
 
 // applyCX applies the CNOT unitary (a permutation: conjugating ρ by the
 // permutation matrix permutes rows and columns).
 func (d *Density) applyCX(ctrl, tgt int) {
-	cm := 1 << uint(ctrl)
-	tm := 1 << uint(tgt)
-	d.applyPerm(func(i int) int {
-		if i&cm != 0 {
-			return i ^ tm
-		}
-		return i
-	})
+	d.applyPerm(basisPerm{ctrl: 1 << uint(ctrl), flip: 1 << uint(tgt)})
 }
 
-// applyDiagSigns conjugates ρ by a diagonal ±1 matrix given per-index
-// signs: ρ[r][c] *= sign[r]·sign[c], in place and branch-free.
-func (d *Density) applyDiagSigns(signs []float64) {
-	dim := d.dim
-	rho := d.rho
-	d.shard(dim, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			sr := signs[r]
-			row := rho[r*dim : r*dim+dim]
-			for c := range row {
-				row[c] *= complex(sr*signs[c], 0)
-			}
+// applyDiagSigns conjugates ρ by the diagonal ±1 matrix in d.signs:
+// ρ[r][c] *= sign[r]·sign[c], in place and branch-free.
+func (d *Density) applyDiagSigns() {
+	d.pend = rowKernel{kind: kernelSigns, rows: d.dim}
+	d.shard()
+	d.pend = rowKernel{}
+}
+
+// signRows applies applyDiagSigns to rows [lo, hi).
+func (d *Density) signRows(lo, hi int) {
+	dim, rho, signs := d.dim, d.rho, d.signs
+	for r := lo; r < hi; r++ {
+		sr := signs[r]
+		row := rho[r*dim : r*dim+dim]
+		for c := range row {
+			row[c] *= complex(sr*signs[c], 0)
 		}
-	})
+	}
 }
 
 // applyCZ applies the CZ unitary (diagonal ±1 phases).
@@ -314,7 +375,7 @@ func (d *Density) applyCZ(a, b int) {
 			d.signs[i] = 1
 		}
 	}
-	d.applyDiagSigns(d.signs)
+	d.applyDiagSigns()
 }
 
 const invSqrt2 = 0.7071067811865476
@@ -390,32 +451,10 @@ func (d *Density) Apply(g circuit.Gate) error {
 		return nil
 	case circuit.CCX:
 		// CCX as controlled-controlled permutation.
-		c1 := 1 << uint(g.Qubits[0])
-		c2 := 1 << uint(g.Qubits[1])
-		tm := 1 << uint(g.Qubits[2])
-		both := c1 | c2
-		d.applyPerm(func(i int) int {
-			if i&both == both {
-				return i ^ tm
-			}
-			return i
-		})
+		d.applyPerm(basisPerm{ctrl: 1<<uint(g.Qubits[0]) | 1<<uint(g.Qubits[1]), flip: 1 << uint(g.Qubits[2])})
 		return nil
 	case circuit.CSWAP:
-		cm := 1 << uint(g.Qubits[0])
-		am := 1 << uint(g.Qubits[1])
-		bm := 1 << uint(g.Qubits[2])
-		d.applyPerm(func(i int) int {
-			if i&cm == 0 {
-				return i
-			}
-			ab := i & am >> uint(g.Qubits[1])
-			bb := i & bm >> uint(g.Qubits[2])
-			if ab == bb {
-				return i
-			}
-			return i ^ am ^ bm
-		})
+		d.applyPerm(basisPerm{ctrl: 1 << uint(g.Qubits[0]), flip: 1<<uint(g.Qubits[1]) | 1<<uint(g.Qubits[2]), swap: true})
 		return nil
 	default:
 		m, ok := gateMatrix(g)

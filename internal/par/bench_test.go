@@ -27,3 +27,18 @@ func BenchmarkForEachTinyTasks(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardsRun measures one allocation-free fan-out through a
+// pre-bound Shards value — the per-phase cost the flow iteration and the
+// sharded simulation kernels pay.
+func BenchmarkShardsRun(b *testing.B) {
+	var sink atomic.Int64
+	sh := NewShards(2, func(k int) { sink.Add(int64(k)) })
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := sh.Run(ctx, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -495,12 +495,12 @@ func (s *State) resolveWorkers(space int) int {
 // Shards are contiguous ranges of the compressed index space, so no two
 // shards ever touch the same amplitude.
 //
-// The sharded branch lives in applyOpPar: its fan-out closure captures
-// the op, and were it written inline, escape analysis would move the op
-// parameter to the heap for *every* call — one allocation per gate on
-// the serial path that the trajectory sampler's zero-alloc pin forbids.
-// The //qbeep:allocfree directive makes the gcfacts gate reject any
-// refactor that merges the branch back in.
+// The op reaches the shards through the state's pend fields, not a
+// closure: a closure capturing the op would move it to the heap on
+// every call, serial ones included — one allocation per gate that the
+// trajectory sampler's zero-alloc pin forbids. The //qbeep:allocfree
+// directive makes the gcfacts gate reject any refactor that brings one
+// back.
 //
 //qbeep:allocfree
 func (s *State) applyOp(o op) {
@@ -513,27 +513,54 @@ func (s *State) applyOp(o op) {
 		s.opRange(o, 0, space)
 		return
 	}
-	s.applyOpPar(o, space, w)
+	s.pend = shardArgs{o: o, space: space, n: w}
+	s.runShards()
 }
 
-// applyOpPar shards one kernel across w workers.
+// shardArgs is one kernel fan-out: the shards split [0, space) into n
+// contiguous ranges and apply op o over theirs — or, when ops is set,
+// tile-local runs of ops over whole tiles (applyTiledRun).
+type shardArgs struct {
+	o        op
+	ops      []op
+	tileBits int
+	space, n int
+}
+
+// runShards runs the fan-out described by s.pend across the state's
+// bound shards. Kernels cannot fail, so a shard panic resurfaces on the
+// calling goroutine.
+//
+//qbeep:allocfree
+func (s *State) runShards() {
+	if s.shards == nil || s.shards.Len() < s.pend.n {
+		s.bindShards()
+	}
+	err := s.shards.Run(s.ctx, s.pend.n)
+	s.pend = shardArgs{}
+	if err != nil {
+		panic(err)
+	}
+}
+
+// bindShards (re)binds the shard tasks for the widest fan-out so far;
+// the only allocation on the sharded path.
 //
 //go:noinline
-func (s *State) applyOpPar(o op, space, w int) {
-	chunk := (space + w - 1) / w
-	// Kernel shards cannot fail; ForEach's error slot stays nil. The
-	// state's run context (if any) parents the shard worker spans.
-	_ = par.ForEachCtx(s.ctx, w, w, func(k int) error {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > space {
-			hi = space
-		}
-		if lo < hi {
-			s.opRange(o, lo, hi)
-		}
-		return nil
-	})
+func (s *State) bindShards() {
+	s.shards = par.NewShards(s.pend.n, s.runShard)
+}
+
+func (s *State) runShard(k int) {
+	lo, hi := par.Range(k, s.pend.n, s.pend.space)
+	if lo >= hi {
+		return
+	}
+	if s.pend.ops != nil {
+		s.runTiles(s.pend.ops, s.pend.tileBits, lo, hi)
+		return
+	}
+	s.opRange(s.pend.o, lo, hi)
 }
 
 // opRange applies the kernel over compressed indices [lo, hi).

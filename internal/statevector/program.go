@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"qbeep/internal/circuit"
-	"qbeep/internal/par"
 )
 
 // Program is a circuit compiled to kernel ops, reusable across replays:
@@ -82,7 +81,7 @@ func (s *State) RunProgram(p *Program) error {
 }
 
 // widthMismatchError builds the RunProgram width error. Split out like
-// applyOpPar: fmt.Errorf boxes its operands, and inlined into
+// bindShards: fmt.Errorf boxes its operands, and inlined into
 // RunProgram that boxing would sit in the replay loop's frame and break
 // its allocfree fact; behind //go:noinline the cold path pays alone.
 //
@@ -144,31 +143,23 @@ func (s *State) applyTiledRun(ops []op, tileBits int) {
 		}
 		return
 	}
-	runTiles := func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			for _, o := range ops {
-				shift := uint(tileBits) - opShift(o)
-				s.opRange(o, t<<shift, (t+1)<<shift)
-			}
-		}
-	}
 	w := s.resolveWorkers(tiles)
 	if w <= 1 {
-		runTiles(0, tiles)
+		s.runTiles(ops, tileBits, 0, tiles)
 		return
 	}
-	chunk := (tiles + w - 1) / w
-	_ = par.ForEachCtx(s.ctx, w, w, func(k int) error {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > tiles {
-			hi = tiles
+	s.pend = shardArgs{ops: ops, tileBits: tileBits, space: tiles, n: w}
+	s.runShards()
+}
+
+// runTiles applies every op of a tile-local run to tiles [lo, hi).
+func (s *State) runTiles(ops []op, tileBits, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		for _, o := range ops {
+			shift := uint(tileBits) - opShift(o)
+			s.opRange(o, t<<shift, (t+1)<<shift)
 		}
-		if lo < hi {
-			runTiles(lo, hi)
-		}
-		return nil
-	})
+	}
 }
 
 // opShift returns log2 of the compression factor of the op's index

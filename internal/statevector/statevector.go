@@ -20,6 +20,7 @@ import (
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
+	"qbeep/internal/par"
 )
 
 // MaxQubits bounds the register width (2^24 amplitudes ≈ 256 MiB).
@@ -45,6 +46,10 @@ type State struct {
 	// the state, so kernel shard fan-outs parent their worker spans
 	// under the "sim.run" span. Nil outside a traced run.
 	ctx context.Context
+	// shards runs the sharded kernels, bound once per state; pend holds
+	// one fan-out's arguments for them (see runShards).
+	shards *par.Shards
+	pend   shardArgs
 }
 
 // New returns the all-zeros computational basis state |0...0⟩.
