@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFromCounts$$' -fuzztime 5s ./internal/bitstring
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileReplay$$' -fuzztime 5s ./internal/statevector
 	$(GO) test -run '^$$' -fuzz '^FuzzStepOracle$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzShotStreams$$' -fuzztime 5s ./internal/noise
 
 # obs-smoke: end-to-end observability check. The built qbeep-trace
 # analyzes the golden pipeline fixture (aggregate table, critical path,

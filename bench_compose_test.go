@@ -32,7 +32,7 @@ func BenchmarkAblationComposition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, mathx.NewRNG(55))
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, mathx.NewRNG(55))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func BenchmarkAblationEnsemble(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, 1, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkAblationStaleCalibration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, rng)
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func BenchmarkQuantumVolumeUplift(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run, err := exec.ExecuteCtx(context.Background(), c, 2048, 1, rng)
+			run, err := exec.ExecuteCtx(context.Background(), c, 2048, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func BenchmarkZNEComposition(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run, err := exec.ExecuteCtx(context.Background(), folded, 4096, 1, rng)
+			run, err := exec.ExecuteCtx(context.Background(), folded, 4096, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -338,7 +338,7 @@ func TestQBEEPRaisesHOP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.ExecuteCtx(context.Background(), c, 2048, 1, rng)
+		run, err := exec.ExecuteCtx(context.Background(), c, 2048, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,7 +173,7 @@ func ablationCounts(b *testing.B) (raw, ideal *bitstring.Dist, lambda float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, mathx.NewRNG(99))
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, mathx.NewRNG(99))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, mathx.NewRNG(99))
+	run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, mathx.NewRNG(99))
 	if err != nil {
 		b.Fatal(err)
 	}

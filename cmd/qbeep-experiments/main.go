@@ -41,7 +41,6 @@ func run() error {
 		iterations  = flag.Int("iterations", 0, "flow iterations per mitigation (0 = paper default 20)")
 		convergeTol = flag.Float64("converge-tol", 0, "stop each mitigation early when the per-iteration Hellinger delta falls below this (0 = fixed schedule)")
 		topK        = flag.Int("top-k", 0, "approximate mode: keep only the k heaviest edges per vertex (0 = exact)")
-		batch       = flag.Int("batch", 1, "shot blocks fanned across the worker pool per induction (<=1 = serial)")
 		csvDir      = flag.String("csv", "", "directory for per-figure CSV dumps (created if missing)")
 		report      = flag.String("report", "", "write a machine-readable JSON run report to this path ('-' = stderr)")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof/, /debug/vars, /metrics and /healthz on this address (e.g. localhost:6060)")
@@ -99,7 +98,6 @@ func run() error {
 		Iterations:  *iterations,
 		ConvergeTol: *convergeTol,
 		TopK:        *topK,
-		Batch:       *batch,
 		Out:         os.Stdout,
 	}
 	if *csvDir != "" {

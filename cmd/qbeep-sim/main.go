@@ -36,7 +36,6 @@ func run() error {
 		qasmPath    = flag.String("qasm", "", "OpenQASM 2.0 circuit (required)")
 		backend     = flag.String("backend", "istanbul", "backend name (see qbeep-backends)")
 		shots       = flag.Int("shots", 4096, "shots")
-		batch       = flag.Int("batch", 1, "shot blocks fanned across the worker pool (1 = serial)")
 		seed        = flag.Uint64("seed", 1, "noise RNG seed")
 		ideal       = flag.Bool("ideal", false, "emit the noiseless distribution instead")
 		meta        = flag.Bool("meta", false, "wrap counts in the metadata envelope (backend, shots, lambda)")
@@ -70,7 +69,7 @@ func run() error {
 		stopTrace()
 		return err
 	}
-	sim, err := simulate(*qasmPath, src, *backend, *shots, *batch, *seed)
+	sim, err := simulate(*qasmPath, src, *backend, *shots, *seed)
 	// Flush the trace and ledger even on failure; their own errors
 	// surface only when the run otherwise succeeded.
 	if terr := stopTrace(); err == nil {
@@ -126,18 +125,15 @@ func run() error {
 // shape (parse, transpile, ideal run and induction as children). With a
 // run ledger installed it appends the induction's record, stamped with
 // the pipeline's trace and timed by the pipeline span.
-func simulate(qasmPath string, src []byte, backend string, shots, batch int, seed uint64) (*qbeep.SimResult, error) {
+func simulate(qasmPath string, src []byte, backend string, shots int, seed uint64) (*qbeep.SimResult, error) {
 	ctx, sp := obs.Start(context.Background(), "qbeep.pipeline")
 	defer sp.End()
-	sim, err := qbeep.SimulateBatchedCtx(ctx, string(src), backend, shots, batch, seed)
+	sim, err := qbeep.SimulateCtx(ctx, string(src), backend, shots, seed)
 	if err != nil {
 		return nil, err
 	}
 	sp.SetAttr("backend", backend)
 	sp.SetAttr("shots", shots)
-	if batch > 1 {
-		sp.SetAttr("batch", batch)
-	}
 	wall := sp.End()
 	if obs.RunLedgerEnabled() {
 		recordLedger(ctx, qasmPath, src, backend, shots, sim, wall.Seconds())

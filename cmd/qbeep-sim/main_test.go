@@ -39,7 +39,7 @@ measure q[2] -> c[2];
 		stopTrace()
 		t.Fatal(err)
 	}
-	_, serr := simulate("ghz.qasm", []byte(src), "galway", 512, 1, 1)
+	_, serr := simulate("ghz.qasm", []byte(src), "galway", 512, 1)
 	if err := stopTrace(); err != nil {
 		t.Fatal(err)
 	}

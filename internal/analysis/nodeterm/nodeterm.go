@@ -56,7 +56,7 @@ func run(pass *analysis.Pass) error {
 			path := importPath(imp)
 			if path == "math/rand" || path == "math/rand/v2" {
 				pass.Report(imp.Pos(), "rand",
-					"import of %s in deterministic kernel package %s: use the seeded mathx streams (mathx.NewRNG/NewStream)",
+					"import of %s in deterministic kernel package %s: use the seeded mathx streams (mathx.NewRNG/ReseedStream)",
 					path, pass.Pkg.Name())
 			}
 		}

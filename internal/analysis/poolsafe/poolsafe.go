@@ -3,7 +3,7 @@
 //
 //	//qbeep:pooled
 //
-// (trajArena, scanScratch, stepScratch) own reusable buffers that cycle
+// (shotArena, scanScratch, stepScratch) own reusable buffers that cycle
 // through worker pools, so an alias to one of their reference fields
 // that outlives the borrow is a data race waiting for the next
 // checkout. Two rules, both intraprocedural heuristics:

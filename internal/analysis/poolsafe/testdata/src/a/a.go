@@ -1,5 +1,5 @@
 // Package a exercises the poolsafe retention and reset rules against a
-// pooled scratch type modeled on the repo's trajArena/scanScratch.
+// pooled scratch type modeled on the repo's shotArena/scanScratch.
 package a
 
 import "sync"

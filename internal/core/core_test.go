@@ -12,6 +12,7 @@ import (
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
+	"qbeep/internal/testutil"
 	"qbeep/internal/transpile"
 )
 
@@ -371,6 +372,25 @@ func TestMitigateCtxCancelled(t *testing.T) {
 	}
 	if rounds != 2 {
 		t.Errorf("ran %d rounds after cancelling in round 2", rounds)
+	}
+}
+
+// TestBuildStateGraphCancelled: a cancelled ctx fails the edge scan, on
+// the serial path and in every parallel scan task, so neither the build
+// nor MitigateCtx hands back a graph missing a task's edges.
+func TestBuildStateGraphCancelled(t *testing.T) {
+	raw := poissonCounts(12, 0b101101011010, 2, 20000, 3)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range append([]int{1}, testutil.WorkerMatrix(t)...) {
+		if _, err := BuildStateGraphCtx(dead, raw, PoissonEdges{Lambda: 2}, 0.05, w); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d BuildStateGraphCtx: err = %v, want context.Canceled", w, err)
+		}
+		opts := NewOptions()
+		opts.BuildWorkers = w
+		if _, err := MitigateCtx(dead, raw, 2, opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d MitigateCtx: err = %v, want context.Canceled", w, err)
+		}
 	}
 }
 

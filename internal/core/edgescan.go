@@ -374,11 +374,12 @@ func cutByWork(prefix []float64, lo, hi, k int) []scanTask {
 // Every edge appears in both endpoints' rows, and the rows are identical
 // regardless of strategy, partitioning, or worker count; pruned counts
 // candidate pairs within the radius dropped by ε, matching the serial
-// scan's accounting exactly.
-func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab *weightTable, workers int, strat scanStrategy) (start, nbr []int32, dist []uint8, pruned int, used scanStrategy) {
+// scan's accounting exactly. A cancelled ctx, or a scan task that fails,
+// fails the scan with that error.
+func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab *weightTable, workers int, strat scanStrategy) (start, nbr []int32, dist []uint8, pruned int, used scanStrategy, err error) {
 	nV := len(vals)
 	if radius <= 0 || nV < 2 {
-		return make([]int32, nV+1), nil, nil, 0, scanNone
+		return make([]int32, nV+1), nil, nil, 0, scanNone, nil
 	}
 	sc := &edgeScanner{vals: vals, n: n, radius: radius, tab: tab}
 	// Flat buckets by counting sort: the histogram prefix sum is the
@@ -486,6 +487,9 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 
 	if len(tasks) == 1 {
 		// Serial fast path: scan straight into the result, no copy.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, 0, strat, err
+		}
 		s := &scanScratch{hits: make([]uint64, 0, hitCap)}
 		starts := startsArena[:nV+1]
 		pr := sc.scanRange(tasks[0], strat, s, starts)
@@ -495,7 +499,10 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		for i := 0; i < workers; i++ {
 			pool <- &scanScratch{hits: make([]uint64, 0, hitCap)}
 		}
-		par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
+		err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			t := tasks[ti]
 			s := <-pool
 			s.hits = s.hits[:0]
@@ -507,6 +514,11 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 			pool <- s
 			return nil
 		})
+		// A failed task left its result empty: the rows would silently
+		// miss its vertices' forward edges.
+		if err != nil {
+			return nil, nil, nil, 0, strat, err
+		}
 	}
 
 	// Rows from the per-task forward hits (b > a, packed b<<8 | d): one
@@ -547,7 +559,7 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 			}
 		}
 	}
-	return start, nbr, dist, pruned, strat
+	return start, nbr, dist, pruned, strat, nil
 }
 
 // scanRange emits the edges (a, b) with a in the task's range and b > a,

@@ -164,7 +164,7 @@ func TestProbeCalibrationImprovesLambdaOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, 1, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestProbeCalibrationImprovesLambdaOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, 1, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 4096, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

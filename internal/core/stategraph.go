@@ -270,6 +270,9 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	g, vals := initStateGraph(counts, w, eps)
 	g.workers, g.ctx = workers, ctx
 	ctx, sp := obs.Start(ctx, "core.graph.build")
+	// The deferred End covers the scan's error return (qbeep-lint
+	// spanend); a successful build ends the span below.
+	defer sp.End()
 	g.tab = newWeightTable(w, eps, g.n, g.radius)
 	// Scan only to the effective radius: the model's tail cutoff always
 	// ends in at least one shell that fails ε, and such dead boundary
@@ -277,7 +280,11 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	// cannot produce any); only the pruned tally narrows its scope.
 	g.radius = g.tab.effectiveRadius()
 	var used scanStrategy
-	g.adjStart, g.adjNbr, g.adjDist, g.pruned, used = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
+	var err error
+	g.adjStart, g.adjNbr, g.adjDist, g.pruned, used, err = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
+	if err != nil {
+		return nil, err
+	}
 	dropped := 0
 	if topK > 0 {
 		dropped = g.sparsifyTopK(topK)

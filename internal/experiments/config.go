@@ -34,11 +34,6 @@ type Config struct {
 	// TopK, when > 0, runs every mitigation in approximate mode keeping
 	// only the k heaviest edges per vertex. 0 is the exact engine.
 	TopK int
-	// Batch, when > 1, splits every induction's shot loop into that many
-	// blocks fanned across the worker pool (noise.Executor.ExecuteCtx).
-	// Counts depend on (Seed, Batch) but not on worker count; 0 or 1 is
-	// the serial shot loop.
-	Batch int
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
 }
@@ -69,9 +64,6 @@ func (c *Config) normalize() error {
 	}
 	if c.TopK < 0 {
 		return fmt.Errorf("experiments: top-k %d must be >= 0", c.TopK)
-	}
-	if c.Batch < 0 {
-		return fmt.Errorf("experiments: batch %d must be >= 0", c.Batch)
 	}
 	if c.Out == nil {
 		c.Out = io.Discard

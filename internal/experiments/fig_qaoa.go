@@ -72,7 +72,7 @@ func Figure10(ctx context.Context, cfg Config) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		run, err := exec.ExecuteCtx(ctx, inst.Circuit, cfg.Shots, cfg.Batch, rngs[i])
+		run, err := exec.ExecuteCtx(ctx, inst.Circuit, cfg.Shots, rngs[i])
 		if err != nil {
 			return err
 		}

@@ -98,7 +98,7 @@ func RunQASMBench(ctx context.Context, cfg Config) (*QASMBenchResult, error) {
 		var ratios []float64
 		cell := QASMBenchCell{Algorithm: tk.alg, Backend: tk.b.Name, Entropy: tk.entropy}
 		for r := 0; r < repeats; r++ {
-			out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
+			out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.mitigateOptions(), tk.rng, false)
 			if err != nil {
 				return err
 			}

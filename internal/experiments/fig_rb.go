@@ -138,7 +138,7 @@ func rbSweep(ctx context.Context, count, n int, backends []*device.Backend, cfg 
 		if err != nil {
 			return err
 		}
-		run, err := exec.ExecuteCtx(ctx, w.Circuit, cfg.Shots, cfg.Batch, tasks[i].rng)
+		run, err := exec.ExecuteCtx(ctx, w.Circuit, cfg.Shots, tasks[i].rng)
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,7 @@ func runQualityWorkloadCtx(t *testing.T, ctx context.Context) *Outcome {
 		t.Fatal(err)
 	}
 	cfg := QuickConfig()
-	out, err := runWorkload(ctx, w, b, 256, 1, cfg.mitigateOptions(), mathx.NewRNG(99), false)
+	out, err := runWorkload(ctx, w, b, 256, cfg.mitigateOptions(), mathx.NewRNG(99), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,22 +30,21 @@ type Outcome struct {
 // runWorkload executes the workload on the backend under the default
 // hardware-like noise model and applies Q-BEEP (Eq. 2 λ, with the
 // caller's core options — iteration schedule, convergence tolerance,
-// top-k mode) and HAMMER. batch > 1 fans the shot loop across the
-// worker pool (see Config.Batch). track enables the per-iteration
-// fidelity trace (costs one fidelity evaluation per iteration). The
-// workload runs under an "experiments.workload" span and its mitigation
+// top-k mode) and HAMMER. track enables the per-iteration fidelity
+// trace (costs one fidelity evaluation per iteration). The workload runs
+// under an "experiments.workload" span and its mitigation
 // under an "experiments.mitigate" child, whose duration is the ledger
 // record's mitigate stage. Every completed workload is logged at info
 // level (circuit, backend, elapsed) — the progress feed for
 // multi-minute figure runs.
-func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
+func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
 	ctx, sp := obs.Start(ctx, "experiments.workload")
 	defer sp.End()
 	exec, err := noise.NewExecutor(b, noise.DefaultModel())
 	if err != nil {
 		return nil, err
 	}
-	run, err := exec.ExecuteCtx(ctx, w.Circuit, shots, batch, rng)
+	run, err := exec.ExecuteCtx(ctx, w.Circuit, shots, rng)
 	if err != nil {
 		return nil, fmt.Errorf("executing %s on %s: %w", w.Circuit.Name, b.Name, err)
 	}

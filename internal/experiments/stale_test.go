@@ -41,7 +41,7 @@ func TestStaleCalibrationCausesRegressions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, 1, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,17 +118,12 @@ func (r *RNG) Split(label uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (label * 0x9e3779b97f4a7c15))
 }
 
-// NewStream returns the index-th generator of a family keyed by base: a
-// deterministic function of (base, index) only, so callers can hand out
-// per-task streams in any order (or from any worker) and still reproduce
-// the exact same sequences for a fixed base. Unlike Split, it does not
-// advance any parent generator.
-func NewStream(base, index uint64) *RNG {
-	return NewRNG(base ^ (index+1)*0x9e3779b97f4a7c15)
-}
-
-// ReseedStream re-initializes r in place to the state NewStream(base,
-// index) would return — the allocation-free form for per-shot streams.
+// ReseedStream re-initializes r in place to the index-th generator of a
+// family keyed by base: a deterministic function of (base, index) only,
+// so callers can hand out per-task streams (the shot engine's per-shot
+// streams) in any order, or from any worker, and still reproduce the
+// exact same sequences for a fixed base. Unlike Split, it does not
+// advance any parent generator, and it allocates nothing.
 //
 //qbeep:mustinline
 //qbeep:allocfree

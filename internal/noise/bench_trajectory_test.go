@@ -25,6 +25,13 @@ func BenchmarkTrajectory(b *testing.B) {
 	}
 	c.MeasureAll()
 	rng := mathx.NewRNG(7)
+	// One untimed call materializes the shard arenas (state buffers,
+	// local Dists): trajectory_allocs_steady reads allocs/op as the
+	// steady state, which the first call's one-time allocations would
+	// otherwise inflate by about 50/b.N.
+	if _, err := ts.SampleCtx(context.Background(), c, 0, 100, rng); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ts.SampleCtx(context.Background(), c, 0, 100, rng); err != nil {

@@ -125,7 +125,7 @@ func TestFastExecutorLambdaMatchesRealizedEHD(t *testing.T) {
 		}
 	}
 	c.MeasureAll()
-	run, err := exec.ExecuteCtx(context.Background(), c, 20000, 1, mathx.NewRNG(8))
+	run, err := exec.ExecuteCtx(context.Background(), c, 20000, mathx.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFastExecutorSpectrumIsPoissonLike(t *testing.T) {
 		c.Barrier()
 	}
 	c.MeasureAll()
-	run, err := exec.ExecuteCtx(context.Background(), c, 20000, 1, mathx.NewRNG(13))
+	run, err := exec.ExecuteCtx(context.Background(), c, 20000, mathx.NewRNG(13))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package noise
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -40,8 +41,10 @@ func NewDensityExecutor(b *device.Backend) (*DensityExecutor, error) {
 // ExecuteExact evolves the logical circuit (gates act on logical qubits;
 // calibration uses the mean device statistics, as the circuit is not
 // routed here) and returns the exact outcome distribution, plus a sampled
-// counts distribution when shots > 0. The matrix's row shard fan-outs
-// parent their worker spans under the span active in ctx.
+// counts distribution when shots > 0, drawn on the shot engine (rng
+// advances by one Uint64; a cancelled ctx returns ctx's error). The
+// matrix's row shard fan-outs parent their worker spans under the span
+// active in ctx.
 func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (exact *bitstring.Dist, sampled *bitstring.Dist, err error) {
 	if err := c.Err(); err != nil {
 		return nil, nil, err
@@ -122,33 +125,12 @@ func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, 
 		if rng == nil {
 			return nil, nil, fmt.Errorf("noise: nil RNG with shots > 0")
 		}
-		sampled = sampleDist(exact, shots, rng)
+		ds := &distSampler{}
+		ds.outcomes, ds.cum = distTable(exact)
+		var eng shotEngine
+		if sampled, err = eng.run(ctx, ds, exact.Width(), shots, 1+bits.Len(uint(len(ds.outcomes))), rng); err != nil {
+			return nil, nil, err
+		}
 	}
 	return exact, sampled, nil
-}
-
-// sampleDist draws shots outcomes from a probability distribution.
-func sampleDist(p *bitstring.Dist, shots int, rng *mathx.RNG) *bitstring.Dist {
-	outcomes := p.Outcomes()
-	cum := make([]float64, len(outcomes))
-	var acc float64
-	for i, o := range outcomes {
-		acc += p.Count(o)
-		cum[i] = acc
-	}
-	out := bitstring.NewDist(p.Width())
-	for s := 0; s < shots; s++ {
-		u := rng.Float64() * acc
-		lo, hi := 0, len(cum)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		out.Add(outcomes[lo], 1)
-	}
-	return out
 }

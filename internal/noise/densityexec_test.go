@@ -84,7 +84,7 @@ func TestDensityAgainstFastExecutorDirection(t *testing.T) {
 	}
 	c.MeasureAll()
 
-	fr, err := fast.ExecuteCtx(context.Background(), c, 8000, 1, mathx.NewRNG(6))
+	fr, err := fast.ExecuteCtx(context.Background(), c, 8000, mathx.NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}

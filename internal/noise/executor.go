@@ -10,21 +10,18 @@ import (
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
-	"qbeep/internal/par"
 	"qbeep/internal/statevector"
 	"qbeep/internal/transpile"
 )
 
-// Induction metrics (see internal/obs): sampling throughput, the
-// correlated-burst channel's realized event stream, and the worker-pool
-// occupancy (busy fraction) of the most recent blocked induction.
+// Induction metrics (see internal/obs): sampling throughput and the
+// correlated-burst channel's realized event stream.
 var (
-	metExecute        = obs.Default.Timer("noise.execute")
-	metShots          = obs.Default.Counter("noise.shots")
-	metShotsPerSec    = obs.Default.Gauge("noise.shots_per_sec")
-	metBurstEvents    = obs.Default.Counter("noise.burst.events")
-	metBurstFlips     = obs.Default.Counter("noise.burst.flips")
-	metBatchOccupancy = obs.Default.Gauge("sim.batch.occupancy")
+	metExecute     = obs.Default.Timer("noise.execute")
+	metShots       = obs.Default.Counter("noise.shots")
+	metShotsPerSec = obs.Default.Gauge("noise.shots_per_sec")
+	metBurstEvents = obs.Default.Counter("noise.burst.events")
+	metBurstFlips  = obs.Default.Counter("noise.burst.flips")
 )
 
 // Run is the outcome of a noisy induction: the raw logical counts, the
@@ -64,20 +61,11 @@ func (e *Executor) Backend() *device.Backend { return e.backend }
 // from the logical circuit (transpilation is semantics-preserving), so
 // register width is bounded by the logical width, not the physical
 // device size. The transpile and noise.execute spans parent under the
-// span active in ctx.
-//
-// blocks <= 1 draws every shot from rng in order. blocks > 1 splits the
-// shot loop into that many blocks (capped at shots) fanned across the
-// shared par pool: each block samples from its own RNG stream keyed by
-// (rng's first Uint64, block index), and block counts merge in block
-// order. Blocked counts are therefore deterministic for a given (seed,
-// blocks) at any worker count, but they come from a different stream
-// family than the serial draw sequence: statistically equivalent to
-// serial counts, not bitwise equal to them.
-func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots, blocks int, rng *mathx.RNG) (*Run, error) {
-	if shots <= 0 {
-		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
-	}
+// span active in ctx. The shots run on the shot engine (shots.go): rng
+// advances by exactly one Uint64, and the counts depend on its seed
+// alone, not on GOMAXPROCS. A cancelled ctx stops the shot loop within
+// one chunk and returns ctx's error.
+func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (*Run, error) {
 	if c.N > statevector.MaxQubits {
 		return nil, fmt.Errorf("noise: %d logical qubits exceeds simulator limit %d", c.N, statevector.MaxQubits)
 	}
@@ -85,22 +73,20 @@ func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots, bl
 	if err != nil {
 		return nil, err
 	}
-	return e.execute(ctx, c, res, shots, min(blocks, shots), rng)
+	return e.ExecuteTranspiledCtx(ctx, c, res, shots, rng)
 }
 
-// ExecuteTranspiledCtx is ExecuteCtx's serial path for a circuit already
-// transpiled (the caller controls layout / reuses the artifact).
+// ExecuteTranspiledCtx is ExecuteCtx for a circuit already transpiled
+// (the caller controls layout / reuses the artifact): on the same
+// transpilation and seed it returns ExecuteCtx's counts. The
+// "noise.execute" span covers the ideal reference run (its "sim.run"
+// child), rate derivation, the sampler precompute and the shot loop.
 func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots int, rng *mathx.RNG) (*Run, error) {
-	return e.execute(ctx, logical, res, shots, 1, rng)
-}
-
-// execute is the one induction body behind ExecuteCtx and
-// ExecuteTranspiledCtx: the "noise.execute" span covers the ideal
-// reference run (its "sim.run" child), rate derivation, the sampler
-// precompute and the shot loop (see ExecuteCtx for blocks).
-func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots, blocks int, rng *mathx.RNG) (*Run, error) {
+	if shots <= 0 {
+		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
+	}
 	ctx, sp := obs.Start(ctx, "noise.execute")
-	// The deferred End covers the ideal-run, rates and fan-out error
+	// The deferred End covers the ideal-run, rates and shot-loop error
 	// returns (qbeep-lint spanend); a successful induction ends the span
 	// below, and its duration feeds the noise.execute timer and rate.
 	defer sp.End()
@@ -113,19 +99,14 @@ func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *t
 		return nil, err
 	}
 	ns := e.newNoisySampler(logical, ideal, res, rates)
-	var counts *bitstring.Dist
-	if blocks <= 1 {
-		counts = bitstring.NewDist(logical.N)
-		ns.sample(shots, rng, counts)
-	} else {
-		counts, err = ns.sampleBlocks(ctx, shots, blocks, rng)
-		if err != nil {
-			return nil, err
-		}
-		sp.SetAttr("blocks", blocks)
+	var eng shotEngine
+	counts, err := eng.run(ctx, ns, logical.N, shots, 3*logical.N+20, rng)
+	if err != nil {
+		return nil, err
 	}
 	sp.SetAttr("circuit", logical.Name)
 	sp.SetAttr("shots", shots)
+	sp.SetAttr("shards", eng.n)
 	elapsed := sp.End()
 	metExecute.ObserveDuration(elapsed)
 	metShots.Add(int64(shots))
@@ -134,7 +115,7 @@ func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *t
 	}
 	obs.Logger().Debug("noisy induction",
 		"circuit", logical.Name, "backend", e.backend.Name,
-		"shots", shots, "blocks", blocks, "elapsed", elapsed)
+		"shots", shots, "shards", eng.n, "elapsed", elapsed)
 	return &Run{
 		Counts:     counts,
 		Ideal:      ideal,
@@ -144,64 +125,18 @@ func (e *Executor) execute(ctx context.Context, logical *circuit.Circuit, res *t
 	}, nil
 }
 
-// sampleBlocks is the blocks > 1 shot loop of ExecuteCtx: one base drawn
-// from the caller's generator keys every block stream, so the whole
-// induction consumes exactly one value of rng. The fan-out runs under a
-// "sim.batch" span whose pool occupancy also lands on the
-// sim.batch.occupancy gauge.
-func (ns *noisySampler) sampleBlocks(ctx context.Context, shots, blocks int, rng *mathx.RNG) (*bitstring.Dist, error) {
-	base := rng.Uint64()
-	chunk := (shots + blocks - 1) / blocks
-	ctx, sp := obs.Start(ctx, "sim.batch")
-	defer sp.End()
-	locals := make([]*bitstring.Dist, blocks)
-	stats, err := par.ForEachStatsCtx(ctx, blocks, 0, func(b int) error {
-		lo := b * chunk
-		hi := min(lo+chunk, shots)
-		if lo >= hi {
-			return nil
-		}
-		locals[b] = bitstring.NewDist(ns.n)
-		ns.sample(hi-lo, mathx.NewStream(base, uint64(b)), locals[b])
-		return nil
-	})
-	occupancy := stats.Utilization()
-	metBatchOccupancy.Set(occupancy)
-	sp.SetAttr("blocks", blocks)
-	sp.SetAttr("shots", shots)
-	sp.SetAttr("occupancy", occupancy)
-	if err != nil {
-		return nil, err
-	}
-	// Merge in block order: integral counts make the fold exact and the
-	// order canonical regardless of which worker finished first.
-	counts := bitstring.NewDist(ns.n)
-	var outs []bitstring.BitString
-	for _, l := range locals {
-		if l == nil {
-			continue
-		}
-		outs = l.OutcomesInto(outs)
-		for _, v := range outs {
-			counts.Add(v, l.Count(v))
-		}
-	}
-	return counts, nil
-}
-
-// noisySampler is the shot loop of the failure-event model with every
-// rate and lookup table precomputed: build once per induction, then
-// sample any number of shot blocks. The precomputed state is read-only
-// during sampling, so distinct blocks may sample concurrently as long
-// as each uses its own RNG and destination Dist.
+// noisySampler is the failure-event model's shot source with every rate
+// and lookup table precomputed: build once per induction, then the shot
+// engine samples any number of shot ranges from it. The precomputed
+// state is read-only during sampling, so shards sample concurrently,
+// each with its own arena.
 type noisySampler struct {
 	model Model
 	n     int
 
-	// Cumulative ideal distribution for sampling.
+	// Ideal outcomes and their cumulative table.
 	outcomes []bitstring.BitString
-	cum      []float64
-	acc      float64
+	ideal    cumTable
 
 	// Per-qubit channel probabilities (logical index -> physical calib).
 	pDecay   []float64
@@ -209,7 +144,7 @@ type noisySampler struct {
 	pReadout []float64
 
 	// Pooled gate-error events (see newNoisySampler).
-	gateCum   []float64
+	gateCum   cumTable
 	gateTotal float64
 	gatePois  mathx.Poisson
 
@@ -226,12 +161,7 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 
 	n := logical.N
 	ns := &noisySampler{model: e.model, n: n, burst: rates.Burst}
-	ns.outcomes = ideal.Outcomes()
-	ns.cum = make([]float64, len(ns.outcomes))
-	for i, o := range ns.outcomes {
-		ns.acc += ideal.Count(o)
-		ns.cum[i] = ns.acc
-	}
+	ns.outcomes, ns.ideal = distTable(ideal)
 
 	ns.pDecay = make([]float64, n)
 	ns.pDephase = make([]float64, n)
@@ -293,55 +223,25 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 	// generative model: independent failure events with a stable rate):
 	// K ~ Poisson(Σ gateWeight) flips per shot, each landing on a qubit
 	// drawn proportionally to its share of the gate-error budget.
-	ns.gateCum = make([]float64, n)
-	for l := 0; l < n; l++ {
-		ns.gateTotal += gateWeight[l]
-		ns.gateCum[l] = ns.gateTotal
-	}
+	ns.gateCum = accumulate(gateWeight)
+	ns.gateTotal = ns.gateCum[n-1]
 	ns.gatePois = mathx.Poisson{Lambda: ns.gateTotal}
 	return ns
 }
 
-// sampleIdeal draws one outcome from the cumulative ideal distribution.
-func (ns *noisySampler) sampleIdeal(rng *mathx.RNG) bitstring.BitString {
-	u := rng.Float64() * ns.acc
-	lo, hi := 0, len(ns.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ns.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return ns.outcomes[lo]
-}
-
-// sampleGateQubit draws the landing qubit of one pooled gate-error event.
-func (ns *noisySampler) sampleGateQubit(rng *mathx.RNG) int {
-	u := rng.Float64() * ns.gateTotal
-	lo, hi := 0, ns.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ns.gateCum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// sample draws shots outcomes from rng into counts. The draw sequence is
-// identical to the seed's inline loop: hoisting the precompute consumed
-// no RNG values, so golden distributions are unchanged.
-func (ns *noisySampler) sample(shots int, rng *mathx.RNG, counts *bitstring.Dist) {
+// sampleShots draws shots [lo, hi) into a.counts, shot s from stream
+// (base, s).
+//
+//qbeep:allocfree
+func (ns *noisySampler) sampleShots(a *shotArena, base uint64, lo, hi int) error {
 	n := ns.n
+	rng := &a.rng
 	// Burst tallies accumulate locally and flush to the registry once per
-	// block, keeping the per-shot loop free of shared-memory traffic.
+	// range, keeping the per-shot loop free of shared-memory traffic.
 	var burstEvents, burstFlips int64
-	for s := 0; s < shots; s++ {
-		v := ns.sampleIdeal(rng)
+	for s := lo; s < hi; s++ {
+		rng.ReseedStream(base, uint64(s))
+		v := ns.outcomes[ns.ideal.draw(rng)]
 		// Per-shot drift of device conditions (non-Markovian, §3.1): one
 		// mean-normalized log-normal factor scales every time-dependent
 		// channel this shot. Readout is excluded — it is a separate,
@@ -358,7 +258,7 @@ func (ns *noisySampler) sample(shots int, rng *mathx.RNG, counts *bitstring.Dist
 			}
 			k := pois.Sample(rng.Float64)
 			for i := 0; i < k; i++ {
-				v = v.FlipBit(ns.sampleGateQubit(rng))
+				v = v.FlipBit(ns.gateCum.draw(rng))
 			}
 		}
 		// Decoherence.
@@ -404,12 +304,13 @@ func (ns *noisySampler) sample(shots int, rng *mathx.RNG, counts *bitstring.Dist
 				v = v.FlipBit(l)
 			}
 		}
-		counts.Add(v, 1)
+		a.counts.Add(v, 1)
 	}
 	if burstEvents > 0 {
 		metBurstEvents.Add(burstEvents)
 		metBurstFlips.Add(burstFlips)
 	}
+	return nil
 }
 
 func min1(v float64) float64 {

@@ -42,11 +42,11 @@ func TestNewExecutorValidation(t *testing.T) {
 func TestExecuteArgs(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	if _, err := e.ExecuteCtx(context.Background(), ghz(3), 0, 1, mathx.NewRNG(1)); err == nil {
+	if _, err := e.ExecuteCtx(context.Background(), ghz(3), 0, mathx.NewRNG(1)); err == nil {
 		t.Error("zero shots should error")
 	}
 	wide := circuit.New("wide", 30).H(0)
-	if _, err := e.ExecuteCtx(context.Background(), wide, 10, 1, mathx.NewRNG(1)); err == nil {
+	if _, err := e.ExecuteCtx(context.Background(), wide, 10, mathx.NewRNG(1)); err == nil {
 		t.Error("over-wide circuit should error")
 	}
 }
@@ -54,7 +54,7 @@ func TestExecuteArgs(t *testing.T) {
 func TestNoiselessModelIsIdeal(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, Model{}) // all channels off
-	run, err := e.ExecuteCtx(context.Background(), ghz(4), 4000, 1, mathx.NewRNG(2))
+	run, err := e.ExecuteCtx(context.Background(), ghz(4), 4000, mathx.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestNoiselessModelIsIdeal(t *testing.T) {
 func TestDefaultModelInjectsErrors(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	run, err := e.ExecuteCtx(context.Background(), ghz(5), 4096, 1, mathx.NewRNG(3))
+	run, err := e.ExecuteCtx(context.Background(), ghz(5), 4096, mathx.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestDefaultModelInjectsErrors(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	r1, err := e.ExecuteCtx(context.Background(), ghz(4), 512, 1, mathx.NewRNG(7))
+	r1, err := e.ExecuteCtx(context.Background(), ghz(4), 512, mathx.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := e.ExecuteCtx(context.Background(), ghz(4), 512, 1, mathx.NewRNG(7))
+	r2, _ := e.ExecuteCtx(context.Background(), ghz(4), 512, mathx.NewRNG(7))
 	if bitstring.TVD(r1.Counts, r2.Counts) != 0 {
 		t.Error("same seed produced different counts")
 	}
@@ -133,7 +133,7 @@ func TestRatesComposition(t *testing.T) {
 func TestLambdaGrowsWithCircuitSize(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, DefaultModel())
-	small, err := e.ExecuteCtx(context.Background(), ghz(3), 64, 1, mathx.NewRNG(1))
+	small, err := e.ExecuteCtx(context.Background(), ghz(3), 64, mathx.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLambdaGrowsWithCircuitSize(t *testing.T) {
 		deep.H(0).CX(0, 1).CX(1, 2).CX(0, 1)
 	}
 	deep.MeasureAll()
-	big, err := e.ExecuteCtx(context.Background(), deep, 64, 1, mathx.NewRNG(1))
+	big, err := e.ExecuteCtx(context.Background(), deep, 64, mathx.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEHDGrowsWithGateCountUnderBursts(t *testing.T) {
 			c.Barrier()
 		}
 		c.MeasureAll()
-		run, err := e.ExecuteCtx(context.Background(), c, 2048, 1, rng)
+		run, err := e.ExecuteCtx(context.Background(), c, 2048, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +208,11 @@ func TestMarkovianStaysLocal(t *testing.T) {
 
 	markov, _ := NewExecutor(b, MarkovianModel())
 	burst, _ := NewExecutor(b, DefaultModel())
-	rm, err := markov.ExecuteCtx(context.Background(), deep, 2048, 1, rng)
+	rm, err := markov.ExecuteCtx(context.Background(), deep, 2048, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := burst.ExecuteCtx(context.Background(), deep, 2048, 1, rng)
+	rb, err := burst.ExecuteCtx(context.Background(), deep, 2048, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestT1DecayIsDirectional(t *testing.T) {
 		c.Barrier()
 	}
 	c.MeasureAll()
-	run, err := e.ExecuteCtx(context.Background(), c, 4096, 1, mathx.NewRNG(5))
+	run, err := e.ExecuteCtx(context.Background(), c, 4096, mathx.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +320,11 @@ func TestBurstScaleRaisesEHD(t *testing.T) {
 	c.MeasureAll()
 	lo, _ := NewExecutor(b, Model{BurstScale: 0.2, BurstWalk: true})
 	hi, _ := NewExecutor(b, Model{BurstScale: 8, BurstWalk: true})
-	rl, err := lo.ExecuteCtx(context.Background(), c, 2048, 1, rng)
+	rl, err := lo.ExecuteCtx(context.Background(), c, 2048, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := hi.ExecuteCtx(context.Background(), c, 2048, 1, rng)
+	rh, err := hi.ExecuteCtx(context.Background(), c, 2048, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func BenchmarkExecuteGHZ8(b *testing.B) {
 	rng := mathx.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ExecuteCtx(context.Background(), c, 1024, 1, rng); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), c, 1024, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

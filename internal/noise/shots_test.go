@@ -1,0 +1,369 @@
+package noise
+
+import (
+	"context"
+	"errors"
+	"math"
+	"slices"
+	"testing"
+
+	"qbeep/internal/bitstring"
+	"qbeep/internal/circuit"
+	"qbeep/internal/mathx"
+	"qbeep/internal/obs"
+	"qbeep/internal/testutil"
+	"qbeep/internal/transpile"
+)
+
+// shardMatrix returns the shard counts the shot-stream tests sweep:
+// 1, 2, 3 and 7 plus testutil.WorkerMatrix, deduplicated.
+func shardMatrix(t testing.TB) []int {
+	counts := []int{1, 2, 3, 7}
+	for _, w := range testutil.WorkerMatrix(t) {
+		if !slices.Contains(counts, w) {
+			counts = append(counts, w)
+		}
+	}
+	return counts
+}
+
+// withShotShards pins the shot engine's shard count to n (0 derives it)
+// until the test ends.
+func withShotShards(t testing.TB, n int) {
+	prev := shotShardsOverride
+	shotShardsOverride = n
+	t.Cleanup(func() { shotShardsOverride = prev })
+}
+
+// oracleCircuits builds a spread of circuits for the replay-equivalence
+// sweep: randomized widths 1-12 exercising every kernel, plus the
+// structured circuit the determinism tests use.
+func oracleCircuits() []*circuit.Circuit {
+	var cs []*circuit.Circuit
+	for n := 1; n <= 12; n += 3 {
+		cs = append(cs, randomTrajCircuit(n, 15+2*n, mathx.NewRNG(uint64(100+n))))
+	}
+	cs = append(cs, circuit.New("struct", 5).H(0).CX(0, 1).RZ(0.7, 1).CX(1, 2).T(2).CX(2, 3).RX(0.3, 4).MeasureAll())
+	return cs
+}
+
+// randomTrajCircuit draws length gates over a kernel-diverse kind set
+// (measurement appended so the readout path runs).
+func randomTrajCircuit(n, length int, rng *mathx.RNG) *circuit.Circuit {
+	kinds := []circuit.Kind{
+		circuit.X, circuit.Y, circuit.Z, circuit.H, circuit.S, circuit.T,
+		circuit.SX, circuit.RX, circuit.RY, circuit.RZ, circuit.U3,
+		circuit.CX, circuit.CZ, circuit.SWAP, circuit.CCX,
+	}
+	c := circuit.New("randtraj", n)
+	for len(c.Gates) < length {
+		k := kinds[rng.Intn(len(kinds))]
+		a := k.Arity()
+		if a > n {
+			continue
+		}
+		qs := rng.Perm(n)[:a]
+		var params []float64
+		for p := 0; p < k.ParamCount(); p++ {
+			params = append(params, rng.Uniform(-3, 3))
+		}
+		c.Append(circuit.Gate{Kind: k, Qubits: qs, Params: params})
+	}
+	return c.MeasureAll()
+}
+
+// requireSameDist fails unless the two distributions are bit-for-bit
+// identical (same outcomes, same counts).
+func requireSameDist(t *testing.T, label string, got, want *bitstring.Dist) {
+	t.Helper()
+	wantOut := want.Outcomes()
+	if gotN, wantN := len(got.Outcomes()), len(wantOut); gotN != wantN {
+		t.Fatalf("%s: %d outcomes, want %d", label, gotN, wantN)
+	}
+	for _, v := range wantOut {
+		if got.Count(v) != want.Count(v) {
+			t.Fatalf("%s: count[%v] = %v, want %v", label, v, got.Count(v), want.Count(v))
+		}
+	}
+	if got.Total() != want.Total() {
+		t.Fatalf("%s: total %v, want %v", label, got.Total(), want.Total())
+	}
+}
+
+// TestTrajectoryMatchesPerGateOracle pins the compiled-replay rewrite to
+// the retained per-gate reference implementation: identical counts for
+// every circuit, seed and shard count — the replay engine changed the
+// execution strategy, not one realized draw.
+func TestTrajectoryMatchesPerGateOracle(t *testing.T) {
+	b := testBackend(t)
+	ts, err := NewTrajectorySampler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewTrajectorySampler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shots = 200
+	for ci, c := range oracleCircuits() {
+		want, err := samplePerGateOracle(ref, c, 0, shots, mathx.NewRNG(uint64(50+ci)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range shardMatrix(t) {
+			withShotShards(t, n)
+			got, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(uint64(50+ci)))
+			if err != nil {
+				t.Fatalf("circuit %d shards=%d: %v", ci, n, err)
+			}
+			requireSameDist(t, c.Name, got, want)
+		}
+	}
+}
+
+// TestExecuteBatchDeterministicAcrossBlocks pins the shot-stream
+// contract for the three samplers on the shot engine: their counts are
+// bit-identical at every shard count (shard count 1 is the serial loop),
+// ExecuteCtx and ExecuteTranspiledCtx agree on the same transpilation,
+// and every call advances the caller's generator by exactly one Uint64.
+func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
+	ctx := context.Background()
+	b := testBackend(t)
+	exec, err := NewExecutor(b, DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTrajectorySampler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dens, err := NewDensityExecutor(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New("batchdet", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
+	res, err := transpile.TranspileCtx(ctx, c, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More shots than one chunk per shard at the low shard counts.
+	const shots = 1500
+	samplers := []struct {
+		name string
+		run  func(rng *mathx.RNG) (*bitstring.Dist, error)
+	}{
+		{"execute", func(rng *mathx.RNG) (*bitstring.Dist, error) {
+			run, err := exec.ExecuteCtx(ctx, c, shots, rng)
+			if err != nil {
+				return nil, err
+			}
+			return run.Counts, nil
+		}},
+		{"execute-transpiled", func(rng *mathx.RNG) (*bitstring.Dist, error) {
+			run, err := exec.ExecuteTranspiledCtx(ctx, c, res, shots, rng)
+			if err != nil {
+				return nil, err
+			}
+			return run.Counts, nil
+		}},
+		{"trajectory", func(rng *mathx.RNG) (*bitstring.Dist, error) {
+			return ts.SampleCtx(ctx, c, 0, shots, rng)
+		}},
+		{"density", func(rng *mathx.RNG) (*bitstring.Dist, error) {
+			_, sampled, err := dens.ExecuteExact(ctx, c, shots, rng)
+			return sampled, err
+		}},
+	}
+	var wants []*bitstring.Dist
+	for _, s := range samplers {
+		var want *bitstring.Dist
+		// 0 is the derived shard count.
+		for _, n := range append(shardMatrix(t), 0) {
+			withShotShards(t, n)
+			rng := mathx.NewRNG(42)
+			got, err := s.run(rng)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", s.name, n, err)
+			}
+			ref := mathx.NewRNG(42)
+			ref.Uint64()
+			if rng.Uint64() != ref.Uint64() {
+				t.Fatalf("%s shards=%d: caller's generator did not advance by exactly one Uint64", s.name, n)
+			}
+			if got.Total() != shots {
+				t.Fatalf("%s shards=%d: total %v, want %d", s.name, n, got.Total(), shots)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			requireSameDist(t, s.name, got, want)
+		}
+		wants = append(wants, want)
+	}
+	// ExecuteCtx transpiles the way res was produced, so its counts are
+	// ExecuteTranspiledCtx's.
+	requireSameDist(t, "execute vs transpiled", wants[0], wants[1])
+}
+
+// TestSamplersReturnCancelled: with an already-cancelled ctx, every
+// sampler on the shot engine returns context.Canceled, at one shard and
+// across a fan-out.
+func TestSamplersReturnCancelled(t *testing.T) {
+	b := testBackend(t)
+	exec, _ := NewExecutor(b, DefaultModel())
+	ts, _ := NewTrajectorySampler(b)
+	dens, _ := NewDensityExecutor(b)
+	c := ghz(4)
+	res, err := transpile.TranspileCtx(context.Background(), c, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, n := range []int{1, 2} {
+		withShotShards(t, n)
+		_, err := exec.ExecuteCtx(ctx, c, 1000, mathx.NewRNG(1))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("shards=%d ExecuteCtx: err %v, want context.Canceled", n, err)
+		}
+		_, err = exec.ExecuteTranspiledCtx(ctx, c, res, 1000, mathx.NewRNG(1))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("shards=%d ExecuteTranspiledCtx: err %v, want context.Canceled", n, err)
+		}
+		_, err = ts.SampleCtx(ctx, c, 0, 1000, mathx.NewRNG(1))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("shards=%d SampleCtx: err %v, want context.Canceled", n, err)
+		}
+		_, _, err = dens.ExecuteExact(ctx, c, 1000, mathx.NewRNG(1))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("shards=%d ExecuteExact: err %v, want context.Canceled", n, err)
+		}
+	}
+	// The samplers stay usable after a cancelled run.
+	if _, err := ts.SampleCtx(context.Background(), c, 0, 100, mathx.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrajectoryTimerReadsSpanClock: the sim.trajectory timer records
+// exactly the duration of the batch's "sim.trajectory" span, at one
+// shard and across a sharded run.
+func TestTrajectoryTimerReadsSpanClock(t *testing.T) {
+	ts, err := NewTrajectorySampler(testBackend(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New("clock-probe", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3)
+	c.MeasureAll()
+	for _, n := range []int{1, 2} {
+		withShotShards(t, n)
+		var sink obs.CollectorSink
+		obs.SetSpanSink(&sink)
+		count, sum := metTraj.Count(), metTraj.Sum()
+		_, err := ts.SampleCtx(context.Background(), c, 0, 200, mathx.NewRNG(5))
+		obs.SetSpanSink(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spans []obs.SpanEvent
+		for _, e := range sink.Events() {
+			if e.Name == "sim.trajectory" {
+				spans = append(spans, e)
+			}
+		}
+		if len(spans) != 1 || metTraj.Count() != count+1 {
+			t.Fatalf("shards=%d: %d spans, timer count +%d; want one of each", n, len(spans), metTraj.Count()-count)
+		}
+		if got, want := metTraj.Sum(), sum+spans[0].Duration.Seconds(); got != want {
+			t.Fatalf("shards=%d: timer sum %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestCumTableConvergence: draws from a Bell state's cumulative table
+// converge on its probabilities and never pick a zero-weight outcome.
+func TestCumTableConvergence(t *testing.T) {
+	tab := accumulate([]float64{0.5, 0, 0, 0.5})
+	rng := mathx.NewRNG(1)
+	var hits [4]int
+	for i := 0; i < 20000; i++ {
+		hits[tab.draw(rng)]++
+	}
+	if hits[1] != 0 || hits[2] != 0 {
+		t.Error("drew a zero-weight outcome")
+	}
+	if p := float64(hits[0]) / 20000; math.Abs(p-0.5) > 0.02 {
+		t.Errorf("p(00) = %v", p)
+	}
+}
+
+// TestCumTableMatchesSeedSearch pins cumTable.draw to the seed
+// repository's sampler: one uniform scaled by the running total, then a
+// binary search for the first cumulative entry reaching it. The
+// failure-event model's ideal and gate-qubit draws consume the RNG
+// exactly this way.
+func TestCumTableMatchesSeedSearch(t *testing.T) {
+	w := []float64{0.1, 0, 0.25, 0.05, 0.3, 0, 0.2, 0.1}
+	cum := make([]float64, len(w))
+	var acc float64
+	for i, v := range w {
+		acc += v
+		cum[i] = acc
+	}
+	seed := func(rng *mathx.RNG) int {
+		u := rng.Float64() * acc
+		lo, hi := 0, len(cum)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cum[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	tab := accumulate(slices.Clone(w))
+	got, want := mathx.NewRNG(42), mathx.NewRNG(42)
+	for i := 0; i < 5000; i++ {
+		if g, w := tab.draw(got), seed(want); g != w {
+			t.Fatalf("draw %d: index %d, want %d", i, g, w)
+		}
+	}
+}
+
+// FuzzShotStreams: for random failure-event models, shot counts and
+// shard counts, the counts equal the one-shard run bit for bit.
+func FuzzShotStreams(f *testing.F) {
+	f.Add(true, true, true, 1.2, true, 0.8, uint16(1000), uint8(3), uint64(1))
+	f.Add(false, false, true, 0.0, false, 0.0, uint16(7), uint8(7), uint64(2))
+	f.Add(true, false, false, 3.0, false, 2.0, uint16(600), uint8(2), uint64(3))
+	b := testBackend(f)
+	c := circuit.New("fuzz", 5).H(0).CX(0, 1).CX(1, 2).RZ(0.4, 2).CX(2, 3).CX(3, 4).MeasureAll()
+	res, err := transpile.TranspileCtx(context.Background(), c, b, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, gate, deco, readout bool, burst float64, walk bool, jitter float64, shots uint16, shards uint8, seed uint64) {
+		if math.IsNaN(burst) || math.IsNaN(jitter) || burst < 0 || burst > 10 || jitter < 0 || jitter > 3 {
+			t.Skip()
+		}
+		m := Model{GateErrors: gate, Decoherence: deco, Readout: readout, BurstScale: burst, BurstWalk: walk, RateJitter: jitter}
+		exec, err := NewExecutor(b, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + int(shards)%16
+		sample := func(k int) *bitstring.Dist {
+			withShotShards(t, k)
+			run, err := exec.ExecuteTranspiledCtx(context.Background(), c, res, 1+int(shots)%4096, mathx.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run.Counts
+		}
+		want := sample(1)
+		requireSameDist(t, "fuzz", sample(n), want)
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sort"
 
 	"qbeep/internal/bitstring"
@@ -12,12 +11,11 @@ import (
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
-	"qbeep/internal/par"
 	"qbeep/internal/statevector"
 )
 
-// Trajectory metrics (see internal/obs): per-batch wall time and shot
-// throughput of the Monte Carlo sampler.
+// Trajectory metrics (see internal/obs): per-batch wall time, shot
+// throughput and shard count of the Monte Carlo sampler.
 var (
 	metTraj        = obs.Default.Timer("sim.trajectory")
 	metTrajShots   = obs.Default.Counter("sim.trajectory.shots")
@@ -36,24 +34,17 @@ var (
 // kernel ops once per call (into a scratch reused across calls), then
 // every shot replays the compiled steps, injecting Paulis through a
 // precompiled per-qubit op table — the hot loop performs no per-gate
-// lowering and allocates nothing. Shots fan out across par workers, each
-// owning a pooled arena (state buffer, probability scratch, local Dist,
-// reseedable RNG stream) that persists across SampleCtx calls, so
-// steady-state sampling is allocation-free (pinned by the
-// trajectory_allocs_steady benchparse ceiling).
-//
-// Every shot draws from its own RNG stream derived from the caller's
-// generator (one Uint64 draw per call keys streams by shot index), so
-// the counts are deterministic for a fixed seed regardless of the worker
-// count. Note this changes the realized random stream relative to the
-// seed repository, which threaded a single serial RNG through every
-// shot; distributions agree statistically but not shot-for-shot.
+// lowering and allocates nothing. Shots run on the sampler's own shot
+// engine (shots.go), whose shard arenas (state buffer, probability
+// scratch, local Dist, reseedable RNG stream) persist across SampleCtx
+// calls, so steady-state sampling is allocation-free (pinned by the
+// trajectory_allocs_steady benchparse ceiling). Like every sampler on
+// the engine, the counts depend on the caller's seed alone.
 //
 // A TrajectorySampler is not safe for concurrent use: SampleCtx calls
-// share the arenas (and the caller's RNG). Use one sampler per goroutine.
+// share the engine (and the caller's RNG). Use one sampler per goroutine.
 type TrajectorySampler struct {
 	backend *device.Backend
-	workers int
 
 	// Mean calibration error rates, hoisted out of the per-call path:
 	// the backend is fixed at construction.
@@ -61,12 +52,13 @@ type TrajectorySampler struct {
 	err2q   float64
 	readout float64
 
-	// Per-call compile scratch and per-worker arenas, pooled across
+	// Per-call compile scratch and the shot engine, pooled across
 	// SampleCtx calls (see the concurrency note above).
 	steps  []trajStep
 	paulis [][3]statevector.CompiledOp
 	pauliN int
-	arenas []*trajArena
+	init   bitstring.BitString // the current call's initial basis state
+	eng    shotEngine
 }
 
 // trajStep is one compiled gate of a trajectory program: the kernel op
@@ -77,20 +69,6 @@ type trajStep struct {
 	nq     int     // qubit count of the source gate
 	q      [3]int  // the gate's qubits (first nq valid)
 	p      float64 // injection probability (err1q or err2q)
-}
-
-// trajArena is one worker's pooled scratch: reused across shots and
-// across SampleCtx calls so the steady-state hot loop never allocates. The
-// sampler owns its arenas; they are re-created only when the register
-// width changes.
-//
-//qbeep:pooled
-type trajArena struct {
-	st     *statevector.State
-	probs  []float64
-	counts *bitstring.Dist
-	rng    mathx.RNG
-	outs   []bitstring.BitString // sorted-merge scratch
 }
 
 // NewTrajectorySampler returns a sampler on the backend.
@@ -130,15 +108,6 @@ func NewTrajectorySampler(b *device.Backend) (*TrajectorySampler, error) {
 	return t, nil
 }
 
-// SetWorkers sets the shot fan-out width (0 = GOMAXPROCS). The sampled
-// counts are identical for any value.
-func (t *TrajectorySampler) SetWorkers(w int) {
-	if w < 0 {
-		w = 0
-	}
-	t.workers = w
-}
-
 // pauliKinds indexes the injectable Paulis.
 var pauliKinds = [3]circuit.Kind{circuit.X, circuit.Y, circuit.Z}
 
@@ -146,8 +115,9 @@ var pauliKinds = [3]circuit.Kind{circuit.X, circuit.Y, circuit.Z}
 // state init. Gate error rates use the backend's mean calibration (the
 // logical circuit is not routed here; this sampler is a physics-level
 // control, not a device-exact one). The "sim.trajectory" span parents
-// under the span active in ctx, and the shot fan-out's worker spans
-// parent under it.
+// under the span active in ctx, and the shot shards' worker spans parent
+// under it. rng advances by exactly one Uint64; a cancelled ctx stops
+// the shots within one chunk and returns ctx's error.
 func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, init bitstring.BitString, shots int, rng *mathx.RNG) (*bitstring.Dist, error) {
 	if err := t.checkRequest(c, init, shots); err != nil {
 		return nil, err
@@ -155,50 +125,18 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 	if err := t.compile(c); err != nil {
 		return nil, err
 	}
-
-	// One draw keys every shot's stream; the caller's generator advances
-	// by exactly one Uint64 per SampleCtx call.
-	base := rng.Uint64()
-
-	workers := t.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shots {
-		workers = shots
-	}
-	chunk := (shots + workers - 1) / workers
-	t.growArenas(workers)
+	t.init = init
 
 	ctx, sp := obs.Start(ctx, "sim.trajectory")
-	// The deferred End covers the fan-out error path (qbeep-lint
+	// The deferred End covers the shot-loop error path (qbeep-lint
 	// spanend); a successful batch ends the span below, and its duration
 	// feeds the sim.trajectory timer and rate.
 	defer sp.End()
-	var err error
-	if workers == 1 {
-		// Serial fast path: a one-worker fan-out buys nothing and its
-		// bookkeeping (per-task stat slices, escaping closures) is the
-		// difference between ~13 and ~4 steady-state allocations.
-		a := t.arenas[0]
-		a.resetCounts(c.N)
-		err = t.runShots(a, init, base, 0, shots)
-	} else {
-		err = par.ForEachCtx(ctx, workers, workers, func(w int) error {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > shots {
-				hi = shots
-			}
-			a := t.arenas[w]
-			a.resetCounts(c.N)
-			return t.runShots(a, init, base, lo, hi)
-		})
-	}
+	counts, err := t.eng.run(ctx, t, c.N, shots, (len(t.steps)+2)<<uint(c.N), rng)
 	if err != nil {
 		return nil, err
 	}
-	counts := t.mergeArenas(c.N, workers)
+	shards := t.eng.n
 	// Attr values box at the call site even for an inert span, so the
 	// whole block gates on tracing to keep the steady state alloc-free.
 	if obs.TracingEnabled() {
@@ -206,12 +144,12 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 		sp.SetAttr("width", c.N)
 		sp.SetAttr("gates", len(c.Gates))
 		sp.SetAttr("shots", shots)
-		sp.SetAttr("workers", workers)
+		sp.SetAttr("shards", shards)
 	}
 	elapsed := sp.End()
 	metTraj.ObserveDuration(elapsed)
 	metTrajShots.Add(int64(shots))
-	metTrajWorkers.Set(float64(workers))
+	metTrajWorkers.Set(float64(shards))
 	if secs := elapsed.Seconds(); secs > 0 {
 		metTrajPerSec.Set(float64(shots) / secs)
 	}
@@ -220,7 +158,7 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
 		l.Debug("trajectory batch",
 			"circuit", c.Name, "width", c.N, "shots", shots,
-			"workers", workers, "elapsed", elapsed)
+			"shards", shards, "elapsed", elapsed)
 	}
 	return counts, nil
 }
@@ -270,48 +208,26 @@ func (t *TrajectorySampler) compile(c *circuit.Circuit) error {
 	return nil
 }
 
-// growArenas ensures at least n pooled worker arenas exist.
-//
-//qbeep:mustinline
-func (t *TrajectorySampler) growArenas(n int) {
-	for len(t.arenas) < n {
-		t.arenas = append(t.arenas, &trajArena{})
-	}
-}
-
-// resetCounts readies the arena's local Dist for a width-n batch,
-// re-materializing it only on a width change. It sits on the per-task
-// path of the sampler, so it must stay within the inlining budget.
-//
-//qbeep:mustinline
-func (a *trajArena) resetCounts(n int) {
-	if a.counts == nil || a.counts.Width() != n {
-		a.counts = bitstring.NewDist(n)
-	} else {
-		a.counts.Reset()
-	}
-}
-
-// runShots samples shots [lo, hi) of the compiled trajectory program
+// sampleShots samples shots [lo, hi) of the compiled trajectory program
 // into the arena's counts, replaying the steps on the arena's pooled
-// state with per-shot RNG streams keyed (base, shot index). The arena's
-// state buffer re-materializes only on a width change.
-func (t *TrajectorySampler) runShots(a *trajArena, init bitstring.BitString, base uint64, lo, hi int) error {
+// state with shot s drawing from stream (base, s). The arena's state
+// buffer re-materializes only on a width change (TestTrajectorySteadyStateAllocs).
+func (t *TrajectorySampler) sampleShots(a *shotArena, base uint64, lo, hi int) error {
 	n := a.counts.Width()
 	if a.st == nil || a.st.N() != n {
 		st, err := statevector.New(n)
 		if err != nil {
 			return err
 		}
-		// Kernel sharding stays off inside the fan-out: parallelism lives
-		// at the shot level here.
+		// Kernel sharding stays off inside the shot shards: parallelism
+		// lives at the shot level here.
 		st.SetWorkers(1)
 		a.st = st
 	}
 	steps, paulis := t.steps, t.paulis
 	for s := lo; s < hi; s++ {
 		a.rng.ReseedStream(base, uint64(s))
-		if err := a.st.Reset(init); err != nil {
+		if err := a.st.Reset(t.init); err != nil {
 			return err
 		}
 		for i := range steps {
@@ -326,7 +242,7 @@ func (t *TrajectorySampler) runShots(a *trajArena, init bitstring.BitString, bas
 			}
 		}
 		a.probs = a.st.ProbabilitiesInto(a.probs)
-		out := sampleProbs(a.probs, &a.rng)
+		out := bitstring.BitString(accumulate(a.probs).draw(&a.rng))
 		for q := 0; q < n; q++ {
 			if a.rng.Float64() < t.readout {
 				out = out.FlipBit(q)
@@ -335,43 +251,4 @@ func (t *TrajectorySampler) runShots(a *trajArena, init bitstring.BitString, bas
 		a.counts.Add(out, 1)
 	}
 	return nil
-}
-
-// mergeArenas folds the first `workers` arena-local counts into one
-// pre-sized result. Shot counts are integral, so merging is exact in
-// any order; arena order with sorted outcomes keeps it canonical.
-func (t *TrajectorySampler) mergeArenas(n, workers int) *bitstring.Dist {
-	support := 0
-	for _, a := range t.arenas[:workers] {
-		support += a.counts.Support()
-	}
-	counts := bitstring.NewDistCap(n, support)
-	for _, a := range t.arenas[:workers] {
-		a.outs = a.counts.OutcomesInto(a.outs)
-		for _, v := range a.outs {
-			counts.Add(v, a.counts.Count(v))
-		}
-	}
-	return counts
-}
-
-// sampleProbs draws one outcome from an (unnormalized) probability vector
-// by a single forward scan — the per-shot path needs exactly one draw, so
-// building a cumulative vector would be wasted work.
-//
-//qbeep:allocfree
-//qbeep:noescape p rng
-func sampleProbs(p []float64, rng *mathx.RNG) bitstring.BitString {
-	var total float64
-	for _, v := range p {
-		total += v
-	}
-	u := rng.Float64() * total
-	for i, v := range p {
-		u -= v
-		if u <= 0 {
-			return bitstring.BitString(i)
-		}
-	}
-	return bitstring.BitString(len(p) - 1)
 }

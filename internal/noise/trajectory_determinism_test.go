@@ -7,12 +7,11 @@ import (
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
-	"qbeep/internal/testutil"
 )
 
 // TestTrajectoryDeterministicAcrossWorkers pins the per-shot RNG stream
 // contract: for a fixed seed the sampled counts are identical for every
-// worker count, because each shot derives its own stream from the base
+// shard count, because each shot derives its own stream from the base
 // draw and its shot index rather than sharing a serial generator.
 func TestTrajectoryDeterministicAcrossWorkers(t *testing.T) {
 	b := testBackend(t)
@@ -23,8 +22,8 @@ func TestTrajectoryDeterministicAcrossWorkers(t *testing.T) {
 	c := circuit.New("det", 5).H(0).CX(0, 1).RZ(0.7, 1).CX(1, 2).T(2).CX(2, 3).RX(0.3, 4).MeasureAll()
 	const shots = 400
 	var want map[bitstring.BitString]float64
-	for _, w := range testutil.WorkerMatrix(t) {
-		ts.SetWorkers(w)
+	for _, w := range shardMatrix(t) {
+		withShotShards(t, w)
 		d, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(1234))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

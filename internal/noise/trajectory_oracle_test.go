@@ -11,7 +11,7 @@ import (
 // trajectory sampler: per-gate Apply with a freshly built Gate per Pauli
 // injection, exactly as the pre-replay code path worked. It consumes the
 // caller's generator and per-shot streams in the same order as
-// TrajectorySampler.runShots, so SampleCtx must reproduce its counts
+// TrajectorySampler.sampleShots, so SampleCtx must reproduce its counts
 // bit-for-bit — the equivalence bar for the compiled-replay rewrite.
 // It is also the slow side of the trajectory_replay_speedup benchparse
 // ratio (BenchmarkTrajectoryPerGate).
@@ -27,8 +27,9 @@ func samplePerGateOracle(ts *TrajectorySampler, c *circuit.Circuit, init bitstri
 	}
 	st.SetWorkers(1)
 	var probs []float64
+	srng := &mathx.RNG{}
 	for s := 0; s < shots; s++ {
-		srng := mathx.NewStream(base, uint64(s))
+		srng.ReseedStream(base, uint64(s))
 		if err := st.Reset(init); err != nil {
 			return nil, err
 		}
@@ -52,7 +53,7 @@ func samplePerGateOracle(ts *TrajectorySampler, c *circuit.Circuit, init bitstri
 			}
 		}
 		probs = st.ProbabilitiesInto(probs)
-		out := sampleProbs(probs, srng)
+		out := bitstring.BitString(accumulate(probs).draw(srng))
 		for q := 0; q < c.N; q++ {
 			if srng.Float64() < ts.readout {
 				out = out.FlipBit(q)

@@ -32,48 +32,49 @@ var (
 	metWorkerBusyMax = obs.Default.Gauge("par.worker_busy_ratio_max")
 )
 
-// Stats describes one ForEachStatsCtx batch.
-type Stats struct {
-	// Durations holds the wall time of each task, index-addressed.
-	Durations []time.Duration
-	// WorkerBusy holds, per worker, the summed wall time of the tasks
-	// that worker executed. len(WorkerBusy) == Workers; a worker's idle
-	// time is Elapsed minus its entry.
-	WorkerBusy []time.Duration
-	// FirstErr is the index of the task whose error ForEachStatsCtx
+// batchStats describes one ForEachCtx batch; the par.* metrics are
+// derived from it.
+type batchStats struct {
+	// durations holds the wall time of each task, index-addressed.
+	durations []time.Duration
+	// workerBusy holds, per worker, the summed wall time of the tasks
+	// that worker executed. len(workerBusy) == workers; a worker's idle
+	// time is elapsed minus its entry.
+	workerBusy []time.Duration
+	// firstErr is the index of the task whose error forEachStats
 	// returned (the first error observed), or -1 if every task
 	// succeeded. Later tasks still ran to completion.
-	FirstErr int
-	// Workers is the resolved worker count.
-	Workers int
-	// Elapsed is the batch wall time.
-	Elapsed time.Duration
+	firstErr int
+	// workers is the resolved worker count.
+	workers int
+	// elapsed is the batch wall time.
+	elapsed time.Duration
 }
 
-// Utilization returns the busy fraction of the worker pool:
+// utilization returns the busy fraction of the worker pool:
 // Σ task durations / (workers × batch wall time), in [0, 1] up to
 // scheduler noise. Low values flag batches dominated by one long task.
-func (s Stats) Utilization() float64 {
-	if s.Workers <= 0 || s.Elapsed <= 0 {
+func (s batchStats) utilization() float64 {
+	if s.workers <= 0 || s.elapsed <= 0 {
 		return 0
 	}
 	var busy time.Duration
-	for _, d := range s.Durations {
+	for _, d := range s.durations {
 		busy += d
 	}
-	return busy.Seconds() / (float64(s.Workers) * s.Elapsed.Seconds())
+	return busy.Seconds() / (float64(s.workers) * s.elapsed.Seconds())
 }
 
-// WorkerBusyRatios returns the per-worker busy fractions (WorkerBusy[w]
-// / Elapsed) reduced to their min, mean and max. A wide min-max spread
+// workerBusyRatios returns the per-worker busy fractions (workerBusy[w]
+// / elapsed) reduced to their min, mean and max. A wide min-max spread
 // with a healthy mean means the queue drained unevenly — the telemetry
 // the par_worker_busy_ratio_* gauges carry to /metrics.
-func (s Stats) WorkerBusyRatios() (min, mean, max float64) {
-	if len(s.WorkerBusy) == 0 || s.Elapsed <= 0 {
+func (s batchStats) workerBusyRatios() (min, mean, max float64) {
+	if len(s.workerBusy) == 0 || s.elapsed <= 0 {
 		return 0, 0, 0
 	}
-	wall := s.Elapsed.Seconds()
-	for i, busy := range s.WorkerBusy {
+	wall := s.elapsed.Seconds()
+	for i, busy := range s.workerBusy {
 		r := busy.Seconds() / wall
 		if r > 1 {
 			r = 1 // scheduler noise: task clocks can overrun the batch clock
@@ -86,7 +87,7 @@ func (s Stats) WorkerBusyRatios() (min, mean, max float64) {
 		}
 		mean += r
 	}
-	mean /= float64(len(s.WorkerBusy))
+	mean /= float64(len(s.workerBusy))
 	return min, mean, max
 }
 
@@ -100,17 +101,17 @@ func (s Stats) WorkerBusyRatios() (min, mean, max float64) {
 // span active in ctx, so fan-out regions show their per-worker
 // utilization in the trace forest.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	_, err := ForEachStatsCtx(ctx, n, workers, fn)
+	_, err := forEachStats(ctx, n, workers, fn)
 	return err
 }
 
-// ForEachStatsCtx is ForEachCtx plus per-task timing: every task's
-// duration is recorded (index-addressed in the returned Stats and
-// observed into the "par.task_seconds" histogram), errors are logged
-// with their task index, and the batch's worker utilization is
-// published as the "par.utilization" gauge.
-func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) (Stats, error) {
-	stats := Stats{FirstErr: -1}
+// forEachStats is ForEachCtx's body: every task's duration is recorded
+// (index-addressed in the returned batchStats and observed into the
+// "par.task_seconds" histogram), errors are logged with their task
+// index, and the batch's worker utilization and busy-ratio spread are
+// published on the par.* gauges.
+func forEachStats(ctx context.Context, n, workers int, fn func(i int) error) (batchStats, error) {
+	stats := batchStats{firstErr: -1}
 	if n <= 0 {
 		return stats, nil
 	}
@@ -120,9 +121,9 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 	if workers > n {
 		workers = n
 	}
-	stats.Workers = workers
-	stats.Durations = make([]time.Duration, n)
-	stats.WorkerBusy = make([]time.Duration, workers)
+	stats.workers = workers
+	stats.durations = make([]time.Duration, n)
+	stats.workerBusy = make([]time.Duration, workers)
 	batchStart := time.Now()
 
 	// Task observations carry the batch's trace so the worst par_task
@@ -141,7 +142,7 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 		t0 := time.Now()
 		err := call(fn, i)
 		d := time.Since(t0)
-		stats.Durations[i] = d // per-index slot: no lock needed
+		stats.durations[i] = d // per-index slot: no lock needed
 		metTask.ObserveTrace(d.Seconds(), traceID)
 		if err != nil {
 			metErrors.Inc()
@@ -149,7 +150,7 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 			mu.Lock()
 			if first == nil {
 				first = err
-				stats.FirstErr = i
+				stats.firstErr = i
 			}
 			mu.Unlock()
 		}
@@ -158,7 +159,7 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			stats.WorkerBusy[0] += runTask(i)
+			stats.workerBusy[0] += runTask(i)
 		}
 	} else {
 		// Fully buffered dispatch, filled and closed before the workers
@@ -182,7 +183,7 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 					busy += runTask(i)
 					tasks++
 				}
-				stats.WorkerBusy[w] = busy // per-worker slot: no lock needed
+				stats.workerBusy[w] = busy // per-worker slot: no lock needed
 				wsp.SetAttr("worker", w)
 				wsp.SetAttr("tasks", tasks)
 				wsp.SetAttr("busy_ns", busy.Nanoseconds())
@@ -192,12 +193,12 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 		wg.Wait()
 	}
 
-	stats.Elapsed = time.Since(batchStart)
-	metBatch.ObserveDuration(stats.Elapsed)
+	stats.elapsed = time.Since(batchStart)
+	metBatch.ObserveDuration(stats.elapsed)
 	metTasks.Add(int64(n))
 	metWorkers.Set(float64(workers))
-	metUtilization.Set(stats.Utilization())
-	busyMin, busyMean, busyMax := stats.WorkerBusyRatios()
+	metUtilization.Set(stats.utilization())
+	busyMin, busyMean, busyMax := stats.workerBusyRatios()
 	metWorkerBusyMin.Set(busyMin)
 	metWorkerBusyAvg.Set(busyMean)
 	metWorkerBusyMax.Set(busyMax)
@@ -205,9 +206,9 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 	// alone would break the trajectory sampler's steady-state alloc pin.
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
 		l.Debug("parallel batch done",
-			"tasks", n, "workers", workers, "elapsed", stats.Elapsed,
-			"utilization", stats.Utilization(), "worker_busy_min", busyMin,
-			"worker_busy_max", busyMax, "first_err_index", stats.FirstErr)
+			"tasks", n, "workers", workers, "elapsed", stats.elapsed,
+			"utilization", stats.utilization(), "worker_busy_min", busyMin,
+			"worker_busy_max", busyMax, "first_err_index", stats.firstErr)
 	}
 	return stats, first
 }

@@ -66,7 +66,7 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls int64
 		const n = 60
-		stats, err := ForEachStatsCtx(context.Background(), n, workers, func(i int) error {
+		stats, err := forEachStats(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt64(&calls, 1)
 			if i == 7 {
 				return fmt.Errorf("boom at %d", i)
@@ -79,8 +79,8 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 		if got := atomic.LoadInt64(&calls); got != n {
 			t.Fatalf("workers=%d: only %d of %d tasks ran after mid-batch error", workers, got, n)
 		}
-		if stats.FirstErr != 7 {
-			t.Fatalf("workers=%d: FirstErr = %d, want 7", workers, stats.FirstErr)
+		if stats.firstErr != 7 {
+			t.Fatalf("workers=%d: FirstErr = %d, want 7", workers, stats.firstErr)
 		}
 	}
 }
@@ -88,7 +88,7 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 // TestForEachStatsFirstErrMatchesError checks the index always names the
 // task whose error was returned, even when several tasks fail.
 func TestForEachStatsFirstErrMatchesError(t *testing.T) {
-	stats, err := ForEachStatsCtx(context.Background(), 40, 4, func(i int) error {
+	stats, err := forEachStats(context.Background(), 40, 4, func(i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("fail %d", i)
 		}
@@ -97,35 +97,35 @@ func TestForEachStatsFirstErrMatchesError(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error")
 	}
-	if want := fmt.Sprintf("fail %d", stats.FirstErr); err.Error() != want {
-		t.Fatalf("FirstErr %d does not match returned error %q", stats.FirstErr, err)
+	if want := fmt.Sprintf("fail %d", stats.firstErr); err.Error() != want {
+		t.Fatalf("FirstErr %d does not match returned error %q", stats.firstErr, err)
 	}
 }
 
 func TestForEachStatsDurations(t *testing.T) {
 	const n = 8
-	stats, err := ForEachStatsCtx(context.Background(), n, 4, func(i int) error {
+	stats, err := forEachStats(context.Background(), n, 4, func(i int) error {
 		time.Sleep(time.Duration(i%2+1) * time.Millisecond)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Durations) != n {
-		t.Fatalf("got %d durations, want %d", len(stats.Durations), n)
+	if len(stats.durations) != n {
+		t.Fatalf("got %d durations, want %d", len(stats.durations), n)
 	}
-	for i, d := range stats.Durations {
+	for i, d := range stats.durations {
 		if d < time.Millisecond {
 			t.Fatalf("task %d duration %v implausibly small", i, d)
 		}
 	}
-	if stats.FirstErr != -1 {
-		t.Fatalf("FirstErr = %d on a clean batch", stats.FirstErr)
+	if stats.firstErr != -1 {
+		t.Fatalf("FirstErr = %d on a clean batch", stats.firstErr)
 	}
-	if stats.Workers != 4 || stats.Elapsed <= 0 {
+	if stats.workers != 4 || stats.elapsed <= 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if u := stats.Utilization(); u <= 0 || u > 1.5 {
+	if u := stats.utilization(); u <= 0 || u > 1.5 {
 		t.Fatalf("utilization = %v outside plausible range", u)
 	}
 }
@@ -154,27 +154,27 @@ func TestForEachDefaultWorkers(t *testing.T) {
 // reduction must stay ordered and within [0, 1].
 func TestWorkerBusyAccounting(t *testing.T) {
 	const n, workers = 32, 4
-	stats, err := ForEachStatsCtx(context.Background(), n, workers, func(i int) error {
+	stats, err := forEachStats(context.Background(), n, workers, func(i int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.WorkerBusy) != workers {
-		t.Fatalf("WorkerBusy has %d entries, want %d", len(stats.WorkerBusy), workers)
+	if len(stats.workerBusy) != workers {
+		t.Fatalf("WorkerBusy has %d entries, want %d", len(stats.workerBusy), workers)
 	}
 	var fromWorkers, fromTasks time.Duration
-	for _, b := range stats.WorkerBusy {
+	for _, b := range stats.workerBusy {
 		fromWorkers += b
 	}
-	for _, d := range stats.Durations {
+	for _, d := range stats.durations {
 		fromTasks += d
 	}
 	if fromWorkers != fromTasks {
 		t.Fatalf("worker busy sum %v != task duration sum %v", fromWorkers, fromTasks)
 	}
-	min, mean, max := stats.WorkerBusyRatios()
+	min, mean, max := stats.workerBusyRatios()
 	if min < 0 || min > mean || mean > max || max > 1 {
 		t.Fatalf("busy ratios min/mean/max = %v/%v/%v not ordered in [0,1]", min, mean, max)
 	}
@@ -186,29 +186,29 @@ func TestWorkerBusyAccounting(t *testing.T) {
 // TestWorkerBusySingleWorker: the sequential fast path accounts its one
 // worker too.
 func TestWorkerBusySingleWorker(t *testing.T) {
-	stats, err := ForEachStatsCtx(context.Background(), 8, 1, func(int) error {
+	stats, err := forEachStats(context.Background(), 8, 1, func(int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.WorkerBusy) != 1 || stats.WorkerBusy[0] <= 0 {
-		t.Fatalf("WorkerBusy = %v", stats.WorkerBusy)
+	if len(stats.workerBusy) != 1 || stats.workerBusy[0] <= 0 {
+		t.Fatalf("WorkerBusy = %v", stats.workerBusy)
 	}
-	if _, _, max := stats.WorkerBusyRatios(); max <= 0 {
+	if _, _, max := stats.workerBusyRatios(); max <= 0 {
 		t.Fatal("single-worker busy ratio is zero")
 	}
 }
 
 // TestForEachPanicBecomesError: a panicking task fails the batch with
 // an error naming its index and the panic value, the other tasks still
-// run, and Stats.FirstErr points at the panicking task.
+// run, and batchStats.firstErr points at the panicking task.
 func TestForEachPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls int64
 		const n = 20
-		stats, err := ForEachStatsCtx(context.Background(), n, workers, func(i int) error {
+		stats, err := forEachStats(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt64(&calls, 1)
 			if i == 11 {
 				panic("kaboom")
@@ -221,8 +221,8 @@ func TestForEachPanicBecomesError(t *testing.T) {
 		if msg := err.Error(); !strings.Contains(msg, "task 11") || !strings.Contains(msg, "kaboom") {
 			t.Fatalf("workers=%d: err = %q, want the task index and panic value", workers, msg)
 		}
-		if stats.FirstErr != 11 {
-			t.Fatalf("workers=%d: FirstErr = %d, want 11", workers, stats.FirstErr)
+		if stats.firstErr != 11 {
+			t.Fatalf("workers=%d: FirstErr = %d, want 11", workers, stats.firstErr)
 		}
 		if got := atomic.LoadInt64(&calls); got != n {
 			t.Fatalf("workers=%d: %d of %d tasks ran", workers, got, n)

@@ -315,45 +315,3 @@ func TestDistPreSized(t *testing.T) {
 		t.Fatalf("support %d want %d", d.Support(), support)
 	}
 }
-
-// TestSampleMatchesSeedStream pins that the restructured Sample draws the
-// same outcomes as the seed implementation (cumulative binary search with
-// identical RNG consumption).
-func TestSampleMatchesSeedStream(t *testing.T) {
-	s := mustRun(t, circuit.New("ghz", 6).H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4).CX(4, 5))
-	// Seed-repo reference: fresh probability + cumulative vectors.
-	ref := func(shots int, rng *mathx.RNG) *bitstring.Dist {
-		p := s.Probabilities()
-		cum := make([]float64, len(p))
-		var acc float64
-		for i, v := range p {
-			acc += v
-			cum[i] = acc
-		}
-		d := bitstring.NewDist(s.n)
-		for i := 0; i < shots; i++ {
-			u := rng.Float64() * acc
-			lo, hi := 0, len(cum)-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if cum[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			d.Add(bitstring.BitString(lo), 1)
-		}
-		return d
-	}
-	want := ref(500, mathx.NewRNG(42))
-	got := s.Sample(500, mathx.NewRNG(42))
-	for _, v := range want.Outcomes() {
-		if got.Count(v) != want.Count(v) {
-			t.Fatalf("count[%v] = %v want %v", v, got.Count(v), want.Count(v))
-		}
-	}
-	if got.Support() != want.Support() {
-		t.Fatalf("support %d want %d", got.Support(), want.Support())
-	}
-}

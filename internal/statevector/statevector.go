@@ -18,7 +18,6 @@ import (
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
-	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
 	"qbeep/internal/par"
 )
@@ -27,12 +26,11 @@ import (
 const MaxQubits = 24
 
 // Simulation metrics (see internal/obs): run wall time, cumulative gate
-// and shot counts, and the width of the most recent run.
+// count, and the width of the most recent run.
 var (
 	metRun   = obs.Default.Timer("sim.run")
 	metRuns  = obs.Default.Counter("sim.runs")
 	metGates = obs.Default.Counter("sim.gates")
-	metShots = obs.Default.Counter("sim.shots")
 	metWidth = obs.Default.Gauge("sim.width")
 )
 
@@ -404,40 +402,6 @@ func (s *State) Dist() *bitstring.Dist {
 		}
 	}
 	return d
-}
-
-// Sample draws shots measurement outcomes from the state using the given
-// RNG, via the cumulative method. One scratch vector is allocated and the
-// cumulative sums are built in place over it (ProbabilitiesInto).
-func (s *State) Sample(shots int, rng *mathx.RNG) *bitstring.Dist {
-	cum := s.ProbabilitiesInto(nil)
-	var acc float64
-	for i, v := range cum {
-		acc += v
-		cum[i] = acc
-	}
-	metShots.Add(int64(shots))
-	d := bitstring.NewDist(s.n)
-	for i := 0; i < shots; i++ {
-		d.Add(sampleCum(cum, acc, rng), 1)
-	}
-	return d
-}
-
-// sampleCum draws one outcome from a cumulative probability vector by
-// binary search.
-func sampleCum(cum []float64, total float64, rng *mathx.RNG) bitstring.BitString {
-	u := rng.Float64() * total
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return bitstring.BitString(lo)
 }
 
 // ExpectationZ returns ⟨Z_q⟩ for qubit q.

@@ -264,20 +264,6 @@ func TestDistMatchesProbs(t *testing.T) {
 	}
 }
 
-func TestSampleConvergence(t *testing.T) {
-	s := mustRun(t, circuit.New("bell", 2).H(0).CX(0, 1))
-	d := s.Sample(20000, mathx.NewRNG(1))
-	if d.Total() != 20000 {
-		t.Fatalf("total %v", d.Total())
-	}
-	if !approx(d.Prob(0), 0.5, 0.02) || !approx(d.Prob(3), 0.5, 0.02) {
-		t.Errorf("sampled probs %v %v", d.Prob(0), d.Prob(3))
-	}
-	if d.Count(1) != 0 || d.Count(2) != 0 {
-		t.Error("sampled impossible outcome")
-	}
-}
-
 func TestRunFromInitialState(t *testing.T) {
 	// X on qubit 1 from |01⟩ gives |11⟩.
 	c := circuit.New("x1", 2).X(1)
@@ -358,21 +344,5 @@ func BenchmarkRun12QubitGHZ(b *testing.B) {
 		if _, err := RunCtx(context.Background(), c); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSample4096Shots(b *testing.B) {
-	c := circuit.New("ghz", 10).H(0)
-	for q := 0; q < 9; q++ {
-		c.CX(q, q+1)
-	}
-	s, err := RunCtx(context.Background(), c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := mathx.NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sample(4096, rng)
 	}
 }

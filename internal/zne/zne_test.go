@@ -169,7 +169,7 @@ func TestZNERecoversExpectationOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.ExecuteCtx(context.Background(), folded, 4096, 1, rng)
+		run, err := exec.ExecuteCtx(context.Background(), folded, 4096, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

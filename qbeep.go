@@ -235,21 +235,9 @@ func Simulate(qasmSource, backend string, shots int, seed uint64) (*SimResult, e
 // SimulateCtx is Simulate with trace-context propagation: the parse,
 // transpile, ideal-run and noisy-induction spans all parent under the span
 // active in ctx, giving one connected trace for the whole synthetic
-// pipeline.
+// pipeline. The shot loop fans across cores, and the counts depend on
+// seed alone, at any GOMAXPROCS.
 func SimulateCtx(ctx context.Context, qasmSource, backend string, shots int, seed uint64) (*SimResult, error) {
-	return SimulateBatchedCtx(ctx, qasmSource, backend, shots, 1, seed)
-}
-
-// SimulateBatched is SimulateBatchedCtx with a background context.
-func SimulateBatched(qasmSource, backend string, shots, batch int, seed uint64) (*SimResult, error) {
-	return SimulateBatchedCtx(context.Background(), qasmSource, backend, shots, batch, seed) //qbeep:allow-ctx ctx-less public convenience form roots its own context
-}
-
-// SimulateBatchedCtx is SimulateCtx with the shot loop split into batch
-// blocks fanned across the worker pool (see noise.Executor.ExecuteCtx).
-// Counts are deterministic for a given (seed, batch) at any worker
-// count; batch <= 1 is exactly SimulateCtx.
-func SimulateBatchedCtx(ctx context.Context, qasmSource, backend string, shots, batch int, seed uint64) (*SimResult, error) {
 	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return nil, err
@@ -262,7 +250,7 @@ func SimulateBatchedCtx(ctx context.Context, qasmSource, backend string, shots, 
 	if err != nil {
 		return nil, err
 	}
-	run, err := exec.ExecuteCtx(ctx, c, shots, batch, mathx.NewRNG(seed))
+	run, err := exec.ExecuteCtx(ctx, c, shots, mathx.NewRNG(seed))
 	if err != nil {
 		return nil, err
 	}
