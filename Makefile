@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint gcfacts test e2ebench-test race bench-smoke bench-core bench-sim bench-gate bench-record fuzz-smoke obs-smoke quality-gate quality-baseline ci
+.PHONY: all build lines vet lint gcfacts test e2ebench-test race bench-smoke bench-core bench-sim bench-gate bench-record fuzz-smoke obs-smoke quality-gate quality-baseline ci
 
 # Extra worker counts the determinism tests sweep on top of their
 # built-in {1, 2, 4, 8, GOMAXPROCS} matrix. Comma-separated. Read by the
@@ -13,6 +13,12 @@ all: build
 
 build:
 	$(GO) build ./...
+
+# lines: the size measure ROADMAP.md tracks — non-test Go lines outside
+# e2ebench/ (its own module), testdata/ fixtures and hidden build dirs.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './e2ebench/*' \
+		-not -path '*/testdata/*' -not -path './.*' -exec cat {} + | wc -l
 
 # vet = go vet + gofmt drift check (fails listing any unformatted file).
 vet:
@@ -50,8 +56,8 @@ e2ebench-test:
 
 # race covers the packages with real concurrency or lock-cheap atomics:
 # the obs registry/sinks, the parallel fan-out, the mitigation core, the
-# sharded simulation kernels (statevector, density matrix, trajectory
-# sampler) — with the widened worker-count matrix so deterministic merges
+# sharded simulation kernels (statevector, density matrix, shot engine)
+# — with the widened worker-count matrix so deterministic merges
 # and amplitude shards are raced under uneven fan-outs too — plus the
 # experiment runners and the transpiler, whose figure pipelines fan out
 # through par.
@@ -71,13 +77,12 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'ForEachTinyTasks' -benchmem ./internal/par
 
 # bench-sim: the simulation kernel engine — fused vs unfused vs the
-# retained naiveApply oracle on the 14-qubit QAOA workload, the zero-copy
-# probability path, the density-matrix hot loops, and the parallel
-# trajectory sampler. BENCH_sim.json holds the recorded baseline.
+# retained naiveApply oracle on the 14-qubit QAOA workload, compiled
+# replay, the zero-copy probability path and the density-matrix hot
+# loops. BENCH_sim.json holds the recorded baseline.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$|BenchmarkRunProgram$$|BenchmarkRunUnfused$$|BenchmarkNaiveRun$$|BenchmarkProbabilitiesInto$$' -benchmem ./internal/statevector
 	$(GO) test -run '^$$' -bench 'BenchmarkDensityEvolve$$' -benchmem ./internal/densitymatrix
-	$(GO) test -run '^$$' -bench 'BenchmarkTrajectory$$|BenchmarkTrajectoryPerGate$$' -benchmem ./internal/noise
 
 # bench-gate: the regression gate. cmd/qbeep-bench runs both suites at a
 # short benchtime and recomputes the derived ratio invariants

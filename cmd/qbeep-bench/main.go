@@ -46,7 +46,6 @@ var suites = map[string][]suiteCmd{
 	"sim": {
 		{pkg: "./internal/statevector", bench: "BenchmarkRun$|BenchmarkRunProgram$|BenchmarkRunUnfused$|BenchmarkNaiveRun$|BenchmarkProbabilitiesInto$"},
 		{pkg: "./internal/densitymatrix", bench: "BenchmarkDensityEvolve$"},
-		{pkg: "./internal/noise", bench: "BenchmarkTrajectory$|BenchmarkTrajectoryPerGate$"},
 	},
 	// smoke mirrors bench-smoke: record-only (no BENCH_smoke.json
 	// baseline, so -compare on it fails honestly on the missing file).

@@ -13,7 +13,7 @@
 // Directives live in the function's doc comment, like //go:noinline.
 // The facts they pin are exactly the ones PRs 2-8 established by manual
 // `-gcflags=-m` inspection — the closure-free applyOp keeping the
-// serial gate path allocation-free, the zero-alloc Step and trajectory
+// serial gate path allocation-free, the zero-alloc Step and state-vector
 // replay loops, the inlinable RNG and bitstring primitives — so a
 // refactor that quietly re-introduces a per-op heap move or pushes a
 // hot helper past the inline budget fails `make lint` instead of

@@ -128,14 +128,6 @@ func (d *Dist) Prob(v BitString) float64 {
 // Support returns the number of distinct observed outcomes.
 func (d *Dist) Support() int { return len(d.counts) }
 
-// Reset empties the distribution in place, keeping the width and the
-// outcome map's storage so arena-pooled Dists don't re-allocate across
-// batches.
-func (d *Dist) Reset() {
-	clear(d.counts)
-	d.total = 0
-}
-
 // Outcomes returns the observed outcomes sorted ascending. Sorting makes
 // every downstream iteration deterministic.
 func (d *Dist) Outcomes() []BitString {

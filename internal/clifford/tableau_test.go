@@ -1,7 +1,6 @@
 package clifford
 
 import (
-	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -159,6 +158,21 @@ func TestInvertSequenceRandom(t *testing.T) {
 	}
 }
 
+// runFrom applies the circuit's gates one at a time to |init⟩.
+func runFrom(t *testing.T, c *circuit.Circuit, init bitstring.BitString) *statevector.State {
+	t.Helper()
+	s, err := statevector.NewBasis(c.N, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range c.Gates {
+		if err := s.Apply(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 func TestTableauAgreesWithStatevector(t *testing.T) {
 	// A random Clifford sequence that the tableau says is identity must fix
 	// every basis state in the statevector simulator (up to global phase).
@@ -169,10 +183,7 @@ func TestTableauAgreesWithStatevector(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, init := range []bitstring.BitString{0, 0b1010, 0b1111} {
-			s, err := statevector.RunConfiguredCtx(context.Background(), c, init, statevector.RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := runFrom(t, c, init)
 			if p := s.Prob(init); math.Abs(p-1) > 1e-9 {
 				t.Fatalf("trial %d init %04b: P = %v, want 1", trial, init, p)
 			}

@@ -20,8 +20,8 @@ func NewRNG(seed uint64) *RNG {
 
 // Reseed re-initializes the generator in place to the exact state NewRNG
 // would produce for seed. Hot loops that burn one stream per iteration
-// (the trajectory sampler's per-shot streams) reseed a long-lived
-// generator instead of allocating a fresh one.
+// (the shot engine's per-shot streams, through ReseedStream) reseed a
+// long-lived generator instead of allocating a fresh one.
 func (r *RNG) Reseed(seed uint64) {
 	// splitmix64 expansion of the seed into the xoshiro state.
 	x := seed

@@ -7,14 +7,12 @@ import (
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
-	"qbeep/internal/densitymatrix"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 )
 
 // uniformBackend builds a backend with exactly-known uniform error rates,
-// so trajectory sampling can be validated against closed-form channel
-// evolution.
+// so the executors can be validated against closed-form expectations.
 func uniformBackend(t *testing.T, n int, err1q, err2q, readout float64) *device.Backend {
 	t.Helper()
 	topo, err := device.AllToAll(n)
@@ -45,60 +43,90 @@ func uniformBackend(t *testing.T, n int, err1q, err2q, readout float64) *device.
 	return b
 }
 
-// TestTrajectoryMatchesDensityMatrix validates the Monte Carlo Pauli-jump
-// trajectories against exact Kraus evolution: injecting a uniform Pauli
-// with probability p after a gate equals the depolarizing channel with
-// parameter 4p/3 on that gate's qubit.
-func TestTrajectoryMatchesDensityMatrix(t *testing.T) {
-	const p = 0.12 // per-gate Pauli-jump probability
-	b := uniformBackend(t, 2, p, p, 0)
+// bitChannel is the classical transition a diagonal one-qubit state
+// takes through ExecuteExact's per-gate channels: depolarizing with
+// parameter 4p/3 (ρ → (1−4p/3)ρ + (4p/3)·I/2) flips the bit with
+// probability 2p/3, amplitude damping decays 1 → 0 with probability γ,
+// and phase damping leaves the diagonal alone. It returns P(1) after
+// the channels given P(1) = x before.
+func bitChannel(x, p, gamma float64) float64 {
+	flip := 2 * p / 3
+	return (x*(1-flip) + (1-x)*flip) * (1 - gamma)
+}
 
-	c := circuit.New("bell", 2).H(0).CX(0, 1)
+// readoutFlip applies a readout bit-flip of probability r to P(1) = x.
+func readoutFlip(x, r float64) float64 { return x*(1-r) + (1-x)*r }
 
-	// Exact: density matrix with depolarizing(4p/3) after each gate on a
-	// uniformly chosen involved qubit — averaging over the qubit choice
-	// means half weight per qubit on the CX.
-	dm, err := densitymatrix.New(2)
+// TestExecuteExactMatchesClosedForm pins DensityExecutor.ExecuteExact's
+// channel placement against hand-computed distributions on a uniform
+// backend whose gate durations make the damping visible. Every state
+// along these circuits stays diagonal, so each channel acts on the
+// outcome probabilities as a classical bit transition (bitChannel).
+//
+//   - X then measure: P(1) = q(1−r) + (1−q)r with q = (1−2p/3)(1−γ),
+//     p the 1q error and γ = 1−e^(−d/T1).
+//   - X(0), CX(0,1), measure: the CX leaves q on |11⟩ and 1−q on |00⟩,
+//     then each qubit takes depolarizing with half the 2q error p₂/2,
+//     damping over the 2q duration, and readout.
+func TestExecuteExactMatchesClosedForm(t *testing.T) {
+	const (
+		p1, p2, r = 0.03, 0.08, 0.02
+		d1, d2    = 0.02, 0.05 // gate durations, in units of T1 = 1
+	)
+	b := uniformBackend(t, 2, p1, p2, r)
+	for q := range b.Calibration.Gates1Q {
+		b.Calibration.Gates1Q[q].Duration = d1
+	}
+	for e, g := range b.Calibration.Gates2Q {
+		g.Duration = d2
+		b.Calibration.Gates2Q[e] = g
+	}
+	exec, err := NewDensityExecutor(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := densitymatrix.Depolarizing(4 * p / 3)
-	half := densitymatrix.Depolarizing(4 * (p / 2) / 3)
-	if err := dm.Apply(circuit.Gate{Kind: circuit.H, Qubits: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Channel(0, ch); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Apply(circuit.Gate{Kind: circuit.CX, Qubits: []int{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// CX error: one of the two qubits uniformly — approximate the mixture
-	// by applying the half-rate channel to both (exact to first order and
-	// adequate at p = 0.12 for the tolerance below).
-	if err := dm.Channel(0, half); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Channel(1, half); err != nil {
-		t.Fatal(err)
-	}
-	exact := dm.Dist()
+	gamma1, gamma2 := 1-math.Exp(-d1), 1-math.Exp(-d2)
 
-	// Monte Carlo.
-	ts, err := NewTrajectorySampler(b)
+	t.Run("x", func(t *testing.T) {
+		q := (1 - 2*p1/3) * (1 - gamma1)
+		want := map[bitstring.BitString]float64{1: readoutFlip(q, r)}
+		want[0] = 1 - want[1]
+		requireExact(t, exec, circuit.New("x", 1).X(0).MeasureAll(), want)
+	})
+	t.Run("cx", func(t *testing.T) {
+		q := (1 - 2*p1/3) * (1 - gamma1)
+		// P(bit = 1) after the CX's channels and readout, given the bit
+		// left the CX as x.
+		one := func(x float64) float64 { return readoutFlip(bitChannel(x, p2/2, gamma2), r) }
+		bit := func(v, x float64) float64 {
+			if v == 1 {
+				return one(x)
+			}
+			return 1 - one(x)
+		}
+		want := map[bitstring.BitString]float64{}
+		for v := bitstring.BitString(0); v < 4; v++ {
+			b0, b1 := float64(v.Bit(0)), float64(v.Bit(1))
+			want[v] = q*bit(b0, 1)*bit(b1, 1) + (1-q)*bit(b0, 0)*bit(b1, 0)
+		}
+		requireExact(t, exec, circuit.New("cx", 2).X(0).CX(0, 1).MeasureAll(), want)
+	})
+}
+
+// requireExact runs ExecuteExact without shots and compares every
+// outcome probability with want to 1e-12.
+func requireExact(t *testing.T, exec *DensityExecutor, c *circuit.Circuit, want map[bitstring.BitString]float64) {
+	t.Helper()
+	exact, sampled, err := exec.ExecuteExact(context.Background(), c, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shots = 40000
-	sampled, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
+	if sampled != nil {
+		t.Fatal("shots = 0 returned a sampled distribution")
 	}
-	for v := bitstring.BitString(0); v < 4; v++ {
-		want := exact.Prob(v)
-		got := sampled.Prob(v)
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("P(%02b): trajectory %v vs exact %v", v, got, want)
+	for v := bitstring.BitString(0); v < bitstring.BitString(1)<<uint(c.N); v++ {
+		if got := exact.Prob(v); math.Abs(got-want[v]) > 1e-12 {
+			t.Errorf("%s: P(%0*b) = %.15f, closed form %.15f", c.Name, c.N, v, got, want[v])
 		}
 	}
 }

@@ -42,9 +42,10 @@ func NewDensityExecutor(b *device.Backend) (*DensityExecutor, error) {
 // calibration uses the mean device statistics, as the circuit is not
 // routed here) and returns the exact outcome distribution, plus a sampled
 // counts distribution when shots > 0, drawn on the shot engine (rng
-// advances by one Uint64; a cancelled ctx returns ctx's error). The
-// matrix's row shard fan-outs parent their worker spans under the span
-// active in ctx.
+// advances by one Uint64). The evolution checks ctx between gates and
+// the shot engine between chunks, so a cancelled ctx returns ctx's
+// error. The matrix's row shard fan-outs parent their worker spans
+// under the span active in ctx.
 func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (exact *bitstring.Dist, sampled *bitstring.Dist, err error) {
 	if err := c.Err(); err != nil {
 		return nil, nil, err
@@ -55,6 +56,9 @@ func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, 
 	}
 	if shots < 0 {
 		return nil, nil, fmt.Errorf("noise: negative shots %d", shots)
+	}
+	if shots > 0 && rng == nil {
+		return nil, nil, fmt.Errorf("noise: nil RNG with shots > 0")
 	}
 	cal := e.backend.Calibration
 	var err1q, err2q, dur1q, dur2q float64
@@ -85,6 +89,9 @@ func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, 
 	}
 	dm.SetContext(ctx)
 	for _, g := range c.Gates {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		if err := dm.Apply(g); err != nil {
 			return nil, nil, err
 		}
@@ -122,9 +129,6 @@ func (e *DensityExecutor) ExecuteExact(ctx context.Context, c *circuit.Circuit, 
 	}
 	exact = dm.Dist()
 	if shots > 0 {
-		if rng == nil {
-			return nil, nil, fmt.Errorf("noise: nil RNG with shots > 0")
-		}
 		ds := &distSampler{}
 		ds.outcomes, ds.cum = distTable(exact)
 		var eng shotEngine

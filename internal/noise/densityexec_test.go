@@ -2,11 +2,14 @@ package noise
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
+	"qbeep/internal/densitymatrix"
 	"qbeep/internal/mathx"
 )
 
@@ -102,5 +105,51 @@ func TestDensityAgainstFastExecutorDirection(t *testing.T) {
 	pe := ex.Prob(ones)
 	if math.Abs(pf-pe) > 0.15 {
 		t.Errorf("success probabilities diverge: fast %v exact %v", pf, pe)
+	}
+}
+
+// TestExecuteExactDeadlineStopsMidRun: a deadline that expires during a
+// deep evolution at densitymatrix.MaxQubits stops it between two gates.
+// One layer (an H and a CX) is timed uncancelled; the deep run has 200
+// layers and a one-layer deadline, and must return
+// context.DeadlineExceeded within a quarter of its estimated uncancelled
+// time. The same deep circuit with shots but no RNG fails up front.
+func TestExecuteExactDeadlineStopsMidRun(t *testing.T) {
+	const n, layers = densitymatrix.MaxQubits, 200
+	e, err := NewDensityExecutor(testBackend(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	brick := func(layers int) *circuit.Circuit {
+		c := circuit.New("brick", n)
+		for l := 0; l < layers; l++ {
+			c.H(l%n).CX(l%n, (l+1)%n)
+		}
+		return c
+	}
+	start := time.Now()
+	if _, _, err := e.ExecuteExact(context.Background(), brick(1), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	layer := time.Since(start)
+
+	ctx, cancel := context.WithTimeout(context.Background(), layer)
+	defer cancel()
+	start = time.Now()
+	_, _, err = e.ExecuteExact(ctx, brick(layers), 0, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v, want context.DeadlineExceeded", err)
+	}
+	if budget := layers * layer / 4; elapsed > budget {
+		t.Fatalf("cancelled run took %v, want < %v (one layer: %v)", elapsed, budget, layer)
+	}
+
+	// Shots without an RNG are rejected before the evolution starts, in
+	// less time than a single layer takes.
+	start = time.Now()
+	_, _, err = e.ExecuteExact(context.Background(), brick(layers), 10, nil)
+	if elapsed := time.Since(start); err == nil || elapsed > layer {
+		t.Fatalf("nil RNG with shots: err %v after %v, want a rejection within %v", err, elapsed, layer)
 	}
 }

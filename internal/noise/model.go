@@ -11,10 +11,14 @@
 //     the non-local Hamming clustering (EHD growing with gate count,
 //     IoD ≈ 1) that Q-BEEP exploits.
 //
-//   - TrajectorySampler implements a conventional Markovian per-gate Pauli
-//     noise model on the state vector. As the paper notes, this model does
-//     NOT produce non-local clustering — we keep it as the negative
-//     control and for small-circuit validation.
+//   - DensityExecutor evolves the full density matrix with calibrated
+//     per-gate Kraus channels: the exact conventional Markovian model,
+//     for small registers.
+//
+// Markovian noise — DensityExecutor, or the Executor under
+// MarkovianModel — does NOT produce non-local clustering, as the paper
+// notes; it is kept as the negative control and for small-circuit
+// validation.
 package noise
 
 import (

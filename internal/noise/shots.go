@@ -7,12 +7,11 @@ import (
 	"qbeep/internal/bitstring"
 	"qbeep/internal/mathx"
 	"qbeep/internal/par"
-	"qbeep/internal/statevector"
 )
 
-// The shot engine is the one shot loop behind every sampler in this
-// package (the failure-event Executor, TrajectorySampler and the sampled
-// half of DensityExecutor.ExecuteExact). Its contract:
+// The shot engine is the one shot loop behind both samplers in this
+// package (the failure-event Executor and the sampled half of
+// DensityExecutor.ExecuteExact). Its contract:
 //
 //   - One run draws base := rng.Uint64() from the caller's generator and
 //     nothing else, and shot s always samples from stream (base, s)
@@ -56,24 +55,18 @@ type shotSource interface {
 	sampleShots(a *shotArena, base uint64, lo, hi int) error
 }
 
-// shotArena is one shard's scratch, reused across the engine's runs. st
-// and probs are the trajectory sampler's replay state and
-// probability/cumulative buffer; the other samplers leave them nil.
+// shotArena is one shard's scratch for one run: its stream generator,
+// its counts and its error.
 //
 //qbeep:pooled
 type shotArena struct {
 	rng    mathx.RNG
 	counts *bitstring.Dist
-	outs   []bitstring.BitString // sorted-merge scratch
-	st     *statevector.State
-	probs  []float64
 	err    error
 }
 
-// shotEngine fans one shotSource's shots over par.Shards. The shards and
-// arenas are bound once and grow only when a run needs more shards, so a
-// long-lived engine (TrajectorySampler's) samples allocation-free in the
-// steady state. An engine runs one sampling at a time.
+// shotEngine fans one shotSource's shots over par.Shards. Each sampling
+// call builds its own engine, so an engine runs one sampling.
 type shotEngine struct {
 	shards *par.Shards
 	arenas []*shotArena
@@ -91,21 +84,18 @@ type shotEngine struct {
 // work units, and returns their merged counts.
 func (e *shotEngine) run(ctx context.Context, src shotSource, width, shots, cost int, rng *mathx.RNG) (*bitstring.Dist, error) {
 	e.n = shotShards(shots, cost)
-	if e.shards == nil || e.shards.Len() < e.n {
-		for len(e.arenas) < e.n {
-			e.arenas = append(e.arenas, &shotArena{})
-		}
-		e.shards = par.NewShards(e.n, e.runShard)
+	e.arenas = make([]*shotArena, e.n)
+	for k := range e.arenas {
+		e.arenas[k] = &shotArena{}
 	}
+	e.shards = par.NewShards(e.n, e.runShard)
 	e.ctx, e.src, e.width, e.shots = ctx, src, width, shots
 	e.base = rng.Uint64()
 	err := e.shards.Run(ctx, e.n)
-	e.ctx, e.src = nil, nil
-	for _, a := range e.arenas[:e.n] {
+	for _, a := range e.arenas {
 		if err == nil {
 			err = a.err
 		}
-		a.err = nil
 	}
 	if err != nil {
 		return nil, err
@@ -114,13 +104,12 @@ func (e *shotEngine) run(ctx context.Context, src shotSource, width, shots, cost
 }
 
 // runShard samples shard k's contiguous shot range in ctx-checked chunks.
+// The shard allocates its counts on its own goroutine: Dists allocated
+// back to back on one goroutine sit side by side in memory, and the
+// shards' per-shot count updates would then contend for cache lines.
 func (e *shotEngine) runShard(k int) {
 	a := e.arenas[k]
-	if a.counts == nil || a.counts.Width() != e.width {
-		a.counts = bitstring.NewDist(e.width)
-	} else {
-		a.counts.Reset()
-	}
+	a.counts = bitstring.NewDist(e.width)
 	lo, hi := par.Range(k, e.n, e.shots)
 	for c := lo; c < hi; c += shotChunk {
 		if a.err = e.ctx.Err(); a.err != nil {
@@ -137,13 +126,14 @@ func (e *shotEngine) runShard(k int) {
 // not depend on how the shots were split.
 func (e *shotEngine) merge() *bitstring.Dist {
 	support := 0
-	for _, a := range e.arenas[:e.n] {
+	for _, a := range e.arenas {
 		support += a.counts.Support()
 	}
 	counts := bitstring.NewDistCap(e.width, support)
-	for _, a := range e.arenas[:e.n] {
-		a.outs = a.counts.OutcomesInto(a.outs)
-		for _, v := range a.outs {
+	var outs []bitstring.BitString
+	for _, a := range e.arenas {
+		outs = a.counts.OutcomesInto(outs)
+		for _, v := range outs {
 			counts.Add(v, a.counts.Count(v))
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
-	"qbeep/internal/obs"
 	"qbeep/internal/testutil"
 	"qbeep/internal/transpile"
 )
@@ -35,43 +34,6 @@ func withShotShards(t testing.TB, n int) {
 	t.Cleanup(func() { shotShardsOverride = prev })
 }
 
-// oracleCircuits builds a spread of circuits for the replay-equivalence
-// sweep: randomized widths 1-12 exercising every kernel, plus the
-// structured circuit the determinism tests use.
-func oracleCircuits() []*circuit.Circuit {
-	var cs []*circuit.Circuit
-	for n := 1; n <= 12; n += 3 {
-		cs = append(cs, randomTrajCircuit(n, 15+2*n, mathx.NewRNG(uint64(100+n))))
-	}
-	cs = append(cs, circuit.New("struct", 5).H(0).CX(0, 1).RZ(0.7, 1).CX(1, 2).T(2).CX(2, 3).RX(0.3, 4).MeasureAll())
-	return cs
-}
-
-// randomTrajCircuit draws length gates over a kernel-diverse kind set
-// (measurement appended so the readout path runs).
-func randomTrajCircuit(n, length int, rng *mathx.RNG) *circuit.Circuit {
-	kinds := []circuit.Kind{
-		circuit.X, circuit.Y, circuit.Z, circuit.H, circuit.S, circuit.T,
-		circuit.SX, circuit.RX, circuit.RY, circuit.RZ, circuit.U3,
-		circuit.CX, circuit.CZ, circuit.SWAP, circuit.CCX,
-	}
-	c := circuit.New("randtraj", n)
-	for len(c.Gates) < length {
-		k := kinds[rng.Intn(len(kinds))]
-		a := k.Arity()
-		if a > n {
-			continue
-		}
-		qs := rng.Perm(n)[:a]
-		var params []float64
-		for p := 0; p < k.ParamCount(); p++ {
-			params = append(params, rng.Uniform(-3, 3))
-		}
-		c.Append(circuit.Gate{Kind: k, Qubits: qs, Params: params})
-	}
-	return c.MeasureAll()
-}
-
 // requireSameDist fails unless the two distributions are bit-for-bit
 // identical (same outcomes, same counts).
 func requireSameDist(t *testing.T, label string, got, want *bitstring.Dist) {
@@ -90,39 +52,8 @@ func requireSameDist(t *testing.T, label string, got, want *bitstring.Dist) {
 	}
 }
 
-// TestTrajectoryMatchesPerGateOracle pins the compiled-replay rewrite to
-// the retained per-gate reference implementation: identical counts for
-// every circuit, seed and shard count — the replay engine changed the
-// execution strategy, not one realized draw.
-func TestTrajectoryMatchesPerGateOracle(t *testing.T) {
-	b := testBackend(t)
-	ts, err := NewTrajectorySampler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewTrajectorySampler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shots = 200
-	for ci, c := range oracleCircuits() {
-		want, err := samplePerGateOracle(ref, c, 0, shots, mathx.NewRNG(uint64(50+ci)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range shardMatrix(t) {
-			withShotShards(t, n)
-			got, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(uint64(50+ci)))
-			if err != nil {
-				t.Fatalf("circuit %d shards=%d: %v", ci, n, err)
-			}
-			requireSameDist(t, c.Name, got, want)
-		}
-	}
-}
-
 // TestExecuteBatchDeterministicAcrossBlocks pins the shot-stream
-// contract for the three samplers on the shot engine: their counts are
+// contract for the two samplers on the shot engine: their counts are
 // bit-identical at every shard count (shard count 1 is the serial loop),
 // ExecuteCtx and ExecuteTranspiledCtx agree on the same transpilation,
 // and every call advances the caller's generator by exactly one Uint64.
@@ -130,10 +61,6 @@ func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
 	ctx := context.Background()
 	b := testBackend(t)
 	exec, err := NewExecutor(b, DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := NewTrajectorySampler(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +92,6 @@ func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
 				return nil, err
 			}
 			return run.Counts, nil
-		}},
-		{"trajectory", func(rng *mathx.RNG) (*bitstring.Dist, error) {
-			return ts.SampleCtx(ctx, c, 0, shots, rng)
 		}},
 		{"density", func(rng *mathx.RNG) (*bitstring.Dist, error) {
 			_, sampled, err := dens.ExecuteExact(ctx, c, shots, rng)
@@ -212,7 +136,6 @@ func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
 func TestSamplersReturnCancelled(t *testing.T) {
 	b := testBackend(t)
 	exec, _ := NewExecutor(b, DefaultModel())
-	ts, _ := NewTrajectorySampler(b)
 	dens, _ := NewDensityExecutor(b)
 	c := ghz(4)
 	res, err := transpile.TranspileCtx(context.Background(), c, b, nil)
@@ -231,53 +154,14 @@ func TestSamplersReturnCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("shards=%d ExecuteTranspiledCtx: err %v, want context.Canceled", n, err)
 		}
-		_, err = ts.SampleCtx(ctx, c, 0, 1000, mathx.NewRNG(1))
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("shards=%d SampleCtx: err %v, want context.Canceled", n, err)
-		}
 		_, _, err = dens.ExecuteExact(ctx, c, 1000, mathx.NewRNG(1))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("shards=%d ExecuteExact: err %v, want context.Canceled", n, err)
 		}
 	}
 	// The samplers stay usable after a cancelled run.
-	if _, err := ts.SampleCtx(context.Background(), c, 0, 100, mathx.NewRNG(1)); err != nil {
+	if _, err := exec.ExecuteCtx(context.Background(), c, 100, mathx.NewRNG(1)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTrajectoryTimerReadsSpanClock: the sim.trajectory timer records
-// exactly the duration of the batch's "sim.trajectory" span, at one
-// shard and across a sharded run.
-func TestTrajectoryTimerReadsSpanClock(t *testing.T) {
-	ts, err := NewTrajectorySampler(testBackend(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := circuit.New("clock-probe", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3)
-	c.MeasureAll()
-	for _, n := range []int{1, 2} {
-		withShotShards(t, n)
-		var sink obs.CollectorSink
-		obs.SetSpanSink(&sink)
-		count, sum := metTraj.Count(), metTraj.Sum()
-		_, err := ts.SampleCtx(context.Background(), c, 0, 200, mathx.NewRNG(5))
-		obs.SetSpanSink(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var spans []obs.SpanEvent
-		for _, e := range sink.Events() {
-			if e.Name == "sim.trajectory" {
-				spans = append(spans, e)
-			}
-		}
-		if len(spans) != 1 || metTraj.Count() != count+1 {
-			t.Fatalf("shards=%d: %d spans, timer count +%d; want one of each", n, len(spans), metTraj.Count()-count)
-		}
-		if got, want := metTraj.Sum(), sum+spans[0].Duration.Seconds(); got != want {
-			t.Fatalf("shards=%d: timer sum %v, want %v", n, got, want)
-		}
 	}
 }
 

@@ -202,8 +202,8 @@ func forEachStats(ctx context.Context, n, workers int, fn func(i int) error) (ba
 	metWorkerBusyMin.Set(busyMin)
 	metWorkerBusyAvg.Set(busyMean)
 	metWorkerBusyMax.Set(busyMax)
-	// Enabled-gated: the variadic args box on every call otherwise, which
-	// alone would break the trajectory sampler's steady-state alloc pin.
+	// Enabled-gated: the variadic args would box on every call
+	// otherwise, even with debug logging off.
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
 		l.Debug("parallel batch done",
 			"tasks", n, "workers", workers, "elapsed", stats.elapsed,

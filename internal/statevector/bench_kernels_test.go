@@ -45,38 +45,37 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // BenchmarkRunProgram is the replay hot path: the same circuit compiled
-// once and replayed onto a pooled state — what one trajectory shot costs
-// without its per-call compile. Its allocs/op is the
-// run_program_allocs_steady benchparse ceiling.
+// once and replayed onto a pooled state, without RunCtx's per-call
+// compile. Its allocs/op is the run_program_allocs_steady benchparse
+// ceiling.
 func BenchmarkRunProgram(b *testing.B) {
 	c := qaoaCircuit(14, 3)
-	p, err := Compile(c, RunConfig{})
+	ops, err := compileOps(c.N, c.Gates, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewBasis(c.N, 0)
+	s, err := New(c.N)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Reset(0); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.RunProgram(p); err != nil {
+		clear(s.amp)
+		s.amp[0] = 1
+		if err := s.replay(ctx, ops); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRunUnfused isolates the pair-stride kernels from fusion.
+// BenchmarkRunUnfused isolates the pair-stride kernels from fusion: a
+// fresh state, the unfused compile and its replay per iteration.
 func BenchmarkRunUnfused(b *testing.B) {
 	c := qaoaCircuit(14, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{NoFuse: true}); err != nil {
-			b.Fatal(err)
-		}
+		replayFrom(b, c, 0, false, 0)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"qbeep/internal/mathx"
 )
 
-// FuzzCompileReplay drives the Compile → RunProgram pipeline against the
+// FuzzCompileReplay drives the compileOps → replay pipeline against the
 // retained naiveApply oracle over fuzzer-chosen circuit shapes. The
 // contract it checks is the one the test suite pins at fixed seeds
 // (TestKernelMatchesOracleBitwise and friends), opened to a random walk:
@@ -30,18 +30,7 @@ func FuzzCompileReplay(f *testing.F) {
 		c := randomCircuit(n, gates, rng)
 		init := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
 
-		p, err := Compile(c, RunConfig{NoFuse: noFuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewBasis(n, init)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.SetWorkers(1)
-		if err := got.RunProgram(p); err != nil {
-			t.Fatal(err)
-		}
+		got := replayFrom(t, c, init, !noFuse, 1)
 		want := naiveRunFrom(t, c, init)
 
 		for i := range want.amp {

@@ -497,10 +497,9 @@ func (s *State) resolveWorkers(space int) int {
 //
 // The op reaches the shards through the state's pend fields, not a
 // closure: a closure capturing the op would move it to the heap on
-// every call, serial ones included — one allocation per gate that the
-// trajectory sampler's zero-alloc pin forbids. The //qbeep:allocfree
-// directive makes the gcfacts gate reject any refactor that brings one
-// back.
+// every call, serial ones included — one allocation per gate in the
+// replay loop. The //qbeep:allocfree directive makes the gcfacts gate
+// reject any refactor that brings one back.
 //
 //qbeep:allocfree
 func (s *State) applyOp(o op) {
@@ -518,12 +517,9 @@ func (s *State) applyOp(o op) {
 }
 
 // shardArgs is one kernel fan-out: the shards split [0, space) into n
-// contiguous ranges and apply op o over theirs — or, when ops is set,
-// tile-local runs of ops over whole tiles (applyTiledRun).
+// contiguous ranges and apply op o over theirs.
 type shardArgs struct {
 	o        op
-	ops      []op
-	tileBits int
 	space, n int
 }
 
@@ -554,10 +550,6 @@ func (s *State) bindShards() {
 func (s *State) runShard(k int) {
 	lo, hi := par.Range(k, s.pend.n, s.pend.space)
 	if lo >= hi {
-		return
-	}
-	if s.pend.ops != nil {
-		s.runTiles(s.pend.ops, s.pend.tileBits, lo, hi)
 		return
 	}
 	s.opRange(s.pend.o, lo, hi)

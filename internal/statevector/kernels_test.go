@@ -41,6 +41,26 @@ func randomCircuit(n, length int, rng *mathx.RNG) *circuit.Circuit {
 	return c
 }
 
+// replayFrom compiles the circuit (fused or not) and replays it onto
+// |init⟩ at w kernel workers: RunCtx's compile-then-replay pipeline with
+// the fusion and worker seams exposed.
+func replayFrom(t testing.TB, c *circuit.Circuit, init bitstring.BitString, fuse bool, w int) *State {
+	t.Helper()
+	ops, err := compileOps(c.N, c.Gates, fuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewBasis(c.N, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetWorkers(w)
+	if err := s.replay(context.Background(), ops); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // naiveRunFrom evolves the circuit through the retained full-scan oracle.
 func naiveRunFrom(t *testing.T, c *circuit.Circuit, init bitstring.BitString) *State {
 	t.Helper()
@@ -56,9 +76,10 @@ func naiveRunFrom(t *testing.T, c *circuit.Circuit, init bitstring.BitString) *S
 	return s
 }
 
-// TestKernelMatchesOracleBitwise pins the tentpole contract: the unfused
-// kernel engine is bit-for-bit identical to the naiveApply oracle for
-// every gate kind, width 1-12, and any worker count.
+// TestKernelMatchesOracleBitwise pins the kernel contract gate by gate:
+// State.Apply, from a random basis state, is bit-for-bit identical to
+// the naiveApply oracle for every gate kind, width 1-12, and any worker
+// count.
 func TestKernelMatchesOracleBitwise(t *testing.T) {
 	workers := testutil.WorkerMatrix(t)
 	for n := 1; n <= 12; n++ {
@@ -68,9 +89,15 @@ func TestKernelMatchesOracleBitwise(t *testing.T) {
 			init := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
 			want := naiveRunFrom(t, c, init)
 			for _, w := range workers {
-				got, err := RunConfiguredCtx(context.Background(), c, init, RunConfig{Workers: w, NoFuse: true})
+				got, err := NewBasis(n, init)
 				if err != nil {
-					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
+					t.Fatal(err)
+				}
+				got.SetWorkers(w)
+				for _, g := range c.Gates {
+					if err := got.Apply(g); err != nil {
+						t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
+					}
 				}
 				for i := range want.amp {
 					if got.amp[i] != want.amp[i] {
@@ -83,9 +110,9 @@ func TestKernelMatchesOracleBitwise(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesOracleBitwise covers the public single-gate path (used
-// by the trajectory sampler) against the oracle for each kind in
-// isolation, from a random superposition so no amplitude is trivially 0.
+// TestApplyMatchesOracleBitwise covers the single-gate path against the
+// oracle for each kind in isolation, from a random superposition so no
+// amplitude is trivially 0.
 func TestApplyMatchesOracleBitwise(t *testing.T) {
 	const n = 5
 	rng := mathx.NewRNG(77)
@@ -114,20 +141,18 @@ func TestApplyMatchesOracleBitwise(t *testing.T) {
 }
 
 // TestFusedMatchesOracleTolerance pins the fusion contract: the fused
-// engine agrees with the oracle within 1e-12 per amplitude for random
-// circuits across widths and worker counts.
+// replay agrees with the oracle within 1e-12 per amplitude for random
+// circuits from random basis states, across widths and worker counts.
 func TestFusedMatchesOracleTolerance(t *testing.T) {
 	workers := testutil.WorkerMatrix(t)
 	for n := 1; n <= 12; n++ {
 		for trial := 0; trial < 3; trial++ {
 			rng := mathx.NewRNG(uint64(9000*n + trial))
 			c := randomCircuit(n, 40+3*n, rng)
-			want := naiveRunFrom(t, c, 0)
+			init := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
+			want := naiveRunFrom(t, c, init)
 			for _, w := range workers {
-				got, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{Workers: w})
-				if err != nil {
-					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
-				}
+				got := replayFrom(t, c, init, true, w)
 				for i := range want.amp {
 					dr := real(got.amp[i]) - real(want.amp[i])
 					di := imag(got.amp[i]) - imag(want.amp[i])
@@ -189,10 +214,7 @@ func TestQAOAFusionMatchesOracle(t *testing.T) {
 		c := qaoaCircuit(n, 2)
 		want := naiveRunFrom(t, c, 0)
 		for _, w := range workers {
-			got, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{Workers: w})
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, w, err)
-			}
+			got := replayFrom(t, c, 0, true, w)
 			for i := range want.amp {
 				dr := real(got.amp[i]) - real(want.amp[i])
 				di := imag(got.amp[i]) - imag(want.amp[i])
@@ -228,51 +250,6 @@ func TestDiagRunFusionCollapsesCostLayer(t *testing.T) {
 	}
 	if counts[opDense1] != 56 {
 		t.Fatalf("dense ops = %d, want 14 H + 42 RX", counts[opDense1])
-	}
-}
-
-// TestRunConfiguredMatchesRun pins that the default Run is the fused
-// auto-worker configuration.
-func TestRunConfiguredMatchesRun(t *testing.T) {
-	rng := mathx.NewRNG(5)
-	c := randomCircuit(6, 50, rng)
-	a, err := RunCtx(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.amp {
-		if a.amp[i] != b.amp[i] {
-			t.Fatalf("amp[%d]: %v vs %v", i, a.amp[i], b.amp[i])
-		}
-	}
-}
-
-// TestReset pins in-place reinitialization: after evolving, Reset returns
-// the buffer to an exact basis state without reallocating.
-func TestReset(t *testing.T) {
-	s := mustRun(t, circuit.New("h", 3).H(0).CX(0, 1).T(2))
-	buf := &s.amp[0]
-	if err := s.Reset(0b101); err != nil {
-		t.Fatal(err)
-	}
-	if &s.amp[0] != buf {
-		t.Error("Reset reallocated the amplitude buffer")
-	}
-	for i := range s.amp {
-		want := complex128(0)
-		if i == 0b101 {
-			want = 1
-		}
-		if s.amp[i] != want {
-			t.Fatalf("amp[%d] = %v after Reset", i, s.amp[i])
-		}
-	}
-	if err := s.Reset(8); err == nil {
-		t.Error("out-of-range Reset should error")
 	}
 }
 

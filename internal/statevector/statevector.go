@@ -40,9 +40,9 @@ type State struct {
 	n       int
 	amp     []complex128
 	workers int // kernel shard count; 0 = auto (GOMAXPROCS above threshold)
-	// ctx carries the active trace span while RunConfiguredCtx drives
-	// the state, so kernel shard fan-outs parent their worker spans
-	// under the "sim.run" span. Nil outside a traced run.
+	// ctx carries the active trace span while RunCtx drives the state,
+	// so kernel shard fan-outs parent their worker spans under the
+	// "sim.run" span. Nil outside a run.
 	ctx context.Context
 	// shards runs the sharded kernels, bound once per state; pend holds
 	// one fan-out's arguments for them (see runShards).
@@ -89,17 +89,6 @@ func (s *State) SetWorkers(w int) {
 		w = 0
 	}
 	s.workers = w
-}
-
-// Reset returns the state to the computational basis state |b⟩ in place,
-// reusing the amplitude buffer (no allocation).
-func (s *State) Reset(b bitstring.BitString) error {
-	if uint64(b) >= uint64(len(s.amp)) {
-		return fmt.Errorf("statevector: basis state %d outside %d-qubit register", b, s.n)
-	}
-	clear(s.amp)
-	s.amp[b] = 1
-	return nil
 }
 
 // Clone returns a deep copy.
@@ -314,73 +303,6 @@ func (s *State) naiveApply(g circuit.Gate) error {
 		return fmt.Errorf("statevector: unsupported gate %s", g.Kind)
 	}
 	return nil
-}
-
-// RunConfig tunes circuit execution.
-type RunConfig struct {
-	// Workers is the kernel shard count (see State.SetWorkers); 0 = auto.
-	Workers int
-	// NoFuse disables single-qubit gate fusion, applying each gate with
-	// its own kernel (bit-identical to the naiveApply oracle). The fused
-	// default matches the oracle within 1e-12 per amplitude.
-	NoFuse bool
-	// TileBits enables cache-blocked replay (see RunProgramTiled):
-	// positive values set the tile width in qubits, zero disables
-	// tiling. Output is bitwise identical for every value.
-	TileBits int
-}
-
-// RunCtx applies every gate of the circuit to a fresh |0...0⟩ state and
-// returns the final state (see RunConfiguredCtx).
-func RunCtx(ctx context.Context, c *circuit.Circuit) (*State, error) {
-	return RunConfiguredCtx(ctx, c, 0, RunConfig{})
-}
-
-// RunConfiguredCtx applies the circuit to |init⟩ with explicit engine
-// configuration. The whole gate list is compiled (and, unless NoFuse is
-// set, fused) before any amplitude is touched. The "sim.run" span
-// parents under the span active in ctx, and while the run is live the
-// amplitude shard fan-outs parent their "par.worker" spans under it.
-func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.BitString, cfg RunConfig) (*State, error) {
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	p, err := Compile(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewBasis(c.N, init)
-	if err != nil {
-		return nil, err
-	}
-	s.SetWorkers(cfg.Workers)
-	runCtx, sp := obs.Start(ctx, "sim.run")
-	s.ctx = runCtx
-	err = s.RunProgramTiled(p, cfg.TileBits)
-	s.ctx = nil
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.SetAttr("circuit", c.Name)
-	sp.SetAttr("width", c.N)
-	sp.SetAttr("gates", len(c.Gates))
-	sp.SetAttr("ops", p.Ops())
-	metRun.ObserveDuration(sp.End())
-	metRuns.Inc()
-	metGates.Add(int64(len(c.Gates)))
-	metWidth.Set(float64(c.N))
-	return s, nil
-}
-
-// IdealDistCtx returns the exact output distribution of the circuit
-// (scaled to probability 1): the paper's "true solution" reference.
-func IdealDistCtx(ctx context.Context, c *circuit.Circuit) (*bitstring.Dist, error) {
-	s, err := RunCtx(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	return s.Dist(), nil
 }
 
 // Dist converts the state's probabilities into a bitstring.Dist with total

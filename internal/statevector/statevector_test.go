@@ -267,10 +267,7 @@ func TestDistMatchesProbs(t *testing.T) {
 func TestRunFromInitialState(t *testing.T) {
 	// X on qubit 1 from |01⟩ gives |11⟩.
 	c := circuit.New("x1", 2).X(1)
-	s, err := RunConfiguredCtx(context.Background(), c, 0b01, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replayFrom(t, c, 0b01, true, 0)
 	if s.Prob(0b11) != 1 {
 		t.Errorf("probs %v", s.Probabilities())
 	}

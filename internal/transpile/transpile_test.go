@@ -12,6 +12,21 @@ import (
 	"qbeep/internal/statevector"
 )
 
+// runFrom applies the circuit's gates one at a time to |init⟩.
+func runFrom(t *testing.T, c *circuit.Circuit, init bitstring.BitString) *statevector.State {
+	t.Helper()
+	s, err := statevector.NewBasis(c.N, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range c.Gates {
+		if err := s.Apply(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 // equivalent checks that two circuits implement the same unitary action on
 // a set of probe states (computational basis + a superposition probe),
 // which catches both permutation and phase errors up to global phase.
@@ -22,14 +37,8 @@ func equivalent(t *testing.T, a, b *circuit.Circuit) {
 	}
 	// Basis probes.
 	for init := 0; init < 1<<uint(a.N); init++ {
-		sa, err := statevector.RunConfiguredCtx(context.Background(), a, bitstring.BitString(init), statevector.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := statevector.RunConfiguredCtx(context.Background(), b, bitstring.BitString(init), statevector.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sa := runFrom(t, a, bitstring.BitString(init))
+		sb := runFrom(t, b, bitstring.BitString(init))
 		f, err := sa.FidelityWith(sb)
 		if err != nil {
 			t.Fatal(err)
