@@ -40,7 +40,6 @@ func run() error {
 		seed        = flag.Uint64("seed", 20230617, "root RNG seed")
 		iterations  = flag.Int("iterations", 0, "flow iterations per mitigation (0 = paper default 20)")
 		convergeTol = flag.Float64("converge-tol", 0, "stop each mitigation early when the per-iteration Hellinger delta falls below this (0 = fixed schedule)")
-		topK        = flag.Int("top-k", 0, "approximate mode: keep only the k heaviest edges per vertex (0 = exact)")
 		csvDir      = flag.String("csv", "", "directory for per-figure CSV dumps (created if missing)")
 		report      = flag.String("report", "", "write a machine-readable JSON run report to this path ('-' = stderr)")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof/, /debug/vars, /metrics and /healthz on this address (e.g. localhost:6060)")
@@ -97,7 +96,6 @@ func run() error {
 		Scale:       *scale,
 		Iterations:  *iterations,
 		ConvergeTol: *convergeTol,
-		TopK:        *topK,
 		Out:         os.Stdout,
 	}
 	if *csvDir != "" {

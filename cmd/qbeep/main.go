@@ -55,7 +55,6 @@ type config struct {
 	iterations  int
 	epsilon     float64
 	convergeTol float64
-	topK        int
 	dotPath     string
 	outPath     string
 }
@@ -69,7 +68,6 @@ func run() error {
 		iterations  = flag.Int("iterations", 20, "state-graph update iterations")
 		epsilon     = flag.Float64("epsilon", 0.05, "edge threshold ε")
 		convergeTol = flag.Float64("converge-tol", 0, "stop early when the per-iteration Hellinger delta falls below this (0 = fixed schedule)")
-		topK        = flag.Int("top-k", 0, "approximate mode: keep only the k heaviest edges per vertex (0 = exact)")
 		dotPath     = flag.String("dot", "", "also write the pre-mitigation state graph as Graphviz DOT")
 		outPath     = flag.String("o", "", "output path (default stdout)")
 		traceFlags  = obs.AddTraceFlags(nil)
@@ -105,7 +103,6 @@ func run() error {
 		iterations:  *iterations,
 		epsilon:     *epsilon,
 		convergeTol: *convergeTol,
-		topK:        *topK,
 		dotPath:     *dotPath,
 		outPath:     *outPath,
 	})
@@ -196,7 +193,6 @@ func pipeline(cfg config) error {
 		Iterations:  cfg.iterations,
 		Epsilon:     cfg.epsilon,
 		ConvergeTol: cfg.convergeTol,
-		TopK:        cfg.topK,
 	}
 	var qstats qbeep.QualityStats
 	if obs.RunLedgerEnabled() {

@@ -233,10 +233,6 @@ var KnownRatios = map[string]RatioDef{
 	},
 	"fused_speedup_vs_naive":   {Slow: "BenchmarkNaiveRun", Fast: "BenchmarkRun"},
 	"unfused_speedup_vs_naive": {Slow: "BenchmarkNaiveRun", Fast: "BenchmarkRunUnfused"},
-	"mitigate_topk_speedup_v1e5": {
-		Slow: "BenchmarkMitigate/V1e5",
-		Fast: "BenchmarkMitigate/V1e5_topk8",
-	},
 }
 
 // KnownAllocInvariants maps derived allocs-per-op keys to the benchmark

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -326,16 +327,10 @@ func TestMitigateValidation(t *testing.T) {
 	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("NaN converge tolerance should error")
 	}
-	bad = NewOptions()
-	bad.TopK = -3
-	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
-		t.Error("negative top-k should error")
-	}
 	ok := NewOptions()
 	ok.ConvergeTol = 0
-	ok.TopK = 0
 	if _, err := MitigateCtx(context.Background(), raw, 1, ok); err != nil {
-		t.Errorf("zero converge tolerance and top-k are the exact defaults: %v", err)
+		t.Errorf("zero converge tolerance is the exact default: %v", err)
 	}
 	if _, err := MitigateCtx(context.Background(), bitstring.NewDist(3), 1, NewOptions()); err == nil {
 		t.Error("empty counts should error")
@@ -391,6 +386,33 @@ func TestBuildStateGraphCancelled(t *testing.T) {
 		if _, err := MitigateCtx(dead, raw, 2, opts); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d MitigateCtx: err = %v, want context.Canceled", w, err)
 		}
+	}
+}
+
+// TestBuildStateGraphDeadlineStopsMidRun: a deadline that expires while
+// the edge scan runs stops the build, serial or sharded, well before the
+// uncancelled build would have finished.
+func TestBuildStateGraphDeadlineStopsMidRun(t *testing.T) {
+	raw := benchScaleDist(20, 50000)
+	w := PoissonEdges{Lambda: 1}
+	for _, workers := range []int{1, 2} {
+		start := time.Now()
+		if _, err := BuildStateGraphCtx(context.Background(), raw, w, 0.05, workers); err != nil {
+			t.Fatal(err)
+		}
+		full := time.Since(start)
+		ctx, cancel := context.WithTimeout(context.Background(), full/5)
+		start = time.Now()
+		_, err := BuildStateGraphCtx(ctx, raw, w, 0.05, workers)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: err %v after %v, want context.DeadlineExceeded (uncancelled build: %v)", workers, err, elapsed, full)
+		}
+		if elapsed > full/2 {
+			t.Fatalf("workers=%d: cancelled build took %v, want < %v (uncancelled build: %v)", workers, elapsed, full/2, full)
+		}
+		t.Logf("workers=%d: uncancelled %v, cancelled %v", workers, full, elapsed)
 	}
 }
 

@@ -85,6 +85,10 @@ const sphereMaxWidth = 28
 // stay on one goroutine — fan-out overhead would dominate the work.
 const scanSerialThreshold = 1 << 12
 
+// scanCtxChunk is how many vertices a scan range walks between ctx
+// checks, so a deadline stops even a single-task scan mid-run.
+const scanCtxChunk = 256
+
 // weightTable precomputes the per-distance edge data once per build and
 // stays with the graph as its only weight storage: each adjacency entry
 // carries its distance, which indexes the table. perString[d] is the
@@ -487,12 +491,12 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 
 	if len(tasks) == 1 {
 		// Serial fast path: scan straight into the result, no copy.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, 0, strat, err
-		}
 		s := &scanScratch{hits: make([]uint64, 0, hitCap)}
 		starts := startsArena[:nV+1]
-		pr := sc.scanRange(tasks[0], strat, s, starts)
+		pr, err := sc.scanRange(ctx, tasks[0], strat, s, starts)
+		if err != nil {
+			return nil, nil, nil, 0, strat, err
+		}
 		results[0] = scanResult{hits: s.hits, starts: starts, pruned: pr} //qbeep:allow-poolretain serial path: the scratch is function-local, never pooled, and dies with this frame
 	} else {
 		pool := make(chan *scanScratch, workers)
@@ -500,19 +504,18 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 			pool <- &scanScratch{hits: make([]uint64, 0, hitCap)}
 		}
 		err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			t := tasks[ti]
 			s := <-pool
 			s.hits = s.hits[:0]
 			starts := startsArena[offs[ti] : offs[ti]+t.hi-t.lo+1]
-			pr := sc.scanRange(t, strat, s, starts)
-			hits := make([]uint64, len(s.hits))
-			copy(hits, s.hits)
-			results[ti] = scanResult{hits: hits, starts: starts, pruned: pr}
+			pr, err := sc.scanRange(ctx, t, strat, s, starts)
+			if err == nil {
+				hits := make([]uint64, len(s.hits))
+				copy(hits, s.hits)
+				results[ti] = scanResult{hits: hits, starts: starts, pruned: pr}
+			}
 			pool <- s
-			return nil
+			return err
 		})
 		// A failed task left its result empty: the rows would silently
 		// miss its vertices' forward edges.
@@ -566,8 +569,9 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 // each vertex's neighbors sorted ascending, into the scratch hit buffer
 // (s.hits, reset by the caller). starts must span hi-lo+1 entries; on
 // return starts[k] is the hit offset of vertex lo+k. Returns the pruned
-// count.
-func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch, starts []int32) int {
+// count, or ctx's error when it is done at one of the checks every
+// scanCtxChunk vertices.
+func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStrategy, s *scanScratch, starts []int32) (int, error) {
 	lo, hi := t.lo, t.hi
 	pruned := 0
 	hits := s.hits
@@ -602,6 +606,11 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 		// from the innermost load.
 		wmask := bitstring.BitString(len(seen) - 1)
 		for a := lo; a < hi; a++ {
+			if (a-lo)%scanCtxChunk == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
+			}
 			va := vals[a]
 			for t, group := range masks {
 				if va&(1<<uint(t)) != 0 {
@@ -651,7 +660,7 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 			starts[a-lo+1] = int32(len(hits))
 		}
 		s.hits = hits
-		return pruned
+		return pruned, nil
 	}
 	// Per-bucket cursors to the first node index > a, seeded from the
 	// bucket boundaries and reset per task. Vertices are processed in
@@ -666,6 +675,11 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 	cur := s.cur
 	bucketIdx, bucketStart := sc.bucketIdx, sc.bucketStart
 	for a := lo; a < hi; a++ {
+		if (a-lo)%scanCtxChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
 		va := vals[a]
 		wa := va.Weight()
 		loW := wa - radius
@@ -707,7 +721,7 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 		starts[a-lo+1] = int32(len(hits))
 	}
 	s.hits = hits
-	return pruned
+	return pruned, nil
 }
 
 // sortPacked is an insertion sort for the short per-vertex (sphere: per

@@ -121,7 +121,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
-					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, 0)
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -148,7 +148,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 	}
 	var ref *StateGraph
 	for _, strat := range []scanStrategy{scanBucket, scanSphere} {
-		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat, 0)
+		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat)
 		if err != nil {
 			t.Fatal(err)
 		}

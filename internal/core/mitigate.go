@@ -62,7 +62,7 @@ type Options struct {
 	// observed into the quality.hellinger_shift histogram.
 	OnQuality func(QualityStats)
 	// BuildWorkers caps the worker count of both the state-graph edge
-	// scan and the flow iteration's gather phases (<= 0 selects
+	// scan and the flow iteration's row-sum passes (<= 0 selects
 	// GOMAXPROCS, with graphs too small to pay for a fan-out iterating
 	// inline). The mitigated output is identical for every value — this
 	// is purely a throughput knob.
@@ -74,13 +74,6 @@ type Options struct {
 	// is bitwise identical to it; the skipped rounds are recorded as
 	// iterations_saved on the "core.mitigate" span and counter.
 	ConvergeTol float64
-	// TopK, when positive, sparsifies the state graph to each vertex's
-	// k heaviest incident edges (symmetric union — an edge survives when
-	// either endpoint ranks it). This is the opt-in approximate mode:
-	// the mitigated distribution deviates from the exact engine by a
-	// small Hellinger distance (tested) in exchange for bounded degree.
-	// Zero keeps the exact graph.
-	TopK int
 }
 
 // NewOptions returns the paper's default configuration.
@@ -101,9 +94,6 @@ func (o *Options) validate() error {
 	}
 	if o.ConvergeTol < 0 || math.IsNaN(o.ConvergeTol) {
 		return fmt.Errorf("core: converge tolerance %v must be >= 0", o.ConvergeTol)
-	}
-	if o.TopK < 0 {
-		return fmt.Errorf("core: top-k %d must be >= 0", o.TopK)
 	}
 	return nil
 }
@@ -157,7 +147,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	// Convergence observations carry the trace ID so the worst sample on
 	// /metrics (_window_worst) names the trace to inspect in qbeep-trace.
 	traceID := obs.TraceIDFrom(ctx)
-	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, scanAuto, opts.TopK)
+	g, err := BuildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,10 +2,9 @@ package core
 
 // Tests for the million-vertex scaling features: the wide-register
 // sphere path (presence bitmap + binary-search hit resolution past the
-// LUT width), the Options.TopK approximate mode, and the
-// Options.ConvergeTol adaptive iteration loop. The exact engine's
-// determinism contract — bit-identical output for every strategy and
-// worker count — extends to both new modes, pinned here against the
+// LUT width) and the Options.ConvergeTol adaptive iteration loop. The
+// engine's determinism contract — bit-identical output for every
+// strategy and worker count — extends to both, pinned here against the
 // brute oracle and across the worker matrix.
 
 import (
@@ -48,7 +47,7 @@ func TestScanMatchesBruteOracleWide(t *testing.T) {
 			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
-					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, 0)
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -60,138 +59,6 @@ func TestScanMatchesBruteOracleWide(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestTopKGraphStructure pins the approximation contract of sparsifyTopK:
-// the filtered edge list is a subset of the exact one in canonical
-// order, every vertex keeps at least min(k, exact degree) edges (the
-// symmetric union can only add), and the result is bit-identical across
-// strategies and worker counts.
-func TestTopKGraphStructure(t *testing.T) {
-	raw := uniformDist(12, 500, 77)
-	const lambda, eps, k = 1.5, 0.05, 4
-	exact, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, eps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxDeg := 0
-	for i := 0; i < exact.NumVertices(); i++ {
-		if d := exact.Degree(i); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxDeg <= k {
-		t.Fatalf("corpus too sparse to exercise top-k: max degree %d <= k %d", maxDeg, k)
-	}
-
-	var ref *StateGraph
-	for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
-		for _, w := range testutil.WorkerMatrix(t) {
-			label := fmt.Sprintf("topk strat=%s workers=%d", strat, w)
-			g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, eps, w, strat, k)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if ref == nil {
-				ref = g
-			} else {
-				sameGraph(t, label+" vs ref", ref, g)
-			}
-		}
-	}
-	if ref.NumEdges() >= exact.NumEdges() {
-		t.Fatalf("top-k dropped nothing: %d edges vs exact %d", ref.NumEdges(), exact.NumEdges())
-	}
-	// Row by row, the approximate graph's entries are a subset of the
-	// exact graph's in the same ascending order, at the same distances.
-	checkRows(t, "topk", ref)
-	for i := 0; i < ref.NumVertices(); i++ {
-		ex := exact.adjStart[i]
-		for p := ref.adjStart[i]; p < ref.adjStart[i+1]; p++ {
-			for ex < exact.adjStart[i+1] && exact.adjNbr[ex] != ref.adjNbr[p] {
-				ex++
-			}
-			if ex == exact.adjStart[i+1] {
-				t.Fatalf("approx entry (%d,%d) not in exact row %d (or out of order)", i, ref.adjNbr[p], i)
-			}
-			if exact.adjDist[ex] != ref.adjDist[p] || exact.tab.perString[exact.adjDist[ex]] != ref.tab.perString[ref.adjDist[p]] {
-				t.Fatalf("approx entry (%d,%d) distance/weight differs from exact", i, ref.adjNbr[p])
-			}
-			ex++
-		}
-	}
-	for i := 0; i < exact.NumVertices(); i++ {
-		want := exact.Degree(i)
-		if want > k {
-			want = k
-		}
-		if got := ref.Degree(i); got < want {
-			t.Fatalf("vertex %d: top-k degree %d < min(k, exact degree) = %d", i, got, want)
-		}
-	}
-}
-
-// TestTopKAdaptiveIdenticalAcrossWorkers extends the end-to-end
-// determinism guarantee to the approximate and adaptive paths combined:
-// with TopK and ConvergeTol both active, the mitigated distribution is
-// bit-for-bit identical for every worker count.
-func TestTopKAdaptiveIdenticalAcrossWorkers(t *testing.T) {
-	raw := poissonCounts(14, bitstring.BitString(0x2cd3), 1.5, 4000, 91)
-	opts := NewOptions()
-	opts.TopK = 6
-	opts.ConvergeTol = 1e-3
-	var ref *bitstring.Dist
-	for _, w := range testutil.WorkerMatrix(t) {
-		opts.BuildWorkers = w
-		out, err := MitigateCtx(context.Background(), raw, 1.5, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = out
-		} else {
-			sameDist(t, fmt.Sprintf("topk+adaptive workers=%d", w), ref, out)
-		}
-	}
-}
-
-// TestTopKHellingerBound is the randomized acceptance test of the
-// approximate mode: across seeds, the TopK-mitigated distribution stays
-// within a small Hellinger distance of the exact engine's output on
-// corpora where the cut actually bites.
-func TestTopKHellingerBound(t *testing.T) {
-	const n, lambda, k = 12, 1.5, 8
-	for _, seed := range []uint64{301, 302, 303, 304, 305} {
-		raw := poissonCounts(n, bitstring.BitString(0xb52)&(1<<uint(n)-1), lambda, 6000, seed)
-		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxDeg := 0
-		for i := 0; i < g.NumVertices(); i++ {
-			if d := g.Degree(i); d > maxDeg {
-				maxDeg = d
-			}
-		}
-		if maxDeg <= k {
-			t.Fatalf("seed %d: corpus too sparse (max degree %d) for a meaningful top-%d cut", seed, maxDeg, k)
-		}
-		exact, err := MitigateCtx(context.Background(), raw, lambda, NewOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := NewOptions()
-		opts.TopK = k
-		got, err := MitigateCtx(context.Background(), raw, lambda, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Measured ≈ 0.12 across seeds on this corpus; 0.2 is the
-		// contract bound with headroom against rng drift.
-		if h := bitstring.Hellinger(exact, got); h > 0.2 {
-			t.Errorf("seed %d: Hellinger(exact, top-%d) = %v exceeds bound 0.2", seed, k, h)
 		}
 	}
 }

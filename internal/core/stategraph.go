@@ -153,89 +153,6 @@ func initStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*State
 	return g, vals
 }
 
-// sparsifyTopK prunes the graph to each vertex's k heaviest incident
-// edges — the opt-in approximation behind Options.TopK. Selection is by
-// (weight descending, neighbour ascending) — within a row, neighbour
-// order is canonical (a, b) edge order — so ties resolve identically on
-// every run, and an edge survives when either endpoint selects it (the
-// symmetric k-NN union), keeping the graph undirected with every vertex
-// retaining min(k, degree) edges or more. Surviving entries keep their
-// ascending row order, so the filtered graph — like the exact scan — is
-// independent of the worker count. Returns the number of edges dropped.
-func (g *StateGraph) sparsifyTopK(k int) int {
-	nV := len(g.nodes)
-	if k <= 0 || len(g.adjNbr) == 0 {
-		return 0
-	}
-	w := &g.tab.perString
-	keep := make([]bool, len(g.adjNbr))
-	var order []int32
-	for i := 0; i < nV; i++ {
-		lo, hi := g.adjStart[i], g.adjStart[i+1]
-		if int(hi-lo) <= k {
-			for p := lo; p < hi; p++ {
-				keep[p] = true
-			}
-			continue
-		}
-		order = order[:0]
-		for p := lo; p < hi; p++ {
-			order = append(order, p)
-		}
-		slices.SortFunc(order, func(x, y int32) int {
-			wx, wy := w[g.adjDist[x]], w[g.adjDist[y]]
-			if wx > wy {
-				return -1
-			}
-			if wx < wy {
-				return 1
-			}
-			return int(x - y)
-		})
-		for _, p := range order[:k] {
-			keep[p] = true
-		}
-	}
-	// Symmetrize: row b's entries for lower neighbours come first and in
-	// ascending order, so visiting rows ascending meets each mirror entry
-	// at row b's lower-entry cursor.
-	mirror := make([]int32, nV)
-	copy(mirror, g.adjStart[:nV])
-	kept := 0
-	for a := 0; a < nV; a++ {
-		for p := g.adjStart[a]; p < g.adjStart[a+1]; p++ {
-			b := g.adjNbr[p]
-			if int(b) < a {
-				continue
-			}
-			q := mirror[b]
-			mirror[b]++
-			if keep[p] || keep[q] {
-				keep[p], keep[q] = true, true
-				kept++
-			}
-		}
-	}
-	dropped := len(g.adjNbr)/2 - kept
-	if dropped == 0 {
-		return 0
-	}
-	start := make([]int32, nV+1)
-	nbr := make([]int32, 0, 2*kept)
-	dist := make([]uint8, 0, 2*kept)
-	for i := 0; i < nV; i++ {
-		for p := g.adjStart[i]; p < g.adjStart[i+1]; p++ {
-			if keep[p] {
-				nbr = append(nbr, g.adjNbr[p])
-				dist = append(dist, g.adjDist[p])
-			}
-		}
-		start[i+1] = int32(len(nbr))
-	}
-	g.adjStart, g.adjNbr, g.adjDist = start, nbr, dist
-	return dropped
-}
-
 // BuildStateGraphCtx constructs the graph from raw counts under the
 // given edge model and threshold. Vertices are created only for observed
 // (non-zero) outcomes, so the graph scales with shots, not with 2^n.
@@ -260,10 +177,10 @@ func (g *StateGraph) sparsifyTopK(k int) int {
 // and the parallel edge scan's worker spans parent under it; Step's
 // worker spans parent under the span active in ctx itself.
 func BuildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
-	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, 0)
+	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto)
 }
 
-func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy, topK int) (*StateGraph, error) {
+func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy) (*StateGraph, error) {
 	if err := validateBuild(counts, w, eps); err != nil {
 		return nil, err
 	}
@@ -285,10 +202,6 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	if err != nil {
 		return nil, err
 	}
-	dropped := 0
-	if topK > 0 {
-		dropped = g.sparsifyTopK(topK)
-	}
 	metGraphVerts.Set(float64(len(g.nodes)))
 	metGraphEdges.Set(float64(g.NumEdges()))
 	metGraphPruned.Set(float64(g.pruned))
@@ -303,10 +216,6 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	sp.SetAttr("edges", g.NumEdges())
 	sp.SetAttr("pruned", g.pruned)
 	sp.SetAttr("strategy", used.String())
-	if topK > 0 {
-		sp.SetAttr("top_k", topK)
-		sp.SetAttr("edges_dropped", dropped)
-	}
 	elapsed := sp.End()
 	metGraphBuild.ObserveDuration(elapsed)
 	// Gated on the level check: assembling the key/value list boxes a
@@ -316,7 +225,7 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		l.Debug("state graph built",
 			"vertices", len(g.nodes), "edges", g.NumEdges(), "pruned", g.pruned,
 			"radius", g.radius, "width", g.n, "strategy", used.String(),
-			"top_k", topK, "edges_dropped", dropped, "elapsed", elapsed)
+			"elapsed", elapsed)
 	}
 	return g, nil
 }
@@ -396,43 +305,28 @@ func hellingerFromFidelity(f float64) float64 {
 // equivalence tests cover every path).
 const stepParMinHalfEdges = 1 << 15
 
-// Step's gather phases, run in order; see Step.
+// Step's row-sum passes; see Step.
 const (
-	phaseNormalizer = iota
-	phaseCap
-	phaseDelta
+	passOut   = iota // S = W·P: normalizers, a = η·count/Z, out-flows
+	passScale        // T = W·a: in-flows and overflow caps (cap path only)
+	passDelta        // W·a, or W·(a⊙s) after a cap pass: net deltas
 )
 
-// flowVertex is the part of one vertex's Step working set that the
-// delta gathers read from its neighbours: 32 bytes, so two share a cache
-// line and a neighbour costs one line. The first two phases gather only
-// the probabilities, so those also live in a dense vector of their own,
-// a quarter of the footprint.
-type flowVertex struct {
-	prob  float64 // count / total, a copy of stepScratch.prob[i]
-	z     float64 // posterior normalizer Z_i
-	ec    float64 // eta · count
-	scale float64 // reclassification-overflow cap factor
-}
-
-// flowResult is the part only the vertex's own shard writes and the
-// serial apply pass reads.
-type flowResult struct {
-	moved float64 // capped out-flow Σ_j f_ij·s_i
-	delta float64 // net count change
-}
-
 // stepScratch holds Step's working set, sized once per graph so the
-// iteration loop performs no allocations after the first call. eta and
-// phase are the per-call arguments the shards read.
+// iteration loop performs no allocations after the first call. eta,
+// pass and capped are the per-call arguments the shards read.
 //
 //qbeep:pooled
 type stepScratch struct {
-	prob   []float64
-	v      []flowVertex
-	res    []flowResult
+	prob   []float64 // P_i = count_i / total
+	a      []float64 // a_i = η·count_i / Z_i, 0 where Z_i <= 0
+	as     []float64 // a_i·s_i, written by the cap pass
+	out    []float64 // out-flow, times the cap factor s_i after a cap pass
+	delta  []float64 // net count change
 	eta    float64
-	phase  int
+	pass   int
+	over   []bool  // over[k]: shard k has a vertex with out-flow > count
+	capped bool    // the last Step ran the cap pass
 	bounds []int32 // shard k covers vertices [bounds[k], bounds[k+1])
 	shards *par.Shards
 }
@@ -459,9 +353,12 @@ func (g *StateGraph) initStep() {
 	nV := len(g.nodes)
 	s := &g.scratch
 	s.prob = make([]float64, nV)
-	s.v = make([]flowVertex, nV)
-	s.res = make([]flowResult, nV)
+	s.a = make([]float64, nV)
+	s.as = make([]float64, nV)
+	s.out = make([]float64, nV)
+	s.delta = make([]float64, nV)
 	w := g.stepWorkers()
+	s.over = make([]bool, max(w, 1))
 	if w <= 1 {
 		return
 	}
@@ -477,127 +374,82 @@ func (g *StateGraph) initStep() {
 	s.shards = par.NewShards(w, g.stepShard)
 }
 
-// runPhase runs one gather phase over every vertex: inline on an
+// runPass runs one row-sum pass over every vertex: inline on an
 // unsharded graph, else across the bound shards. A shard panic (only a
 // corrupt graph can cause one) resurfaces on the calling goroutine.
 //
 //qbeep:allocfree
-func (g *StateGraph) runPhase(phase int) {
+func (g *StateGraph) runPass(pass int) {
 	s := &g.scratch
+	s.pass = pass
 	if s.shards == nil {
-		g.phaseRange(phase, 0, len(g.nodes))
+		g.passRange(0, 0, len(g.nodes))
 		return
 	}
-	s.phase = phase
 	if err := s.shards.Run(g.ctx, s.shards.Len()); err != nil {
 		panic(err)
 	}
 }
 
-// stepShard runs the current phase over shard k's vertex range.
+// stepShard runs the current pass over shard k's vertex range.
 //
 //qbeep:allocfree
 func (g *StateGraph) stepShard(k int) {
 	b := g.scratch.bounds
-	g.phaseRange(g.scratch.phase, int(b[k]), int(b[k+1]))
+	g.passRange(k, int(b[k]), int(b[k+1]))
 }
 
-// phaseRange runs one gather phase over vertices [lo, hi).
+// passRange runs the current pass over shard k's vertices [lo, hi): one
+// row sum Σ_j w_ij·x_j per vertex, then the pass's per-vertex epilogue,
+// which writes only vertex i's entries.
 //
 //qbeep:allocfree
-func (g *StateGraph) phaseRange(phase, lo, hi int) {
-	switch phase {
-	case phaseNormalizer:
-		g.normalizerRange(lo, hi)
-	case phaseCap:
-		g.capRange(lo, hi)
-	case phaseDelta:
-		g.deltaRange(lo, hi)
+func (g *StateGraph) passRange(k, lo, hi int) {
+	s := &g.scratch
+	w, start, nbr, dist := &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
+	prob, a, as, out, delta := s.prob, s.a, s.as, s.out, s.delta
+	pass, sw, eta := s.pass, g.selfWeight, s.eta
+	x := prob
+	switch {
+	case pass == passDelta && s.capped:
+		x = as
+	case pass != passOut:
+		x = a
 	}
-}
-
-// normalizerRange computes Z_i = w_0·P_i + Σ_j w_ij·P_j and eta·count_i
-// for vertices [lo, hi).
-//
-//qbeep:allocfree
-func (g *StateGraph) normalizerRange(lo, hi int) {
-	prob, v, w, start, nbr, dist := g.scratch.prob, g.scratch.v, &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
-	sw, eta := g.selfWeight, g.scratch.eta
+	over := false
 	for i := lo; i < hi; i++ {
 		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
 		ds = ds[:len(row)]
-		z := sw * prob[i]
+		var sum float64
 		for p, j := range row {
-			z += w[ds[p]] * prob[j]
+			sum += w[ds[p]] * x[j]
 		}
-		v[i] = flowVertex{prob: prob[i], z: z, ec: eta * g.nodes[i].count}
-	}
-}
-
-// capRange computes each vertex's out-flow Σ_j f_ij, with
-// f_ij = eta·count_i·w_ij·P_j / Z_i, and the Algorithm 1 overflow cap
-// s_i = (count_i + in-flow) / out-flow where the out-flow exceeds
-// count_i + in-flow. Every flow carries the sign of eta, so an out-flow
-// within count_i can never exceed count_i + in-flow (in-flow >= 0
-// whenever out-flow > 0): the in-flow gather runs only for vertices
-// whose out-flow exceeds their count, which is rare for eta <= 1.
-//
-//qbeep:allocfree
-func (g *StateGraph) capRange(lo, hi int) {
-	prob, v, res, w, start, nbr, dist := g.scratch.prob, g.scratch.v, g.scratch.res, &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
-	for i := lo; i < hi; i++ {
-		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
-		ds = ds[:len(row)]
-		vi := &v[i]
-		scale, moved := 1.0, 0.0
-		if zi := vi.z; zi > 0 {
-			ec := vi.ec
-			var out float64
-			for p, j := range row {
-				out += ec * w[ds[p]] * prob[j] / zi
+		switch pass {
+		case passOut:
+			var ai, oi float64
+			if z := sw*prob[i] + sum; z > 0 {
+				c := g.nodes[i].count
+				ec := eta * c
+				ai, oi = ec/z, ec*(sum/z)
+				over = over || oi > c
 			}
-			if c := g.nodes[i].count; out > c {
-				var in float64
-				pi := vi.prob
-				for p, j := range row {
-					if vj := &v[j]; vj.z > 0 {
-						in += vj.ec * w[ds[p]] * pi / vj.z
-					}
-				}
-				if limit := c + in; out > limit {
-					scale = limit / out
+			a[i], out[i] = ai, oi
+		case passScale:
+			ai := a[i]
+			if c, oi := g.nodes[i].count, out[i]; oi > c {
+				if limit := c + prob[i]*sum; oi > limit {
+					sc := limit / oi
+					ai *= sc
+					out[i] = oi * sc
 				}
 			}
-			moved = out * scale
+			as[i] = ai
+		case passDelta:
+			delta[i] = prob[i]*sum - out[i]
 		}
-		vi.scale = scale
-		res[i].moved = moved
 	}
-}
-
-// deltaRange computes delta_i = Σ_j (f_ji·s_j − f_ij·s_i), recomputing
-// both flows of every incident edge.
-//
-//qbeep:allocfree
-func (g *StateGraph) deltaRange(lo, hi int) {
-	v, res, w, start, nbr, dist := g.scratch.v, g.scratch.res, &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
-	for i := lo; i < hi; i++ {
-		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
-		ds = ds[:len(row)]
-		vi := v[i]
-		var delta float64
-		for p, j := range row {
-			wt, vj := w[ds[p]], &v[j]
-			var fij, fji float64
-			if vi.z > 0 {
-				fij = vi.ec * wt * vj.prob / vi.z
-			}
-			if vj.z > 0 {
-				fji = vj.ec * wt * vi.prob / vj.z
-			}
-			delta += fji*vj.scale - fij*vi.scale
-		}
-		res[i].delta = delta
+	if pass == passOut {
+		s.over[k] = over
 	}
 }
 
@@ -620,15 +472,23 @@ func (g *StateGraph) deltaRange(lo, hi int) {
 // dominant string hands essentially all of its counts over — the behavior
 // §5 of the paper describes.
 //
-// The update is pull-based: three per-vertex gather phases over the
-// adjacency rows (normalizers, out-flows and caps, net deltas), each a
-// pure function of the previous phases' per-vertex results, then one
-// serial apply pass. Each row lists its neighbours in ascending order,
-// which is the canonical edge order, so every per-vertex sum adds the
-// same terms in the same order as an edge-ordered scatter would: counts,
-// L1Delta and Hellinger are bit-identical to it, and independent of the
-// shard count. The phases shard across fixed vertex ranges (see
-// stepWorkers) with no shared writes.
+// The update factors into neighbour sums over the adjacency rows (W is
+// the weight matrix, P the probability vector):
+//
+//	S = W·P,  Z_i = w_0·P_i + S_i,  a_i = η·count_i / Z_i (0 if Z_i <= 0)
+//	out_i = fl(η·count_i)·fl(S_i/Z_i),  T = W·a,  delta_i = P_i·T_i − out_i
+//
+// so a step is two row-sum passes and a serial apply pass. The cap
+// s_i = (count_i + P_i·T_i) / out_i applies where the out-flow exceeds
+// count_i + in-flow, which needs out_i > count_i: only when some vertex
+// has that does a cap pass compute the s_i, and the deltas gather
+// U = W·(a⊙s) instead, delta_i = P_i·U_i − out_i·s_i. For η <= 1 the
+// cap pass never runs: S_i <= Z_i and fl(η·count_i) <= count_i, so the
+// rounded product cannot exceed count_i. Each row lists its neighbours
+// in a fixed (ascending) order and the passes shard across fixed vertex
+// ranges (see stepWorkers) with no shared writes, so the result is
+// independent of the shard count. It matches the edge-ordered scatter
+// oracle to rounding (DESIGN.md §7 has the bound).
 //
 // All working vectors live in the graph's scratch struct: after the first
 // call, Step allocates nothing, sharded or not (pinned by
@@ -643,7 +503,7 @@ func (g *StateGraph) Step(eta float64) StepStats {
 		return StepStats{}
 	}
 	s := &g.scratch
-	if len(s.v) != len(g.nodes) {
+	if len(s.prob) != len(g.nodes) {
 		g.initStep()
 	}
 	prob := s.prob
@@ -651,22 +511,25 @@ func (g *StateGraph) Step(eta float64) StepStats {
 		prob[i] = g.nodes[i].count / g.total
 	}
 	s.eta = eta
-	g.runPhase(phaseNormalizer)
-	g.runPhase(phaseCap)
-	g.runPhase(phaseDelta)
+	g.runPass(passOut)
+	s.capped = slices.Contains(s.over, true)
+	if s.capped {
+		g.runPass(passScale)
+	}
+	g.runPass(passDelta)
 	// The apply pass also accumulates the Bhattacharyya overlap between
 	// the pre- and post-step counts, yielding the per-iteration Hellinger
 	// delta (the Options.ConvergeTol signal) without a second scan. It
 	// only reads the counts, so the update itself stays bit-identical to
 	// the fixed-schedule path.
 	var st StepStats
-	res := s.res
+	out, delta := s.out, s.delta
 	prevTotal := g.total
 	var bcSum float64
 	g.total = 0
 	for i := range g.nodes {
-		st.FlowMoved += res[i].moved
-		c := g.nodes[i].count + res[i].delta
+		st.FlowMoved += out[i]
+		c := g.nodes[i].count + delta[i]
 		if c < 0 {
 			c = 0
 		}
@@ -703,14 +566,4 @@ type StepStats struct {
 	// normalized distributions — the per-iteration delta that
 	// Options.ConvergeTol compares against for adaptive early exit.
 	Hellinger float64
-}
-
-// Vertices returns the observed strings sorted ascending (testing/debug).
-func (g *StateGraph) Vertices() []bitstring.BitString {
-	out := make([]bitstring.BitString, len(g.nodes))
-	for i, nd := range g.nodes {
-		out[i] = nd.value
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

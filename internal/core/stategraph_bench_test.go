@@ -108,31 +108,17 @@ func benchScaleDist(n, v int) *bitstring.Dist {
 }
 
 // BenchmarkMitigate is the end-to-end row (graph build + 20 flow
-// iterations + snapshot) at scale. The V1e5_topk8 variant runs the same
-// corpus through the approximate mode; its quotient against V1e5 is the
-// mitigate_topk_speedup_v1e5 ratio bench-gate tracks. V1e6 additionally
-// gates an absolute wall-clock budget (mitigate_v1e6_seconds) — the
-// "mitigable in seconds" acceptance criterion.
+// iterations + snapshot) at scale. V1e6 additionally gates an absolute
+// wall-clock budget (mitigate_v1e6_seconds) — the "mitigable in
+// seconds" acceptance criterion.
 func BenchmarkMitigate(b *testing.B) {
-	cases := []struct {
-		name   string
-		n, v   int
-		lambda float64
-		topK   int
-	}{
-		{"V1e5", 20, 1e5, 1, 0},
-		{"V1e5_topk8", 20, 1e5, 1, 8},
-		{"V1e6", 26, 1e6, 0.8, 0},
-	}
-	for _, c := range cases {
+	for _, c := range benchScaleConfigs {
 		b.Run(c.name, func(b *testing.B) {
 			raw := benchScaleDist(c.n, c.v)
-			opts := NewOptions()
-			opts.TopK = c.topK
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MitigateCtx(context.Background(), raw, c.lambda, opts); err != nil {
+				if _, err := MitigateCtx(context.Background(), raw, c.lambda, NewOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}

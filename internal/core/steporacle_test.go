@@ -249,7 +249,6 @@ type stepCase struct {
 	name   string
 	raw    *bitstring.Dist
 	w      EdgeWeighter
-	topK   int
 	eta    func(i int) float64
 	capped bool // some vertex must hit the overflow cap
 	zeroZ  bool // some vertex must have Z <= 0
@@ -267,68 +266,128 @@ func stepCases() []stepCase {
 		{name: "poisson1.5", raw: poissonCounts(10, 0b1011001110, 1.5, 4000, 61), w: PoissonEdges{Lambda: 1.5}, eta: inv},
 		{name: "poisson3", raw: poissonCounts(9, 0b101100111, 3, 3000, 62), w: PoissonEdges{Lambda: 3}, eta: inv},
 		{name: "inverse-distance", raw: uniformDist(8, 120, 63), w: InverseDistanceEdges{}, eta: inv},
-		{name: "topk4", raw: poissonCounts(10, 0b0110011010, 2, 4000, 64), w: PoissonEdges{Lambda: 2}, topK: 4, eta: inv},
 		{name: "eta2.5", raw: poissonCounts(10, 0b1011001110, 1.5, 4000, 61), w: PoissonEdges{Lambda: 1.5}, eta: hot, capped: true},
 		{name: "zero-z", raw: isolated, w: zeroSelfEdges{PoissonEdges{Lambda: 1.5}}, eta: inv, zeroZ: true},
 	}
 }
 
-// TestStepMatchesScatterOracle pins the pull kernel to the scatter
-// reference: counts, L1Delta and Hellinger bit-for-bit at every worker
-// count, FlowMoved (a per-vertex sum in vertex order) identical across
-// worker counts and within 1e-12 relative of the edge-ordered sum.
+// Step re-associates the scatter's per-edge sums into neighbour sums
+// (DESIGN.md §7), so it matches the oracle to rounding: every count and
+// L1Delta within oracleMassTol of the total mass, FlowMoved within
+// oracleFlowTol relative and Hellinger within oracleHellingerTol
+// absolute (widened by hellingerTol where a step drains vertices). An
+// algebra error (a dropped w_0, a skipped cap) moves counts by orders
+// of magnitude more.
+const (
+	oracleMassTol      = 1e-12
+	oracleHellingerTol = 1e-10
+	oracleFlowTol      = 1e-12
+)
+
+// massDev returns Σ_v |count_v − oracle count_v| / oracle total.
+func massDev(g, oracle *StateGraph) float64 {
+	var d float64
+	for v := range g.nodes {
+		d += math.Abs(g.nodes[v].count - oracle.nodes[v].count)
+	}
+	return d / oracle.total
+}
+
+// hellingerTol bounds |ΔH| between two steps from equal counts whose
+// results differ by the mass fraction dev. √ has unbounded slope at 0,
+// so a vertex drained to a rounding residue (every capped vertex is)
+// moves BC = Σ√(a·b)/√(A·B) by up to √(residue·a)/M: by Cauchy–Schwarz
+// |ΔBC| <= √dev + dev, and H = √(1 − BC) moves by at most
+// min(√|ΔBC|, |ΔBC|/H).
+func hellingerTol(dev, h float64) float64 {
+	dbc := math.Sqrt(dev) + dev
+	tol := math.Sqrt(dbc)
+	if h > 0 {
+		tol = math.Min(tol, dbc/h)
+	}
+	return oracleHellingerTol + tol
+}
+
+// checkStepVsOracle compares one Step's stats and counts with the
+// scatter oracle's after the same step, Hellinger to within htol.
+func checkStepVsOracle(t *testing.T, label string, g, oracle *StateGraph, htol float64, got, want StepStats) {
+	t.Helper()
+	tol := oracleMassTol * oracle.total
+	for v := range g.nodes {
+		if d := math.Abs(g.nodes[v].count - oracle.nodes[v].count); d > tol {
+			t.Fatalf("%s: count[%d] = %v, oracle %v (|Δ| %g > %g)", label, v, g.nodes[v].count, oracle.nodes[v].count, d, tol)
+		}
+	}
+	if d := math.Abs(got.L1Delta - want.L1Delta); d > tol {
+		t.Fatalf("%s: L1Delta %v, oracle %v", label, got.L1Delta, want.L1Delta)
+	}
+	if d := math.Abs(got.Hellinger - want.Hellinger); d > htol {
+		t.Fatalf("%s: Hellinger %v, oracle %v (|Δ| %g > %g)", label, got.Hellinger, want.Hellinger, d, htol)
+	}
+	if d := math.Abs(got.FlowMoved - want.FlowMoved); d > oracleFlowTol*math.Abs(want.FlowMoved) {
+		t.Fatalf("%s: FlowMoved %v, oracle %v", label, got.FlowMoved, want.FlowMoved)
+	}
+}
+
+// TestStepMatchesScatterOracle pins the factored Step to the scatter
+// reference within the DESIGN.md §7 bound over 20 iterations at every
+// worker count, and bit-for-bit across worker counts (row order is
+// fixed, so the shard count cannot change any sum). η <= 1 must never
+// run the cap pass.
 func TestStepMatchesScatterOracle(t *testing.T) {
 	for _, c := range stepCases() {
-		oracle, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 1, scanAuto, c.topK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oracle.NumEdges() == 0 {
-			t.Fatalf("%s: empty graph", c.name)
-		}
-		edges := edgesOf(oracle)
 		const iters = 20
-		want := make([]StepStats, iters+1)
-		counts := make([][]float64, iters+1)
-		for i := 1; i <= iters; i++ {
-			want[i] = scatterStep(oracle, edges, c.eta(i))
-			counts[i] = make([]float64, len(oracle.nodes))
-			for v := range oracle.nodes {
-				counts[i][v] = oracle.nodes[v].count
-			}
-		}
-		var flowRef []float64
+		// The first worker count's counts and stats after each iteration.
+		var refCounts [][]float64
+		var refStats []StepStats
 		for _, w := range testutil.WorkerMatrix(t) {
 			label := fmt.Sprintf("%s workers=%d", c.name, w)
-			g, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, w, scanAuto, c.topK)
+			oracle, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 1, scanAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if oracle.NumEdges() == 0 {
+				t.Fatalf("%s: empty graph", c.name)
+			}
+			edges := edgesOf(oracle)
+			g, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, w, scanAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := refStats == nil
 			var capped, zeroZ bool
-			flows := make([]float64, iters+1)
+			prev := make([]float64, len(g.nodes))
 			for i := 1; i <= iters; i++ {
-				got := g.Step(c.eta(i))
+				eta := c.eta(i)
 				for v := range g.nodes {
-					if g.nodes[v].count != counts[i][v] {
-						t.Fatalf("%s iter %d: count[%d] = %v want %v", label, i, v, g.nodes[v].count, counts[i][v])
+					prev[v] = g.nodes[v].count
+				}
+				want := scatterStep(oracle, edges, eta)
+				got := g.Step(eta)
+				it := fmt.Sprintf("%s iter %d", label, i)
+				checkStepVsOracle(t, it, g, oracle, oracleHellingerTol, got, want)
+				if eta <= 1 && g.scratch.capped {
+					t.Fatalf("%s: η = %v ran the cap pass", it, eta)
+				}
+				for v := range g.nodes {
+					capped = capped || (g.scratch.capped && g.scratch.as[v] < g.scratch.a[v])
+					zeroZ = zeroZ || (prev[v] > 0 && g.scratch.a[v] == 0)
+				}
+				if first {
+					counts := make([]float64, len(g.nodes))
+					for v := range g.nodes {
+						counts[v] = g.nodes[v].count
 					}
-					capped = capped || g.scratch.v[v].scale < 1
-					zeroZ = zeroZ || g.scratch.v[v].z <= 0
+					refCounts, refStats = append(refCounts, counts), append(refStats, got)
+					continue
 				}
-				if got.L1Delta != want[i].L1Delta || got.Hellinger != want[i].Hellinger {
-					t.Fatalf("%s iter %d: stats %+v want %+v", label, i, got, want[i])
+				if got != refStats[i-1] {
+					t.Fatalf("%s: stats %+v differ from the first worker count's %+v", it, got, refStats[i-1])
 				}
-				if d := math.Abs(got.FlowMoved - want[i].FlowMoved); d > 1e-12*math.Abs(want[i].FlowMoved) {
-					t.Fatalf("%s iter %d: FlowMoved %v vs oracle %v", label, i, got.FlowMoved, want[i].FlowMoved)
-				}
-				flows[i] = got.FlowMoved
-			}
-			if flowRef == nil {
-				flowRef = flows
-			}
-			for i := range flows {
-				if flows[i] != flowRef[i] {
-					t.Fatalf("%s iter %d: FlowMoved %v differs from the first worker count's %v", label, i, flows[i], flowRef[i])
+				for v := range g.nodes {
+					if g.nodes[v].count != refCounts[i-1][v] {
+						t.Fatalf("%s: count[%d] = %v differs from the first worker count's %v", it, v, g.nodes[v].count, refCounts[i-1][v])
+					}
 				}
 			}
 			if c.capped && !capped {
@@ -341,12 +400,24 @@ func TestStepMatchesScatterOracle(t *testing.T) {
 	}
 }
 
-// FuzzStepOracle compares Step against the scatter reference bitwise on
-// random small corpora, learning rates and worker counts {1, 2, 3}.
+// FuzzStepOracle compares Step against the scatter reference within the
+// DESIGN.md §7 bound on random small corpora, learning rates and worker
+// counts {1, 2, 3}; η <= 1 must never run the cap pass. Every step starts
+// from the oracle's counts: on adversarial corpora the iteration itself
+// amplifies a rounding residue left on a drained vertex (the last seed:
+// complements are the only edges, w_3/w_0 = 34, so each step multiplies
+// a residue by up to 1 + 34η), and the comparison is of one step's
+// arithmetic, not of the iteration's conditioning.
 func FuzzStepOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(60), uint8(15), uint8(10), uint8(2))
 	f.Add(uint64(2), uint8(6), uint8(30), uint8(30), uint8(25), uint8(3))
 	f.Add(uint64(3), uint8(10), uint8(200), uint8(8), uint8(5), uint8(1))
+	// η = 3.8 binds the cap; the second drains capped vertices to a
+	// rounding residue, where Hellinger is ill-conditioned (see
+	// hellingerTol).
+	f.Add(uint64(30), uint8(6), uint8(181), uint8(126), uint8(37), uint8(1))
+	f.Add(uint64(30), uint8(6), uint8(247), uint8(126), uint8(37), uint8(54))
+	f.Add(uint64(108), uint8(85), uint8(251), uint8(58), uint8(18), uint8(6))
 	f.Fuzz(func(t *testing.T, seed uint64, n, support, lambda10, eta10, workers uint8) {
 		width := int(n)%12 + 2
 		sup := int(support)%200 + 1
@@ -357,25 +428,25 @@ func FuzzStepOracle(f *testing.F) {
 		eta := float64(eta10%40+1) / 10
 		w := int(workers)%3 + 1
 		raw := uniformDist(width, sup, seed)
-		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanAuto, 0)
+		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, w, scanAuto, 0)
+		g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, w, scanAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		edges := edgesOf(oracle)
 		for i := 1; i <= 6; i++ {
-			want := scatterStep(oracle, edges, eta/float64(i))
-			got := g.Step(eta / float64(i))
-			if got.L1Delta != want.L1Delta || got.Hellinger != want.Hellinger {
-				t.Fatalf("iter %d workers=%d: stats %+v want %+v", i, w, got, want)
-			}
-			for v := range g.nodes {
-				if g.nodes[v].count != oracle.nodes[v].count {
-					t.Fatalf("iter %d workers=%d: count[%d] = %v want %v", i, w, v, g.nodes[v].count, oracle.nodes[v].count)
-				}
+			e := eta / float64(i)
+			copy(g.nodes, oracle.nodes)
+			g.total = oracle.total
+			want := scatterStep(oracle, edges, e)
+			got := g.Step(e)
+			label := fmt.Sprintf("iter %d workers=%d", i, w)
+			checkStepVsOracle(t, label, g, oracle, hellingerTol(massDev(g, oracle), want.Hellinger), got, want)
+			if e <= 1 && g.scratch.capped {
+				t.Fatalf("%s: η = %v ran the cap pass", label, e)
 			}
 		}
 	})

@@ -31,9 +31,6 @@ type Config struct {
 	// per-iteration Hellinger delta falls below it. The paper figures use
 	// the fixed schedule (0).
 	ConvergeTol float64
-	// TopK, when > 0, runs every mitigation in approximate mode keeping
-	// only the k heaviest edges per vertex. 0 is the exact engine.
-	TopK int
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
 }
@@ -62,9 +59,6 @@ func (c *Config) normalize() error {
 	if c.ConvergeTol < 0 {
 		return fmt.Errorf("experiments: converge tolerance %v must be >= 0", c.ConvergeTol)
 	}
-	if c.TopK < 0 {
-		return fmt.Errorf("experiments: top-k %d must be >= 0", c.TopK)
-	}
 	if c.Out == nil {
 		c.Out = io.Discard
 	}
@@ -80,7 +74,6 @@ func (c *Config) mitigateOptions() core.Options {
 		opts.Iterations = c.Iterations
 	}
 	opts.ConvergeTol = c.ConvergeTol
-	opts.TopK = c.TopK
 	return opts
 }
 

@@ -38,18 +38,17 @@ func TestConfigNormalize(t *testing.T) {
 	for _, bad := range []Config{
 		{Scale: 0.5, Iterations: -1},
 		{Scale: 0.5, ConvergeTol: -0.1},
-		{Scale: 0.5, TopK: -3},
 	} {
 		if err := bad.normalize(); err == nil {
 			t.Errorf("config %+v should error", bad)
 		}
 	}
-	cfg = Config{Scale: 0.5, Iterations: 7, ConvergeTol: 0.01, TopK: 4}
+	cfg = Config{Scale: 0.5, Iterations: 7, ConvergeTol: 0.01}
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	opts := cfg.mitigateOptions()
-	if opts.Iterations != 7 || opts.ConvergeTol != 0.01 || opts.TopK != 4 {
+	if opts.Iterations != 7 || opts.ConvergeTol != 0.01 {
 		t.Errorf("mitigateOptions = %+v", opts)
 	}
 	// Zero overrides keep the paper defaults.
@@ -57,7 +56,7 @@ func TestConfigNormalize(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if opts := cfg.mitigateOptions(); opts.Iterations != 20 || opts.ConvergeTol != 0 || opts.TopK != 0 {
+	if opts := cfg.mitigateOptions(); opts.Iterations != 20 || opts.ConvergeTol != 0 {
 		t.Errorf("default mitigateOptions = %+v", opts)
 	}
 }

@@ -29,8 +29,8 @@ type Outcome struct {
 
 // runWorkload executes the workload on the backend under the default
 // hardware-like noise model and applies Q-BEEP (Eq. 2 λ, with the
-// caller's core options — iteration schedule, convergence tolerance,
-// top-k mode) and HAMMER. track enables the per-iteration fidelity
+// caller's core options — iteration schedule, convergence tolerance)
+// and HAMMER. track enables the per-iteration fidelity
 // trace (costs one fidelity evaluation per iteration). The workload runs
 // under an "experiments.workload" span and its mitigation
 // under an "experiments.mitigate" child, whose duration is the ledger

@@ -47,7 +47,8 @@ type QualityStats = core.QualityStats
 
 // Options configures the iterative state-graph mitigation. The zero value
 // is invalid; use NewOptions for the paper's published configuration
-// (ε = 0.05, 20 iterations, 1/n learning rate).
+// (ε = 0.05, 20 iterations, 1/n learning rate). Mitigation is always
+// exact: the state graph keeps every edge whose weight passes ε.
 type Options struct {
 	// Iterations is the number of Bayesian state-graph update rounds.
 	Iterations int
@@ -59,11 +60,6 @@ type Options struct {
 	// (the default) keeps the paper's fixed schedule and is bitwise
 	// identical to it.
 	ConvergeTol float64
-	// TopK, when positive, sparsifies the state graph to each vertex's k
-	// heaviest incident edges — the opt-in approximate mode, trading a
-	// small (tested) Hellinger deviation from the exact engine for
-	// bounded degree on dense spectra. Zero keeps the exact graph.
-	TopK int
 	// OnQuality, when non-nil, receives the end-of-run QualityStats once
 	// the mitigation loop finishes. It is called synchronously, after the
 	// last iteration and before Mitigate returns.
@@ -105,7 +101,6 @@ func MitigateCtx(ctx context.Context, counts Counts, lambda float64, opts Option
 		Iterations:  opts.Iterations,
 		Epsilon:     opts.Epsilon,
 		ConvergeTol: opts.ConvergeTol,
-		TopK:        opts.TopK,
 		OnQuality:   opts.OnQuality,
 	})
 	if err != nil {
@@ -137,7 +132,6 @@ func MitigateTrackedCtx(ctx context.Context, counts Counts, lambda float64, opts
 		Iterations:  opts.Iterations,
 		Epsilon:     opts.Epsilon,
 		ConvergeTol: opts.ConvergeTol,
-		TopK:        opts.TopK,
 		OnQuality:   opts.OnQuality,
 	}, idealDist)
 	if err != nil {
