@@ -17,8 +17,13 @@ import (
 //
 // maxEdges caps the rendered edges so large graphs stay viewable (0 = no
 // cap). Edges are emitted heaviest first, equal weights in ascending
-// (a, b) order, so the cap keeps the same edges on every run.
+// (a, b) order, so the cap keeps the same edges on every run. A spectrum
+// graph first builds its rows (see ensureRows), so both representations
+// render the same edges.
 func (g *StateGraph) WriteDOT(w io.Writer, maxEdges int) error {
+	if err := g.ensureRows(); err != nil {
+		return err
+	}
 	if _, err := fmt.Fprintf(w, "graph stategraph {\n  layout=neato;\n  node [shape=circle];\n"); err != nil {
 		return err
 	}
@@ -62,6 +67,25 @@ func (g *StateGraph) WriteDOT(w io.Writer, maxEdges int) error {
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err
+}
+
+// ensureRows builds a spectrum graph's CSR rows with the edge scan the
+// build skipped, under the build's ctx and worker cap. Step keeps
+// running on the spectrum; the rows only serve readers of the edge list.
+func (g *StateGraph) ensureRows() error {
+	if g.adjStart != nil {
+		return nil
+	}
+	vals := make([]bitstring.BitString, len(g.nodes))
+	for i, nd := range g.nodes {
+		vals[i] = nd.value
+	}
+	start, nbr, dist, _, _, err := scanEdges(g.ctx, vals, g.n, g.radius, &g.tab, g.workers, scanAuto)
+	if err != nil {
+		return err
+	}
+	g.adjStart, g.adjNbr, g.adjDist = start, nbr, dist
+	return nil
 }
 
 // Stats summarizes a built state graph for logging and the CLI.

@@ -43,7 +43,8 @@ import (
 )
 
 // scanStrategy selects the edge-discovery algorithm. scanAuto picks by
-// estimated probe counts; the equivalence tests force each path.
+// estimated probe counts (and may skip the scan for the spectrum, see
+// trySpectrum); the equivalence tests force each path.
 type scanStrategy int
 
 const (
@@ -56,6 +57,11 @@ const (
 	// scanNone is reported when the graph cannot have edges (radius 0 or
 	// fewer than two vertices).
 	scanNone
+	// scanSpectrum is the build without a scan: Step runs on the
+	// Walsh–Hadamard spectrum (spectrum.go). Forcing it needs
+	// n <= spectrumMaxWidth and a shell that passes ε; otherwise the
+	// build falls back to scanAuto's rows.
+	scanSpectrum
 )
 
 func (s scanStrategy) String() string {
@@ -66,6 +72,8 @@ func (s scanStrategy) String() string {
 		return "sphere"
 	case scanNone:
 		return "none"
+	case scanSpectrum:
+		return "spectrum"
 	default:
 		return "auto"
 	}

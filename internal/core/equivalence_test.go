@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"qbeep/internal/bitstring"
@@ -44,6 +45,11 @@ func sameGraph(t *testing.T, label string, want, got *StateGraph) {
 // identical. got must also satisfy the row invariants (checkRows).
 func sameEdges(t *testing.T, label string, want, got *StateGraph) {
 	t.Helper()
+	for _, g := range []*StateGraph{want, got} {
+		if err := g.ensureRows(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
 	if got.NumVertices() != want.NumVertices() {
 		t.Fatalf("%s: vertices %d want %d", label, got.NumVertices(), want.NumVertices())
 	}
@@ -131,9 +137,25 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 					} else {
 						sameGraph(t, label+" vs ref", ref, g)
 					}
+					if strat != scanAuto && c.n <= spectrumMaxWidth {
+						sameHistogram(t, label, raw, g)
+					}
 				}
 			}
 		}
+	}
+}
+
+// sameHistogram checks the pair-distance histogram, an independent
+// oracle for the scan's tallies on the widths the spectrum serves: its
+// edge and pruned counts must equal those of the rows g's scan laid out.
+func sameHistogram(t *testing.T, label string, raw *bitstring.Dist, g *StateGraph) {
+	t.Helper()
+	vals := raw.Outcomes()
+	_, pairs := newSpectrum(vals, g.n, krawtchouk(g.n))
+	edges, pruned := g.tab.tallyPairs(pairs[:], g.radius)
+	if edges != g.NumEdges() || pruned != g.pruned {
+		t.Fatalf("%s: histogram gives %d edges, %d pruned; the scan %d, %d", label, edges, pruned, g.NumEdges(), g.pruned)
 	}
 }
 
@@ -164,7 +186,12 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 // TestMitigateIdenticalAcrossWorkers pins the determinism guarantee end
 // to end: Mitigate output is bit-for-bit identical for every worker
 // count and equals the brute-force oracle run through the same schedule.
+// Each corpus runs twice through the build's strategy seam: forced onto
+// rows, which must match the oracle bit for bit, and in auto mode, which
+// puts the n=4 corpus on the spectrum; a spectrum run must match the
+// oracle within the accumulated DESIGN.md §7 spectrum bound.
 func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
+	spectrumRuns := 0
 	for _, c := range []struct {
 		n      int
 		lambda float64
@@ -182,19 +209,57 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The auto build's representation, run through the schedule in
+		// step with the oracle to accumulate the spectrum bound.
+		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, opts.Epsilon, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tol float64
 		for i := 1; i <= opts.Iterations; i++ {
 			og.Step(1 / float64(i))
+			g.Step(1 / float64(i))
+			if g.spec != nil {
+				tol += spectrumStepBound(g)
+			}
 		}
 		oracle := og.Dist().Normalized(raw.Total())
 
-		for _, w := range testutil.WorkerMatrix(t) {
-			opts.BuildWorkers = w
-			out, err := MitigateCtx(context.Background(), raw, c.lambda, opts)
-			if err != nil {
-				t.Fatal(err)
+		for _, rep := range []struct {
+			name     string
+			strat    scanStrategy
+			spectrum bool
+		}{
+			{"rows", scanBucket, false},
+			{"auto", scanAuto, g.spec != nil},
+		} {
+			var ref *bitstring.Dist
+			for _, w := range testutil.WorkerMatrix(t) {
+				opts.BuildWorkers = w
+				out, _, err := mitigateCtx(context.Background(), raw, c.lambda, opts, nil, rep.strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("n=%d %s workers=%d", c.n, rep.name, w)
+				if ref == nil {
+					ref = out
+				}
+				sameDist(t, label+" vs first worker count", ref, out)
+				if !rep.spectrum {
+					sameDist(t, label, oracle, out)
+					continue
+				}
+				spectrumRuns++
+				for _, v := range append(oracle.Outcomes(), out.Outcomes()...) {
+					if d := math.Abs(out.Count(v) - oracle.Count(v)); d > oracleMassTol*raw.Total()+tol {
+						t.Fatalf("%s: count[%s] = %v, oracle %v (|Δ| %g)", label, bitstring.Format(v, c.n), out.Count(v), oracle.Count(v), d)
+					}
+				}
 			}
-			sameDist(t, fmt.Sprintf("n=%d workers=%d", c.n, w), oracle, out)
 		}
+	}
+	if spectrumRuns == 0 {
+		t.Fatal("no auto build took the spectrum")
 	}
 }
 
@@ -220,10 +285,11 @@ func TestCSRAdjacencyConsistent(t *testing.T) {
 }
 
 // TestStepAllocationFree pins the scratch-reuse contract: after the
-// first call, the 20-iteration mitigation loop allocates nothing.
+// first call, the 20-iteration mitigation loop allocates nothing, on
+// rows (inline and sharded) and on the spectrum.
 func TestStepAllocationFree(t *testing.T) {
 	raw := uniformDist(10, 300, 41)
-	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
+	g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0, scanBucket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +306,7 @@ func TestStepAllocationFree(t *testing.T) {
 	// Sharded: an explicit worker count on a graph above the auto-mode
 	// grain, so the phases fan out through the bound shards every call.
 	big := uniformDist(12, 600, 43)
-	gs, err := BuildStateGraphCtx(context.Background(), big, PoissonEdges{Lambda: 2}, 0.05, 2)
+	gs, err := buildStateGraphCtx(context.Background(), big, PoissonEdges{Lambda: 2}, 0.05, 2, scanBucket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +321,29 @@ func TestStepAllocationFree(t *testing.T) {
 		gs.Step(0.5)
 	}); n != 0 {
 		t.Fatalf("sharded Step allocates %v per op after warm-up", n)
+	}
+
+	// The spectrum, whose transforms run inline at any worker count.
+	for _, c := range []struct {
+		raw     *bitstring.Dist
+		workers int
+	}{{raw, 1}, {big, 2}} {
+		g, err := buildStateGraphCtx(context.Background(), c.raw, PoissonEdges{Lambda: 1.5}, 0.05, c.workers, scanSpectrum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.spec == nil {
+			t.Fatal("the seam did not force the spectrum")
+		}
+		g.Step(1)
+		if g.scratch.shards != nil {
+			t.Fatalf("workers=%d spectrum graph bound shards", c.workers)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			g.Step(0.5)
+		}); n != 0 {
+			t.Fatalf("workers=%d spectrum Step allocates %v per op after warm-up", c.workers, n)
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (o *Options) validate() error {
 // cancelled ctx stops the run before the next flow iteration and
 // returns ctx's error.
 func MitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options) (*bitstring.Dist, error) {
-	out, _, err := mitigateCtx(ctx, counts, lambda, opts, nil)
+	out, _, err := mitigateCtx(ctx, counts, lambda, opts, nil, scanAuto)
 	return out, err
 }
 
@@ -119,10 +119,12 @@ func MitigateTrackedCtx(ctx context.Context, counts *bitstring.Dist, lambda floa
 	if ideal == nil {
 		return nil, nil, fmt.Errorf("core: MitigateTrackedCtx requires an ideal distribution")
 	}
-	return mitigateCtx(ctx, counts, lambda, opts, ideal)
+	return mitigateCtx(ctx, counts, lambda, opts, ideal, scanAuto)
 }
 
-func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist) (*bitstring.Dist, []float64, error) {
+// mitigateCtx is the shared run; strat is the graph build's strategy
+// seam, through which tests force either representation end to end.
+func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist, strat scanStrategy) (*bitstring.Dist, []float64, error) {
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -147,7 +149,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	// Convergence observations carry the trace ID so the worst sample on
 	// /metrics (_window_worst) names the trace to inspect in qbeep-trace.
 	traceID := obs.TraceIDFrom(ctx)
-	g, err := BuildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers)
+	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, strat)
 	if err != nil {
 		return nil, nil, err
 	}

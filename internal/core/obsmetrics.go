@@ -11,9 +11,10 @@ var (
 	metGraphPruned = obs.Default.Gauge("core.graph.pruned_edges")
 	metGraphRadius = obs.Default.Gauge("core.graph.radius")
 	// Edge-scan strategy counters: how often each discovery path of
-	// edgescan.go was selected.
-	metGraphScanBucket = obs.Default.Counter("core.graph.scan_bucket")
-	metGraphScanSphere = obs.Default.Counter("core.graph.scan_sphere")
+	// edgescan.go was selected, or the spectrum replaced the scan.
+	metGraphScanBucket   = obs.Default.Counter("core.graph.scan_bucket")
+	metGraphScanSphere   = obs.Default.Counter("core.graph.scan_sphere")
+	metGraphScanSpectrum = obs.Default.Counter("core.graph.scan_spectrum")
 
 	metMitigateRuns  = obs.Default.Counter("core.mitigate.runs")
 	metMitigateIters = obs.Default.Counter("core.mitigate.iterations")

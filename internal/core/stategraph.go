@@ -97,20 +97,24 @@ type node struct {
 // §3.4, Fig. 5): vertices are the observed outcomes, edges link pairs whose
 // model weight passes the ε threshold.
 //
-// The adjacency is stored once, as compact CSR rows: vertex i's
-// neighbours are adjNbr[adjStart[i]:adjStart[i+1]], ascending, and
-// adjDist holds each entry's Hamming distance, which indexes the
-// per-distance weight table. Every edge appears in both endpoints' rows,
-// so an edge costs 2×(4+1) = 10 resident bytes. Step gathers over these
-// rows (see Step), and its working set lives in a reusable scratch
-// struct, so the 20-iteration mitigation loop is allocation-free after
-// the first call.
+// The adjacency has one of two representations, chosen at build time
+// (DESIGN.md §7). CSR rows: vertex i's neighbours are
+// adjNbr[adjStart[i]:adjStart[i+1]], ascending, and adjDist holds each
+// entry's Hamming distance, which indexes the per-distance weight table.
+// Every edge appears in both endpoints' rows, so an edge costs
+// 2×(4+1) = 10 resident bytes. Or, on narrow registers where the graph
+// is dense enough, a spectrum (spectrum.go): Step computes the same
+// neighbour sums by Walsh–Hadamard transforms and no edge is stored; the
+// rows are built only if WriteDOT asks for them. Step's working set
+// lives in a reusable scratch struct, so the 20-iteration mitigation
+// loop is allocation-free after the first call.
 type StateGraph struct {
 	n          int
 	nodes      []node
-	adjStart   []int32 // CSR row offsets, len V+1
-	adjNbr     []int32 // neighbour indices, ascending within each row
-	adjDist    []uint8 // Hamming distance of each row entry
+	adjStart   []int32   // CSR row offsets, len V+1
+	adjNbr     []int32   // neighbour indices, ascending within each row
+	adjDist    []uint8   // Hamming distance of each row entry
+	spec       *spectrum // non-nil: Step runs on the spectrum, the rows may be absent
 	tab        weightTable
 	total      float64
 	radius     int
@@ -196,11 +200,22 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	// shells are the largest by far. Edges are unaffected (those shells
 	// cannot produce any); only the pruned tally narrows its scope.
 	g.radius = g.tab.effectiveRadius()
-	var used scanStrategy
-	var err error
-	g.adjStart, g.adjNbr, g.adjDist, g.pruned, used, err = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
-	if err != nil {
-		return nil, err
+	used := scanSpectrum
+	if g.spec = g.trySpectrum(vals, strat); g.spec != nil {
+		// The transforms take well under a millisecond (n <= 12), so
+		// one check after them stands in for the scan's periodic ones.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	} else {
+		if strat == scanSpectrum {
+			strat = scanAuto
+		}
+		var err error
+		g.adjStart, g.adjNbr, g.adjDist, g.pruned, used, err = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
+		if err != nil {
+			return nil, err
+		}
 	}
 	metGraphVerts.Set(float64(len(g.nodes)))
 	metGraphEdges.Set(float64(g.NumEdges()))
@@ -211,6 +226,8 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		metGraphScanSphere.Inc()
 	case scanBucket:
 		metGraphScanBucket.Inc()
+	case scanSpectrum:
+		metGraphScanSpectrum.Inc()
 	}
 	sp.SetAttr("vertices", len(g.nodes))
 	sp.SetAttr("edges", g.NumEdges())
@@ -234,16 +251,16 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 func (g *StateGraph) NumVertices() int { return len(g.nodes) }
 
 // NumEdges returns the edge count.
-func (g *StateGraph) NumEdges() int { return len(g.adjNbr) / 2 }
+func (g *StateGraph) NumEdges() int {
+	if g.spec != nil {
+		return g.spec.edges
+	}
+	return len(g.adjNbr) / 2
+}
 
 // Radius returns the maximum Hamming distance spanned by edges: the
 // largest shell whose model weight passes the ε threshold.
 func (g *StateGraph) Radius() int { return g.radius }
-
-// Degree returns the number of edges incident to vertex i.
-func (g *StateGraph) Degree(i int) int {
-	return int(g.adjStart[i+1] - g.adjStart[i])
-}
 
 // Dist snapshots the current vertex counts as a distribution, pre-sized
 // to the vertex count so million-vertex snapshots insert without rehash.
@@ -314,7 +331,7 @@ const (
 
 // stepScratch holds Step's working set, sized once per graph so the
 // iteration loop performs no allocations after the first call. eta,
-// pass and capped are the per-call arguments the shards read.
+// pass, x and capped are the per-call arguments the shards read.
 //
 //qbeep:pooled
 type stepScratch struct {
@@ -323,6 +340,8 @@ type stepScratch struct {
 	as     []float64 // a_i·s_i, written by the cap pass
 	out    []float64 // out-flow, times the cap factor s_i after a cap pass
 	delta  []float64 // net count change
+	sum    []float64 // the current pass's neighbour sums
+	x      []float64 // the current pass's input: prob, a or as
 	eta    float64
 	pass   int
 	over   []bool  // over[k]: shard k has a vertex with out-flow > count
@@ -333,6 +352,9 @@ type stepScratch struct {
 
 // stepWorkers resolves the flow iteration's shard count.
 func (g *StateGraph) stepWorkers() int {
+	if g.spec != nil {
+		return 1 // the transforms run inline (see spectrumSums)
+	}
 	w := g.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -357,6 +379,7 @@ func (g *StateGraph) initStep() {
 	s.as = make([]float64, nV)
 	s.out = make([]float64, nV)
 	s.delta = make([]float64, nV)
+	s.sum = make([]float64, nV)
 	w := g.stepWorkers()
 	s.over = make([]bool, max(w, 1))
 	if w <= 1 {
@@ -374,15 +397,27 @@ func (g *StateGraph) initStep() {
 	s.shards = par.NewShards(w, g.stepShard)
 }
 
-// runPass runs one row-sum pass over every vertex: inline on an
-// unsharded graph, else across the bound shards. A shard panic (only a
-// corrupt graph can cause one) resurfaces on the calling goroutine.
+// runPass runs one pass over every vertex: inline on an unsharded graph
+// (a spectrum graph's sums first, see spectrumSums), else across the
+// bound shards. A shard panic (only a corrupt graph can cause one)
+// resurfaces on the calling goroutine.
 //
 //qbeep:allocfree
 func (g *StateGraph) runPass(pass int) {
 	s := &g.scratch
 	s.pass = pass
+	switch {
+	case pass == passDelta && s.capped:
+		s.x = s.as
+	case pass != passOut:
+		s.x = s.a
+	default:
+		s.x = s.prob
+	}
 	if s.shards == nil {
+		if g.spec != nil {
+			g.spectrumSums()
+		}
 		g.passRange(0, 0, len(g.nodes))
 		return
 	}
@@ -399,31 +434,34 @@ func (g *StateGraph) stepShard(k int) {
 	g.passRange(k, int(b[k]), int(b[k+1]))
 }
 
-// passRange runs the current pass over shard k's vertices [lo, hi): one
-// row sum Σ_j w_ij·x_j per vertex, then the pass's per-vertex epilogue,
-// which writes only vertex i's entries.
+// passRange runs the current pass over shard k's vertices [lo, hi):
+// first every vertex's neighbour sum Σ_j w_ij·x_j into s.sum — its row
+// sum; on a spectrum graph spectrumSums has already left them there — then
+// the pass's epilogue per vertex, which writes only vertex i's entries.
+// The row sums get a loop of their own: folded into the epilogue loop,
+// they left too few registers for the row loop's counter.
 //
 //qbeep:allocfree
 func (g *StateGraph) passRange(k, lo, hi int) {
 	s := &g.scratch
-	w, start, nbr, dist := &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist
+	sums := s.sum[lo:hi]
+	if g.spec == nil {
+		w, start, nbr, dist, x := &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist, s.x
+		for i := range sums {
+			row, ds := nbr[start[lo+i]:start[lo+i+1]], dist[start[lo+i]:start[lo+i+1]]
+			ds = ds[:len(row)]
+			var sum float64
+			for p, j := range row {
+				sum += w[ds[p]] * x[j]
+			}
+			sums[i] = sum
+		}
+	}
 	prob, a, as, out, delta := s.prob, s.a, s.as, s.out, s.delta
 	pass, sw, eta := s.pass, g.selfWeight, s.eta
-	x := prob
-	switch {
-	case pass == passDelta && s.capped:
-		x = as
-	case pass != passOut:
-		x = a
-	}
 	over := false
 	for i := lo; i < hi; i++ {
-		row, ds := nbr[start[i]:start[i+1]], dist[start[i]:start[i+1]]
-		ds = ds[:len(row)]
-		var sum float64
-		for p, j := range row {
-			sum += w[ds[p]] * x[j]
-		}
+		sum := sums[i-lo]
 		switch pass {
 		case passOut:
 			var ai, oi float64
@@ -478,17 +516,23 @@ func (g *StateGraph) passRange(k, lo, hi int) {
 //	S = W·P,  Z_i = w_0·P_i + S_i,  a_i = η·count_i / Z_i (0 if Z_i <= 0)
 //	out_i = fl(η·count_i)·fl(S_i/Z_i),  T = W·a,  delta_i = P_i·T_i − out_i
 //
-// so a step is two row-sum passes and a serial apply pass. The cap
+// so a step is two neighbour-sum passes and a serial apply pass. On
+// CSR rows a pass sums each row; on a spectrum graph it computes every
+// sum at once as H·(ŵ ⊙ H·x)/2ⁿ (spectrum.go), and the per-vertex
+// epilogues, the cap logic and the apply pass are the same code. The cap
 // s_i = (count_i + P_i·T_i) / out_i applies where the out-flow exceeds
 // count_i + in-flow, which needs out_i > count_i: only when some vertex
 // has that does a cap pass compute the s_i, and the deltas gather
 // U = W·(a⊙s) instead, delta_i = P_i·U_i − out_i·s_i. For η <= 1 the
 // cap pass never runs: S_i <= Z_i and fl(η·count_i) <= count_i, so the
-// rounded product cannot exceed count_i. Each row lists its neighbours
-// in a fixed (ascending) order and the passes shard across fixed vertex
-// ranges (see stepWorkers) with no shared writes, so the result is
-// independent of the shard count. It matches the edge-ordered scatter
-// oracle to rounding (DESIGN.md §7 has the bound).
+// rounded product cannot exceed count_i (the spectrum clamps S_i at 0,
+// which keeps S_i <= Z_i). Each row lists its neighbours in a fixed
+// (ascending) order and the row passes shard across fixed vertex ranges
+// (see stepWorkers) with no shared writes; a spectrum graph runs its
+// transforms inline at any worker count. So the result is independent
+// of the shard count. It matches
+// the edge-ordered scatter oracle to rounding (DESIGN.md §7 has both
+// representations' bounds).
 //
 // All working vectors live in the graph's scratch struct: after the first
 // call, Step allocates nothing, sharded or not (pinned by

@@ -22,7 +22,8 @@ var benchGraphConfigs = []struct {
 
 // benchGraphDist draws v distinct outcomes uniformly over 16 qubits —
 // the widest weight spread, i.e. the least favorable case for the
-// popcount-bucket window.
+// popcount-bucket window. 16 qubits is above spectrumMaxWidth, so these
+// graphs always get CSR rows.
 func benchGraphDist(v int) *bitstring.Dist {
 	const n = 16
 	rng := mathx.NewRNG(97)
@@ -36,28 +37,34 @@ func benchGraphDist(v int) *bitstring.Dist {
 // BenchmarkBuildStateGraph measures the shipped edge-discovery engine
 // (bucketed / ball-walk, see edgescan.go). Compare with
 // BenchmarkBuildStateGraphBrute for the speedup over the seed's O(V²)
-// scan.
+// scan. The n10 rows build the near-complete qaoa-fleet graph (see
+// BenchmarkStateGraphStep) on each representation.
 func BenchmarkBuildStateGraph(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
-			benchBuild(b, benchGraphDist(c.v), c.lambda)
+			benchBuild(b, benchGraphDist(c.v), c.lambda, scanAuto)
 		})
 	}
 	// The million-vertex track: V=10⁵ and V=10⁶ corpora through the
 	// partition-sharded discovery engine (the ROADMAP scaling row).
 	for _, c := range benchScaleConfigs {
 		b.Run(c.name, func(b *testing.B) {
-			benchBuild(b, benchScaleDist(c.n, c.v), c.lambda)
+			benchBuild(b, benchScaleDist(c.n, c.v), c.lambda, scanAuto)
+		})
+	}
+	for _, rep := range stepReps {
+		b.Run("n10/V1000/lambda5/"+rep.name, func(b *testing.B) {
+			benchBuild(b, benchScaleDist(10, 1000), 5, rep.strat)
 		})
 	}
 }
 
-func benchBuild(b *testing.B, raw *bitstring.Dist, lambda float64) {
+func benchBuild(b *testing.B, raw *bitstring.Dist, lambda float64, strat scanStrategy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var edges int
 	for i := 0; i < b.N; i++ {
-		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0)
+		g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0, strat)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,23 +140,35 @@ func BenchmarkMitigate(b *testing.B) {
 // counts through the subnormal range, where each flow costs many times
 // more, so without the reset ns/op would depend on b.N — that is, on
 // -benchtime and machine speed. The O(V) reset is timed with the step.
+//
+// The n10 rows are the near-complete graphs that dominate qaoa-fleet:
+// V = 1000 of the 1024 strings on 10 qubits at λ = 5 (E ≈ 2×10⁵), on
+// CSR rows and on the spectrum, forced through the build's seam.
 func BenchmarkStateGraphStep(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
-			raw := benchGraphDist(c.v)
-			g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Step(1) // warm the scratch
-			init, total := append([]node(nil), g.nodes...), g.total
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(g.nodes, init)
-				g.total = total
-				g.Step(0.5)
-			}
+			benchStep(b, benchGraphDist(c.v), c.lambda, scanAuto)
 		})
+	}
+	for _, rep := range stepReps {
+		b.Run("n10/V1000/lambda5/"+rep.name, func(b *testing.B) {
+			benchStep(b, benchScaleDist(10, 1000), 5, rep.strat)
+		})
+	}
+}
+
+func benchStep(b *testing.B, raw *bitstring.Dist, lambda float64, strat scanStrategy) {
+	g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0, strat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Step(1) // warm the scratch
+	init, total := append([]node(nil), g.nodes...), g.total
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(g.nodes, init)
+		g.total = total
+		g.Step(0.5)
 	}
 }

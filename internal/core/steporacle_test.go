@@ -23,9 +23,13 @@ type edge struct {
 	weight float64
 }
 
-// edgesOf returns the graph's COO view, built from its rows: each edge
-// once, from its lower endpoint's row, in canonical (a, b) order.
+// edgesOf returns the graph's COO view, built from its rows (scanned on
+// demand for a spectrum graph): each edge once, from its lower
+// endpoint's row, in canonical (a, b) order.
 func edgesOf(g *StateGraph) []edge {
+	if err := g.ensureRows(); err != nil {
+		panic(err)
+	}
 	var out []edge
 	for a := range g.nodes {
 		for p := g.adjStart[a]; p < g.adjStart[a+1]; p++ {
@@ -111,9 +115,12 @@ func rowsFromEdges(g *StateGraph, edges []edge) {
 // strictly ascending without self-loops, the adjacency symmetric with
 // equal distances both ways, degrees summing to 2E, every stored
 // distance equal to the endpoints' Hamming distance and carrying a
-// nonzero weight.
+// nonzero weight. A spectrum graph's rows are scanned on demand first.
 func checkRows(t *testing.T, label string, g *StateGraph) {
 	t.Helper()
+	if err := g.ensureRows(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	nV := g.NumVertices()
 	if len(g.adjStart) != nV+1 || g.adjStart[0] != 0 || len(g.adjDist) != len(g.adjNbr) {
 		t.Fatalf("%s: row arrays malformed: %d offsets, %d neighbours, %d distances",
@@ -122,9 +129,6 @@ func checkRows(t *testing.T, label string, g *StateGraph) {
 	degSum := 0
 	for i := 0; i < nV; i++ {
 		row := g.adjNbr[g.adjStart[i]:g.adjStart[i+1]]
-		if len(row) != g.Degree(i) {
-			t.Fatalf("%s: vertex %d: row length %d != Degree %d", label, i, len(row), g.Degree(i))
-		}
 		degSum += len(row)
 		for k, j := range row {
 			if int(j) == i || (k > 0 && row[k-1] >= j) {
@@ -243,6 +247,17 @@ func (w zeroSelfEdges) Weight(d int) float64 {
 	return w.PoissonEdges.Weight(d)
 }
 
+// tinySelfEdges is PoissonEdges with w_0 = 1e-12: an isolated vertex
+// then has a_i = η·M/w_0, a flow that goes nowhere.
+type tinySelfEdges struct{ PoissonEdges }
+
+func (w tinySelfEdges) Weight(d int) float64 {
+	if d == 0 {
+		return 1e-12
+	}
+	return w.PoissonEdges.Weight(d)
+}
+
 // stepCase is one oracle corpus: a graph recipe plus a learning-rate
 // schedule.
 type stepCase struct {
@@ -268,21 +283,64 @@ func stepCases() []stepCase {
 		{name: "inverse-distance", raw: uniformDist(8, 120, 63), w: InverseDistanceEdges{}, eta: inv},
 		{name: "eta2.5", raw: poissonCounts(10, 0b1011001110, 1.5, 4000, 61), w: PoissonEdges{Lambda: 1.5}, eta: hot, capped: true},
 		{name: "zero-z", raw: isolated, w: zeroSelfEdges{PoissonEdges{Lambda: 1.5}}, eta: inv, zeroZ: true},
+		// Sparse: about 3 neighbours per vertex, so some are isolated.
+		// With w_0 = 0 the spectrum must give them exactly S = 0, or a
+		// rounding residue becomes an unbounded a_i; with a tiny w_0
+		// their a_i = η·M/w_0 must stay out of the transform.
+		{name: "zero-z-sparse", raw: uniformDist(12, 150, 66), w: zeroSelfEdges{PoissonEdges{Lambda: 0.5}}, eta: inv, zeroZ: true},
+		{name: "tiny-w0-sparse", raw: uniformDist(12, 150, 66), w: tinySelfEdges{PoissonEdges{Lambda: 0.5}}, eta: inv},
 	}
 }
 
+// stepReps are the two representations the step oracle tests force
+// through the build's strategy seam: CSR rows (every scan strategy lays
+// out the same rows) and the spectrum.
+var stepReps = []struct {
+	name  string
+	strat scanStrategy
+}{
+	{"rows", scanBucket},
+	{"spectrum", scanSpectrum},
+}
+
 // Step re-associates the scatter's per-edge sums into neighbour sums
-// (DESIGN.md §7), so it matches the oracle to rounding: every count and
-// L1Delta within oracleMassTol of the total mass, FlowMoved within
-// oracleFlowTol relative and Hellinger within oracleHellingerTol
-// absolute (widened by hellingerTol where a step drains vertices). An
-// algebra error (a dropped w_0, a skipped cap) moves counts by orders
-// of magnitude more.
+// (DESIGN.md §7), so it matches the oracle to rounding: on rows, every
+// count and L1Delta within oracleMassTol of the total mass, FlowMoved
+// within oracleFlowTol relative and Hellinger within oracleHellingerTol
+// absolute (widened by hellingerTol where a step drains vertices). The
+// spectrum's error is absolute, not per row, and its tolerance adds
+// spectrumStepBound. An algebra error (a dropped w_0, a skipped cap)
+// moves counts by orders of magnitude more.
 const (
 	oracleMassTol      = 1e-12
 	oracleHellingerTol = 1e-10
 	oracleFlowTol      = 1e-12
 )
+
+// spectrumStepBound returns the DESIGN.md §7 bound on Σ_v |Δcount_v|
+// between a spectrum step and the exact step from equal counts, read off
+// the step's own scratch vectors. Each transformed neighbour sum is off
+// by at most κ·u·‖k‖₁·‖x‖₂ (κ = 3n+2, u = 2⁻⁵³, k the per-string kernel,
+// x the scattered vector); carried through the epilogues that is
+// κ·u·‖k‖₁·(‖a‖₂ + 2‖P‖₂·‖a‖₁) to first order, doubled here for the
+// second-order terms and a cap pass's third product. Isolated vertices
+// are not scattered and do not count.
+func spectrumStepBound(g *StateGraph) float64 {
+	const u = 0x1p-53
+	var k1 float64
+	for d := 1; d <= g.n; d++ {
+		k1 += g.tab.perString[d] * float64(bitstring.SphereSize(g.n, d))
+	}
+	var a1, a2, p2 float64
+	for i := range g.nodes {
+		if g.spec.isolated[i] {
+			continue
+		}
+		a, p := g.scratch.a[i], g.scratch.prob[i]
+		a1, a2, p2 = a1+a, a2+a*a, p2+p*p
+	}
+	return 2 * float64(3*g.n+2) * u * k1 * (math.Sqrt(a2) + 2*math.Sqrt(p2)*a1)
+}
 
 // massDev returns Σ_v |count_v − oracle count_v| / oracle total.
 func massDev(g, oracle *StateGraph) float64 {
@@ -309,10 +367,12 @@ func hellingerTol(dev, h float64) float64 {
 }
 
 // checkStepVsOracle compares one Step's stats and counts with the
-// scatter oracle's after the same step, Hellinger to within htol.
-func checkStepVsOracle(t *testing.T, label string, g, oracle *StateGraph, htol float64, got, want StepStats) {
+// scatter oracle's after the same step: counts and L1Delta within
+// oracleMassTol·M plus the absolute slack spec (0 on rows), FlowMoved
+// within oracleFlowTol relative plus spec, Hellinger within htol.
+func checkStepVsOracle(t *testing.T, label string, g, oracle *StateGraph, spec, htol float64, got, want StepStats) {
 	t.Helper()
-	tol := oracleMassTol * oracle.total
+	tol := oracleMassTol*oracle.total + spec
 	for v := range g.nodes {
 		if d := math.Abs(g.nodes[v].count - oracle.nodes[v].count); d > tol {
 			t.Fatalf("%s: count[%d] = %v, oracle %v (|Δ| %g > %g)", label, v, g.nodes[v].count, oracle.nodes[v].count, d, tol)
@@ -324,90 +384,101 @@ func checkStepVsOracle(t *testing.T, label string, g, oracle *StateGraph, htol f
 	if d := math.Abs(got.Hellinger - want.Hellinger); d > htol {
 		t.Fatalf("%s: Hellinger %v, oracle %v (|Δ| %g > %g)", label, got.Hellinger, want.Hellinger, d, htol)
 	}
-	if d := math.Abs(got.FlowMoved - want.FlowMoved); d > oracleFlowTol*math.Abs(want.FlowMoved) {
+	if d := math.Abs(got.FlowMoved - want.FlowMoved); d > oracleFlowTol*math.Abs(want.FlowMoved)+spec {
 		t.Fatalf("%s: FlowMoved %v, oracle %v", label, got.FlowMoved, want.FlowMoved)
 	}
 }
 
-// TestStepMatchesScatterOracle pins the factored Step to the scatter
-// reference within the DESIGN.md §7 bound over 20 iterations at every
-// worker count, and bit-for-bit across worker counts (row order is
-// fixed, so the shard count cannot change any sum). η <= 1 must never
-// run the cap pass.
+// TestStepMatchesScatterOracle pins both representations' Step to the
+// scatter reference within the DESIGN.md §7 bounds over 20 iterations
+// at every worker count, and bit-for-bit across worker counts (row
+// order and butterfly arithmetic are fixed, so the shard count cannot
+// change any sum). On the spectrum the per-step bounds accumulate over
+// the iterations. η <= 1 must never run the cap pass.
 func TestStepMatchesScatterOracle(t *testing.T) {
 	for _, c := range stepCases() {
-		const iters = 20
-		// The first worker count's counts and stats after each iteration.
-		var refCounts [][]float64
-		var refStats []StepStats
-		for _, w := range testutil.WorkerMatrix(t) {
-			label := fmt.Sprintf("%s workers=%d", c.name, w)
-			oracle, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 1, scanAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if oracle.NumEdges() == 0 {
-				t.Fatalf("%s: empty graph", c.name)
-			}
-			edges := edgesOf(oracle)
-			g, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, w, scanAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first := refStats == nil
-			var capped, zeroZ bool
-			prev := make([]float64, len(g.nodes))
-			for i := 1; i <= iters; i++ {
-				eta := c.eta(i)
-				for v := range g.nodes {
-					prev[v] = g.nodes[v].count
+		for _, rep := range stepReps {
+			const iters = 20
+			// The first worker count's counts and stats after each iteration.
+			var refCounts [][]float64
+			var refStats []StepStats
+			for _, w := range testutil.WorkerMatrix(t) {
+				label := fmt.Sprintf("%s %s workers=%d", c.name, rep.name, w)
+				oracle, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 1, scanBucket)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := scatterStep(oracle, edges, eta)
-				got := g.Step(eta)
-				it := fmt.Sprintf("%s iter %d", label, i)
-				checkStepVsOracle(t, it, g, oracle, oracleHellingerTol, got, want)
-				if eta <= 1 && g.scratch.capped {
-					t.Fatalf("%s: η = %v ran the cap pass", it, eta)
+				if oracle.NumEdges() == 0 {
+					t.Fatalf("%s: empty graph", c.name)
 				}
-				for v := range g.nodes {
-					capped = capped || (g.scratch.capped && g.scratch.as[v] < g.scratch.a[v])
-					zeroZ = zeroZ || (prev[v] > 0 && g.scratch.a[v] == 0)
+				edges := edgesOf(oracle)
+				g, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, w, rep.strat)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if first {
-					counts := make([]float64, len(g.nodes))
+				if (g.spec != nil) != (rep.strat == scanSpectrum) {
+					t.Fatalf("%s: the seam did not force the representation", label)
+				}
+				first := refStats == nil
+				var capped, zeroZ bool
+				var spec float64
+				prev := make([]float64, len(g.nodes))
+				for i := 1; i <= iters; i++ {
+					eta := c.eta(i)
 					for v := range g.nodes {
-						counts[v] = g.nodes[v].count
+						prev[v] = g.nodes[v].count
 					}
-					refCounts, refStats = append(refCounts, counts), append(refStats, got)
-					continue
-				}
-				if got != refStats[i-1] {
-					t.Fatalf("%s: stats %+v differ from the first worker count's %+v", it, got, refStats[i-1])
-				}
-				for v := range g.nodes {
-					if g.nodes[v].count != refCounts[i-1][v] {
-						t.Fatalf("%s: count[%d] = %v differs from the first worker count's %v", it, v, g.nodes[v].count, refCounts[i-1][v])
+					want := scatterStep(oracle, edges, eta)
+					got := g.Step(eta)
+					it := fmt.Sprintf("%s iter %d", label, i)
+					if g.spec != nil {
+						spec += spectrumStepBound(g)
+					}
+					checkStepVsOracle(t, it, g, oracle, spec, oracleHellingerTol, got, want)
+					if eta <= 1 && g.scratch.capped {
+						t.Fatalf("%s: η = %v ran the cap pass", it, eta)
+					}
+					for v := range g.nodes {
+						capped = capped || (g.scratch.capped && g.scratch.as[v] < g.scratch.a[v])
+						zeroZ = zeroZ || (prev[v] > 0 && g.scratch.a[v] == 0)
+					}
+					if first {
+						counts := make([]float64, len(g.nodes))
+						for v := range g.nodes {
+							counts[v] = g.nodes[v].count
+						}
+						refCounts, refStats = append(refCounts, counts), append(refStats, got)
+						continue
+					}
+					if got != refStats[i-1] {
+						t.Fatalf("%s: stats %+v differ from the first worker count's %+v", it, got, refStats[i-1])
+					}
+					for v := range g.nodes {
+						if g.nodes[v].count != refCounts[i-1][v] {
+							t.Fatalf("%s: count[%d] = %v differs from the first worker count's %v", it, v, g.nodes[v].count, refCounts[i-1][v])
+						}
 					}
 				}
-			}
-			if c.capped && !capped {
-				t.Fatalf("%s: no vertex hit the overflow cap", label)
-			}
-			if c.zeroZ && !zeroZ {
-				t.Fatalf("%s: no vertex reached Z <= 0", label)
+				if c.capped && !capped {
+					t.Fatalf("%s: no vertex hit the overflow cap", label)
+				}
+				if c.zeroZ && !zeroZ {
+					t.Fatalf("%s: no vertex reached Z <= 0", label)
+				}
 			}
 		}
 	}
 }
 
-// FuzzStepOracle compares Step against the scatter reference within the
-// DESIGN.md §7 bound on random small corpora, learning rates and worker
-// counts {1, 2, 3}; η <= 1 must never run the cap pass. Every step starts
-// from the oracle's counts: on adversarial corpora the iteration itself
-// amplifies a rounding residue left on a drained vertex (the last seed:
-// complements are the only edges, w_3/w_0 = 34, so each step multiplies
-// a residue by up to 1 + 34η), and the comparison is of one step's
-// arithmetic, not of the iteration's conditioning.
+// FuzzStepOracle compares Step on both representations against the
+// scatter reference within the DESIGN.md §7 bounds on random small
+// corpora, learning rates and worker counts {1, 2, 3}; η <= 1 must never
+// run the cap pass. Every step starts from the oracle's counts: on
+// adversarial corpora the iteration itself amplifies a rounding residue
+// left on a drained vertex (the fifth seed: complements are the only
+// edges, w_3/w_0 = 34, so each step multiplies a residue by up to
+// 1 + 34η), and the comparison is of one step's arithmetic, not of the
+// iteration's conditioning.
 func FuzzStepOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(60), uint8(15), uint8(10), uint8(2))
 	f.Add(uint64(2), uint8(6), uint8(30), uint8(30), uint8(25), uint8(3))
@@ -428,25 +499,36 @@ func FuzzStepOracle(f *testing.F) {
 		eta := float64(eta10%40+1) / 10
 		w := int(workers)%3 + 1
 		raw := uniformDist(width, sup, seed)
-		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, w, scanAuto)
+		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanBucket)
 		if err != nil {
 			t.Fatal(err)
 		}
 		edges := edgesOf(oracle)
-		for i := 1; i <= 6; i++ {
-			e := eta / float64(i)
-			copy(g.nodes, oracle.nodes)
-			g.total = oracle.total
-			want := scatterStep(oracle, edges, e)
-			got := g.Step(e)
-			label := fmt.Sprintf("iter %d workers=%d", i, w)
-			checkStepVsOracle(t, label, g, oracle, hellingerTol(massDev(g, oracle), want.Hellinger), got, want)
-			if e <= 1 && g.scratch.capped {
-				t.Fatalf("%s: η = %v ran the cap pass", label, e)
+		for _, rep := range stepReps {
+			g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, w, rep.strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 6; i++ {
+				e := eta / float64(i)
+				copy(g.nodes, oracle.nodes)
+				g.total = oracle.total
+				want := scatterStep(oracle, edges, e)
+				got := g.Step(e)
+				var spec float64
+				if g.spec != nil {
+					spec = spectrumStepBound(g)
+				}
+				label := fmt.Sprintf("%s iter %d workers=%d", rep.name, i, w)
+				checkStepVsOracle(t, label, g, oracle, spec, hellingerTol(massDev(g, oracle), want.Hellinger), got, want)
+				if e <= 1 && g.scratch.capped {
+					t.Fatalf("%s: η = %v ran the cap pass", label, e)
+				}
+			}
+			// Rewind the oracle for the next representation.
+			oracle, err = buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanBucket)
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -2,7 +2,9 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"qbeep/internal/mathx"
 )
@@ -18,6 +20,11 @@ const (
 // Backend is a complete processor model: identity, topology and the
 // current calibration snapshot. It is everything Q-BEEP's λ estimator and
 // the noisy executor need.
+//
+// Backends are read-only after construction: Catalog, ByName and
+// IonBackend hand out one shared value per machine, so a caller that
+// needs a variant builds a fresh one (Drifted, UnmarshalJSON) instead of
+// writing to a returned backend, its Topology or its Calibration.
 type Backend struct {
 	Name         string
 	Architecture Architecture
@@ -72,8 +79,19 @@ func catalogSpecs() []spec {
 
 // Catalog returns the 16 synthetic superconducting backends standing in for
 // the paper's IBMQ fleet. Calibrations are deterministic (fixed per-machine
-// seeds); repeated calls return equal backends.
+// seeds) and built once per process: every call returns the same shared,
+// read-only backends in a fresh slice.
 func Catalog() ([]*Backend, error) {
+	all, err := catalog()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(all), nil
+}
+
+// catalog builds the fleet on first use; ByName and CatalogSubset read
+// the shared slice without copying it.
+var catalog = sync.OnceValues(func() ([]*Backend, error) {
 	specs := catalogSpecs()
 	backends := make([]*Backend, 0, len(specs))
 	for _, s := range specs {
@@ -96,11 +114,11 @@ func Catalog() ([]*Backend, error) {
 		backends = append(backends, b)
 	}
 	return backends, nil
-}
+})
 
-// ByName returns the catalog backend with the given name.
+// ByName returns the shared catalog backend with the given name.
 func ByName(name string) (*Backend, error) {
-	all, err := Catalog()
+	all, err := catalog()
 	if err != nil {
 		return nil, err
 	}
@@ -118,8 +136,11 @@ func ByName(name string) (*Backend, error) {
 }
 
 // IonBackend returns the synthetic 5-qubit trapped-ion backend standing in
-// for IonQ's processor in Fig. 4(b).
-func IonBackend() (*Backend, error) {
+// for IonQ's processor in Fig. 4(b), built once and shared like the
+// catalog's.
+func IonBackend() (*Backend, error) { return ionBackend() }
+
+var ionBackend = sync.OnceValues(func() (*Backend, error) {
 	topo, err := AllToAll(5)
 	if err != nil {
 		return nil, err
@@ -135,13 +156,13 @@ func IonBackend() (*Backend, error) {
 		return nil, err
 	}
 	return b, nil
-}
+})
 
 // CatalogSubset returns the first k catalog backends whose qubit count is
 // at least minQubits, erroring if fewer than k qualify. Experiment runners
 // use it to pick fleets for a given circuit width.
 func CatalogSubset(k, minQubits int) ([]*Backend, error) {
-	all, err := Catalog()
+	all, err := catalog()
 	if err != nil {
 		return nil, err
 	}

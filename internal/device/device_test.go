@@ -390,3 +390,49 @@ func TestGate2Q(t *testing.T) {
 		t.Error("uncoupled pair should miss")
 	}
 }
+
+// TestLookupsShareBackends pins the memoized catalog: lookups return the
+// same read-only backend values, and Catalog's slice is the caller's own.
+func TestLookupsShareBackends(t *testing.T) {
+	a, err := ByName("kyiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ByName("kyiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("two ByName lookups returned different backends")
+	}
+	all, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, c := range all {
+		found = found || c == a
+	}
+	if !found {
+		t.Fatal("Catalog does not hold the backend ByName returned")
+	}
+	all[0] = nil
+	again, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] == nil {
+		t.Fatal("writing to one Catalog slice changed the next one")
+	}
+	i1, err := IonBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i2, err := IonBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i1 != i2 {
+		t.Fatal("two IonBackend calls returned different backends")
+	}
+}

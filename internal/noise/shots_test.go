@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -162,6 +163,44 @@ func TestSamplersReturnCancelled(t *testing.T) {
 	// The samplers stay usable after a cancelled run.
 	if _, err := exec.ExecuteCtx(context.Background(), c, 100, mathx.NewRNG(1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShotRunDeadlineStopsMidRun: a deadline that expires while
+// shotEngine.run samples stops it at the next chunk boundary. One unit
+// of unitShots shots is timed uncancelled; the long run samples 200
+// units under a one-unit deadline and must return
+// context.DeadlineExceeded within a quarter of its estimated uncancelled
+// time, at one shard and at two.
+func TestShotRunDeadlineStopsMidRun(t *testing.T) {
+	const unitShots, units = 20000, 200
+	d := bitstring.NewDist(10)
+	for v := bitstring.BitString(0); v < 1<<10; v++ {
+		d.Add(v, float64(v%7+1))
+	}
+	src := &distSampler{}
+	src.outcomes, src.cum = distTable(d)
+	for _, n := range []int{1, 2} {
+		withShotShards(t, n)
+		var eng shotEngine
+		start := time.Now()
+		if _, err := eng.run(context.Background(), src, 10, unitShots, 1, mathx.NewRNG(1)); err != nil {
+			t.Fatal(err)
+		}
+		unit := time.Since(start)
+
+		ctx, cancel := context.WithTimeout(context.Background(), unit)
+		var long shotEngine
+		start = time.Now()
+		_, err := long.run(ctx, src, 10, units*unitShots, 1, mathx.NewRNG(1))
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("shards=%d: err %v, want context.DeadlineExceeded", n, err)
+		}
+		if budget := units * unit / 4; elapsed > budget {
+			t.Fatalf("shards=%d: cancelled run took %v, want < %v (one unit: %v)", n, elapsed, budget, unit)
+		}
 	}
 }
 
