@@ -7,9 +7,6 @@ package core
 //   - a per-distance weight table, so the scan performs two array loads
 //     per candidate pair instead of an interface call into the model
 //     (a Poisson PMF) plus a binomial coefficient;
-//   - popcount bucketing: |wt(a)−wt(b)| ≤ Hamming(a,b), and the distance
-//     parity is pinned to (wt(a)+wt(b)) mod 2, so only buckets whose
-//     minimum achievable distance is within the model radius are scanned;
 //   - a Hamming-ball walk for small radii: enumerate the C(n, 1..r)
 //     strings around each vertex with incremental XOR and probe a
 //     presence bitmap, making discovery O(V·C(n,≤r)) — near-linear in V
@@ -17,14 +14,13 @@ package core
 //     hits through a direct value→vertex table; wide ones (up to
 //     sphereMaxWidth) binary-search the sorted value slice instead, so
 //     million-vertex corpora at n = 26 stay on the near-linear path;
-//   - two-level sharding across internal/par workers: level 1 partitions
-//     the vertex set along data boundaries (top-bit groups for the
-//     sphere walk, popcount-histogram work quantiles for the bucket
-//     scan), level 2 splits heavy partitions into contiguous scan
-//     ranges. Workers drain tasks with per-worker packed-hit scratch,
-//     and per-task hit lists merge in ascending task order into the
-//     graph's adjacency rows, each ascending — bit-for-bit identical to
-//     the serial O(V²) scan for any strategy, any partitioning, and any
+//   - a plain pair scan for everything else: registers wider than
+//     sphereMaxWidth, and vertex sets too small for the ball to pay;
+//   - one cut of the vertex range into contiguous ranges of equal
+//     estimated work, drained by internal/par workers with per-worker
+//     packed-hit scratch. Per-range hit lists merge in ascending range
+//     order into the graph's adjacency rows, each ascending — bit-for-bit
+//     identical to the serial O(V²) scan for either strategy and any
 //     worker count.
 //
 // The seed's serial scan survives in the tests as bruteScanEdges: the
@@ -34,9 +30,7 @@ package core
 import (
 	"context"
 	"math"
-	"math/bits"
 	"runtime"
-	"slices"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/par"
@@ -49,8 +43,8 @@ type scanStrategy int
 
 const (
 	scanAuto scanStrategy = iota
-	// scanBucket scans vertex pairs from popcount buckets within radius.
-	scanBucket
+	// scanPairs compares every vertex with every vertex above it.
+	scanPairs
 	// scanSphere walks the Hamming ball around each vertex and probes a
 	// presence bitmap. Requires n <= sphereMaxWidth.
 	scanSphere
@@ -66,8 +60,8 @@ const (
 
 func (s scanStrategy) String() string {
 	switch s {
-	case scanBucket:
-		return "bucket"
+	case scanPairs:
+		return "pairs"
 	case scanSphere:
 		return "sphere"
 	case scanNone:
@@ -122,9 +116,9 @@ func newWeightTable(w EdgeWeighter, eps float64, n, radius int) weightTable {
 // effectiveRadius returns the largest distance whose shell passes the ε
 // threshold — the true scan bound. The model's MaxRadius is a tail
 // cutoff, so its boundary shell always fails ε and scanning it can only
-// prune; dropping dead boundary shells shrinks the Hamming ball (and the
-// bucket window) substantially: one 16-qubit shell is C(16,4) = 1820 of
-// a 2517-string ball.
+// prune; dropping dead boundary shells shrinks the Hamming ball
+// substantially: one 16-qubit shell is C(16,4) = 1820 of a 2517-string
+// ball.
 func (t weightTable) effectiveRadius() int {
 	for d := len(t.perString) - 1; d >= 1; d-- {
 		if t.perString[d] != 0 {
@@ -141,14 +135,6 @@ type edgeScanner struct {
 	radius int
 	tab    *weightTable
 
-	// Flat popcount buckets (counting-sort layout): bucket w's node
-	// indices, ascending, are bucketIdx[bucketStart[w]:bucketStart[w+1]].
-	// One histogram pass plus two fixed slices replaces the per-bucket
-	// slice-of-slices, and the histogram doubles as the pre-sizing source
-	// for the scan scratch below.
-	bucketStart []int32 // len n+2
-	bucketIdx   []int32 // len nV
-	hitEst      float64 // expected edges per vertex (uniform-corpus estimate)
 	// Sphere strategy only. seen is a presence bitmap probed on every
 	// ball position: at 2^n bits it stays L1-resident (8 KiB at n = 16)
 	// where an index table does not, and the overwhelming majority of
@@ -168,11 +154,6 @@ type edgeScanner struct {
 	// nothing per probe. Across visited groups the probed values ascend
 	// (higher top bit ⇒ larger u), so only within-group hits need sorting.
 	masks [][]uint64
-}
-
-// bucket returns popcount bucket w's node indices, ascending.
-func (sc *edgeScanner) bucket(w int) []int32 {
-	return sc.bucketIdx[sc.bucketStart[w]:sc.bucketStart[w+1]]
 }
 
 // ballMasks enumerates every nonzero string with popcount <= radius over
@@ -218,22 +199,21 @@ func ballMasks(n, radius int) [][]uint64 {
 }
 
 // scanTask is one unit of parallel edge discovery: a contiguous vertex
-// range inside one level-1 partition. Tasks are planned in ascending
-// vertex order, so merging per-task results in task order reproduces the
-// canonical serial edge order.
+// range. Tasks are planned in ascending vertex order, so merging
+// per-task results in task order reproduces the canonical serial edge
+// order.
 type scanTask struct {
 	lo, hi int
 }
 
 // scanScratch is one worker's reusable discovery state: the packed-hit
-// buffer and (bucket strategy) the per-bucket forward cursors. Scratches
-// cycle through a buffered-channel pool, so a worker draining many tasks
-// allocates only the exact-size per-task hit copies after warm-up.
+// buffer. Scratches cycle through a buffered-channel pool, so a worker
+// draining many tasks allocates only the exact-size per-task hit copies
+// after warm-up.
 //
 //qbeep:pooled
 type scanScratch struct {
 	hits []uint64
-	cur  []int32
 }
 
 // scanResult is one task's share of the discovery output. Hits stay
@@ -246,138 +226,49 @@ type scanResult struct {
 	pruned int
 }
 
-// planScanTasks builds the two-level decomposition of [0, nV). Level 1
-// partitions the vertex set along data boundaries: the sphere walk cuts
-// at top-bit-group edges (values ascend with node index, so each group
-// is contiguous), the bucket scan at popcount-histogram work quantiles.
-// Level 2 splits partitions whose estimated share of the scan exceeds an
-// even grain into contiguous sub-ranges, so the par queue can balance
-// skewed partitions. Every task stays in ascending vertex order, which
-// keeps the ordered merge canonical for any worker count.
+// planScanTasks cuts [0, nV) into min(8·workers, 64) contiguous ranges of
+// near-equal estimated work; over-decomposing lets the par queue absorb
+// the estimate's error and the triangular shape of the work (vertex a
+// scans only neighbours b > a). A sphere vertex's estimate is its exact
+// probe count, the sizes of the mask groups whose top bit is clear in
+// its value; a pair vertex compares itself with the nV−1−a vertices
+// above it. The ranges ascend, which keeps the ordered merge canonical
+// for any worker count.
 func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask {
 	nV := len(sc.vals)
-	if workers <= 1 || nV < 2 {
+	k := min(8*workers, 64, nV)
+	if workers <= 1 || k <= 1 {
 		return []scanTask{{0, nV}}
 	}
-	// Over-decompose so the dynamic queue balances the triangular
-	// workload (vertex a scans only neighbors b > a).
-	target := workers * 8
-	if target > 64 {
-		target = 64
-	}
-	if target > nV {
-		target = nV
-	}
-
-	var parts []scanTask
-	var workPrefix []float64
+	work := func(a int) float64 { return float64(nV - 1 - a) }
 	if strat == scanSphere {
-		lo := 0
-		for i := 1; i <= nV; i++ {
-			if i == nV || bits.Len64(uint64(sc.vals[i])) != bits.Len64(uint64(sc.vals[lo])) {
-				parts = append(parts, scanTask{lo, i})
-				lo = i
-			}
-		}
-	} else {
-		// A bucket-scan vertex's candidate count is its popcount window's
-		// total occupancy, so the prefix sum of per-vertex window sizes
-		// cuts equal-work partitions no matter how skewed the weight
-		// histogram is.
-		win := make([]float64, sc.n+1)
-		for w := 0; w <= sc.n; w++ {
-			lo := w - sc.radius
-			if lo < 0 {
-				lo = 0
-			}
-			hi := w + sc.radius
-			if hi > sc.n {
-				hi = sc.n
-			}
-			win[w] = float64(sc.bucketStart[hi+1] - sc.bucketStart[lo])
-		}
-		workPrefix = make([]float64, nV+1)
-		for i, v := range sc.vals {
-			workPrefix[i+1] = workPrefix[i] + win[v.Weight()]
-		}
-		nParts := workers
-		if nParts > 8 {
-			nParts = 8
-		}
-		if nParts > nV {
-			nParts = nV
-		}
-		parts = cutByWork(workPrefix, 0, nV, nParts)
-	}
-
-	totalWork := float64(nV)
-	if workPrefix != nil {
-		totalWork = workPrefix[nV]
-	}
-	grain := totalWork / float64(target)
-	tasks := make([]scanTask, 0, target+len(parts))
-	for _, p := range parts {
-		pw := float64(p.hi - p.lo)
-		if workPrefix != nil {
-			pw = workPrefix[p.hi] - workPrefix[p.lo]
-		}
-		k := 1
-		if grain > 0 {
-			k = int(pw/grain + 0.5)
-		}
-		if k < 1 {
-			k = 1
-		}
-		if k > p.hi-p.lo {
-			k = p.hi - p.lo
-		}
-		switch {
-		case k == 1:
-			tasks = append(tasks, p)
-		case workPrefix != nil:
-			tasks = append(tasks, cutByWork(workPrefix, p.lo, p.hi, k)...)
-		default:
-			for i := 0; i < k; i++ {
-				tasks = append(tasks, scanTask{p.lo + i*(p.hi-p.lo)/k, p.lo + (i+1)*(p.hi-p.lo)/k})
-			}
-		}
-	}
-	return tasks
-}
-
-// cutByWork splits [lo, hi) into at most k contiguous ranges of
-// near-equal work under the prefix-sum weighting: boundaries are the
-// work quantiles, found by binary search; ranges that would come out
-// empty are skipped.
-func cutByWork(prefix []float64, lo, hi, k int) []scanTask {
-	out := make([]scanTask, 0, k)
-	base, span := prefix[lo], prefix[hi]-prefix[lo]
-	cur := lo
-	for i := 1; i <= k && cur < hi; i++ {
-		cut := hi
-		if i < k {
-			q := base + span*float64(i)/float64(k)
-			l, h := cur, hi
-			for l < h {
-				mid := int(uint(l+h) >> 1)
-				if prefix[mid] < q {
-					l = mid + 1
-				} else {
-					h = mid
+		work = func(a int) float64 {
+			var w int
+			for t, group := range sc.masks {
+				if sc.vals[a]&(1<<uint(t)) == 0 {
+					w += len(group)
 				}
 			}
-			cut = l
+			return float64(w)
 		}
-		if cut <= cur {
-			continue
+	}
+	var total float64
+	for a := 0; a < nV; a++ {
+		total += work(a)
+	}
+	tasks := make([]scanTask, 0, k)
+	lo, acc := 0, 0.0
+	for a := 0; a < nV && len(tasks) < k-1; a++ {
+		// Cut once the work so far reaches the next of the k quantiles.
+		if acc += work(a); acc*float64(k) >= total*float64(len(tasks)+1) {
+			tasks = append(tasks, scanTask{lo, a + 1})
+			lo = a + 1
 		}
-		out = append(out, scanTask{cur, cut})
-		cur = cut
 	}
-	if cur < hi {
-		out = append(out, scanTask{cur, hi})
+	if lo < nV {
+		tasks = append(tasks, scanTask{lo, nV})
 	}
-	return out
+	return tasks
 }
 
 // scanEdges discovers every thresholded edge and lays the result out as
@@ -394,71 +285,29 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		return make([]int32, nV+1), nil, nil, 0, scanNone, nil
 	}
 	sc := &edgeScanner{vals: vals, n: n, radius: radius, tab: tab}
-	// Flat buckets by counting sort: the histogram prefix sum is the
-	// bucket boundary array, and scanning vals in index order keeps each
-	// bucket's node indices ascending.
-	hist := make([]int32, n+2)
-	for _, v := range vals {
-		hist[v.Weight()+1]++
-	}
-	for w := 0; w <= n; w++ {
-		hist[w+1] += hist[w]
-	}
-	sc.bucketStart = hist
-	sc.bucketIdx = make([]int32, nV)
-	fill := make([]int32, n+1)
-	copy(fill, hist[:n+1])
-	for i, v := range vals {
-		w := v.Weight()
-		sc.bucketIdx[fill[w]] = int32(i)
-		fill[w]++
-	}
 
-	// Candidate estimates drive both the strategy choice and the
-	// serial-vs-parallel decision.
-	var bucketCand int64
-	for wa := 0; wa <= n; wa++ {
-		la := int64(len(sc.bucket(wa)))
-		if la == 0 {
-			continue
-		}
-		for wb := wa; wb <= n && wb-wa <= radius; wb++ {
-			if wb == wa {
-				if radius >= 2 { // same-weight pairs differ in >= 2 bits
-					bucketCand += la * (la - 1) / 2
-				}
-				continue
-			}
-			bucketCand += la * int64(len(sc.bucket(wb)))
-		}
-	}
-	var ballSize int64
+	// Candidate counts drive both the strategy choice and the
+	// serial-vs-parallel decision: the walk probes half the ball per
+	// vertex (top-bit grouping), the pair scan compares each pair once.
+	var ball float64
 	for d := 1; d <= radius && d <= n; d++ {
-		ballSize += int64(bitstring.SphereSize(n, d))
+		ball += float64(bitstring.SphereSize(n, d))
 	}
-	// Expected hits per vertex under a uniform corpus — presizes the hit
-	// buffers so discovery appends rarely reallocate. Clustered corpora
-	// exceed it and fall back to append growth.
-	sc.hitEst = 0.5 * float64(ballSize) * math.Ldexp(float64(nV), -n)
+	probes, pairs := float64(nV)*ball/2, float64(nV)*float64(nV-1)/2
 	if strat == scanAuto {
-		strat = scanBucket
-		if n <= sphereLUTMaxWidth && int64(nV)*ballSize/2 < 2*bucketCand {
-			// The walk probes half the ball per vertex (top-bit grouping),
-			// and a probe — XOR plus one L1-resident bitmap load — costs
-			// about half a bucket candidate (random value fetch plus
-			// popcount).
-			strat = scanSphere
-		} else if n > sphereLUTMaxWidth && n <= sphereMaxWidth && int64(nV)*ballSize/2 < bucketCand {
-			// Wide registers: the bitmap spills L1, so a probe costs
-			// about one bucket candidate.
+		// A probe — XOR plus one cache-resident bitmap load — counts as
+		// half a pair comparison on the LUT widths; past them the bitmap
+		// spills the cache and a probe counts as a whole one.
+		strat = scanPairs
+		if n <= sphereLUTMaxWidth && probes < 2*pairs || n <= sphereMaxWidth && probes < pairs {
 			strat = scanSphere
 		}
 	} else if strat == scanSphere && n > sphereMaxWidth {
-		strat = scanBucket
+		strat = scanPairs
 	}
-	cand := bucketCand
+	cand := pairs
 	if strat == scanSphere {
-		cand = int64(nV) * ballSize / 2
+		cand = probes
 		sc.seen = make([]uint64, (1<<uint(n)+63)/64)
 		if n <= sphereLUTMaxWidth {
 			sc.lut = make([]int32, 1<<uint(n))
@@ -487,15 +336,18 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 	// plus the leading zero each), cut along precomputed offsets.
 	startsArena := make([]int32, nV+len(tasks))
 	offs := make([]int, len(tasks))
-	maxVerts, off := 0, 0
+	off := 0
 	for i, t := range tasks {
 		offs[i] = off
 		off += t.hi - t.lo + 1
-		if t.hi-t.lo > maxVerts {
-			maxVerts = t.hi - t.lo
-		}
 	}
-	hitCap := int(sc.hitEst*float64(maxVerts)*1.2) + 64
+	// Expected hits per task under a uniform corpus, where either
+	// strategy finds hits in proportion to its work and the tasks share
+	// the work evenly — presizes the hit buffers so discovery appends
+	// rarely reallocate. Clustered corpora exceed it and fall back to
+	// append growth.
+	hitEst := 0.5 * ball * float64(nV) * math.Ldexp(float64(nV), -n)
+	hitCap := int(1.2*hitEst/float64(len(tasks))) + 64
 
 	if len(tasks) == 1 {
 		// Serial fast path: scan straight into the result, no copy.
@@ -580,108 +432,46 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 // count, or ctx's error when it is done at one of the checks every
 // scanCtxChunk vertices.
 func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStrategy, s *scanScratch, starts []int32) (int, error) {
+	if strat == scanSphere {
+		return sc.sphereRange(ctx, t, s, starts)
+	}
+	return sc.pairRange(ctx, t, s, starts)
+}
+
+// sphereRange is scanRange's Hamming-ball walk.
+func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScratch, starts []int32) (int, error) {
 	lo, hi := t.lo, t.hi
 	pruned := 0
 	hits := s.hits
 	starts[0] = 0
 	// Hoist the scanner fields: the appends below keep the compiler from
-	// proving the fields loop-invariant, and these are the two hottest
-	// loops in the pipeline.
-	vals, tab, radius := sc.vals, &sc.tab.perString, sc.radius
-	if strat == scanSphere {
-		seen, lut, masks := sc.seen, sc.lut, sc.masks
-		// idxOf resolves a confirmed hit to its node index: direct table
-		// on narrow registers, binary search over the ascending value
-		// slice past the LUT width. Only hits pay it — the bitmap has
-		// already answered every miss.
-		idxOf := func(u bitstring.BitString) uint64 {
-			if lut != nil {
-				return uint64(lut[u] - 1)
-			}
-			l, h := 0, len(vals)
-			for l < h {
-				mid := int(uint(l+h) >> 1)
-				if vals[mid] < u {
-					l = mid + 1
-				} else {
-					h = mid
-				}
-			}
-			return uint64(l)
+	// proving the fields loop-invariant, and this is the hottest loop in
+	// the pipeline.
+	vals, tab := sc.vals, &sc.tab.perString
+	seen, lut, masks := sc.seen, sc.lut, sc.masks
+	// idxOf resolves a confirmed hit to its node index: direct table
+	// on narrow registers, binary search over the ascending value
+	// slice past the LUT width. Only hits pay it — the bitmap has
+	// already answered every miss.
+	idxOf := func(u bitstring.BitString) uint64 {
+		if lut != nil {
+			return uint64(lut[u] - 1)
 		}
-		// len(seen) is always a power of two (2^max(0,n-6)), so masking
-		// the word index proves it in-bounds and drops the bounds check
-		// from the innermost load.
-		wmask := bitstring.BitString(len(seen) - 1)
-		for a := lo; a < hi; a++ {
-			if (a-lo)%scanCtxChunk == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
+		l, h := 0, len(vals)
+		for l < h {
+			mid := int(uint(l+h) >> 1)
+			if vals[mid] < u {
+				l = mid + 1
+			} else {
+				h = mid
 			}
-			va := vals[a]
-			for t, group := range masks {
-				if va&(1<<uint(t)) != 0 {
-					continue // v^delta < v: the lower-index side owns the pair
-				}
-				seg := len(hits)
-				// Unrolled by two: the bitmap loads of a pair are
-				// independent, so they overlap instead of serializing on
-				// L1 latency. Hits are rare; both taken branches stay in
-				// probe order, preserving the canonical emission order.
-				i := 0
-				for ; i+2 <= len(group); i += 2 {
-					m0, m1 := group[i], group[i+1]
-					u0 := va ^ bitstring.BitString(m0>>8)
-					u1 := va ^ bitstring.BitString(m1>>8)
-					h0 := seen[(u0>>6)&wmask] & (1 << (u0 & 63))
-					h1 := seen[(u1>>6)&wmask] & (1 << (u1 & 63))
-					if h0 != 0 {
-						// Observed, and u > va guarantees index idxOf(u) > a.
-						if d := m0 & 0xff; tab[d] != 0 {
-							hits = append(hits, idxOf(u0)<<8|d)
-						} else {
-							pruned++
-						}
-					}
-					if h1 != 0 {
-						if d := m1 & 0xff; tab[d] != 0 {
-							hits = append(hits, idxOf(u1)<<8|d)
-						} else {
-							pruned++
-						}
-					}
-				}
-				if i < len(group) {
-					m := group[i]
-					u := va ^ bitstring.BitString(m>>8)
-					if seen[(u>>6)&wmask]&(1<<(u&63)) != 0 {
-						if d := m & 0xff; tab[d] != 0 {
-							hits = append(hits, idxOf(u)<<8|d)
-						} else {
-							pruned++
-						}
-					}
-				}
-				sortPacked(hits[seg:])
-			}
-			starts[a-lo+1] = int32(len(hits))
 		}
-		s.hits = hits
-		return pruned, nil
+		return uint64(l)
 	}
-	// Per-bucket cursors to the first node index > a, seeded from the
-	// bucket boundaries and reset per task. Vertices are processed in
-	// ascending index order, so each cursor only moves forward —
-	// amortized O(bucket) per task instead of a binary search per
-	// (vertex, bucket) visit.
-	if cap(s.cur) < sc.n+1 {
-		s.cur = make([]int32, sc.n+1)
-	}
-	s.cur = s.cur[:sc.n+1]
-	copy(s.cur, sc.bucketStart[:sc.n+1])
-	cur := s.cur
-	bucketIdx, bucketStart := sc.bucketIdx, sc.bucketStart
+	// len(seen) is always a power of two (2^max(0,n-6)), so masking
+	// the word index proves it in-bounds and drops the bounds check
+	// from the innermost load.
+	wmask := bitstring.BitString(len(seen) - 1)
 	for a := lo; a < hi; a++ {
 		if (a-lo)%scanCtxChunk == 0 {
 			if err := ctx.Err(); err != nil {
@@ -689,41 +479,49 @@ func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStra
 			}
 		}
 		va := vals[a]
-		wa := va.Weight()
-		loW := wa - radius
-		if loW < 0 {
-			loW = 0
-		}
-		hiW := wa + radius
-		if hiW > sc.n {
-			hiW = sc.n
-		}
-		seg := len(hits)
-		for wb := loW; wb <= hiW; wb++ {
-			if wb == wa && radius < 2 {
-				continue // same-weight distances are even and >= 2
+		for t, group := range masks {
+			if va&(1<<uint(t)) != 0 {
+				continue // v^delta < v: the lower-index side owns the pair
 			}
-			end := int(bucketStart[wb+1])
-			c := int(cur[wb])
-			for c < end && int(bucketIdx[c]) <= a {
-				c++
-			}
-			cur[wb] = int32(c)
-			for _, j := range bucketIdx[c:end] {
-				d := bitstring.Hamming(va, vals[j])
-				if d > radius {
-					continue
+			seg := len(hits)
+			// Unrolled by two: the bitmap loads of a pair are
+			// independent, so they overlap instead of serializing on
+			// L1 latency. Hits are rare; both taken branches stay in
+			// probe order, preserving the canonical emission order.
+			i := 0
+			for ; i+2 <= len(group); i += 2 {
+				m0, m1 := group[i], group[i+1]
+				u0 := va ^ bitstring.BitString(m0>>8)
+				u1 := va ^ bitstring.BitString(m1>>8)
+				h0 := seen[(u0>>6)&wmask] & (1 << (u0 & 63))
+				h1 := seen[(u1>>6)&wmask] & (1 << (u1 & 63))
+				if h0 != 0 {
+					// Observed, and u > va guarantees index idxOf(u) > a.
+					if d := m0 & 0xff; tab[d] != 0 {
+						hits = append(hits, idxOf(u0)<<8|d)
+					} else {
+						pruned++
+					}
 				}
-				if tab[d] == 0 {
-					pruned++
-					continue
+				if h1 != 0 {
+					if d := m1 & 0xff; tab[d] != 0 {
+						hits = append(hits, idxOf(u1)<<8|d)
+					} else {
+						pruned++
+					}
 				}
-				hits = append(hits, uint64(j)<<8|uint64(d))
 			}
-		}
-		if len(hits)-seg > 24 {
-			slices.Sort(hits[seg:])
-		} else {
+			if i < len(group) {
+				m := group[i]
+				u := va ^ bitstring.BitString(m>>8)
+				if seen[(u>>6)&wmask]&(1<<(u&63)) != 0 {
+					if d := m & 0xff; tab[d] != 0 {
+						hits = append(hits, idxOf(u)<<8|d)
+					} else {
+						pruned++
+					}
+				}
+			}
 			sortPacked(hits[seg:])
 		}
 		starts[a-lo+1] = int32(len(hits))
@@ -732,8 +530,40 @@ func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStra
 	return pruned, nil
 }
 
-// sortPacked is an insertion sort for the short per-vertex (sphere: per
-// top-bit-group) hit runs — a handful of elements each, where a generic
+// pairRange is scanRange's pair scan: vertex a compares itself with
+// every b > a, in ascending b, so its hits need no sort.
+func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, s *scanScratch, starts []int32) (int, error) {
+	lo, hi := t.lo, t.hi
+	pruned := 0
+	hits := s.hits
+	starts[0] = 0
+	vals, tab, radius := sc.vals, &sc.tab.perString, sc.radius
+	for a := lo; a < hi; a++ {
+		if (a-lo)%scanCtxChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		va := vals[a]
+		for j, vb := range vals[a+1:] {
+			d := bitstring.Hamming(va, vb)
+			if d > radius {
+				continue
+			}
+			if tab[d] == 0 {
+				pruned++
+				continue
+			}
+			hits = append(hits, uint64(a+1+j)<<8|uint64(d))
+		}
+		starts[a-lo+1] = int32(len(hits))
+	}
+	s.hits = hits
+	return pruned, nil
+}
+
+// sortPacked is an insertion sort for the short per-top-bit-group hit
+// runs of the sphere walk — a handful of elements each, where a generic
 // sort's dispatch overhead would exceed the work.
 //
 //qbeep:mustinline

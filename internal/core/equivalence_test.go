@@ -12,8 +12,7 @@ import (
 )
 
 // uniformDist draws `support` distinct outcomes uniformly over width n
-// with random positive counts — the widest Hamming-weight spread, which
-// exercises the bucket windowing hardest.
+// with random positive counts — the widest Hamming-weight spread.
 func uniformDist(n, support int, seed uint64) *bitstring.Dist {
 	rng := mathx.NewRNG(seed)
 	d := bitstring.NewDist(n)
@@ -93,27 +92,47 @@ func sameDist(t *testing.T, label string, want, got *bitstring.Dist) {
 // TestScanMatchesBruteOracle drives both discovery strategies and the
 // full worker matrix against the seed's serial O(V²) scan on randomized
 // inputs across widths 4–16, asserting bit-for-bit identical edge sets,
-// weights, pruned counts, and CSR layout.
+// weights, pruned counts, and CSR layout. The n = 10 corpora at λ >= 13
+// are the far end of the Eq. 2 range: only the outermost shells pass ε
+// (at λ = 14 and 14.5 only d = n, so complements are the only edges),
+// or none does and the radius is 0.
 func TestScanMatchesBruteOracle(t *testing.T) {
 	cases := []struct {
 		n       int
 		support int
 		lambda  float64
 		seed    uint64
+		shells  []int // the shells that pass ε, where the case pins them
 	}{
-		{4, 12, 1.0, 1},
-		{5, 30, 0.7, 2},
-		{6, 60, 1.5, 3},
-		{8, 150, 2.0, 4},
-		{10, 300, 1.2, 5},
-		{12, 400, 2.5, 6},
-		{14, 500, 0.5, 7},
-		{16, 600, 1.5, 8},
+		{4, 12, 1.0, 1, nil},
+		{5, 30, 0.7, 2, nil},
+		{6, 60, 1.5, 3, nil},
+		{8, 150, 2.0, 4, nil},
+		{10, 300, 1.2, 5, nil},
+		{12, 400, 2.5, 6, nil},
+		{14, 500, 0.5, 7, nil},
+		{16, 600, 1.5, 8, nil},
+		{10, 300, 13, 9, []int{9, 10}},
+		{10, 300, 14, 10, []int{10}},
+		{10, 300, 14.5, 11, []int{10}},
+		{10, 300, 20, 12, []int{}},
 	}
 	workers := testutil.WorkerMatrix(t)
 	for _, c := range cases {
-		// Mix a clustered and a uniform corpus: clustered data packs the
-		// weight buckets, uniform data spreads them.
+		if c.shells != nil {
+			tab := newWeightTable(PoissonEdges{Lambda: c.lambda}, 0.05, c.n, c.n)
+			var got []int
+			for d := 1; d <= c.n; d++ {
+				if tab.perString[d] != 0 {
+					got = append(got, d)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.shells) {
+				t.Fatalf("n=%d λ=%g: shells %v pass ε, want %v", c.n, c.lambda, got, c.shells)
+			}
+		}
+		// Mix a clustered and a uniform corpus: clustered data packs a
+		// few Hamming weights, uniform data spreads them.
 		dists := map[string]*bitstring.Dist{
 			"clustered": poissonCounts(c.n, bitstring.BitString(0x5a5a)&(1<<uint(c.n)-1), c.lambda, c.support*3, c.seed),
 			"uniform":   uniformDist(c.n, c.support, c.seed+100),
@@ -124,7 +143,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ref *StateGraph // first engine variant; the rest must match it fully
-			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
+			for _, strat := range []scanStrategy{scanAuto, scanPairs, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
 					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)
@@ -169,7 +188,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *StateGraph
-	for _, strat := range []scanStrategy{scanBucket, scanSphere} {
+	for _, strat := range []scanStrategy{scanPairs, scanSphere} {
 		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +249,7 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 			strat    scanStrategy
 			spectrum bool
 		}{
-			{"rows", scanBucket, false},
+			{"rows", scanPairs, false},
 			{"auto", scanAuto, g.spec != nil},
 		} {
 			var ref *bitstring.Dist
@@ -289,7 +308,7 @@ func TestCSRAdjacencyConsistent(t *testing.T) {
 // rows (inline and sharded) and on the spectrum.
 func TestStepAllocationFree(t *testing.T) {
 	raw := uniformDist(10, 300, 41)
-	g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0, scanBucket)
+	g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0, scanPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +325,7 @@ func TestStepAllocationFree(t *testing.T) {
 	// Sharded: an explicit worker count on a graph above the auto-mode
 	// grain, so the phases fan out through the bound shards every call.
 	big := uniformDist(12, 600, 43)
-	gs, err := buildStateGraphCtx(context.Background(), big, PoissonEdges{Lambda: 2}, 0.05, 2, scanBucket)
+	gs, err := buildStateGraphCtx(context.Background(), big, PoissonEdges{Lambda: 2}, 0.05, 2, scanPairs)
 	if err != nil {
 		t.Fatal(err)
 	}

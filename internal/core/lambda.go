@@ -59,17 +59,7 @@ func EstimateLambda(res *transpile.Result, b *device.Backend) (LambdaBreakdown, 
 		if !g.Kind.IsUnitary() {
 			continue
 		}
-		switch len(g.Qubits) {
-		case 1:
-			q := g.Qubits[0]
-			if q < len(b.Calibration.Gates1Q) {
-				out.Gates += b.Calibration.Gates1Q[q].Error
-			}
-		case 2:
-			if gc, ok := b.Calibration.Gate2Q(g.Qubits[0], g.Qubits[1]); ok {
-				out.Gates += gc.Error
-			}
-		}
+		out.Gates += b.Calibration.GateError(g.Qubits)
 	}
 	// Every estimation path (CLI, simulator, experiments) funnels through
 	// here, so this is the one site that keeps the per-backend λ gauge

@@ -12,7 +12,7 @@ var (
 	metGraphRadius = obs.Default.Gauge("core.graph.radius")
 	// Edge-scan strategy counters: how often each discovery path of
 	// edgescan.go was selected, or the spectrum replaced the scan.
-	metGraphScanBucket   = obs.Default.Counter("core.graph.scan_bucket")
+	metGraphScanPairs    = obs.Default.Counter("core.graph.scan_pairs")
 	metGraphScanSphere   = obs.Default.Counter("core.graph.scan_sphere")
 	metGraphScanSpectrum = obs.Default.Counter("core.graph.scan_spectrum")
 

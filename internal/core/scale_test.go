@@ -20,7 +20,7 @@ import (
 // TestScanMatchesBruteOracleWide drives the wide-register sphere path
 // (sphereLUTMaxWidth < n <= sphereMaxWidth, where confirmed bitmap hits
 // resolve their vertex index by binary search instead of a direct
-// table) against the brute oracle and the bucket scan, across the
+// table) against the brute oracle and the pair scan, across the
 // worker matrix.
 func TestScanMatchesBruteOracleWide(t *testing.T) {
 	cases := []struct {
@@ -44,7 +44,7 @@ func TestScanMatchesBruteOracleWide(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ref *StateGraph
-			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
+			for _, strat := range []scanStrategy{scanAuto, scanPairs, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
 					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)

@@ -168,15 +168,16 @@ func initStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*State
 // equally-likely landing sites. Without this normalization the
 // combinatorially-large middle shells would out-pull the true solution.
 //
-// Discovery is popcount-bucketed (or a Hamming-ball walk on narrow
-// registers) instead of the O(V²) pairwise scan — see edgescan.go — and
-// the output is bit-for-bit identical to that serial scan. workers caps
-// the edge-scan worker count (<= 0 selects GOMAXPROCS); the result is
-// independent of it: vertex ranges emit their edges in canonical
-// ascending (a, b) order and are concatenated in range order, so the
-// adjacency rows — and every downstream Step — never depend on
-// scheduling. The same workers value caps the shard count of Step's
-// flow iteration, whose output is equally independent of it.
+// Discovery walks the Hamming ball around each vertex where that probes
+// fewer strings than the pairwise scan, and runs the pairwise scan
+// otherwise — see edgescan.go; the output is bit-for-bit identical to
+// the serial scan either way. workers caps the edge-scan worker count
+// (<= 0 selects GOMAXPROCS); the result is independent of it: vertex
+// ranges emit their edges in canonical ascending (a, b) order and are
+// concatenated in range order, so the adjacency rows — and every
+// downstream Step — never depend on scheduling. The same workers value
+// caps the shard count of Step's flow iteration, whose output is
+// equally independent of it.
 // The "core.graph.build" span becomes a child of the span active in ctx,
 // and the parallel edge scan's worker spans parent under it; Step's
 // worker spans parent under the span active in ctx itself.
@@ -224,8 +225,8 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	switch used {
 	case scanSphere:
 		metGraphScanSphere.Inc()
-	case scanBucket:
-		metGraphScanBucket.Inc()
+	case scanPairs:
+		metGraphScanPairs.Inc()
 	case scanSpectrum:
 		metGraphScanSpectrum.Inc()
 	}

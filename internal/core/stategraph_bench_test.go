@@ -20,10 +20,9 @@ var benchGraphConfigs = []struct {
 	{4096, 2},
 }
 
-// benchGraphDist draws v distinct outcomes uniformly over 16 qubits —
-// the widest weight spread, i.e. the least favorable case for the
-// popcount-bucket window. 16 qubits is above spectrumMaxWidth, so these
-// graphs always get CSR rows.
+// benchGraphDist draws v distinct outcomes uniformly over 16 qubits.
+// 16 qubits is above spectrumMaxWidth, so these graphs always get CSR
+// rows.
 func benchGraphDist(v int) *bitstring.Dist {
 	const n = 16
 	rng := mathx.NewRNG(97)
@@ -35,10 +34,11 @@ func benchGraphDist(v int) *bitstring.Dist {
 }
 
 // BenchmarkBuildStateGraph measures the shipped edge-discovery engine
-// (bucketed / ball-walk, see edgescan.go). Compare with
+// (ball walk or pair scan, see edgescan.go). Compare with
 // BenchmarkBuildStateGraphBrute for the speedup over the seed's O(V²)
 // scan. The n10 rows build the near-complete qaoa-fleet graph (see
-// BenchmarkStateGraphStep) on each representation.
+// BenchmarkStateGraphStep) on each representation. The n32 row is a
+// register wider than sphereMaxWidth, which only the pair scan serves.
 func BenchmarkBuildStateGraph(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
@@ -57,6 +57,9 @@ func BenchmarkBuildStateGraph(b *testing.B) {
 			benchBuild(b, benchScaleDist(10, 1000), 5, rep.strat)
 		})
 	}
+	b.Run("n32/V4096/lambda1", func(b *testing.B) {
+		benchBuild(b, benchScaleDist(32, 4096), 1, scanAuto)
+	})
 }
 
 func benchBuild(b *testing.B, raw *bitstring.Dist, lambda float64, strat scanStrategy) {

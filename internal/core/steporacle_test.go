@@ -299,7 +299,7 @@ var stepReps = []struct {
 	name  string
 	strat scanStrategy
 }{
-	{"rows", scanBucket},
+	{"rows", scanPairs},
 	{"spectrum", scanSpectrum},
 }
 
@@ -404,7 +404,7 @@ func TestStepMatchesScatterOracle(t *testing.T) {
 			var refStats []StepStats
 			for _, w := range testutil.WorkerMatrix(t) {
 				label := fmt.Sprintf("%s %s workers=%d", c.name, rep.name, w)
-				oracle, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 1, scanBucket)
+				oracle, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 1, scanPairs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -472,10 +472,11 @@ func TestStepMatchesScatterOracle(t *testing.T) {
 
 // FuzzStepOracle compares Step on both representations against the
 // scatter reference within the DESIGN.md §7 bounds on random small
-// corpora, learning rates and worker counts {1, 2, 3}; η <= 1 must never
+// corpora, λ up to 20 (the top of the Eq. 2 range), learning rates and
+// worker counts {1, 2, 3}; η <= 1 must never
 // run the cap pass. Every step starts from the oracle's counts: on
 // adversarial corpora the iteration itself amplifies a rounding residue
-// left on a drained vertex (the fifth seed: complements are the only
+// left on a drained vertex (the sixth seed: complements are the only
 // edges, w_3/w_0 = 34, so each step multiplies a residue by up to
 // 1 + 34η), and the comparison is of one step's arithmetic, not of the
 // iteration's conditioning.
@@ -486,20 +487,25 @@ func FuzzStepOracle(f *testing.F) {
 	// η = 3.8 binds the cap; the second drains capped vertices to a
 	// rounding residue, where Hellinger is ill-conditioned (see
 	// hellingerTol).
-	f.Add(uint64(30), uint8(6), uint8(181), uint8(126), uint8(37), uint8(1))
-	f.Add(uint64(30), uint8(6), uint8(247), uint8(126), uint8(37), uint8(54))
+	f.Add(uint64(30), uint8(6), uint8(181), uint8(6), uint8(37), uint8(1))
+	f.Add(uint64(30), uint8(6), uint8(247), uint8(6), uint8(37), uint8(54))
 	f.Add(uint64(108), uint8(85), uint8(251), uint8(58), uint8(18), uint8(6))
+	// The far end of the Eq. 2 range on 10 qubits: λ = 13 (shells 9 and
+	// 10 pass ε), 14.5 (complements only) and 20 (no edges).
+	f.Add(uint64(7), uint8(8), uint8(150), uint8(129), uint8(5), uint8(1))
+	f.Add(uint64(8), uint8(8), uint8(150), uint8(144), uint8(5), uint8(1))
+	f.Add(uint64(9), uint8(8), uint8(150), uint8(199), uint8(5), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, n, support, lambda10, eta10, workers uint8) {
 		width := int(n)%12 + 2
 		sup := int(support)%200 + 1
 		if sup > 1<<width {
 			sup = 1 << width
 		}
-		lam := float64(lambda10%60+1) / 10
+		lam := float64(lambda10%200+1) / 10
 		eta := float64(eta10%40+1) / 10
 		w := int(workers)%3 + 1
 		raw := uniformDist(width, sup, seed)
-		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanBucket)
+		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanPairs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,7 +532,7 @@ func FuzzStepOracle(f *testing.F) {
 				}
 			}
 			// Rewind the oracle for the next representation.
-			oracle, err = buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanBucket)
+			oracle, err = buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanPairs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,6 +59,24 @@ func (c *Calibration) Gate2Q(a, b int) (GateCalibration, bool) {
 	return g, ok
 }
 
+// GateError returns the calibrated error of a gate on the given
+// physical qubits: the single-qubit entry of its qubit, or the two-qubit
+// entry of its edge. It is 0 where the calibration has no entry: a qubit
+// outside the register, an uncoupled pair, or a wider gate.
+func (c *Calibration) GateError(qubits []int) float64 {
+	switch len(qubits) {
+	case 1:
+		if q := qubits[0]; q >= 0 && q < len(c.Gates1Q) {
+			return c.Gates1Q[q].Error
+		}
+	case 2:
+		if g, ok := c.Gate2Q(qubits[0], qubits[1]); ok {
+			return g.Error
+		}
+	}
+	return 0
+}
+
 // MeanT1 returns the average T1 across qubits.
 func (c *Calibration) MeanT1() float64 {
 	var s float64

@@ -391,6 +391,31 @@ func TestGate2Q(t *testing.T) {
 	}
 }
 
+func TestGateError(t *testing.T) {
+	b, _ := ByName("carthage")
+	cal := b.Calibration
+	g2, _ := cal.Gate2Q(0, 1)
+	for _, c := range []struct {
+		qubits []int
+		want   float64
+	}{
+		{[]int{3}, cal.Gates1Q[3].Error},
+		{[]int{1, 0}, g2.Error},
+		{[]int{len(cal.Gates1Q)}, 0}, // outside the register
+		{[]int{-1}, 0},
+		{[]int{0, 6}, 0}, // uncoupled
+		{[]int{0, 1, 2}, 0},
+		{nil, 0},
+	} {
+		if got := cal.GateError(c.qubits); got != c.want {
+			t.Errorf("GateError(%v) = %v, want %v", c.qubits, got, c.want)
+		}
+	}
+	if cal.Gates1Q[3].Error == 0 || g2.Error == 0 {
+		t.Fatal("want nonzero calibrated errors")
+	}
+}
+
 // TestLookupsShareBackends pins the memoized catalog: lookups return the
 // same read-only backend values, and Catalog's slice is the caller's own.
 func TestLookupsShareBackends(t *testing.T) {

@@ -193,16 +193,7 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 			if !g.Kind.IsUnitary() {
 				continue
 			}
-			var errp float64
-			switch len(g.Qubits) {
-			case 1:
-				errp = e.backend.Calibration.Gates1Q[g.Qubits[0]].Error
-			case 2:
-				if gc, ok := e.backend.Calibration.Gate2Q(g.Qubits[0], g.Qubits[1]); ok {
-					errp = gc.Error
-				}
-			}
-			share := errp / float64(len(g.Qubits))
+			share := e.backend.Calibration.GateError(g.Qubits) / float64(len(g.Qubits))
 			for _, pq := range g.Qubits {
 				if l, ok := phys2log[pq]; ok {
 					gateWeight[l] += share

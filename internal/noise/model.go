@@ -109,17 +109,7 @@ func Rates(res *transpile.Result, b *device.Backend, m Model) (EventRates, error
 			if !g.Kind.IsUnitary() {
 				continue
 			}
-			switch len(g.Qubits) {
-			case 1:
-				q := g.Qubits[0]
-				if q < len(b.Calibration.Gates1Q) {
-					r.Gate += b.Calibration.Gates1Q[q].Error
-				}
-			case 2:
-				if gc, ok := b.Calibration.Gate2Q(g.Qubits[0], g.Qubits[1]); ok {
-					r.Gate += gc.Error
-				}
-			}
+			r.Gate += b.Calibration.GateError(g.Qubits)
 		}
 	}
 	if m.Decoherence {

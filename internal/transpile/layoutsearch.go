@@ -19,7 +19,8 @@ import (
 // rate.
 //
 // The search is deterministic given seed. trials = 0 degrades to plain
-// greedy transpilation.
+// greedy transpilation. A done ctx stops the search with ctx's error at
+// the next pass of the running trial.
 func SearchLayout(ctx context.Context, c *circuit.Circuit, b *device.Backend, trials int, seed uint64) (*Result, error) {
 	if trials < 0 {
 		return nil, fmt.Errorf("transpile: negative trials %d", trials)
@@ -41,6 +42,9 @@ func SearchLayout(ctx context.Context, c *circuit.Circuit, b *device.Backend, tr
 		layout := randomLayout(dec.N, b.N(), rng)
 		res, err := TranspileCtx(ctx, c, b, layout)
 		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return nil, ctxErr
+			}
 			// Some random placements can be unroutable on sparse
 			// topologies; skip them rather than fail the search.
 			continue
@@ -74,17 +78,7 @@ func exposure(res *Result, b *device.Backend) (float64, error) {
 		if !g.Kind.IsUnitary() {
 			continue
 		}
-		switch len(g.Qubits) {
-		case 1:
-			q := g.Qubits[0]
-			if q < len(b.Calibration.Gates1Q) {
-				s += b.Calibration.Gates1Q[q].Error
-			}
-		case 2:
-			if gc, ok := b.Calibration.Gate2Q(g.Qubits[0], g.Qubits[1]); ok {
-				s += gc.Error
-			}
-		}
+		s += b.Calibration.GateError(g.Qubits)
 	}
 	for _, p := range res.Final {
 		q := b.Calibration.Qubits[p]

@@ -2,7 +2,9 @@ package transpile
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
@@ -88,6 +90,41 @@ func TestSearchLayoutDeterministic(t *testing.T) {
 		if a1.Initial[i] != a2.Initial[i] {
 			t.Fatal("layouts differ across identical runs")
 		}
+	}
+}
+
+// TestSearchLayoutHonoursCtx: a cancelled ctx fails both entry points
+// with context.Canceled, and a deadline that expires mid-search stops
+// it within a fraction of the uncancelled time instead of running every
+// trial and returning success.
+func TestSearchLayoutHonoursCtx(t *testing.T) {
+	b := mustBackend(t, "kyiv")
+	c := searchCircuit()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := TranspileCtx(cancelled, c, b, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TranspileCtx: err %v, want context.Canceled", err)
+	}
+	if _, err := SearchLayout(cancelled, c, b, 4, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchLayout: err %v, want context.Canceled", err)
+	}
+
+	const unitTrials, units = 20, 50
+	start := time.Now()
+	if _, err := SearchLayout(context.Background(), c, b, unitTrials, 1); err != nil {
+		t.Fatal(err)
+	}
+	unit := time.Since(start)
+	ctx, cancel := context.WithTimeout(context.Background(), unit)
+	defer cancel()
+	start = time.Now()
+	_, err := SearchLayout(ctx, c, b, units*unitTrials, 1)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v, want context.DeadlineExceeded", err)
+	}
+	if budget := units * unit / 4; elapsed > budget {
+		t.Fatalf("cancelled search took %v, want < %v (one unit: %v)", elapsed, budget, unit)
 	}
 }
 

@@ -218,8 +218,13 @@ type Result struct {
 
 // pass runs one transpiler stage under a child span of ctx, so the
 // trace forest shows where a slow lowering spent its time; a successful
-// stage records the span's duration into its timer.
+// stage records the span's duration into its timer. A done ctx fails
+// the stage before it starts; a started stage runs to completion.
 func pass[T any](ctx context.Context, name string, tm *obs.Timer, fn func() (T, error)) (T, error) {
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
 	_, sp := obs.Start(ctx, name)
 	v, err := fn()
 	if d := sp.End(); err == nil {
@@ -233,7 +238,8 @@ func pass[T any](ctx context.Context, name string, tm *obs.Timer, fn func() (T, 
 // "transpile" span parented under the span active in ctx, with one
 // child span per pass; each span's duration is what its timer in the
 // obs registry records (transpile, transpile.decompose/layout/route/
-// optimize/schedule).
+// optimize/schedule). A done ctx stops it with ctx's error before the
+// next pass; a pass, routing included, runs to completion once started.
 func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*Result, error) {
 	ctx, sp := obs.Start(ctx, "transpile")
 	// The deferred End covers the per-pass error returns (qbeep-lint
@@ -295,6 +301,9 @@ func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, la
 // routePass wraps Route in its child span (two results, so the generic
 // single-value pass helper doesn't fit).
 func routePass(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*circuit.Circuit, Layout, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	_, sp := obs.Start(ctx, "transpile.route")
 	routed, final, err := Route(c, b, layout)
 	if d := sp.End(); err == nil {
