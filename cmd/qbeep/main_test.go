@@ -2,8 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,7 +24,29 @@ import (
 func TestPipelineTraceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	countsPath := filepath.Join(dir, "counts.json")
-	counts := map[string]int{"0101": 3812, "0111": 120, "0001": 88, "1101": 60}
+	// The workload must move both allocation counters on every run. The
+	// runtime counts a small allocation (≤ 32 KiB) only when its P's
+	// cached span is refilled, and a large one when it is made: a
+	// four-string corpus mitigates in well under a millisecond and can
+	// finish inside one cached span, reading zero bytes and objects.
+	// Every 16-bit string within Hamming distance 3 of zero (697 strings)
+	// gives a dense state graph whose CSR rows are large allocations, so
+	// the root's deltas always move and the build out-allocates every
+	// other span by a wide margin. One P runs every span in sequence on
+	// one goroutine: the counters are process-wide, so concurrent scan
+	// and Step workers would otherwise double-count into their parents'
+	// deltas and make the ranking below depend on scheduling. The CPU
+	// delta cannot be made certain (the thread clock advances in
+	// scheduler ticks, and a thread migration mixes two threads'
+	// clocks), so no assertion rests on it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	counts := map[string]int{}
+	for v := 0; v < 1<<16; v++ {
+		if bits.OnesCount(uint(v)) <= 3 {
+			counts[fmt.Sprintf("%016b", v)] = 1 + v%5
+		}
+	}
+	counts[fmt.Sprintf("%016b", 0)] = 5000
 	raw, err := json.Marshal(counts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +126,18 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 
 	// Resource attribution rode along: the stream reports resources, the
 	// root accumulated allocation deltas (graph build + iterations all
-	// allocate), and the hotspots report renders its resource rankings.
+	// allocate), the state-graph build is the run's largest allocator,
+	// and the hotspots report renders its resource rankings.
 	if !forest.HasResources() {
 		t.Fatal("capture-enabled trace carries no resource data")
 	}
 	if root.AllocBytes == 0 || root.AllocObjects == 0 {
 		t.Fatalf("pipeline root has empty alloc deltas: %+v", root.SpanEvent)
+	}
+	hs := forest.Hotspots()
+	sort.Slice(hs, func(i, j int) bool { return hs[i].SelfAllocBytes > hs[j].SelfAllocBytes })
+	if hs[0].Name != "core.graph.build" {
+		t.Fatalf("largest self-allocator = %s, want core.graph.build: %+v", hs[0].Name, hs)
 	}
 	var hot strings.Builder
 	if err := tracefile.WriteHotspots(&hot, forest, 5); err != nil {

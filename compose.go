@@ -57,7 +57,9 @@ type EnsembleRun struct {
 // MitigateEnsemble mitigates each run with Q-BEEP and merges the results
 // weighted by predicted quality (e^-λ) — the Quancorde-style composition
 // the paper sketches in §3.5. All runs must share one register width; the
-// output totals the mean run total.
+// output totals the mean run total. opts.Iterations, Epsilon and
+// ConvergeTol apply to every run; opts.OnQuality is not called, because
+// the runs are mitigated concurrently.
 func MitigateEnsemble(runs []EnsembleRun, opts Options) (Counts, error) {
 	members := make([]core.EnsembleMember, len(runs))
 	for i, r := range runs {
@@ -68,8 +70,9 @@ func MitigateEnsemble(runs []EnsembleRun, opts Options) (Counts, error) {
 		members[i] = core.EnsembleMember{Counts: d, Lambda: r.Lambda}
 	}
 	out, err := core.MitigateEnsemble(context.Background(), members, core.Options{ //qbeep:allow-ctx ctx-less public convenience form roots its own context
-		Iterations: opts.Iterations,
-		Epsilon:    opts.Epsilon,
+		Iterations:  opts.Iterations,
+		Epsilon:     opts.Epsilon,
+		ConvergeTol: opts.ConvergeTol,
 	})
 	if err != nil {
 		return nil, err

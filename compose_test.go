@@ -2,6 +2,7 @@ package qbeep
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -146,5 +147,37 @@ func TestMitigateEnsemblePublic(t *testing.T) {
 	}
 	if _, err := MitigateEnsemble([]EnsembleRun{{Counts: Counts{"0x": 1}}}, NewOptions()); err == nil {
 		t.Error("bad counts should error")
+	}
+}
+
+// TestMitigateEnsembleConvergeTol: the ensemble honours ConvergeTol. The
+// step Hellinger is at most 1, so a tolerance of 1 stops every run after
+// its first round, and the ensemble must equal the one-round schedule bit
+// for bit (and differ from the full one it would run if the tolerance
+// were dropped).
+func TestMitigateEnsembleConvergeTol(t *testing.T) {
+	runs := []EnsembleRun{
+		{Counts: Counts{"0101": 800, "0111": 90, "0001": 70, "1101": 40, "0100": 30}, Lambda: 1.2},
+		{Counts: Counts{"0101": 600, "0111": 150, "0001": 110, "1101": 90, "1100": 50}, Lambda: 1.8},
+	}
+	mitigate := func(opts Options) Counts {
+		t.Helper()
+		out, err := MitigateEnsemble(runs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	full := NewOptions()
+	early := NewOptions()
+	early.ConvergeTol = 1
+	one := NewOptions()
+	one.Iterations = 1
+	got, want := mitigate(early), mitigate(one)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ConvergeTol 1: %v, want the one-round ensemble %v", got, want)
+	}
+	if reflect.DeepEqual(mitigate(full), want) {
+		t.Fatal("the full schedule equals one round: the corpus cannot tell the schedules apart")
 	}
 }

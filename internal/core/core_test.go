@@ -381,9 +381,7 @@ func TestBuildStateGraphCancelled(t *testing.T) {
 		if _, err := BuildStateGraphCtx(dead, raw, PoissonEdges{Lambda: 2}, 0.05, w); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d BuildStateGraphCtx: err = %v, want context.Canceled", w, err)
 		}
-		opts := NewOptions()
-		opts.BuildWorkers = w
-		if _, err := MitigateCtx(dead, raw, 2, opts); !errors.Is(err, context.Canceled) {
+		if _, _, err := mitigateCtx(dead, raw, 2, NewOptions(), nil, w, scanAuto); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d MitigateCtx: err = %v, want context.Canceled", w, err)
 		}
 	}

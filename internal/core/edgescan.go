@@ -18,10 +18,11 @@ package core
 //     sphereMaxWidth, and vertex sets too small for the ball to pay;
 //   - one cut of the vertex range into contiguous ranges of equal
 //     estimated work, drained by internal/par workers with per-worker
-//     packed-hit scratch. Per-range hit lists merge in ascending range
-//     order into the graph's adjacency rows, each ascending — bit-for-bit
-//     identical to the serial O(V²) scan for either strategy and any
-//     worker count.
+//     packed-pair scratch. Each range appends its forward pairs (a, b),
+//     b > a, in the order it finds them; two counting transposes over the
+//     ranges in ascending order lay out the graph's adjacency rows, each
+//     ascending by construction — bit-for-bit identical to the serial
+//     O(V²) scan for either strategy and any worker count.
 //
 // The seed's serial scan survives in the tests as bruteScanEdges: the
 // randomized equivalence tests use it as the oracle, and
@@ -151,8 +152,7 @@ type edgeScanner struct {
 	// those are exactly the deltas with v^delta > v, i.e. the neighbors
 	// with a higher node index (values ascend with index), so half the
 	// ball is skipped outright and the symmetric b > a filter costs
-	// nothing per probe. Across visited groups the probed values ascend
-	// (higher top bit ⇒ larger u), so only within-group hits need sorting.
+	// nothing per probe.
 	masks [][]uint64
 }
 
@@ -199,16 +199,15 @@ func ballMasks(n, radius int) [][]uint64 {
 }
 
 // scanTask is one unit of parallel edge discovery: a contiguous vertex
-// range. Tasks are planned in ascending vertex order, so merging
-// per-task results in task order reproduces the canonical serial edge
-// order.
+// range. Tasks are planned in ascending vertex order, so visiting the
+// per-task results in task order visits the pairs in ascending a.
 type scanTask struct {
 	lo, hi int
 }
 
-// scanScratch is one worker's reusable discovery state: the packed-hit
+// scanScratch is one worker's reusable discovery state: the packed-pair
 // buffer. Scratches cycle through a buffered-channel pool, so a worker
-// draining many tasks allocates only the exact-size per-task hit copies
+// draining many tasks allocates only the exact-size per-task pair copies
 // after warm-up.
 //
 //qbeep:pooled
@@ -216,13 +215,11 @@ type scanScratch struct {
 	hits []uint64
 }
 
-// scanResult is one task's share of the discovery output. Hits stay
-// packed (8 bytes each) until every task is done and the final edge
-// slice can be allocated at its exact size — appending edge structs
-// directly would triple the growth-copy traffic.
+// scanResult is one task's share of the discovery output: its forward
+// pairs packed a<<32 | b (8 bytes each), a ascending, until every task is
+// done and the rows can be allocated at their exact size.
 type scanResult struct {
-	hits   []uint64 // packed b<<8 | d, one ascending run per vertex
-	starts []int32  // vertex (relative to task lo) -> offset into hits
+	hits   []uint64
 	pruned int
 }
 
@@ -232,8 +229,8 @@ type scanResult struct {
 // scans only neighbours b > a). A sphere vertex's estimate is its exact
 // probe count, the sizes of the mask groups whose top bit is clear in
 // its value; a pair vertex compares itself with the nV−1−a vertices
-// above it. The ranges ascend, which keeps the ordered merge canonical
-// for any worker count.
+// above it. The ranges ascend, which keeps the row layout canonical for
+// any worker count.
 func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask {
 	nV := len(sc.vals)
 	k := min(8*workers, 64, nV)
@@ -332,18 +329,9 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 	tasks := sc.planScanTasks(strat, workers)
 
 	results := make([]scanResult, len(tasks))
-	// One shared arena holds every task's starts window (task length
-	// plus the leading zero each), cut along precomputed offsets.
-	startsArena := make([]int32, nV+len(tasks))
-	offs := make([]int, len(tasks))
-	off := 0
-	for i, t := range tasks {
-		offs[i] = off
-		off += t.hi - t.lo + 1
-	}
-	// Expected hits per task under a uniform corpus, where either
-	// strategy finds hits in proportion to its work and the tasks share
-	// the work evenly — presizes the hit buffers so discovery appends
+	// Expected pairs per task under a uniform corpus, where either
+	// strategy finds pairs in proportion to its work and the tasks share
+	// the work evenly — presizes the pair buffers so discovery appends
 	// rarely reallocate. Clustered corpora exceed it and fall back to
 	// append growth.
 	hitEst := 0.5 * ball * float64(nV) * math.Ldexp(float64(nV), -n)
@@ -352,27 +340,24 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 	if len(tasks) == 1 {
 		// Serial fast path: scan straight into the result, no copy.
 		s := &scanScratch{hits: make([]uint64, 0, hitCap)}
-		starts := startsArena[:nV+1]
-		pr, err := sc.scanRange(ctx, tasks[0], strat, s, starts)
+		pr, err := sc.scanRange(ctx, tasks[0], strat, s)
 		if err != nil {
 			return nil, nil, nil, 0, strat, err
 		}
-		results[0] = scanResult{hits: s.hits, starts: starts, pruned: pr} //qbeep:allow-poolretain serial path: the scratch is function-local, never pooled, and dies with this frame
+		results[0] = scanResult{hits: s.hits, pruned: pr} //qbeep:allow-poolretain serial path: the scratch is function-local, never pooled, and dies with this frame
 	} else {
 		pool := make(chan *scanScratch, workers)
 		for i := 0; i < workers; i++ {
 			pool <- &scanScratch{hits: make([]uint64, 0, hitCap)}
 		}
 		err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
-			t := tasks[ti]
 			s := <-pool
 			s.hits = s.hits[:0]
-			starts := startsArena[offs[ti] : offs[ti]+t.hi-t.lo+1]
-			pr, err := sc.scanRange(ctx, t, strat, s, starts)
+			pr, err := sc.scanRange(ctx, tasks[ti], strat, s)
 			if err == nil {
 				hits := make([]uint64, len(s.hits))
 				copy(hits, s.hits)
-				results[ti] = scanResult{hits: hits, starts: starts, pruned: pr}
+				results[ti] = scanResult{hits: hits, pruned: pr}
 			}
 			pool <- s
 			return err
@@ -384,21 +369,27 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		}
 	}
 
-	// Rows from the per-task forward hits (b > a, packed b<<8 | d): one
-	// degree pass, then one fill pass in ascending a. Row b receives its
-	// lower neighbours while the a < b runs are visited and its own
-	// forward run after them, so every row comes out ascending.
+	// Rows from the forward pairs (a, b), b > a, which the tasks hold in
+	// ascending a: one degree pass, then two counting transposes. The
+	// first visits the pairs in ascending a and appends a to row b, so
+	// each row's lower neighbours come out ascending. The second visits
+	// the rows in ascending b and appends b to the row of each of b's
+	// lower neighbours, so each row's upper neighbours follow them, also
+	// ascending. When row b is visited its own upper part is still empty
+	// (those appends come from rows c > b), so next[b] bounds its lower
+	// part. The distances follow in one sequential pass over the finished
+	// rows: a popcount per entry costs less than carrying each distance
+	// through both transposes' scattered writes. dist is allocated with
+	// nbr, while the pair buffers are still live: allocated after them, it
+	// lands on top of the buffers whenever a GC cycle has just marked them
+	// live, which raised the peak heap of a counts-large request from 159
+	// to 171 MB in some runs.
 	start = make([]int32, nV+1)
 	for ti := range results {
-		r := &results[ti]
-		pruned += r.pruned
-		lo := tasks[ti].lo
-		for k := 0; k+1 < len(r.starts); k++ {
-			run := r.hits[r.starts[k]:r.starts[k+1]]
-			start[lo+k+1] += int32(len(run))
-			for _, p := range run {
-				start[(p>>8)+1]++
-			}
+		pruned += results[ti].pruned
+		for _, p := range results[ti].hits {
+			start[p>>32+1]++
+			start[uint32(p)+1]++
 		}
 	}
 	for i := 0; i < nV; i++ {
@@ -409,41 +400,45 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 	next := make([]int32, nV)
 	copy(next, start[:nV])
 	for ti := range results {
-		r := &results[ti]
-		lo := tasks[ti].lo
-		for k := 0; k+1 < len(r.starts); k++ {
-			a := lo + k
-			for _, p := range r.hits[r.starts[k]:r.starts[k+1]] {
-				b, d := p>>8, uint8(p)
-				nbr[next[a]], dist[next[a]] = int32(b), d
-				next[a]++
-				nbr[next[b]], dist[next[b]] = int32(a), d
-				next[b]++
-			}
+		for _, p := range results[ti].hits {
+			b := uint32(p)
+			nbr[next[b]] = int32(p >> 32)
+			next[b]++
+		}
+	}
+	for b := 0; b < nV; b++ {
+		for _, a := range nbr[start[b]:next[b]] {
+			nbr[next[a]] = int32(b)
+			next[a]++
+		}
+	}
+	for i, v := range vals {
+		row := nbr[start[i]:start[i+1]]
+		d := dist[start[i]:start[i+1]]
+		for k, j := range row {
+			d[k] = uint8(bitstring.Hamming(v, vals[j]))
 		}
 	}
 	return start, nbr, dist, pruned, strat, nil
 }
 
-// scanRange emits the edges (a, b) with a in the task's range and b > a,
-// each vertex's neighbors sorted ascending, into the scratch hit buffer
-// (s.hits, reset by the caller). starts must span hi-lo+1 entries; on
-// return starts[k] is the hit offset of vertex lo+k. Returns the pruned
-// count, or ctx's error when it is done at one of the checks every
-// scanCtxChunk vertices.
-func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStrategy, s *scanScratch, starts []int32) (int, error) {
+// scanRange appends the edges (a, b) with a in the task's range and
+// b > a, packed a<<32 | b, to the scratch pair buffer (s.hits, reset by
+// the caller): a ascends, each vertex's b come in the order found.
+// Returns the pruned count, or ctx's error when it is done at one of the
+// checks every scanCtxChunk vertices.
+func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStrategy, s *scanScratch) (int, error) {
 	if strat == scanSphere {
-		return sc.sphereRange(ctx, t, s, starts)
+		return sc.sphereRange(ctx, t, s)
 	}
-	return sc.pairRange(ctx, t, s, starts)
+	return sc.pairRange(ctx, t, s)
 }
 
 // sphereRange is scanRange's Hamming-ball walk.
-func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScratch, starts []int32) (int, error) {
+func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScratch) (int, error) {
 	lo, hi := t.lo, t.hi
 	pruned := 0
 	hits := s.hits
-	starts[0] = 0
 	// Hoist the scanner fields: the appends below keep the compiler from
 	// proving the fields loop-invariant, and this is the hottest loop in
 	// the pipeline.
@@ -478,16 +473,14 @@ func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScrat
 				return 0, err
 			}
 		}
-		va := vals[a]
+		va, pa := vals[a], uint64(a)<<32
 		for t, group := range masks {
 			if va&(1<<uint(t)) != 0 {
 				continue // v^delta < v: the lower-index side owns the pair
 			}
-			seg := len(hits)
 			// Unrolled by two: the bitmap loads of a pair are
 			// independent, so they overlap instead of serializing on
-			// L1 latency. Hits are rare; both taken branches stay in
-			// probe order, preserving the canonical emission order.
+			// L1 latency.
 			i := 0
 			for ; i+2 <= len(group); i += 2 {
 				m0, m1 := group[i], group[i+1]
@@ -498,14 +491,14 @@ func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScrat
 				if h0 != 0 {
 					// Observed, and u > va guarantees index idxOf(u) > a.
 					if d := m0 & 0xff; tab[d] != 0 {
-						hits = append(hits, idxOf(u0)<<8|d)
+						hits = append(hits, pa|idxOf(u0))
 					} else {
 						pruned++
 					}
 				}
 				if h1 != 0 {
 					if d := m1 & 0xff; tab[d] != 0 {
-						hits = append(hits, idxOf(u1)<<8|d)
+						hits = append(hits, pa|idxOf(u1))
 					} else {
 						pruned++
 					}
@@ -516,27 +509,24 @@ func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScrat
 				u := va ^ bitstring.BitString(m>>8)
 				if seen[(u>>6)&wmask]&(1<<(u&63)) != 0 {
 					if d := m & 0xff; tab[d] != 0 {
-						hits = append(hits, idxOf(u)<<8|d)
+						hits = append(hits, pa|idxOf(u))
 					} else {
 						pruned++
 					}
 				}
 			}
-			sortPacked(hits[seg:])
 		}
-		starts[a-lo+1] = int32(len(hits))
 	}
 	s.hits = hits
 	return pruned, nil
 }
 
 // pairRange is scanRange's pair scan: vertex a compares itself with
-// every b > a, in ascending b, so its hits need no sort.
-func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, s *scanScratch, starts []int32) (int, error) {
+// every b > a.
+func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, s *scanScratch) (int, error) {
 	lo, hi := t.lo, t.hi
 	pruned := 0
 	hits := s.hits
-	starts[0] = 0
 	vals, tab, radius := sc.vals, &sc.tab.perString, sc.radius
 	for a := lo; a < hi; a++ {
 		if (a-lo)%scanCtxChunk == 0 {
@@ -554,28 +544,9 @@ func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, s *scanScratch
 				pruned++
 				continue
 			}
-			hits = append(hits, uint64(a+1+j)<<8|uint64(d))
+			hits = append(hits, uint64(a)<<32|uint64(a+1+j))
 		}
-		starts[a-lo+1] = int32(len(hits))
 	}
 	s.hits = hits
 	return pruned, nil
-}
-
-// sortPacked is an insertion sort for the short per-top-bit-group hit
-// runs of the sphere walk — a handful of elements each, where a generic
-// sort's dispatch overhead would exceed the work.
-//
-//qbeep:mustinline
-//qbeep:allocfree
-func sortPacked(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

@@ -254,8 +254,7 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 		} {
 			var ref *bitstring.Dist
 			for _, w := range testutil.WorkerMatrix(t) {
-				opts.BuildWorkers = w
-				out, _, err := mitigateCtx(context.Background(), raw, c.lambda, opts, nil, rep.strat)
+				out, _, err := mitigateCtx(context.Background(), raw, c.lambda, opts, nil, w, rep.strat)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -61,12 +61,6 @@ type Options struct {
 	// (two O(support) passes); the Hellinger shift itself is always
 	// observed into the quality.hellinger_shift histogram.
 	OnQuality func(QualityStats)
-	// BuildWorkers caps the worker count of both the state-graph edge
-	// scan and the flow iteration's row-sum passes (<= 0 selects
-	// GOMAXPROCS, with graphs too small to pay for a fan-out iterating
-	// inline). The mitigated output is identical for every value — this
-	// is purely a throughput knob.
-	BuildWorkers int
 	// ConvergeTol, when positive, exits the update loop early once the
 	// per-iteration Hellinger delta (StepStats.Hellinger) falls to or
 	// below the tolerance — the flow plateaus well before the paper's
@@ -105,7 +99,7 @@ func (o *Options) validate() error {
 // cancelled ctx stops the run before the next flow iteration and
 // returns ctx's error.
 func MitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options) (*bitstring.Dist, error) {
-	out, _, err := mitigateCtx(ctx, counts, lambda, opts, nil, scanAuto)
+	out, _, err := mitigateCtx(ctx, counts, lambda, opts, nil, 0, scanAuto)
 	return out, err
 }
 
@@ -119,12 +113,14 @@ func MitigateTrackedCtx(ctx context.Context, counts *bitstring.Dist, lambda floa
 	if ideal == nil {
 		return nil, nil, fmt.Errorf("core: MitigateTrackedCtx requires an ideal distribution")
 	}
-	return mitigateCtx(ctx, counts, lambda, opts, ideal, scanAuto)
+	return mitigateCtx(ctx, counts, lambda, opts, ideal, 0, scanAuto)
 }
 
-// mitigateCtx is the shared run; strat is the graph build's strategy
-// seam, through which tests force either representation end to end.
-func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist, strat scanStrategy) (*bitstring.Dist, []float64, error) {
+// mitigateCtx is the shared run; workers and strat are the graph build's
+// seam (BuildStateGraphCtx's worker count, <= 0 for GOMAXPROCS, and its
+// scan strategy), through which tests pin the fan-out and force either
+// representation end to end.
+func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist, workers int, strat scanStrategy) (*bitstring.Dist, []float64, error) {
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -149,7 +145,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	// Convergence observations carry the trace ID so the worst sample on
 	// /metrics (_window_worst) names the trace to inspect in qbeep-trace.
 	traceID := obs.TraceIDFrom(ctx)
-	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, strat)
+	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, workers, strat)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -115,8 +115,7 @@ func TestConvergeTolEarlyExit(t *testing.T) {
 		}
 	}
 	for _, w := range testutil.WorkerMatrix(t) {
-		opts.BuildWorkers = w
-		out, err := MitigateCtx(context.Background(), raw, 1.2, opts)
+		out, _, err := mitigateCtx(context.Background(), raw, 1.2, opts, nil, w, scanAuto)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"qbeep/internal/bitstring"
@@ -33,12 +34,43 @@ func benchGraphDist(v int) *bitstring.Dist {
 	return d
 }
 
+// benchClusterDist draws the e2ebench counts-large corpus shape: shots
+// spread uniformly over distinct random centres, each shot flipping a
+// Poisson(λ)-distributed number of distinct random bits.
+func benchClusterDist(n, centres, shots int, lambda float64) *bitstring.Dist {
+	rng := mathx.NewRNG(97)
+	pois := mathx.Poisson{Lambda: lambda}
+	cs := make([]bitstring.BitString, 0, centres)
+	for len(cs) < centres {
+		c := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
+		if !slices.Contains(cs, c) {
+			cs = append(cs, c)
+		}
+	}
+	d := bitstring.NewDist(n)
+	for s := 0; s < shots; s++ {
+		v := cs[rng.Intn(len(cs))]
+		var flipped bitstring.BitString
+		for k := min(pois.Sample(rng.Float64), n); k > 0; {
+			if bit := bitstring.BitString(1) << uint(rng.Intn(n)); flipped&bit == 0 {
+				flipped |= bit
+				k--
+			}
+		}
+		d.Add(v^flipped, 1)
+	}
+	return d
+}
+
 // BenchmarkBuildStateGraph measures the shipped edge-discovery engine
 // (ball walk or pair scan, see edgescan.go). Compare with
 // BenchmarkBuildStateGraphBrute for the speedup over the seed's O(V²)
-// scan. The n10 rows build the near-complete qaoa-fleet graph (see
-// BenchmarkStateGraphStep) on each representation. The n32 row is a
-// register wider than sphereMaxWidth, which only the pair scan serves.
+// scan. The clustered row is the counts-large corpus (V ≈ 5.4×10⁴,
+// E ≈ 7.8×10⁶ on the ball walk): its hits bunch around eight centres,
+// which the uniform rows never do. The n10 rows build the near-complete
+// qaoa-fleet graph (see BenchmarkStateGraphStep) on each representation.
+// The n32 row is a register wider than sphereMaxWidth, which only the
+// pair scan serves.
 func BenchmarkBuildStateGraph(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
@@ -52,6 +84,9 @@ func BenchmarkBuildStateGraph(b *testing.B) {
 			benchBuild(b, benchScaleDist(c.n, c.v), c.lambda, scanAuto)
 		})
 	}
+	b.Run("clustered/n20/c8/lambda1.5", func(b *testing.B) {
+		benchBuild(b, benchClusterDist(20, 8, 1_000_000, 1.5), 1.5, scanAuto)
+	})
 	for _, rep := range stepReps {
 		b.Run("n10/V1000/lambda5/"+rep.name, func(b *testing.B) {
 			benchBuild(b, benchScaleDist(10, 1000), 5, rep.strat)

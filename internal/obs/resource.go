@@ -18,14 +18,21 @@ import (
 //   - CPU time is the thread clock (RUSAGE_THREAD on Linux). Goroutines
 //     usually stay on one thread for the life of a short span, but the
 //     scheduler may migrate them; a migrated span under-counts its own
-//     work and may count a stranger's. Deltas are clamped at zero.
+//     work and may count a stranger's. Deltas are clamped at zero. The
+//     thread clock also advances only at scheduler accounting points
+//     (timer ticks, context switches), so a span shorter than a few
+//     ticks often reads zero CPU.
 //     Children running on par workers burn *their own* thread clocks, so
 //     a fan-out parent's CPU reflects only its coordinating goroutine —
 //     sum the par.worker spans for the pool's cost.
 //   - Allocation counters are process-wide: a span's delta includes
 //     whatever every concurrent goroutine allocated while it was open.
 //     In sequential pipeline sections the delta is exact; under fan-out
-//     the parent's delta double-counts its children's.
+//     the parent's delta double-counts its children's. The runtime
+//     counts a small allocation (≤ 32 KiB) only when its P's cached
+//     span is refilled or flushed, and a large one when it is made, so
+//     a span whose few small allocations fit in one cached span can
+//     read zero bytes and zero objects.
 //
 // While capture (or tracing itself) is disabled, Start never reaches the
 // sampling code, so the disabled hot path stays zero-alloc.

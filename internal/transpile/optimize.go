@@ -301,11 +301,8 @@ func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, la
 // routePass wraps Route in its child span (two results, so the generic
 // single-value pass helper doesn't fit).
 func routePass(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*circuit.Circuit, Layout, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	_, sp := obs.Start(ctx, "transpile.route")
-	routed, final, err := Route(c, b, layout)
+	ctx, sp := obs.Start(ctx, "transpile.route")
+	routed, final, err := Route(ctx, c, b, layout)
 	if d := sp.End(); err == nil {
 		metRoute.ObserveDuration(d)
 	}

@@ -1,6 +1,7 @@
 package transpile
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -174,14 +175,19 @@ func GreedyLayout(c *circuit.Circuit, b *device.Backend) (Layout, error) {
 	return layout, nil
 }
 
+// routeCtxChunk is how many gates Route routes between ctx checks, so a
+// deadline stops a long circuit mid-route.
+const routeCtxChunk = 256
+
 // Route rewrites a basis circuit onto the backend topology: logical qubits
 // are placed by layout, and every CX between uncoupled physical qubits is
 // preceded by SWAP chains (each SWAP lowered to 3 CX) moving the control
 // along the shortest path to the target's neighborhood. The returned
 // circuit acts on the backend's physical register; the returned final
 // layout maps logical to physical at circuit end (measurement remapping
-// uses it).
-func Route(c *circuit.Circuit, b *device.Backend, layout Layout) (*circuit.Circuit, Layout, error) {
+// uses it). A done ctx stops the routing at the next check, one every
+// routeCtxChunk gates, and returns ctx's error.
+func Route(ctx context.Context, c *circuit.Circuit, b *device.Backend, layout Layout) (*circuit.Circuit, Layout, error) {
 	if err := c.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -222,7 +228,12 @@ func Route(c *circuit.Circuit, b *device.Backend, layout Layout) (*circuit.Circu
 		}
 	}
 
-	for _, g := range c.Gates {
+	for i, g := range c.Gates {
+		if i%routeCtxChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
 		switch g.Kind {
 		case circuit.Barrier:
 			// Re-emit over the mapped qubits.

@@ -2,8 +2,10 @@ package transpile
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -312,7 +314,7 @@ func TestRouteRequiresBasis(t *testing.T) {
 	b, _ := device.ByName("carthage")
 	c := circuit.New("h", 2).CCX(0, 1, 1) // also invalid, but basis check first
 	c2 := circuit.New("raw", 3).CCX(0, 1, 2)
-	if _, _, err := Route(c2, b, TrivialLayout(3)); err == nil {
+	if _, _, err := Route(context.Background(), c2, b, TrivialLayout(3)); err == nil {
 		t.Error("non-basis circuit should be rejected")
 	}
 	_ = c
@@ -323,7 +325,7 @@ func TestRouteInsertsSwaps(t *testing.T) {
 	// CX between chain ends requires routing.
 	c := circuit.New("far", 7).CX(0, 6)
 	dec, _ := Decompose(c)
-	routed, final, err := Route(dec, b, TrivialLayout(7))
+	routed, final, err := Route(context.Background(), dec, b, TrivialLayout(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +353,7 @@ func TestRoutePreservesSemanticsOnLine(t *testing.T) {
 	c := circuit.New("ghz", 4).H(0).CX(0, 1).CX(0, 2).CX(0, 3)
 	dec, _ := Decompose(c)
 	layout := Layout{3, 2, 1, 0}
-	routed, final, err := Route(dec, b, layout)
+	routed, final, err := Route(context.Background(), dec, b, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,4 +446,42 @@ func TestLogicalDistTracesOutAncilla(t *testing.T) {
 	if logical[0b11] != 4 || logical[0b10] != 6 {
 		t.Errorf("logical = %v", logical)
 	}
+}
+
+// TestRouteHonoursCtx: a cancelled ctx fails Route with context.Canceled,
+// and a deadline that expires mid-route stops it within a fraction of the
+// uncancelled time instead of routing every gate and returning success.
+func TestRouteHonoursCtx(t *testing.T) {
+	b := mustBackend(t, "kyiv")
+	rng := mathx.NewRNG(5)
+	c := circuit.New("random-cx", b.N())
+	for i := 0; i < 20000; i++ {
+		p := rng.Intn(b.N())
+		q := (p + 1 + rng.Intn(b.N()-1)) % b.N()
+		c.CX(p, q)
+	}
+	layout := TrivialLayout(b.N())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Route(cancelled, c, b, layout); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: err %v, want context.Canceled", err)
+	}
+
+	start := time.Now()
+	if _, _, err := Route(context.Background(), c, b, layout); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	ctx, cancel := context.WithTimeout(context.Background(), full/4)
+	defer cancel()
+	start = time.Now()
+	_, _, err := Route(ctx, c, b, layout)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v after %v, want context.DeadlineExceeded (uncancelled route: %v)", err, elapsed, full)
+	}
+	if elapsed > full/2 {
+		t.Fatalf("cancelled route took %v, want < %v (uncancelled route: %v)", elapsed, full/2, full)
+	}
+	t.Logf("uncancelled %v, cancelled %v", full, elapsed)
 }
