@@ -65,9 +65,11 @@ race:
 	QBEEP_TEST_WORKERS=$(QBEEP_TEST_WORKERS) $(GO) test -race ./internal/obs ./internal/par ./internal/core ./internal/statevector ./internal/densitymatrix ./internal/noise ./internal/experiments ./internal/transpile
 
 # bench-smoke: one short pass over the mitigation hot path to catch
-# gross regressions (the observability layer must stay ~free when off).
+# gross regressions (the observability layer must stay ~free when off),
+# plus one pass over the count-conversion layer.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMitigateThroughput' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkDistConvert' -benchmem -benchtime 1x ./internal/bitstring
 
 # bench-core: the state-graph engine microbenchmarks (build vs the
 # brute-force reference, allocation-free Step) plus the par dispatch
@@ -107,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/qasm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQASM$$' -fuzztime 5s ./internal/qasm
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFromCounts$$' -fuzztime 5s ./internal/bitstring
+	$(GO) test -run '^$$' -fuzz '^FuzzDistOps$$' -fuzztime 5s ./internal/bitstring
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileReplay$$' -fuzztime 5s ./internal/statevector
 	$(GO) test -run '^$$' -fuzz '^FuzzStepOracle$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzShotStreams$$' -fuzztime 5s ./internal/noise

@@ -10,7 +10,7 @@ package bitstring
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"unicode/utf8"
 )
 
 // BitString is an n-qubit measurement outcome. The width is carried
@@ -34,31 +34,30 @@ func Parse(s string) (BitString, int, error) {
 		return 0, 0, fmt.Errorf("bitstring: %q longer than %d bits", s, MaxWidth)
 	}
 	var v BitString
-	for _, c := range s {
-		switch c {
-		case '0':
-			v <<= 1
-		case '1':
-			v = v<<1 | 1
-		default:
-			return 0, 0, fmt.Errorf("bitstring: invalid character %q in %q", c, s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i] - '0'; c <= 1 {
+			v = v<<1 | BitString(c)
+			continue
 		}
+		c, _ := utf8.DecodeRuneInString(s[i:])
+		return 0, 0, fmt.Errorf("bitstring: invalid character %q in %q", c, s)
 	}
 	return v, len(s), nil
 }
 
 // Format renders v as a width-n binary string, most-significant qubit first.
 func Format(v BitString, n int) string {
-	var b strings.Builder
-	b.Grow(n)
-	for i := n - 1; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+	b := make([]byte, n)
+	putBits(b, v)
+	return string(b)
+}
+
+// putBits renders v into dst as a len(dst)-bit binary string,
+// most-significant qubit first.
+func putBits(dst []byte, v BitString) {
+	for i := range dst {
+		dst[i] = '0' + byte(v>>uint(len(dst)-1-i)&1)
 	}
-	return b.String()
 }
 
 // Bit reports the value of qubit i (0 or 1).

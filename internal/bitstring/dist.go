@@ -10,26 +10,17 @@ import (
 // Dist is an empirical distribution over n-qubit bit-strings: the counts (or
 // re-weighted pseudo-counts after mitigation) observed for each outcome.
 // Counts are float64 because mitigation redistributes fractional flow.
+// Outcomes are stored ascending, so every consumer walks them in one
+// deterministic order without sorting (DESIGN.md §10).
 type Dist struct {
-	n      int
-	counts map[BitString]float64
-	total  float64
+	n        int
+	outcomes []BitString // strictly ascending
+	counts   []float64   // counts[i] is the count of outcomes[i]
+	total    float64
 }
 
 // NewDist returns an empty distribution over width-n bit-strings.
-func NewDist(n int) *Dist {
-	return &Dist{n: n, counts: make(map[BitString]float64)}
-}
-
-// NewDistCap is NewDist with the outcome map pre-sized for an expected
-// support, avoiding rehash growth when the caller knows the outcome count
-// up front (e.g. statevector.Dist counts its support first).
-func NewDistCap(n, capacity int) *Dist {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Dist{n: n, counts: make(map[BitString]float64, capacity)}
-}
+func NewDist(n int) *Dist { return &Dist{n: n} }
 
 // FromCounts builds a distribution from a map of outcome to count.
 func FromCounts(n int, counts map[BitString]float64) *Dist {
@@ -37,7 +28,7 @@ func FromCounts(n int, counts map[BitString]float64) *Dist {
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	d := NewDist(n)
 	for _, k := range keys {
 		d.Add(k, counts[k])
@@ -49,14 +40,40 @@ func FromCounts(n int, counts map[BitString]float64) *Dist {
 // shape of an IBMQ result dictionary {"0101": 17, ...}. All keys must have
 // the same width.
 func FromStringCounts(counts map[string]float64) (*Dist, error) {
+	if len(counts) == 0 {
+		return nil, fmt.Errorf("bitstring: empty counts")
+	}
 	keys := make([]string, 0, len(counts))
 	for s := range counts {
 		keys = append(keys, s)
 	}
-	sort.Strings(keys)
-	var d *Dist
-	for _, s := range keys {
-		v, n, err := Parse(s)
+	vals, err := parseKeys(keys, counts)
+	if err != nil {
+		// Report the first offender in string order, so the message
+		// never depends on map iteration order.
+		sort.Strings(keys)
+		_, err = parseKeys(keys, counts)
+		return nil, err
+	}
+	// Equal-width keys order the same as strings and as integers, so the
+	// total sums in the order of the sorted textual keys.
+	slices.Sort(vals)
+	d := &Dist{n: len(keys[0]), outcomes: make([]BitString, 0, len(vals)), counts: make([]float64, 0, len(vals))}
+	key := make([]byte, d.n)
+	for _, v := range vals {
+		putBits(key, v)
+		d.Add(v, counts[string(key)])
+	}
+	return d, nil
+}
+
+// parseKeys parses keys and returns the error of the first one, in keys'
+// order, that does not parse, has a non-finite count or differs in
+// width from keys[0].
+func parseKeys(keys []string, counts map[string]float64) ([]BitString, error) {
+	vals := make([]BitString, len(keys))
+	for i, s := range keys {
+		v, w, err := Parse(s)
 		if err != nil {
 			return nil, err
 		}
@@ -66,17 +83,12 @@ func FromStringCounts(counts map[string]float64) (*Dist, error) {
 		if c := counts[s]; math.IsNaN(c) || math.IsInf(c, 0) {
 			return nil, fmt.Errorf("bitstring: non-finite count %v for outcome %q", c, s)
 		}
-		if d == nil {
-			d = NewDist(n)
-		} else if n != d.n {
-			return nil, fmt.Errorf("bitstring: mixed widths %d and %d", d.n, n)
+		if w != len(keys[0]) {
+			return nil, fmt.Errorf("bitstring: mixed widths %d and %d", len(keys[0]), w)
 		}
-		d.Add(v, counts[s])
+		vals[i] = v
 	}
-	if d == nil {
-		return nil, fmt.Errorf("bitstring: empty counts")
-	}
-	return d, nil
+	return vals, nil
 }
 
 // Width returns the register width n.
@@ -84,35 +96,44 @@ func (d *Dist) Width() int { return d.n }
 
 // Add adds c observations of outcome v. Adding a negative count is allowed
 // (mitigation flows subtract), but the stored count is floored at zero.
+// Adding past the largest outcome appends, so a builder that adds in
+// ascending order never moves an element.
 func (d *Dist) Add(v BitString, c float64) {
-	cur := d.counts[v]
+	i, found := slices.BinarySearch(d.outcomes, v)
+	if !found {
+		d.outcomes = slices.Insert(d.outcomes, i, v)
+		d.counts = slices.Insert(d.counts, i, 0)
+	}
+	cur := d.counts[i]
 	next := cur + c
 	if next <= 0 {
 		d.total -= cur
-		delete(d.counts, v)
+		d.outcomes = slices.Delete(d.outcomes, i, i+1)
+		d.counts = slices.Delete(d.counts, i, i+1)
 		return
 	}
 	d.total += next - cur
-	d.counts[v] = next
-}
-
-// Set replaces the count of outcome v.
-func (d *Dist) Set(v BitString, c float64) {
-	cur := d.counts[v]
-	if c <= 0 {
-		d.total -= cur
-		delete(d.counts, v)
-		return
-	}
-	d.total += c - cur
-	d.counts[v] = c
+	d.counts[i] = next
 }
 
 // Count returns the count of outcome v (zero if unobserved).
 //
 //qbeep:mustinline
 //qbeep:allocfree
-func (d *Dist) Count(v BitString) float64 { return d.counts[v] }
+func (d *Dist) Count(v BitString) float64 {
+	lo, hi := 0, len(d.outcomes)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); d.outcomes[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(d.outcomes) && d.outcomes[lo] == v {
+		return d.counts[lo]
+	}
+	return 0
+}
 
 // Total returns the sum of all counts (the shot count for raw data).
 func (d *Dist) Total() float64 { return d.total }
@@ -122,46 +143,25 @@ func (d *Dist) Prob(v BitString) float64 {
 	if d.total == 0 {
 		return 0
 	}
-	return d.counts[v] / d.total
+	return d.Count(v) / d.total
 }
 
 // Support returns the number of distinct observed outcomes.
-func (d *Dist) Support() int { return len(d.counts) }
+func (d *Dist) Support() int { return len(d.outcomes) }
 
-// Outcomes returns the observed outcomes sorted ascending. Sorting makes
-// every downstream iteration deterministic.
-func (d *Dist) Outcomes() []BitString {
-	return d.OutcomesInto(nil)
-}
+// Outcomes returns a copy of the observed outcomes, ascending.
+func (d *Dist) Outcomes() []BitString { return slices.Clone(d.outcomes) }
 
-// OutcomesInto appends the observed outcomes, sorted ascending, to
-// dst[:0] and returns the result — the allocation-free form of Outcomes
-// for callers that keep a scratch slice across merges (slices.Sort
-// avoids sort.Slice's interface boxing).
-func (d *Dist) OutcomesInto(dst []BitString) []BitString {
-	out := dst[:0]
-	for v := range d.counts {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Each calls fn for every outcome/count pair in deterministic order.
+// Each calls fn for every outcome/count pair, outcomes ascending.
 func (d *Dist) Each(fn func(v BitString, count float64)) {
-	for _, v := range d.Outcomes() {
-		fn(v, d.counts[v])
+	for i, v := range d.outcomes {
+		fn(v, d.counts[i])
 	}
 }
 
 // Clone returns a deep copy.
 func (d *Dist) Clone() *Dist {
-	c := NewDist(d.n)
-	for k, v := range d.counts {
-		c.counts[k] = v
-	}
-	c.total = d.total
-	return c
+	return &Dist{n: d.n, outcomes: slices.Clone(d.outcomes), counts: slices.Clone(d.counts), total: d.total}
 }
 
 // Top returns the outcome with the largest count. ok is false for an empty
@@ -169,34 +169,37 @@ func (d *Dist) Clone() *Dist {
 func (d *Dist) Top() (v BitString, ok bool) {
 	var best BitString
 	bestC := math.Inf(-1)
-	for _, o := range d.Outcomes() {
-		if c := d.counts[o]; c > bestC {
+	for i, o := range d.outcomes {
+		if c := d.counts[i]; c > bestC {
 			best, bestC = o, c
 		}
 	}
-	return best, len(d.counts) > 0
+	return best, len(d.outcomes) > 0
 }
 
 // Normalized returns a copy scaled so counts sum to total.
 func (d *Dist) Normalized(total float64) *Dist {
-	c := NewDist(d.n)
 	if d.total == 0 {
-		return c
+		return NewDist(d.n)
 	}
-	scale := total / d.total
-	for k, v := range d.counts {
-		c.counts[k] = v * scale
+	c, scale := d.Clone(), total/d.total
+	for i := range c.counts {
+		c.counts[i] *= scale
 	}
 	c.total = total
 	return c
 }
 
 // StringCounts renders the distribution as a textual-outcome map, the shape
-// vendor SDKs use.
+// vendor SDKs use. All keys share one backing string.
 func (d *Dist) StringCounts() map[string]float64 {
-	m := make(map[string]float64, len(d.counts))
-	for k, v := range d.counts {
-		m[Format(k, d.n)] = v
+	n, buf := d.n, make([]byte, len(d.outcomes)*d.n)
+	for i, v := range d.outcomes {
+		putBits(buf[i*n:(i+1)*n], v)
+	}
+	keys, m := string(buf), make(map[string]float64, len(d.outcomes))
+	for i, c := range d.counts {
+		m[keys[i*n:(i+1)*n]] = c
 	}
 	return m
 }
@@ -217,15 +220,21 @@ func (d *Dist) Marginal(keep []int) (*Dist, error) {
 		}
 		seen[q] = true
 	}
-	out := NewDist(len(keep))
-	for _, v := range d.Outcomes() {
-		var m BitString
-		for i, q := range keep {
-			if v.Bit(q) == 1 {
-				m |= 1 << uint(i)
-			}
+	img := make([]BitString, len(d.outcomes))
+	for i, v := range d.outcomes {
+		for j, q := range keep {
+			img[i] |= BitString(v.Bit(q)) << uint(j)
 		}
-		out.Add(m, d.counts[v])
+	}
+	// Seed every bucket at zero, which Add reads as unobserved, then add
+	// in ascending source order: each bucket and the total sum exactly
+	// as in a map, and no Add inserts.
+	out := &Dist{n: len(keep), outcomes: slices.Clone(img)}
+	slices.Sort(out.outcomes)
+	out.outcomes = slices.Compact(out.outcomes)
+	out.counts = make([]float64, len(out.outcomes))
+	for i, m := range img {
+		out.Add(m, d.counts[i])
 	}
 	return out, nil
 }
@@ -237,8 +246,8 @@ func (d *Dist) HammingSpectrum(center BitString) []float64 {
 	if d.total == 0 {
 		return spec
 	}
-	for _, v := range d.Outcomes() {
-		spec[Hamming(v, center)] += d.counts[v] / d.total
+	for i, v := range d.outcomes {
+		spec[Hamming(v, center)] += d.counts[i] / d.total
 	}
 	return spec
 }
@@ -250,8 +259,8 @@ func (d *Dist) ExpectedHamming(center BitString) float64 {
 		return 0
 	}
 	var s float64
-	for _, v := range d.Outcomes() {
-		s += float64(Hamming(v, center)) * d.counts[v]
+	for i, v := range d.outcomes {
+		s += float64(Hamming(v, center)) * d.counts[i]
 	}
 	return s / d.total
 }
@@ -262,8 +271,8 @@ func (d *Dist) Entropy() float64 {
 		return 0
 	}
 	var h float64
-	for _, v := range d.Outcomes() {
-		p := d.counts[v] / d.total
+	for _, c := range d.counts {
+		p := c / d.total
 		h -= p * math.Log2(p)
 	}
 	return h
@@ -278,9 +287,9 @@ func Fidelity(p, q *Dist) float64 {
 		return 0
 	}
 	var s float64
-	for _, v := range p.Outcomes() {
-		if qc, ok := q.counts[v]; ok {
-			s += math.Sqrt(p.counts[v] / p.total * qc / q.total)
+	for i, v := range p.outcomes {
+		if j, ok := slices.BinarySearch(q.outcomes, v); ok {
+			s += math.Sqrt(p.counts[i] / p.total * q.counts[j] / q.total)
 		}
 	}
 	return s * s
@@ -328,14 +337,12 @@ func HellingerVec(p, q []float64) float64 {
 
 // TVD computes the total variation distance between two distributions.
 func TVD(p, q *Dist) float64 {
-	seen := make(map[BitString]bool, len(p.counts)+len(q.counts))
 	var s float64
-	for _, v := range p.Outcomes() {
-		seen[v] = true
+	for _, v := range p.outcomes {
 		s += math.Abs(p.Prob(v) - q.Prob(v))
 	}
-	for _, v := range q.Outcomes() {
-		if !seen[v] {
+	for _, v := range q.outcomes {
+		if _, ok := slices.BinarySearch(p.outcomes, v); !ok {
 			s += q.Prob(v)
 		}
 	}

@@ -45,19 +45,6 @@ func TestDistAddNegativeRemoves(t *testing.T) {
 	}
 }
 
-func TestDistSet(t *testing.T) {
-	d := NewDist(3)
-	d.Set(5, 7)
-	d.Set(5, 3)
-	if d.Count(5) != 3 || d.Total() != 3 {
-		t.Errorf("Set: count=%v total=%v", d.Count(5), d.Total())
-	}
-	d.Set(5, 0)
-	if d.Support() != 0 {
-		t.Error("Set(0) should delete")
-	}
-}
-
 func TestFromStringCounts(t *testing.T) {
 	d, err := FromStringCounts(map[string]float64{"010": 1, "111": 3})
 	if err != nil {
@@ -101,6 +88,12 @@ func TestOutcomesSortedAndEachDeterministic(t *testing.T) {
 		if out[i-1] >= out[i] {
 			t.Fatalf("Outcomes not strictly sorted at %d", i)
 		}
+	}
+	// The result is a copy: writing to it leaves the Dist as it was.
+	first := out[0]
+	out[0] = 255
+	if d.Outcomes()[0] != first {
+		t.Fatal("Outcomes aliases the Dist's storage")
 	}
 	var a, b []BitString
 	d.Each(func(v BitString, _ float64) { a = append(a, v) })
@@ -188,8 +181,9 @@ func TestEntropy(t *testing.T) {
 	if got := d.Entropy(); !approx(got, 0, 1e-12) {
 		t.Errorf("deterministic entropy = %v", got)
 	}
+	d = NewDist(2)
 	for v := BitString(0); v < 4; v++ {
-		d.Set(v, 1)
+		d.Add(v, 1)
 	}
 	if got := d.Entropy(); !approx(got, 2, 1e-12) {
 		t.Errorf("uniform entropy = %v want 2", got)
@@ -299,5 +293,32 @@ func TestProbSumsToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFromStringCountsErrorDeterministic: a dictionary with several
+// malformed keys must fail on its smallest offending key in string
+// order, with the same text on every call whatever the map order, and
+// the same text as the map-backed reference.
+func TestFromStringCountsErrorDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		counts map[string]float64
+		want   string
+	}{
+		{map[string]float64{"0110": 1, "011": 2, "01x1": 3, "1111": math.NaN(), "00": 1, "0000": 1},
+			"bitstring: mixed widths 2 and 4"},
+		{map[string]float64{"1111": math.NaN(), "01x1": 1, "0110": 1, "1": 1, "1x": 2},
+			`bitstring: invalid character 'x' in "01x1"`},
+		{map[string]float64{"11111": 1, "1111": math.NaN(), "1011": 2, "0110": 1, "1110": math.Inf(1)},
+			`bitstring: non-finite count +Inf for outcome "1110"`},
+	} {
+		if _, err := refFromStringCounts(tc.counts); err == nil || err.Error() != tc.want {
+			t.Fatalf("reference error %v, want %q", err, tc.want)
+		}
+		for i := 0; i < 100; i++ {
+			if _, err := FromStringCounts(tc.counts); err == nil || err.Error() != tc.want {
+				t.Fatalf("call %d: error %v, want %q", i, err, tc.want)
+			}
+		}
 	}
 }

@@ -61,7 +61,12 @@ func MitigateEnsemble(ctx context.Context, members []EnsembleMember, opts Option
 	}); err != nil {
 		return nil, err
 	}
-	merged := bitstring.NewDist(width)
+	// Seed every outcome at zero (unobserved to Add): no Add below inserts.
+	union := make(map[bitstring.BitString]float64)
+	for _, m := range mitigated {
+		m.Each(func(v bitstring.BitString, _ float64) { union[v] = 1 })
+	}
+	merged := bitstring.FromCounts(width, union).Normalized(0)
 	var weightSum float64
 	for i, m := range members {
 		w := math.Exp(-m.Lambda)

@@ -15,12 +15,12 @@ import (
 // with random positive counts — the widest Hamming-weight spread.
 func uniformDist(n, support int, seed uint64) *bitstring.Dist {
 	rng := mathx.NewRNG(seed)
-	d := bitstring.NewDist(n)
-	for d.Support() < support {
+	counts := make(map[bitstring.BitString]float64, support)
+	for len(counts) < support {
 		v := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
-		d.Add(v, float64(rng.Intn(50)+1))
+		counts[v] += float64(rng.Intn(50) + 1)
 	}
-	return d
+	return bitstring.FromCounts(n, counts)
 }
 
 // sameGraph asserts full equality including radius and pruned telemetry —

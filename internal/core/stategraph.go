@@ -146,13 +146,11 @@ func validateBuild(counts *bitstring.Dist, w EdgeWeighter, eps float64) error {
 // a flat slice for the edge scan's cache-friendly inner loop.
 func initStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*StateGraph, []bitstring.BitString) {
 	g := &StateGraph{n: counts.Width(), total: counts.Total(), selfWeight: w.Weight(0)}
-	outcomes := counts.Outcomes()
-	g.nodes = make([]node, len(outcomes))
-	vals := make([]bitstring.BitString, len(outcomes))
-	for i, o := range outcomes {
-		g.nodes[i] = node{value: o, count: counts.Count(o)}
-		vals[i] = o
-	}
+	g.nodes = make([]node, 0, counts.Support())
+	counts.Each(func(v bitstring.BitString, c float64) {
+		g.nodes = append(g.nodes, node{value: v, count: c})
+	})
+	vals := counts.Outcomes()
 	g.radius = w.MaxRadius(eps, g.n)
 	return g, vals
 }
@@ -263,10 +261,10 @@ func (g *StateGraph) NumEdges() int {
 // largest shell whose model weight passes the ε threshold.
 func (g *StateGraph) Radius() int { return g.radius }
 
-// Dist snapshots the current vertex counts as a distribution, pre-sized
-// to the vertex count so million-vertex snapshots insert without rehash.
+// Dist snapshots the current vertex counts as a distribution. Nodes are
+// stored ascending, so every Add appends.
 func (g *StateGraph) Dist() *bitstring.Dist {
-	d := bitstring.NewDistCap(g.n, len(g.nodes))
+	d := bitstring.NewDist(g.n)
 	for _, nd := range g.nodes {
 		if nd.count > 0 {
 			d.Add(nd.value, nd.count)
@@ -296,14 +294,6 @@ func (g *StateGraph) Fidelity(ideal *bitstring.Dist) float64 {
 		}
 	}
 	return s * s
-}
-
-// Hellinger computes the Hellinger distance between ideal and the
-// graph's current counts, H = sqrt(1 − Σ sqrt(p q)), straight off the
-// node slice like Fidelity; it equals bitstring.Hellinger(ideal,
-// g.Dist()). The tracked-mitigation loop records it per iteration.
-func (g *StateGraph) Hellinger(ideal *bitstring.Dist) float64 {
-	return hellingerFromFidelity(g.Fidelity(ideal))
 }
 
 // hellingerFromFidelity converts a Bhattacharyya fidelity F = BC² into

@@ -27,11 +27,11 @@ var benchGraphConfigs = []struct {
 func benchGraphDist(v int) *bitstring.Dist {
 	const n = 16
 	rng := mathx.NewRNG(97)
-	d := bitstring.NewDist(n)
-	for d.Support() < v {
-		d.Add(bitstring.BitString(rng.Intn(1<<n)), float64(rng.Intn(20)+1))
+	counts := make(map[bitstring.BitString]float64, v)
+	for len(counts) < v {
+		counts[bitstring.BitString(rng.Intn(1<<n))] += float64(rng.Intn(20) + 1)
 	}
-	return d
+	return bitstring.FromCounts(n, counts)
 }
 
 // benchClusterDist draws the e2ebench counts-large corpus shape: shots
@@ -47,7 +47,7 @@ func benchClusterDist(n, centres, shots int, lambda float64) *bitstring.Dist {
 			cs = append(cs, c)
 		}
 	}
-	d := bitstring.NewDist(n)
+	counts := make(map[bitstring.BitString]float64)
 	for s := 0; s < shots; s++ {
 		v := cs[rng.Intn(len(cs))]
 		var flipped bitstring.BitString
@@ -57,9 +57,9 @@ func benchClusterDist(n, centres, shots int, lambda float64) *bitstring.Dist {
 				k--
 			}
 		}
-		d.Add(v^flipped, 1)
+		counts[v^flipped]++
 	}
-	return d
+	return bitstring.FromCounts(n, counts)
 }
 
 // BenchmarkBuildStateGraph measures the shipped edge-discovery engine
@@ -145,11 +145,11 @@ var benchScaleConfigs = []struct {
 // benchScaleDist draws v distinct outcomes uniformly over n qubits.
 func benchScaleDist(n, v int) *bitstring.Dist {
 	rng := mathx.NewRNG(97)
-	d := bitstring.NewDistCap(n, v)
-	for d.Support() < v {
-		d.Add(bitstring.BitString(rng.Uint64()&(1<<uint(n)-1)), float64(rng.Intn(20)+1))
+	counts := make(map[bitstring.BitString]float64, v)
+	for len(counts) < v {
+		counts[bitstring.BitString(rng.Uint64()&(1<<uint(n)-1))] += float64(rng.Intn(20) + 1)
 	}
-	return d
+	return bitstring.FromCounts(n, counts)
 }
 
 // BenchmarkMitigate is the end-to-end row (graph build + 20 flow

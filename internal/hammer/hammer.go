@@ -51,7 +51,10 @@ func Mitigate(counts *bitstring.Dist, opts Options) (*bitstring.Dist, error) {
 	if opts.Decay <= 0 || opts.Decay > 1 {
 		return nil, fmt.Errorf("hammer: decay %v outside (0,1]", opts.Decay)
 	}
-	outcomes := counts.Outcomes()
+	outcomes, probs := counts.Outcomes(), make([]float64, counts.Support())
+	for i, s := range outcomes {
+		probs[i] = counts.Prob(s)
+	}
 	n := counts.Width()
 	// Precompute decay^d.
 	decayPow := make([]float64, opts.MaxDistance+1)
@@ -60,18 +63,18 @@ func Mitigate(counts *bitstring.Dist, opts Options) (*bitstring.Dist, error) {
 		decayPow[d] = decayPow[d-1] * opts.Decay
 	}
 	out := bitstring.NewDist(n)
-	for _, s := range outcomes {
-		support := counts.Prob(s) // d = 0 term
-		for _, s2 := range outcomes {
-			if s2 == s {
+	for i, s := range outcomes {
+		support := probs[i] // d = 0 term
+		for j, s2 := range outcomes {
+			if j == i {
 				continue
 			}
 			d := bitstring.Hamming(s, s2)
 			if d <= opts.MaxDistance {
-				support += decayPow[d] * counts.Prob(s2)
+				support += decayPow[d] * probs[j]
 			}
 		}
-		out.Add(s, counts.Prob(s)*support)
+		out.Add(s, probs[i]*support)
 	}
 	return out.Normalized(counts.Total()), nil
 }

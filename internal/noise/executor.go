@@ -220,7 +220,7 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 	return ns
 }
 
-// sampleShots draws shots [lo, hi) into a.counts, shot s from stream
+// sampleShots draws shots [lo, hi) into a.out, shot s from stream
 // (base, s).
 //
 //qbeep:allocfree
@@ -295,7 +295,7 @@ func (ns *noisySampler) sampleShots(a *shotArena, base uint64, lo, hi int) error
 				v = v.FlipBit(l)
 			}
 		}
-		a.counts.Add(v, 1)
+		a.out[s] = v
 	}
 	if burstEvents > 0 {
 		metBurstEvents.Add(burstEvents)

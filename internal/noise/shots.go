@@ -3,6 +3,7 @@ package noise
 import (
 	"context"
 	"runtime"
+	"slices"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/mathx"
@@ -17,10 +18,11 @@ import (
 //     nothing else, and shot s always samples from stream (base, s)
 //     (mathx.RNG.ReseedStream). A shot's outcome is therefore a function
 //     of (seed, s) alone.
-//   - Shots split into contiguous ranges, one per shard; each shard fills
-//     its own arena's counts, and the arenas merge in shard order. Counts
-//     are integral, so the merged Dist is the same at every shard count —
-//     counts depend on the seed alone, never on GOMAXPROCS.
+//   - Shots split into contiguous ranges, one per shard; shot s writes
+//     its outcome to slot s of one run-wide outcome slice, and the merge
+//     sorts that slice and counts its runs into an ascending Dist. The
+//     slice is the same at every shard count, so counts depend on the
+//     seed alone, never on GOMAXPROCS.
 //   - The shard count is derived from GOMAXPROCS and the run's work
 //     (shots × per-shot cost), at least shotParMinWork units per shard.
 //     There is no knob.
@@ -48,21 +50,21 @@ func shotShards(shots, cost int) int {
 	return max(1, min(shots*max(cost, 1)/shotParMinWork, runtime.GOMAXPROCS(0), shots))
 }
 
-// shotSource is one sampler on the engine: sampleShots adds the outcomes
-// of shots [lo, hi) to a.counts, reseeding a.rng to stream (base, s)
-// before shot s.
+// shotSource is one sampler on the engine: sampleShots writes the
+// outcome of each shot s in [lo, hi) to a.out[s], reseeding a.rng to
+// stream (base, s) before it.
 type shotSource interface {
 	sampleShots(a *shotArena, base uint64, lo, hi int) error
 }
 
 // shotArena is one shard's scratch for one run: its stream generator,
-// its counts and its error.
+// the run's outcome slice and its error.
 //
 //qbeep:pooled
 type shotArena struct {
-	rng    mathx.RNG
-	counts *bitstring.Dist
-	err    error
+	rng mathx.RNG
+	out []bitstring.BitString
+	err error
 }
 
 // shotEngine fans one shotSource's shots over par.Shards. Each sampling
@@ -70,6 +72,7 @@ type shotArena struct {
 type shotEngine struct {
 	shards *par.Shards
 	arenas []*shotArena
+	out    []bitstring.BitString // shot s's outcome, slot s
 
 	// One run's arguments, read by the shards.
 	ctx   context.Context
@@ -84,9 +87,10 @@ type shotEngine struct {
 // work units, and returns their merged counts.
 func (e *shotEngine) run(ctx context.Context, src shotSource, width, shots, cost int, rng *mathx.RNG) (*bitstring.Dist, error) {
 	e.n = shotShards(shots, cost)
+	e.out = make([]bitstring.BitString, shots)
 	e.arenas = make([]*shotArena, e.n)
 	for k := range e.arenas {
-		e.arenas[k] = &shotArena{}
+		e.arenas[k] = &shotArena{out: e.out}
 	}
 	e.shards = par.NewShards(e.n, e.runShard)
 	e.ctx, e.src, e.width, e.shots = ctx, src, width, shots
@@ -104,12 +108,8 @@ func (e *shotEngine) run(ctx context.Context, src shotSource, width, shots, cost
 }
 
 // runShard samples shard k's contiguous shot range in ctx-checked chunks.
-// The shard allocates its counts on its own goroutine: Dists allocated
-// back to back on one goroutine sit side by side in memory, and the
-// shards' per-shot count updates would then contend for cache lines.
 func (e *shotEngine) runShard(k int) {
 	a := e.arenas[k]
-	a.counts = bitstring.NewDist(e.width)
 	lo, hi := par.Range(k, e.n, e.shots)
 	for c := lo; c < hi; c += shotChunk {
 		if a.err = e.ctx.Err(); a.err != nil {
@@ -121,21 +121,16 @@ func (e *shotEngine) runShard(k int) {
 	}
 }
 
-// merge folds the shard counts, in shard order, into one pre-sized
-// result. Counts are integral, so the fold is exact and the result does
-// not depend on how the shots were split.
+// merge sorts the run's outcomes and counts each run of equal values
+// into the ascending result. Counts are integral, so the totals are
+// exact and the result does not depend on how the shots were split.
 func (e *shotEngine) merge() *bitstring.Dist {
-	support := 0
-	for _, a := range e.arenas {
-		support += a.counts.Support()
-	}
-	counts := bitstring.NewDistCap(e.width, support)
-	var outs []bitstring.BitString
-	for _, a := range e.arenas {
-		outs = a.counts.OutcomesInto(outs)
-		for _, v := range outs {
-			counts.Add(v, a.counts.Count(v))
+	slices.Sort(e.out)
+	counts := bitstring.NewDist(e.width)
+	for i, j := 0, 0; i < len(e.out); i = j {
+		for j = i + 1; j < len(e.out) && e.out[j] == e.out[i]; j++ {
 		}
+		counts.Add(e.out[i], float64(j-i))
 	}
 	return counts
 }
@@ -157,12 +152,9 @@ func accumulate(w []float64) cumTable {
 
 // distTable returns d's outcomes, ascending, and their cumulative table.
 func distTable(d *bitstring.Dist) ([]bitstring.BitString, cumTable) {
-	outcomes := d.Outcomes()
-	w := make([]float64, len(outcomes))
-	for i, o := range outcomes {
-		w[i] = d.Count(o)
-	}
-	return outcomes, accumulate(w)
+	w := make([]float64, 0, d.Support())
+	d.Each(func(_ bitstring.BitString, c float64) { w = append(w, c) })
+	return d.Outcomes(), accumulate(w)
 }
 
 // draw returns the first index whose running weight reaches u·total for
@@ -191,14 +183,14 @@ type distSampler struct {
 	cum      cumTable
 }
 
-// sampleShots draws shots [lo, hi) into a.counts, shot s from stream
+// sampleShots draws shots [lo, hi) into a.out, shot s from stream
 // (base, s).
 //
 //qbeep:allocfree
 func (d *distSampler) sampleShots(a *shotArena, base uint64, lo, hi int) error {
 	for s := lo; s < hi; s++ {
 		a.rng.ReseedStream(base, uint64(s))
-		a.counts.Add(d.outcomes[d.cum.draw(&a.rng)], 1)
+		a.out[s] = d.outcomes[d.cum.draw(&a.rng)]
 	}
 	return nil
 }

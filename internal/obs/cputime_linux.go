@@ -15,6 +15,10 @@ func threadCPUNanos() int64 {
 	return ru.Utime.Nano() + ru.Stime.Nano()
 }
 
+// threadID returns the calling OS thread's id, the owner of the clock
+// threadCPUNanos reads.
+func threadID() int { return syscall.Gettid() }
+
 // processCPUSeconds returns the whole process's consumed CPU time
 // (user + system) in seconds, or 0 if unavailable.
 func processCPUSeconds() float64 {

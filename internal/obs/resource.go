@@ -15,13 +15,13 @@ import (
 //
 // Attribution caveats (see DESIGN.md §12):
 //
-//   - CPU time is the thread clock (RUSAGE_THREAD on Linux). Goroutines
-//     usually stay on one thread for the life of a short span, but the
-//     scheduler may migrate them; a migrated span under-counts its own
-//     work and may count a stranger's. Deltas are clamped at zero. The
-//     thread clock also advances only at scheduler accounting points
-//     (timer ticks, context switches), so a span shorter than a few
-//     ticks often reads zero CPU.
+//   - CPU time is the thread clock (RUSAGE_THREAD on Linux). The
+//     scheduler may migrate a goroutine mid-span, so each sample records
+//     its thread, and a span that ends on another thread than it started
+//     on records zero CPU; one that migrates back still counts whatever
+//     ran there meanwhile. The thread clock also advances only at
+//     scheduler accounting points (timer ticks, context switches), so a
+//     span shorter than a few ticks often reads zero CPU.
 //     Children running on par workers burn *their own* thread clocks, so
 //     a fan-out parent's CPU reflects only its coordinating goroutine —
 //     sum the par.worker spans for the pool's cost.
@@ -56,19 +56,20 @@ const (
 // resourceSample is one point-in-time reading of the span-attributed
 // resource counters.
 type resourceSample struct {
+	tid          int // OS thread whose clock cpuNanos read
 	cpuNanos     int64
 	allocBytes   uint64
 	allocObjects uint64
 }
 
-// readResources samples the thread CPU clock and the cumulative heap
-// allocation counters.
+// readResources samples the thread id, its CPU clock and the cumulative
+// heap allocation counters.
 func readResources() resourceSample {
 	var s [2]metrics.Sample
 	s[0].Name = metricAllocBytes
 	s[1].Name = metricAllocObjects
 	metrics.Read(s[:])
-	out := resourceSample{cpuNanos: threadCPUNanos()}
+	out := resourceSample{tid: threadID(), cpuNanos: threadCPUNanos()}
 	if s[0].Value.Kind() == metrics.KindUint64 {
 		out.allocBytes = s[0].Value.Uint64()
 	}

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSpanResourceDeltas: with capture on, a span that allocates must
@@ -160,5 +162,79 @@ func TestWriteBuildInfo(t *testing.T) {
 		!strings.Contains(out, `qbeep_build_info{go_version="go`) ||
 		!strings.HasSuffix(out, "} 1\n") {
 		t.Fatalf("build info exposition = %q", out)
+	}
+}
+
+// busyThread spins the calling goroutine until its thread clock has
+// advanced by at least d past from, or two seconds have passed.
+func busyThread(from int64, d time.Duration) {
+	deadline := time.Now().Add(2 * time.Second)
+	for threadCPUNanos()-from < int64(d) && time.Now().Before(deadline) {
+	}
+}
+
+// TestSpanCPUAcrossThreads: a span started on one OS thread and ended on
+// another must carry zero CPU — the readings come from two threads'
+// clocks — while a busy span that starts and ends on one thread still
+// reads positive CPU.
+func TestSpanCPUAcrossThreads(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("thread CPU clock is Linux-only")
+	}
+	var c CollectorSink
+	SetSpanSink(&c)
+	SetResourceCapture(true)
+	defer func() {
+		SetResourceCapture(false)
+		SetSpanSink(nil)
+	}()
+
+	// Goroutine A starts the span and stays locked to its thread until
+	// the span has ended, so goroutine B cannot run on that thread.
+	started, ended := make(chan *Span), make(chan struct{})
+	go func() {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		_, sp := Start(context.Background(), "migrated")
+		started <- &sp
+		<-ended
+	}()
+	sp := <-started
+	var otherThread bool
+	go func() {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		otherThread = threadID() != sp.res.tid
+		// Push B's clock past A's start reading, so a cross-thread delta
+		// would be positive.
+		busyThread(sp.res.cpuNanos, 20*time.Millisecond)
+		sp.End()
+		close(ended)
+	}()
+	<-ended
+	if !otherThread {
+		t.Fatal("span ended on the thread it started on")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		_, sp := Start(context.Background(), "busy")
+		busyThread(threadCPUNanos(), 20*time.Millisecond)
+		sp.End()
+		close(done)
+	}()
+	<-done
+
+	ev := c.Events()
+	if len(ev) != 2 {
+		t.Fatalf("got %d events, want 2", len(ev))
+	}
+	if ev[0].Name != "migrated" || ev[0].CPU != 0 {
+		t.Fatalf("cross-thread span %q CPU = %v, want 0", ev[0].Name, ev[0].CPU)
+	}
+	if ev[1].Name != "busy" || ev[1].CPU <= 0 {
+		t.Fatalf("same-thread busy span %q CPU = %v, want > 0", ev[1].Name, ev[1].CPU)
 	}
 }

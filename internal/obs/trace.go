@@ -199,10 +199,11 @@ func (s *Span) End() time.Duration {
 		Attrs:    s.attrs,
 	}
 	if s.hasRes {
-		// Deltas clamp at zero: thread migration can rewind the CPU clock
-		// and the alloc counters are monotonic but sampled racily.
+		// CPU counts only when both readings come from one thread's
+		// clock. Deltas clamp at zero: the alloc counters are monotonic
+		// but sampled racily.
 		now := readResources()
-		if d := now.cpuNanos - s.res.cpuNanos; d > 0 {
+		if d := now.cpuNanos - s.res.cpuNanos; d > 0 && now.tid == s.res.tid {
 			ev.CPU = time.Duration(d)
 		}
 		if now.allocBytes > s.res.allocBytes {

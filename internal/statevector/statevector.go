@@ -306,17 +306,10 @@ func (s *State) naiveApply(g circuit.Gate) error {
 }
 
 // Dist converts the state's probabilities into a bitstring.Dist with total
-// mass 1, dropping negligible (< 1e-12) entries. The result map is
-// pre-sized to the exact support, so wide low-entropy states don't pay
-// for rehash growth.
+// mass 1, dropping negligible (< 1e-12) entries. Basis states are visited
+// ascending, so every Add appends.
 func (s *State) Dist() *bitstring.Dist {
-	support := 0
-	for _, a := range s.amp {
-		if real(a)*real(a)+imag(a)*imag(a) > 1e-12 {
-			support++
-		}
-	}
-	d := bitstring.NewDistCap(s.n, support)
+	d := bitstring.NewDist(s.n)
 	for i, a := range s.amp {
 		p := real(a)*real(a) + imag(a)*imag(a)
 		if p > 1e-12 {
