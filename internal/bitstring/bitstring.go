@@ -96,50 +96,6 @@ func Hamming(a, b BitString) int {
 	return bits.OnesCount64(uint64(a ^ b))
 }
 
-// Sphere enumerates all bit-strings of width n at Hamming distance exactly d
-// from center, calling fn for each. Enumeration order is deterministic
-// (lexicographic in the flipped-bit index sets). It stops early if fn
-// returns false.
-//
-// The count of visited strings is C(n, d); callers that need only nearby
-// shells keep d small, which is what makes Q-BEEP's state-graph edge
-// generation tractable.
-func Sphere(center BitString, n, d int, fn func(BitString) bool) {
-	if d < 0 || d > n {
-		return
-	}
-	if d == 0 {
-		fn(center)
-		return
-	}
-	// Iterative enumeration of d-combinations of [0, n).
-	idx := make([]int, d)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		v := center
-		for _, i := range idx {
-			v ^= 1 << uint(i)
-		}
-		if !fn(v) {
-			return
-		}
-		// Advance combination.
-		j := d - 1
-		for j >= 0 && idx[j] == n-d+j {
-			j--
-		}
-		if j < 0 {
-			return
-		}
-		idx[j]++
-		for k := j + 1; k < d; k++ {
-			idx[k] = idx[k-1] + 1
-		}
-	}
-}
-
 // SphereSize returns C(n, d), the number of strings at distance d in an
 // n-qubit register, saturating at the maximum uint64 on overflow.
 func SphereSize(n, d int) uint64 {

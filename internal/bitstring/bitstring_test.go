@@ -119,48 +119,6 @@ func TestHammingMetricProperties(t *testing.T) {
 	}
 }
 
-func TestSphereEnumeration(t *testing.T) {
-	// All strings at distance d really are at distance d, there are C(n,d)
-	// of them, and they are distinct.
-	for _, tc := range []struct{ n, d int }{{4, 0}, {4, 1}, {4, 2}, {4, 4}, {8, 3}, {10, 5}} {
-		center := BitString(0b1011)
-		seen := make(map[BitString]bool)
-		Sphere(center, tc.n, tc.d, func(v BitString) bool {
-			if Hamming(v, center) != tc.d {
-				t.Errorf("n=%d d=%d: %b at distance %d", tc.n, tc.d, v, Hamming(v, center))
-			}
-			if seen[v] {
-				t.Errorf("n=%d d=%d: duplicate %b", tc.n, tc.d, v)
-			}
-			seen[v] = true
-			return true
-		})
-		if uint64(len(seen)) != SphereSize(tc.n, tc.d) {
-			t.Errorf("n=%d d=%d: %d strings, want %d", tc.n, tc.d, len(seen), SphereSize(tc.n, tc.d))
-		}
-	}
-}
-
-func TestSphereEarlyStop(t *testing.T) {
-	calls := 0
-	Sphere(0, 8, 2, func(BitString) bool {
-		calls++
-		return calls < 3
-	})
-	if calls != 3 {
-		t.Errorf("early stop after %d calls, want 3", calls)
-	}
-}
-
-func TestSphereOutOfRange(t *testing.T) {
-	called := false
-	Sphere(0, 4, 5, func(BitString) bool { called = true; return true })
-	Sphere(0, 4, -1, func(BitString) bool { called = true; return true })
-	if called {
-		t.Error("Sphere called fn for out-of-range distance")
-	}
-}
-
 func TestSphereSize(t *testing.T) {
 	cases := []struct {
 		n, d int
@@ -197,29 +155,6 @@ func TestSphereSizeRowSum(t *testing.T) {
 		if sum != uint64(1)<<uint(n) {
 			t.Errorf("n=%d: sphere sizes sum to %d want %d", n, sum, uint64(1)<<uint(n))
 		}
-	}
-}
-
-func TestSphereCoversHypercube(t *testing.T) {
-	// Union over all d of Sphere(center, n, d) is exactly {0,..,2^n-1}.
-	const n = 6
-	center := BitString(0b101010)
-	seen := make(map[BitString]bool)
-	for d := 0; d <= n; d++ {
-		Sphere(center, n, d, func(v BitString) bool {
-			seen[v] = true
-			return true
-		})
-	}
-	if len(seen) != 1<<n {
-		t.Fatalf("covered %d strings, want %d", len(seen), 1<<n)
-	}
-}
-
-func BenchmarkSphereD3N15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		count := 0
-		Sphere(0, 15, 3, func(BitString) bool { count++; return true })
 	}
 }
 

@@ -1,10 +1,10 @@
 package bitstring
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Dist is an empirical distribution over n-qubit bit-strings: the counts (or
@@ -43,52 +43,59 @@ func FromStringCounts(counts map[string]float64) (*Dist, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("bitstring: empty counts")
 	}
-	keys := make([]string, 0, len(counts))
-	for s := range counts {
-		keys = append(keys, s)
+	type entry struct {
+		v BitString
+		c float64
 	}
-	vals, err := parseKeys(keys, counts)
-	if err != nil {
-		// Report the first offender in string order, so the message
-		// never depends on map iteration order.
-		sort.Strings(keys)
-		_, err = parseKeys(keys, counts)
-		return nil, err
+	entries := make([]entry, 0, len(counts))
+	n := -1
+	for s, c := range counts {
+		v, w, err := Parse(s)
+		if err != nil || !validCount(c) || (n >= 0 && w != n) {
+			return nil, firstBadKey(counts)
+		}
+		n = w
+		entries = append(entries, entry{v, c})
 	}
 	// Equal-width keys order the same as strings and as integers, so the
 	// total sums in the order of the sorted textual keys.
-	slices.Sort(vals)
-	d := &Dist{n: len(keys[0]), outcomes: make([]BitString, 0, len(vals)), counts: make([]float64, 0, len(vals))}
-	key := make([]byte, d.n)
-	for _, v := range vals {
-		putBits(key, v)
-		d.Add(v, counts[string(key)])
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+	d := &Dist{n: n, outcomes: make([]BitString, 0, len(entries)), counts: make([]float64, 0, len(entries))}
+	for _, e := range entries {
+		d.Add(e.v, e.c)
 	}
 	return d, nil
 }
 
-// parseKeys parses keys and returns the error of the first one, in keys'
-// order, that does not parse, has a non-finite count or differs in
-// width from keys[0].
-func parseKeys(keys []string, counts map[string]float64) ([]BitString, error) {
-	vals := make([]BitString, len(keys))
-	for i, s := range keys {
-		v, w, err := Parse(s)
+// validCount reports whether a vendor count is finite. Vendor
+// dictionaries are untrusted input: a NaN or Inf count would poison the
+// running total and every probability derived from it (found by
+// FuzzDistFromCounts).
+func validCount(c float64) bool { return !math.IsNaN(c) && !math.IsInf(c, 0) }
+
+// firstBadKey returns the error of a malformed dictionary's first
+// offending key in string order — one that does not parse, has a
+// non-finite count or differs in width from the smallest key — so the
+// message never depends on map iteration order.
+func firstBadKey(counts map[string]float64) error {
+	keys := make([]string, 0, len(counts))
+	for s := range counts {
+		keys = append(keys, s)
+	}
+	slices.Sort(keys)
+	for _, s := range keys {
+		_, w, err := Parse(s)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Vendor dictionaries are untrusted input: a NaN or Inf count
-		// would poison the running total and every probability derived
-		// from it (found by FuzzDistFromCounts).
-		if c := counts[s]; math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, fmt.Errorf("bitstring: non-finite count %v for outcome %q", c, s)
+		if c := counts[s]; !validCount(c) {
+			return fmt.Errorf("bitstring: non-finite count %v for outcome %q", c, s)
 		}
 		if w != len(keys[0]) {
-			return nil, fmt.Errorf("bitstring: mixed widths %d and %d", len(keys[0]), w)
+			return fmt.Errorf("bitstring: mixed widths %d and %d", len(keys[0]), w)
 		}
-		vals[i] = v
 	}
-	return vals, nil
+	return nil
 }
 
 // Width returns the register width n.

@@ -43,6 +43,18 @@ func (b *Backend) Validate() error {
 	return b.Calibration.Validate(b.Topology)
 }
 
+// newBackend assembles a backend and validates it. Every constructor —
+// the catalog, IonBackend, Drifted and UnmarshalJSON — builds through it,
+// so every backend they hand out is valid and its users (the executors)
+// do not check it again.
+func newBackend(name string, arch Architecture, topo *Topology, cal *Calibration) (*Backend, error) {
+	b := &Backend{Name: name, Architecture: arch, Topology: topo, Calibration: cal}
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // N returns the backend's qubit count.
 func (b *Backend) N() int { return b.Topology.N() }
 
@@ -101,14 +113,8 @@ var catalog = sync.OnceValues(func() ([]*Backend, error) {
 		}
 		prof := SuperconductingProfile()
 		prof.QualityScale = s.quality
-		cal := GenerateCalibration(topo, prof, mathx.NewRNG(s.seed))
-		b := &Backend{
-			Name:         s.name,
-			Architecture: Superconducting,
-			Topology:     topo,
-			Calibration:  cal,
-		}
-		if err := b.Validate(); err != nil {
+		b, err := newBackend(s.name, Superconducting, topo, GenerateCalibration(topo, prof, mathx.NewRNG(s.seed)))
+		if err != nil {
 			return nil, err
 		}
 		backends = append(backends, b)
@@ -145,17 +151,7 @@ var ionBackend = sync.OnceValues(func() (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal := GenerateCalibration(topo, TrappedIonProfile(), mathx.NewRNG(777))
-	b := &Backend{
-		Name:         "ion-5",
-		Architecture: TrappedIon,
-		Topology:     topo,
-		Calibration:  cal,
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return newBackend("ion-5", TrappedIon, topo, GenerateCalibration(topo, TrappedIonProfile(), mathx.NewRNG(777)))
 })
 
 // CatalogSubset returns the first k catalog backends whose qubit count is

@@ -461,3 +461,74 @@ func TestLookupsShareBackends(t *testing.T) {
 		t.Fatal("two IonBackend calls returned different backends")
 	}
 }
+
+// TestConstructorsRejectBrokenCalibration: the executors trust a
+// backend's calibration, so every constructor must refuse a broken one.
+// The catalog and IonBackend build through newBackend, Drifted checks
+// its input and builds through it, and UnmarshalJSON parses the wire
+// format into it; each rejects every breakage below, and the shared
+// backends they hand out all validate.
+func TestConstructorsRejectBrokenCalibration(t *testing.T) {
+	src, err := ByName("eldorado")
+	if err != nil {
+		t.Fatal(err)
+	}
+	breakages := map[string]func(c *Calibration){
+		"negative T1":     func(c *Calibration) { c.Qubits[0].T1 = -1 },
+		"zero T2":         func(c *Calibration) { c.Qubits[1].T2 = 0 },
+		"readout above 1": func(c *Calibration) { c.Qubits[2].ReadoutError = 1.5 },
+		"short 1q list":   func(c *Calibration) { c.Gates1Q = c.Gates1Q[:1] },
+		"missing 2q edge": func(c *Calibration) { delete(c.Gates2Q, src.Topology.Edges()[0]) },
+	}
+	for name, brk := range breakages {
+		cal := &Calibration{
+			Qubits:  append([]QubitCalibration(nil), src.Calibration.Qubits...),
+			Gates1Q: append([]GateCalibration(nil), src.Calibration.Gates1Q...),
+			Gates2Q: make(map[Edge]GateCalibration, len(src.Calibration.Gates2Q)),
+		}
+		for e, g := range src.Calibration.Gates2Q {
+			cal.Gates2Q[e] = g
+		}
+		brk(cal)
+		if _, err := newBackend("broken", Superconducting, src.Topology, cal); err == nil {
+			t.Errorf("%s: newBackend accepted it", name)
+		}
+		broken := &Backend{Name: "broken", Architecture: Superconducting, Topology: src.Topology, Calibration: cal}
+		if _, err := Drifted(broken, 0.1, 1); err == nil {
+			t.Errorf("%s: Drifted accepted it", name)
+		}
+		w := backendWire{
+			Name:         "broken",
+			Architecture: Superconducting,
+			NumQubits:    src.N(),
+			Calibration:  calibrationWire{Qubits: cal.Qubits, Gates1Q: cal.Gates1Q, Gates2Q: map[string]GateCalibration{}},
+		}
+		for _, e := range src.Topology.Edges() {
+			w.Edges = append(w.Edges, [2]int{e.A, e.B})
+			if g, ok := cal.Gates2Q[e]; ok {
+				w.Calibration.Gates2Q[edgeKey(e)] = g
+			}
+		}
+		data, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Backend
+		if err := json.Unmarshal(data, &back); err == nil {
+			t.Errorf("%s: UnmarshalJSON accepted it", name)
+		}
+	}
+	all, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ion, err := IonBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range append(all, ion) {
+		if err := b.Validate(); err != nil {
+			t.Errorf("%s: %v", b.Name, err)
+		}
+	}
+}

@@ -73,16 +73,7 @@ func Drifted(b *Backend, severity float64, seed uint64) (*Backend, error) {
 			Duration: g.Duration,
 		}
 	}
-	out := &Backend{
-		Name:         b.Name + "-drifted",
-		Architecture: b.Architecture,
-		Topology:     b.Topology,
-		Calibration:  cal,
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return newBackend(b.Name+"-drifted", b.Architecture, b.Topology, cal)
 }
 
 // lognormalMean1 draws exp(σZ - σ²/2): log-normal with unit mean.

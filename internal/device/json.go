@@ -82,9 +82,10 @@ func (b *Backend) UnmarshalJSON(data []byte) error {
 		}
 		cal.Gates2Q[e] = g
 	}
-	b.Name = w.Name
-	b.Architecture = w.Architecture
-	b.Topology = topo
-	b.Calibration = cal
-	return b.Validate()
+	nb, err := newBackend(w.Name, w.Architecture, topo, cal)
+	if err != nil {
+		return err
+	}
+	*b = *nb
+	return nil
 }

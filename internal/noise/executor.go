@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
@@ -42,13 +43,12 @@ type Executor struct {
 	model   Model
 }
 
-// NewExecutor returns an executor for the backend and model.
+// NewExecutor returns an executor for the backend and model. Every
+// device constructor validates the backend it builds, so b is not
+// checked again here.
 func NewExecutor(b *device.Backend, m Model) (*Executor, error) {
 	if b == nil {
 		return nil, fmt.Errorf("noise: nil backend")
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
 	}
 	return &Executor{backend: b, model: m}, nil
 }
@@ -100,7 +100,7 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 	}
 	ns := e.newNoisySampler(logical, ideal, res, rates)
 	var eng shotEngine
-	counts, err := eng.run(ctx, ns, logical.N, shots, 3*logical.N+20, rng)
+	counts, err := eng.run(ctx, ns, logical.N, shots, shotCost(logical.N, ideal.Support(), rates), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -138,19 +138,19 @@ type noisySampler struct {
 	outcomes []bitstring.BitString
 	ideal    cumTable
 
-	// Per-qubit channel probabilities (logical index -> physical calib).
+	// events draws one gate or burst event's class: index l < n is a
+	// gate flip of logical qubit l, index n a burst flip. Its total is
+	// the summed event rate at unit drift.
+	events cumTable
+
+	// Per-qubit decoherence probabilities (logical index -> physical calib).
 	pDecay   []float64
 	pDephase []float64
-	pReadout []float64
 
-	// Pooled gate-error events (see newNoisySampler).
-	gateCum   cumTable
-	gateTotal float64
-	gatePois  mathx.Poisson
+	// readout[c] draws the readout flip mask of qubits 8c … 8c+7.
+	readout []cumTable
 
-	walkAdj   [][]int
-	burst     float64
-	burstPois mathx.Poisson
+	walkAdj [][]int
 }
 
 // newNoisySampler precomputes the failure-event model for one induction.
@@ -160,12 +160,12 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 	res *transpile.Result, rates EventRates) *noisySampler {
 
 	n := logical.N
-	ns := &noisySampler{model: e.model, n: n, burst: rates.Burst}
+	ns := &noisySampler{model: e.model, n: n, walkAdj: activeTwoQubitGraph(logical)}
 	ns.outcomes, ns.ideal = distTable(ideal)
 
 	ns.pDecay = make([]float64, n)
 	ns.pDephase = make([]float64, n)
-	ns.pReadout = make([]float64, n)
+	pReadout := make([]float64, n)
 	for l := 0; l < n; l++ {
 		p := res.Final[l]
 		q := e.backend.Calibration.Qubits[p]
@@ -173,17 +173,19 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 			ns.pDecay[l] = 1 - expNeg(rates.Duration/q.T1)
 			ns.pDephase[l] = 0.5 * (1 - expNeg(rates.Duration/q.T2))
 		}
-		if e.model.Readout {
-			ns.pReadout[l] = q.ReadoutError
-		}
+		pReadout[l] = q.ReadoutError
+	}
+	if e.model.Readout {
+		ns.readout = readoutTables(pReadout)
 	}
 
-	// Gate flip events are pooled: the expected count is rates.Gate and
-	// each event hits one of the qubits a gate touches. Precompute the
-	// qubit-weight distribution from the routed circuit (physical qubits
-	// mapped back to logical where possible; routing ancillas redistribute
-	// uniformly since their corruption spreads through subsequent swaps).
-	gateWeight := make([]float64, n)
+	// Gate flip events land on the qubits a gate touches, in proportion
+	// to each qubit's share of the gate-error budget, computed from the
+	// routed circuit (physical qubits mapped back to logical where
+	// possible; routing ancillas redistribute uniformly since their
+	// corruption spreads through subsequent swaps). The last class is
+	// the burst channel.
+	weights := make([]float64, n+1)
 	if e.model.GateErrors {
 		phys2log := make(map[int]int, n)
 		for l, p := range res.Final {
@@ -196,37 +198,84 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 			share := e.backend.Calibration.GateError(g.Qubits) / float64(len(g.Qubits))
 			for _, pq := range g.Qubits {
 				if l, ok := phys2log[pq]; ok {
-					gateWeight[l] += share
+					weights[l] += share
 				} else {
 					// ancilla: spread over all logical qubits
 					for l := 0; l < n; l++ {
-						gateWeight[l] += share / float64(n)
+						weights[l] += share / float64(n)
 					}
 				}
 			}
 		}
 	}
-
-	ns.walkAdj = activeTwoQubitGraph(logical)
-	ns.burstPois = mathx.Poisson{Lambda: rates.Burst}
-
-	// Gate-error events are pooled into a Poisson stream (the paper's §3.2
-	// generative model: independent failure events with a stable rate):
-	// K ~ Poisson(Σ gateWeight) flips per shot, each landing on a qubit
-	// drawn proportionally to its share of the gate-error budget.
-	ns.gateCum = accumulate(gateWeight)
-	ns.gateTotal = ns.gateCum[n-1]
-	ns.gatePois = mathx.Poisson{Lambda: ns.gateTotal}
+	weights[n] = rates.Burst
+	ns.events = accumulate(weights)
 	return ns
 }
 
+// readoutTables returns, for each 8-qubit chunk of the register, the
+// cumulative table of its readout flip masks: mask m weighs the product
+// of p_j for each set bit j and 1 − p_j for each clear one. Readout
+// carries no drift, so the tables are fixed for the induction.
+func readoutTables(p []float64) []cumTable {
+	var tabs []cumTable
+	for lo := 0; lo < len(p); lo += 8 {
+		chunk := p[lo:min(lo+8, len(p))]
+		w := make([]float64, 1<<len(chunk))
+		for m := range w {
+			w[m] = 1
+			for j, pj := range chunk {
+				if m>>j&1 == 1 {
+					w[m] *= pj
+				} else {
+					w[m] *= 1 - pj
+				}
+			}
+		}
+		tabs = append(tabs, accumulate(w))
+	}
+	return tabs
+}
+
+// shotCost estimates one shot's work for the shot engine's shard count,
+// in its units of about one RNG draw or one table-search step, from the
+// loop's draws: the stream reseed (four words), the ideal draw and its
+// binary search, the drift (a ziggurat normal and an exp), the closing
+// event arrival, the decoherence uniform and its 2n channel steps, and
+// a draw and an 8-step search per readout byte; then, per expected
+// event, an arrival and a class search for each gate or burst event,
+// two walk draws for each burst flip and a uniform for each decoherence
+// event.
+func shotCost(n, support int, r EventRates) int {
+	fixed := 4 + 1 + bits.Len(uint(support)) + 2 + 1 + 1 + 2*n + 9*((n+7)/8)
+	perEvent := 1 + float64(bits.Len(uint(n+1)))
+	return fixed + int(perEvent*(r.Gate+r.Burst)+2*r.Burst+r.T1+r.T2)
+}
+
 // sampleShots draws shots [lo, hi) into a.out, shot s from stream
-// (base, s).
+// (base, s). Given the drift, each step draws the model's distribution
+// exactly, with few draws per shot:
+//
+//  1. the ideal outcome;
+//  2. the drift, a mean-one log-normal from a ziggurat normal;
+//  3. one Poisson count of gate and burst events at their summed rate
+//     (unit exponential arrivals below rate × drift), each event's class
+//     drawn from one table: a gate event flips its qubit at once, a
+//     burst event is counted (thinning makes the two counts independent
+//     Poissons, as two separate draws would be);
+//  4. decoherence by first-event inversion over the ordered channels
+//     (decay of qubit l if its bit is set, then its dephasing): one
+//     uniform u, and the channel where the running no-event product
+//     drops below u fires, after which the walk restarts with a fresh u;
+//  5. the burst flips, spread along a random walk on the circuit's
+//     interaction graph (or uniformly);
+//  6. readout flips, one table draw per 8 qubits.
 //
 //qbeep:allocfree
 func (ns *noisySampler) sampleShots(a *shotArena, base uint64, lo, hi int) error {
 	n := ns.n
 	rng := &a.rng
+	rate := ns.events[n]
 	// Burst tallies accumulate locally and flush to the registry once per
 	// range, keeping the per-shot loop free of shared-memory traffic.
 	var burstEvents, burstFlips int64
@@ -238,62 +287,55 @@ func (ns *noisySampler) sampleShots(a *shotArena, base uint64, lo, hi int) error
 		// channel this shot. Readout is excluded — it is a separate,
 		// stable classifier error.
 		drift := 1.0
-		if ns.model.RateJitter > 0 {
-			sg := ns.model.RateJitter
-			drift = math.Exp(sg*rng.NormFloat64() - sg*sg/2)
+		if sg := ns.model.RateJitter; sg > 0 {
+			drift = math.Exp(sg*rng.ZigNormFloat64() - sg*sg/2)
 		}
-		if ns.gateTotal > 0 {
-			pois := ns.gatePois
-			if drift != 1 { //qbeep:allow-floatcmp drift is exactly 1.0 when jitter is disabled (sentinel)
-				pois = mathx.Poisson{Lambda: ns.gateTotal * drift}
-			}
-			k := pois.Sample(rng.Float64)
-			for i := 0; i < k; i++ {
-				v = v.FlipBit(ns.gateCum.draw(rng))
-			}
-		}
-		// Decoherence.
-		for l := 0; l < n; l++ {
-			if ns.pDecay[l] > 0 && v.Bit(l) == 1 && rng.Float64() < min1(ns.pDecay[l]*drift) {
-				v = v.SetBit(l, 0) // T1 decay is directional
-			}
-			if ns.pDephase[l] > 0 && rng.Float64() < min1(ns.pDephase[l]*drift) {
-				v = v.FlipBit(l)
-			}
-		}
-		// Correlated burst: K ~ Poisson(λ_burst) flips, spread along a
-		// random walk over the circuit's interaction graph (or uniformly).
-		if ns.burst > 0 {
-			pois := ns.burstPois
-			if drift != 1 { //qbeep:allow-floatcmp drift is exactly 1.0 when jitter is disabled (sentinel)
-				pois = mathx.Poisson{Lambda: ns.burst * drift}
-			}
-			k := pois.Sample(rng.Float64)
-			if k > 0 {
-				burstEvents++
-				burstFlips += int64(k)
-				if ns.model.BurstWalk {
-					q := rng.Intn(n)
-					for i := 0; i < k; i++ {
-						v = v.FlipBit(q)
-						if nb := ns.walkAdj[q]; len(nb) > 0 && rng.Float64() < 0.8 {
-							q = nb[rng.Intn(len(nb))]
-						} else {
-							q = rng.Intn(n)
-						}
-					}
+		bursts := 0
+		if rate > 0 {
+			for t, end := rng.ExpFloat64(), rate*drift; t < end; t += rng.ExpFloat64() {
+				if c := ns.events.draw(rng); c < n {
+					v = v.FlipBit(c)
 				} else {
-					for i := 0; i < k; i++ {
-						v = v.FlipBit(rng.Intn(n))
-					}
+					bursts++
 				}
 			}
 		}
-		// Readout flips.
-		for l := 0; l < n; l++ {
-			if ns.pReadout[l] > 0 && rng.Float64() < ns.pReadout[l] {
-				v = v.FlipBit(l)
+		if ns.model.Decoherence {
+			u, surv := 1-rng.Float64(), 1.0
+			for l := 0; l < n; l++ {
+				if v.Bit(l) == 1 {
+					if surv *= 1 - min1(ns.pDecay[l]*drift); surv < u {
+						v = v.FlipBit(l) // the bit is set: T1 decay is 1 → 0
+						u, surv = 1-rng.Float64(), 1
+					}
+				}
+				if surv *= 1 - min1(ns.pDephase[l]*drift); surv < u {
+					v = v.FlipBit(l)
+					u, surv = 1-rng.Float64(), 1
+				}
 			}
+		}
+		if bursts > 0 {
+			burstEvents++
+			burstFlips += int64(bursts)
+			if ns.model.BurstWalk {
+				q := rng.Intn(n)
+				for i := 0; i < bursts; i++ {
+					v = v.FlipBit(q)
+					if nb := ns.walkAdj[q]; len(nb) > 0 && rng.Float64() < 0.8 {
+						q = nb[rng.Intn(len(nb))]
+					} else {
+						q = rng.Intn(n)
+					}
+				}
+			} else {
+				for i := 0; i < bursts; i++ {
+					v = v.FlipBit(rng.Intn(n))
+				}
+			}
+		}
+		for c, tab := range ns.readout {
+			v ^= bitstring.BitString(tab.draw(rng)) << (8 * c)
 		}
 		a.out[s] = v
 	}

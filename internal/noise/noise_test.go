@@ -9,6 +9,7 @@ import (
 	"qbeep/internal/circuit"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
+	"qbeep/internal/statevector"
 	"qbeep/internal/transpile"
 )
 
@@ -317,4 +318,47 @@ func BenchmarkExecuteGHZ8(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSampleShots times the failure-event shot loop alone: the
+// sampler for a 10-qubit circuit under DefaultModel is precomputed, and
+// each iteration samples 4096 shots on one goroutine.
+func BenchmarkSampleShots(b *testing.B) {
+	const n, shots = 10, 4096
+	bk := testBackend(b)
+	e, err := NewExecutor(bk, DefaultModel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := circuit.New("sample10", n)
+	for q := 0; q < n; q++ {
+		c.H(q)
+	}
+	for q := 0; q+1 < n; q++ {
+		c.CX(q, q+1).RY(0.3*float64(q+1), q+1)
+	}
+	c.MeasureAll()
+	ctx := context.Background()
+	res, err := transpile.TranspileCtx(ctx, c, bk, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ideal, err := statevector.IdealDistCtx(ctx, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rates, err := Rates(res, bk, e.model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ns := e.newNoisySampler(c, ideal, res, rates)
+	a := &shotArena{out: make([]bitstring.BitString, shots)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ns.sampleShots(a, uint64(i), 0, shots); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shots), "ns/shot")
 }

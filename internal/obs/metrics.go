@@ -216,12 +216,6 @@ type Timer struct {
 // ObserveDuration records one duration.
 func (t *Timer) ObserveDuration(d time.Duration) { t.Observe(d.Seconds()) }
 
-// ObserveDurationTrace records one duration stamped with its trace ID
-// (see Histogram.ObserveTrace).
-func (t *Timer) ObserveDurationTrace(d time.Duration, trace uint64) {
-	t.ObserveTrace(d.Seconds(), trace)
-}
-
 // Registry is a named collection of metrics. Get-or-create lookups take
 // a read lock; callers on hot paths should cache the returned pointer
 // (package-level vars are the idiom used across internal/).
