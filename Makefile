@@ -66,12 +66,13 @@ race:
 
 # bench-smoke: one short pass over the mitigation hot path to catch
 # gross regressions (the observability layer must stay ~free when off),
-# plus one pass over the count-conversion layer and one over the
-# failure-event shot loop.
+# plus one pass over the count-conversion layer, one over the
+# failure-event shot loop and one over the HAMMER baseline.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMitigateThroughput' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkDistConvert' -benchmem -benchtime 1x ./internal/bitstring
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleShots' -benchmem -benchtime 1x ./internal/noise
+	$(GO) test -run '^$$' -bench 'BenchmarkHammerMitigate' -benchmem -benchtime 1x ./internal/hammer
 
 # bench-core: the state-graph engine microbenchmarks (build vs the
 # brute-force reference, allocation-free Step) plus the par dispatch
@@ -116,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStepOracle$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzShotStreams$$' -fuzztime 5s ./internal/noise
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplerOracle$$' -fuzztime 5s ./internal/noise
+	$(GO) test -run '^$$' -fuzz '^FuzzTranspileEquivalence$$' -fuzztime 5s ./internal/transpile
 
 # obs-smoke: end-to-end observability check. The built qbeep-trace
 # analyzes the golden pipeline fixture (aggregate table, critical path,

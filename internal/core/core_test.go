@@ -126,9 +126,6 @@ func TestPoissonEdgesWeighting(t *testing.T) {
 	if !approx(p.Weight(2), mathx.Poisson{Lambda: 2}.PMF(2), 1e-15) {
 		t.Error("weight should be the Poisson pmf")
 	}
-	if r := p.MaxRadius(0.05, 4); r > 4 {
-		t.Errorf("radius %d should clamp to register width", r)
-	}
 }
 
 func TestInverseDistanceEdges(t *testing.T) {
@@ -141,9 +138,6 @@ func TestInverseDistanceEdges(t *testing.T) {
 	}
 	if w.Weight(3) != 0 {
 		t.Error("default MaxD=2 should zero the third shell")
-	}
-	if r := w.MaxRadius(0.05, 10); r != 3 {
-		t.Errorf("radius = %d want 3 (first zero-weight shell)", r)
 	}
 	wide := InverseDistanceEdges{MaxD: 6}
 	if wide.Weight(3) != 0.125 {

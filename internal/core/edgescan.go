@@ -95,18 +95,21 @@ const scanCtxChunk = 256
 // weightTable precomputes the per-distance edge data once per build and
 // stays with the graph as its only weight storage: each adjacency entry
 // carries its distance, which indexes the table. perString[d] is the
-// stored edge weight w(d)/C(n,d) for shells whose model mass passes ε,
-// and 0 for shells inside the radius that fail the threshold (those
-// candidates count as pruned). Index 0 is unused: vertices are distinct
-// outcomes, so pair distances are >= 1. The table spans every uint8, so
-// indexing it with a stored distance needs no bounds check.
+// stored edge weight, 0 where a shell carries no edge: a mitigation
+// build stores w(d)/C(n,d) for the shells whose model mass passes ε
+// (newWeightTable), NeighbourSums the raw w(d). Index 0 is unused:
+// vertices are distinct outcomes, so pair distances are >= 1. The table
+// spans every uint8, so indexing it with a stored distance needs no
+// bounds check.
 type weightTable struct {
 	perString [256]float64
 }
 
-func newWeightTable(w EdgeWeighter, eps float64, n, radius int) weightTable {
+// newWeightTable walks d = 1..n. The shells between the largest passing
+// one and n all fail ε; effectiveRadius stops the scan before them.
+func newWeightTable(w EdgeWeighter, eps float64, n int) weightTable {
 	var t weightTable
-	for d := 1; d <= radius && d <= n; d++ {
+	for d := 1; d <= n; d++ {
 		if shell := w.Weight(d); shell >= eps {
 			t.perString[d] = shell / float64(bitstring.SphereSize(n, d))
 		}
@@ -114,12 +117,10 @@ func newWeightTable(w EdgeWeighter, eps float64, n, radius int) weightTable {
 	return t
 }
 
-// effectiveRadius returns the largest distance whose shell passes the ε
-// threshold — the true scan bound. The model's MaxRadius is a tail
-// cutoff, so its boundary shell always fails ε and scanning it can only
-// prune; dropping dead boundary shells shrinks the Hamming ball
-// substantially: one 16-qubit shell is C(16,4) = 1820 of a 2517-string
-// ball.
+// effectiveRadius returns the largest distance with a nonzero weight —
+// the scan bound. Shells beyond it cannot produce an edge, and they are
+// the largest by far: one 16-qubit shell is C(16,4) = 1820 of a
+// 2517-string ball.
 func (t weightTable) effectiveRadius() int {
 	for d := len(t.perString) - 1; d >= 1; d-- {
 		if t.perString[d] != 0 {

@@ -23,9 +23,13 @@ func uniformDist(n, support int, seed uint64) *bitstring.Dist {
 	return bitstring.FromCounts(n, counts)
 }
 
-// sameGraph asserts full equality including radius and pruned telemetry —
-// the contract between engine variants (strategies × worker counts).
-func sameGraph(t *testing.T, label string, want, got *StateGraph) {
+// sameEdges asserts the parts that define a graph — vertex set,
+// adjacency rows with their distances, every edge's weight — and its
+// radius and pruned telemetry. This is the contract between engine
+// variants (strategies × worker counts) and against the brute oracle,
+// which scans the same radius: the largest shell that passes ε. got
+// must also satisfy the row invariants (checkRows).
+func sameEdges(t *testing.T, label string, want, got *StateGraph) {
 	t.Helper()
 	if got.Radius() != want.Radius() {
 		t.Fatalf("%s: radius %d want %d", label, got.Radius(), want.Radius())
@@ -33,17 +37,6 @@ func sameGraph(t *testing.T, label string, want, got *StateGraph) {
 	if got.pruned != want.pruned {
 		t.Fatalf("%s: pruned %d want %d", label, got.pruned, want.pruned)
 	}
-	sameEdges(t, label, want, got)
-}
-
-// sameEdges asserts the parts that define mitigation output — vertex set,
-// adjacency rows with their distances, and every edge's weight. This is
-// the contract against the brute oracle: the engine scans only the
-// effective radius, so its radius/pruned telemetry is narrower than the
-// seed scan's, but the rows and every weight must be bit-for-bit
-// identical. got must also satisfy the row invariants (checkRows).
-func sameEdges(t *testing.T, label string, want, got *StateGraph) {
-	t.Helper()
 	for _, g := range []*StateGraph{want, got} {
 		if err := g.ensureRows(); err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -120,7 +113,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 	workers := testutil.WorkerMatrix(t)
 	for _, c := range cases {
 		if c.shells != nil {
-			tab := newWeightTable(PoissonEdges{Lambda: c.lambda}, 0.05, c.n, c.n)
+			tab := newWeightTable(PoissonEdges{Lambda: c.lambda}, 0.05, c.n)
 			var got []int
 			for d := 1; d <= c.n; d++ {
 				if tab.perString[d] != 0 {
@@ -154,7 +147,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 					if ref == nil {
 						ref = g
 					} else {
-						sameGraph(t, label+" vs ref", ref, g)
+						sameEdges(t, label+" vs ref", ref, g)
 					}
 					if strat != scanAuto && c.n <= spectrumMaxWidth {
 						sameHistogram(t, label, raw, g)
@@ -197,7 +190,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 		if ref == nil {
 			ref = g
 		} else {
-			sameGraph(t, fmt.Sprintf("hammer strat=%s vs ref", strat), ref, g)
+			sameEdges(t, fmt.Sprintf("hammer strat=%s vs ref", strat), ref, g)
 		}
 	}
 }

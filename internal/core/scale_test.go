@@ -55,7 +55,7 @@ func TestScanMatchesBruteOracleWide(t *testing.T) {
 					if ref == nil {
 						ref = g
 					} else {
-						sameGraph(t, label+" vs ref", ref, g)
+						sameEdges(t, label+" vs ref", ref, g)
 					}
 				}
 			}

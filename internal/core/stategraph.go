@@ -15,17 +15,16 @@ import (
 	"qbeep/internal/par"
 )
 
-// EdgeWeighter maps a Hamming distance to a reclassification weight. The
-// production model is PoissonEdges (Eq. 4); InverseDistanceEdges reproduces
-// HAMMER's fixed local weighting inside the same iterative engine, used by
-// the edge-model ablation.
+// EdgeWeighter maps a Hamming distance to a model weight. The production
+// model is PoissonEdges (Eq. 4); InverseDistanceEdges is HAMMER's fixed
+// local weighting, which internal/hammer re-weights by and the edge-model
+// ablation runs inside the iterative engine.
 type EdgeWeighter interface {
-	// Weight returns the edge weight for two strings at Hamming distance
-	// d >= 1. Weights below the state-graph threshold ε prune the edge.
+	// Weight returns the model weight at Hamming distance d >= 0: the
+	// mass of the whole distance-d shell (d = 0 is the "observation is
+	// genuine" term). A mitigation build keeps the shells whose weight
+	// passes the state-graph threshold ε, walking d = 1..n.
 	Weight(d int) float64
-	// MaxRadius returns the largest distance worth considering for the
-	// threshold eps (edges beyond it are guaranteed below threshold).
-	MaxRadius(eps float64, n int) int
 }
 
 // PoissonEdges weighs edges by the Poisson pmf at the strings' Hamming
@@ -39,19 +38,10 @@ func (p PoissonEdges) Weight(d int) float64 {
 	return mathx.Poisson{Lambda: p.Lambda}.PMF(d)
 }
 
-// MaxRadius implements EdgeWeighter via the Poisson tail cutoff.
-func (p PoissonEdges) MaxRadius(eps float64, n int) int {
-	r := mathx.Poisson{Lambda: p.Lambda}.TailCutoff(eps)
-	if r > n {
-		return n
-	}
-	return r
-}
-
-// InverseDistanceEdges is the HAMMER-style one-size-fits-all local
-// weighting: weight 2^(-d) truncated at MaxD (HAMMER's published
-// neighborhood stops at the second Hamming shell), independent of circuit
-// and device. A zero MaxD selects the default of 2.
+// InverseDistanceEdges is HAMMER's one-size-fits-all local weighting:
+// weight 2^(-d) truncated at MaxD (HAMMER's published neighborhood stops
+// at the second Hamming shell), independent of circuit and device. A
+// zero MaxD selects the default of 2.
 type InverseDistanceEdges struct {
 	MaxD int
 }
@@ -73,16 +63,6 @@ func (w InverseDistanceEdges) Weight(d int) float64 {
 		v /= 2
 	}
 	return v
-}
-
-// MaxRadius implements EdgeWeighter.
-func (w InverseDistanceEdges) MaxRadius(eps float64, n int) int {
-	for d := 1; d <= n; d++ {
-		if w.Weight(d) < eps {
-			return d
-		}
-	}
-	return n
 }
 
 // node is one state-graph vertex: an observed bit-string with its
@@ -128,12 +108,9 @@ type StateGraph struct {
 	scratch stepScratch
 }
 
-func validateBuild(counts *bitstring.Dist, w EdgeWeighter, eps float64) error {
+func validateInputs(counts *bitstring.Dist, w EdgeWeighter) error {
 	if counts == nil || counts.Support() == 0 {
 		return fmt.Errorf("core: empty counts")
-	}
-	if eps <= 0 || eps >= 1 {
-		return fmt.Errorf("core: epsilon %v outside (0,1)", eps)
 	}
 	if w == nil {
 		return fmt.Errorf("core: nil edge weighter")
@@ -141,18 +118,27 @@ func validateBuild(counts *bitstring.Dist, w EdgeWeighter, eps float64) error {
 	return nil
 }
 
+func validateBuild(counts *bitstring.Dist, w EdgeWeighter, eps float64) error {
+	if err := validateInputs(counts, w); err != nil {
+		return err
+	}
+	if eps <= 0 || eps >= 1 {
+		return fmt.Errorf("core: epsilon %v outside (0,1)", eps)
+	}
+	return nil
+}
+
 // initStateGraph allocates the vertex set (one node per observed outcome,
-// ascending) and resolves the model radius. It returns the node values as
-// a flat slice for the edge scan's cache-friendly inner loop.
-func initStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*StateGraph, []bitstring.BitString) {
-	g := &StateGraph{n: counts.Width(), total: counts.Total(), selfWeight: w.Weight(0)}
+// ascending) with self the model weight at distance 0. It returns the
+// node values as a flat slice for the edge scan's cache-friendly inner
+// loop.
+func initStateGraph(counts *bitstring.Dist, self float64) (*StateGraph, []bitstring.BitString) {
+	g := &StateGraph{n: counts.Width(), total: counts.Total(), selfWeight: self}
 	g.nodes = make([]node, 0, counts.Support())
 	counts.Each(func(v bitstring.BitString, c float64) {
 		g.nodes = append(g.nodes, node{value: v, count: c})
 	})
-	vals := counts.Outcomes()
-	g.radius = w.MaxRadius(eps, g.n)
-	return g, vals
+	return g, counts.Outcomes()
 }
 
 // BuildStateGraphCtx constructs the graph from raw counts under the
@@ -187,17 +173,22 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	if err := validateBuild(counts, w, eps); err != nil {
 		return nil, err
 	}
-	g, vals := initStateGraph(counts, w, eps)
+	return buildGraph(ctx, counts, w.Weight(0), newWeightTable(w, eps, counts.Width()), workers, strat)
+}
+
+// buildGraph builds the graph whose edges are the vertex pairs at the
+// distances tab gives a nonzero weight, scanning to the largest such
+// distance; self is the weight at distance 0.
+func buildGraph(ctx context.Context, counts *bitstring.Dist, self float64, tab weightTable, workers int, strat scanStrategy) (*StateGraph, error) {
+	g, vals := initStateGraph(counts, self)
 	g.workers, g.ctx = workers, ctx
 	ctx, sp := obs.Start(ctx, "core.graph.build")
 	// The deferred End covers the scan's error return (qbeep-lint
 	// spanend); a successful build ends the span below.
 	defer sp.End()
-	g.tab = newWeightTable(w, eps, g.n, g.radius)
-	// Scan only to the effective radius: the model's tail cutoff always
-	// ends in at least one shell that fails ε, and such dead boundary
-	// shells are the largest by far. Edges are unaffected (those shells
-	// cannot produce any); only the pruned tally narrows its scope.
+	g.tab = tab
+	// Scan only to the effective radius: shells past it carry no edge,
+	// and the largest shells are the outer ones.
 	g.radius = g.tab.effectiveRadius()
 	used := scanSpectrum
 	if g.spec = g.trySpectrum(vals, strat); g.spec != nil {
@@ -538,15 +529,7 @@ func (g *StateGraph) Step(eta float64) StepStats {
 		return StepStats{}
 	}
 	s := &g.scratch
-	if len(s.prob) != len(g.nodes) {
-		g.initStep()
-	}
-	prob := s.prob
-	for i := range g.nodes {
-		prob[i] = g.nodes[i].count / g.total
-	}
-	s.eta = eta
-	g.runPass(passOut)
+	g.firstPass(eta)
 	s.capped = slices.Contains(s.over, true)
 	if s.capped {
 		g.runPass(passScale)
@@ -587,6 +570,59 @@ func (g *StateGraph) Step(eta float64) StepStats {
 		st.Hellinger = 1
 	}
 	return st
+}
+
+// firstPass runs Step's first pass at learning rate eta over the current
+// counts: it fills P and leaves S = W·P in the scratch's sums, with the
+// a_i and out-flows it derives from them.
+//
+//qbeep:allocfree
+func (g *StateGraph) firstPass(eta float64) {
+	s := &g.scratch
+	if len(s.prob) != len(g.nodes) {
+		g.initStep()
+	}
+	for i := range g.nodes {
+		s.prob[i] = g.nodes[i].count / g.total
+	}
+	s.eta = eta
+	g.runPass(passOut)
+}
+
+// NeighbourSums returns, for each observed outcome i in ascending order,
+// the kernel-weighted probability of the other observed outcomes:
+//
+//	S_i = Σ_{j≠i} w.Weight(d(i,j))·P_j,   P = counts / total
+//
+// It is the neighbour sum S = W·P of Step's first pass under the raw
+// kernel: no ε threshold and no C(n,d) normalisation apply, and the
+// graph spans the distances up to the largest d <= n with Weight(d) > 0.
+// The build and the pass are a mitigation's own, so the cost model picks
+// CSR rows or the spectrum, the pass shards the same way, and the
+// "core.graph.build" span and gauges record the build. The sums match a
+// brute double loop to rounding (DESIGN.md §7 has the bounds).
+func NeighbourSums(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter) ([]float64, error) {
+	return neighbourSums(ctx, counts, w, 0, scanAuto)
+}
+
+// neighbourSums is NeighbourSums with the build's worker count and
+// strategy seam exposed.
+func neighbourSums(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, workers int, strat scanStrategy) ([]float64, error) {
+	if err := validateInputs(counts, w); err != nil {
+		return nil, err
+	}
+	var tab weightTable
+	for d := 1; d <= counts.Width(); d++ {
+		if v := w.Weight(d); v > 0 {
+			tab.perString[d] = v
+		}
+	}
+	g, err := buildGraph(ctx, counts, w.Weight(0), tab, workers, strat)
+	if err != nil {
+		return nil, err
+	}
+	g.firstPass(0)
+	return g.scratch.sum, nil
 }
 
 // StepStats summarizes one reclassification iteration.

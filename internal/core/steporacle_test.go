@@ -72,7 +72,13 @@ func buildStateGraphBrute(counts *bitstring.Dist, w EdgeWeighter, eps float64) (
 	if err := validateBuild(counts, w, eps); err != nil {
 		return nil, err
 	}
-	g, vals := initStateGraph(counts, w, eps)
+	g, vals := initStateGraph(counts, w.Weight(0))
+	// Scan to the largest distance whose shell passes ε.
+	for d := g.n; d >= 1 && g.radius == 0; d-- {
+		if w.Weight(d) >= eps {
+			g.radius = d
+		}
+	}
 	var edges []edge
 	edges, g.pruned = bruteScanEdges(vals, g.n, g.radius, w, eps)
 	rowsFromEdges(g, edges)

@@ -77,7 +77,7 @@ func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend,
 	if err != nil {
 		return nil, err
 	}
-	hm, err := hammer.Mitigate(raw, hammer.NewOptions())
+	hm, err := hammer.Mitigate(ctx, raw)
 	if err != nil {
 		return nil, err
 	}

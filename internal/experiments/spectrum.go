@@ -44,7 +44,7 @@ func uniformErrorSpectrum(n int) []float64 {
 
 // hammerErrorSpectrum is HAMMER's fixed weighting profile over distances.
 func hammerErrorSpectrum(n int) []float64 {
-	return normalizeTail(hammer.SpectrumWeights(n, hammer.NewOptions()))
+	return normalizeTail(hammer.SpectrumWeights(n))
 }
 
 // spectrumMoments returns the weighted mean distance of an error spectrum

@@ -12,70 +12,44 @@
 package hammer
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/bitstring"
+	"qbeep/internal/core"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// MaxDistance bounds the neighborhood radius (default 2, HAMMER's
-	// published setting: first and second Hamming shells).
-	MaxDistance int
-	// Decay is the per-distance attenuation of neighbor support
-	// (default 0.5: weight 2^-d).
-	Decay float64
-}
-
-// NewOptions returns HAMMER's published configuration.
-func NewOptions() Options {
-	return Options{MaxDistance: 2, Decay: 0.5}
-}
+// kernel is HAMMER's published weighting: 2^-d over the first and second
+// Hamming shells, 1 at d = 0.
+var kernel = core.InverseDistanceEdges{}
 
 // Mitigate re-weights counts by local Hamming neighborhood density:
 //
-//	score(s) = P(s) · Σ_{d(s,s') <= D} decay^d(s,s') · P(s')
+//	score(s) = P(s) · Σ_{d(s,s') <= 2} 2^-d(s,s') · P(s')
 //
 // (the d = 0 term is s itself) and renormalizes to the original total.
 // Strings sitting in dense local neighborhoods — which under HAMMER's
 // locality assumption are the genuine outputs — are amplified; isolated
 // strings are suppressed toward P(s)². Only observed strings are considered
-// (HAMMER's state graph is over observed outcomes too).
-func Mitigate(counts *bitstring.Dist, opts Options) (*bitstring.Dist, error) {
+// (HAMMER's state graph is over observed outcomes too), and each keeps its
+// place: the baseline re-weights, it does not move counts between strings.
+// The sum over s' ≠ s is core.NeighbourSums under the kernel, so it runs
+// on Q-BEEP's state graph and its "core.graph.build" span parents under
+// the span active in ctx.
+func Mitigate(ctx context.Context, counts *bitstring.Dist) (*bitstring.Dist, error) {
 	if counts == nil || counts.Support() == 0 {
 		return nil, fmt.Errorf("hammer: empty counts")
 	}
-	if opts.MaxDistance <= 0 {
-		return nil, fmt.Errorf("hammer: max distance %d must be positive", opts.MaxDistance)
+	sums, err := core.NeighbourSums(ctx, counts, kernel)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Decay <= 0 || opts.Decay > 1 {
-		return nil, fmt.Errorf("hammer: decay %v outside (0,1]", opts.Decay)
-	}
-	outcomes, probs := counts.Outcomes(), make([]float64, counts.Support())
-	for i, s := range outcomes {
-		probs[i] = counts.Prob(s)
-	}
-	n := counts.Width()
-	// Precompute decay^d.
-	decayPow := make([]float64, opts.MaxDistance+1)
-	decayPow[0] = 1
-	for d := 1; d <= opts.MaxDistance; d++ {
-		decayPow[d] = decayPow[d-1] * opts.Decay
-	}
-	out := bitstring.NewDist(n)
-	for i, s := range outcomes {
-		support := probs[i] // d = 0 term
-		for j, s2 := range outcomes {
-			if j == i {
-				continue
-			}
-			d := bitstring.Hamming(s, s2)
-			if d <= opts.MaxDistance {
-				support += decayPow[d] * probs[j]
-			}
-		}
-		out.Add(s, probs[i]*support)
-	}
+	out, self, i := bitstring.NewDist(counts.Width()), kernel.Weight(0), 0
+	counts.Each(func(s bitstring.BitString, c float64) {
+		p := c / counts.Total()
+		out.Add(s, p*(self*p+sums[i]))
+		i++
+	})
 	return out.Normalized(counts.Total()), nil
 }
 
@@ -83,24 +57,15 @@ func Mitigate(counts *bitstring.Dist, opts Options) (*bitstring.Dist, error) {
 // profile over distances 0..n — the fixed 2^-d curve plotted as the
 // "HAMMER Weighting" series in the paper's Figs. 1, 2 and 6. It is
 // normalized to unit mass so it is comparable to the probability spectra.
-func SpectrumWeights(n int, opts Options) []float64 {
+func SpectrumWeights(n int) []float64 {
 	w := make([]float64, n+1)
 	var sum float64
-	for d := 0; d <= n; d++ {
-		v := 1.0
-		for i := 0; i < d; i++ {
-			v *= opts.Decay
-		}
-		if d > opts.MaxDistance {
-			v = 0
-		}
-		w[d] = v
-		sum += v
+	for d := range w {
+		w[d] = kernel.Weight(d)
+		sum += w[d]
 	}
-	if sum > 0 {
-		for d := range w {
-			w[d] /= sum
-		}
+	for d := range w {
+		w[d] /= sum
 	}
 	return w
 }

@@ -87,25 +87,6 @@ func (p Poisson) Quantile(q float64) int {
 	}
 }
 
-// TailCutoff returns the smallest distance r such that PMF(k) < eps for all
-// k >= r beyond the mode. Q-BEEP uses this to bound the state-graph edge
-// radius: edges are only created while the Poisson weight stays above the
-// threshold ε (paper §3.4).
-func (p Poisson) TailCutoff(eps float64) int {
-	if eps <= 0 {
-		return math.MaxInt32
-	}
-	mode := int(math.Floor(p.Lambda))
-	for k := mode; ; k++ {
-		if p.PMF(k) < eps {
-			return k
-		}
-		if k > 10_000 {
-			return k
-		}
-	}
-}
-
 // Spectrum returns the pmf evaluated at 0..n, i.e. the model's predicted
 // Hamming spectrum truncated to an n-qubit register (not renormalized;
 // truncated mass is reported by the model as "beyond register width").
@@ -117,36 +98,24 @@ func (p Poisson) Spectrum(n int) []float64 {
 	return s
 }
 
-// Sample draws one Poisson variate using inversion for small λ and the
-// normal approximation with continuity correction for large λ. src must
-// return uniform floats in [0, 1).
+// Sample draws one Poisson variate by Knuth's multiplication method: it
+// counts the uniforms whose running product stays above e^-λ. A rate of
+// 30 or more is split into equal chunks below 30, each drawn the same
+// way; their sum is an exact Poisson(λ) variate, and e^-chunk stays far
+// from underflow. src must return uniform floats in [0, 1).
 func (p Poisson) Sample(uniform func() float64) int {
 	if p.Lambda <= 0 {
 		return 0
 	}
-	if p.Lambda < 30 {
-		// Knuth inversion in log space to avoid underflow.
-		l := math.Exp(-p.Lambda)
-		k := 0
+	chunks := int(p.Lambda/30) + 1
+	l := math.Exp(-p.Lambda / float64(chunks))
+	k := 0
+	for c := 0; c < chunks; c++ {
 		prod := uniform()
-		for prod > l {
+		for j := 0; prod > l && j <= 10_000; j++ {
 			k++
 			prod *= uniform()
-			if k > 10_000 {
-				break
-			}
 		}
-		return k
-	}
-	// Normal approximation: X ~ N(λ, λ).
-	u1, u2 := uniform(), uniform()
-	for u1 == 0 {
-		u1 = uniform()
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	k := int(math.Round(p.Lambda + z*math.Sqrt(p.Lambda)))
-	if k < 0 {
-		k = 0
 	}
 	return k
 }

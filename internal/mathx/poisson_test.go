@@ -102,23 +102,6 @@ func TestPoissonQuantile(t *testing.T) {
 	}
 }
 
-func TestPoissonTailCutoff(t *testing.T) {
-	p := Poisson{Lambda: 1.5}
-	r := p.TailCutoff(0.05)
-	if p.PMF(r) >= 0.05 {
-		t.Errorf("PMF(%d) = %v >= eps", r, p.PMF(r))
-	}
-	for k := r; k < r+20; k++ {
-		if p.PMF(k) >= 0.05 {
-			t.Errorf("tail not below eps at k=%d", k)
-		}
-	}
-	// eps<=0 means unbounded radius.
-	if p.TailCutoff(0) != math.MaxInt32 {
-		t.Error("TailCutoff(0) should be unbounded")
-	}
-}
-
 func TestPoissonMeanVariance(t *testing.T) {
 	p := Poisson{Lambda: 4.2}
 	if p.Mean() != 4.2 || p.Variance() != 4.2 {
@@ -160,6 +143,36 @@ func TestPoissonSampleMoments(t *testing.T) {
 	}
 	if (Poisson{}).Sample(rng.Float64) != 0 {
 		t.Error("λ=0 sample should be 0")
+	}
+}
+
+// TestPoissonSampleSkewness checks the third moment where a rounded
+// normal approximation would show: a Poisson(λ) variate has skewness
+// 1/√λ, a rounded normal one about 0. At 10⁶ draws the sample skewness
+// has standard error about √(6/N).
+func TestPoissonSampleSkewness(t *testing.T) {
+	rng := NewRNG(11)
+	for _, lambda := range []float64{45, 200} {
+		p := Poisson{Lambda: lambda}
+		const n = 1_000_000
+		var s1, s2, s3 float64
+		for i := 0; i < n; i++ {
+			// Centre on λ so the power sums stay well conditioned.
+			v := float64(p.Sample(rng.Float64)) - lambda
+			s1 += v
+			s2 += v * v
+			s3 += v * v * v
+		}
+		mean := s1 / n
+		m2 := s2/n - mean*mean
+		m3 := s3/n - 3*mean*s2/n + 2*mean*mean*mean
+		skew := m3 / math.Pow(m2, 1.5)
+		if se := math.Sqrt(6.0 / n); math.Abs(skew-1/math.Sqrt(lambda)) > 5*se {
+			t.Errorf("λ=%v: skewness %.4f, want %.4f ± %.4f", lambda, skew, 1/math.Sqrt(lambda), 5*se)
+		}
+		if se := math.Sqrt(lambda / n); math.Abs(mean) > 5*se {
+			t.Errorf("λ=%v: mean %.4f off λ by more than %.4f", lambda, mean+lambda, 5*se)
+		}
 	}
 }
 

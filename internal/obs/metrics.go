@@ -3,11 +3,12 @@ package obs
 import (
 	"expvar"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"qbeep/internal/mathx"
 )
 
 // Counter is a monotonically increasing integer metric. All methods are
@@ -155,29 +156,12 @@ func (h *Histogram) WorstTrace() (trace uint64, value float64) {
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) over the recent window
-// using linear interpolation between order statistics. It returns 0 when
-// nothing has been observed.
+// with mathx.Quantile's linear interpolation between order statistics.
+// It returns 0 when nothing has been observed.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
-	samples := append([]float64(nil), h.window[:h.wlen]...)
-	h.mu.Unlock()
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	if q <= 0 {
-		return samples[0]
-	}
-	if q >= 1 {
-		return samples[len(samples)-1]
-	}
-	pos := q * float64(len(samples)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(samples) {
-		return samples[lo]
-	}
-	return samples[lo]*(1-frac) + samples[lo+1]*frac
+	defer h.mu.Unlock()
+	return mathx.Quantile(h.window[:h.wlen], q)
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram.

@@ -3,6 +3,8 @@ package runledger
 import (
 	"math"
 	"sort"
+
+	"qbeep/internal/mathx"
 )
 
 // Metric names understood by Aggregate, drift detection, and the
@@ -134,30 +136,9 @@ func Summarize(series []float64) Stats {
 	s.Mean = sum / float64(s.N)
 	s.Min = sorted[0]
 	s.Max = sorted[s.N-1]
-	s.P50 = quantile(sorted, 0.50)
-	s.P95 = quantile(sorted, 0.95)
+	s.P50 = mathx.Quantile(sorted, 0.50)
+	s.P95 = mathx.Quantile(sorted, 0.95)
 	return s
-}
-
-// quantile interpolates linearly between order statistics of a sorted
-// slice (same estimator as obs.Histogram.Quantile).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Group is one aggregation bucket: the records sharing a (backend,

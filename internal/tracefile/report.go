@@ -73,7 +73,8 @@ func (f *Forest) Aggregates() []Aggregate {
 }
 
 // quantileDur reads the q-quantile of an ascending-sorted duration slice
-// by nearest-rank, matching obs.quantile's convention.
+// as the order statistic at rank ⌊q·(n−1)⌋, without interpolating: the
+// lower of the two order statistics mathx.Quantile blends.
 func quantileDur(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
