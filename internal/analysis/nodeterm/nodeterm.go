@@ -29,7 +29,8 @@ import (
 )
 
 // KernelPackages names the deterministic kernel packages by import-path
-// base, per ISSUE/DESIGN: the analyzer only fires inside these.
+// base (DESIGN §9), plus par, whose fan-out times itself only through
+// the span clock: the analyzer only fires inside these.
 var KernelPackages = map[string]bool{
 	"statevector":   true,
 	"densitymatrix": true,
@@ -37,6 +38,7 @@ var KernelPackages = map[string]bool{
 	"bitstring":     true,
 	"mathx":         true,
 	"noise":         true,
+	"par":           true,
 }
 
 // Analyzer is the nodeterm checker.

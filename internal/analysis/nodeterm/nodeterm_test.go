@@ -8,5 +8,5 @@ import (
 )
 
 func TestNodeterm(t *testing.T) {
-	analysistest.Run(t, nodeterm.Analyzer, "statevector", "other")
+	analysistest.Run(t, nodeterm.Analyzer, "statevector", "par", "other")
 }

@@ -65,14 +65,6 @@ func (b BitString) Bit(i int) int {
 	return int(b>>uint(i)) & 1
 }
 
-// SetBit returns b with qubit i set to val (0 or 1).
-func (b BitString) SetBit(i, val int) BitString {
-	if val == 0 {
-		return b &^ (1 << uint(i))
-	}
-	return b | (1 << uint(i))
-}
-
 // FlipBit returns b with qubit i flipped.
 func (b BitString) FlipBit(i int) BitString {
 	return b ^ (1 << uint(i))

@@ -70,12 +70,6 @@ func TestBitOps(t *testing.T) {
 	if b.Bit(0) != 0 || b.Bit(1) != 1 || b.Bit(3) != 1 {
 		t.Errorf("Bit: got %d %d %d", b.Bit(0), b.Bit(1), b.Bit(3))
 	}
-	if got := b.SetBit(0, 1); got != 0b1011 {
-		t.Errorf("SetBit(0,1) = %b", got)
-	}
-	if got := b.SetBit(1, 0); got != 0b1000 {
-		t.Errorf("SetBit(1,0) = %b", got)
-	}
 	if got := b.FlipBit(2); got != 0b1110 {
 		t.Errorf("FlipBit(2) = %b", got)
 	}

@@ -141,18 +141,6 @@ func (c *Circuit) CountKind(k Kind) int {
 	return n
 }
 
-// CountByKind returns the per-kind unitary gate counts (the U_count terms of
-// paper Eq. 2).
-func (c *Circuit) CountByKind() map[Kind]int {
-	m := make(map[Kind]int)
-	for _, g := range c.Gates {
-		if g.Kind.IsUnitary() {
-			m[g.Kind]++
-		}
-	}
-	return m
-}
-
 // TwoQubitCount returns the number of 2+ qubit unitary gates.
 func (c *Circuit) TwoQubitCount() int {
 	n := 0
@@ -164,35 +152,6 @@ func (c *Circuit) TwoQubitCount() int {
 	return n
 }
 
-// Depth returns the circuit depth: the length of the longest chain of
-// gates sharing qubits, with barriers synchronizing all listed qubits and
-// measurements counting as a layer on their qubit.
-func (c *Circuit) Depth() int {
-	level := make([]int, c.N)
-	depth := 0
-	for _, g := range c.Gates {
-		max := 0
-		for _, q := range g.Qubits {
-			if level[q] > max {
-				max = level[q]
-			}
-		}
-		if g.Kind == Barrier {
-			for _, q := range g.Qubits {
-				level[q] = max
-			}
-			continue
-		}
-		for _, q := range g.Qubits {
-			level[q] = max + 1
-		}
-		if max+1 > depth {
-			depth = max + 1
-		}
-	}
-	return depth
-}
-
 // HasMeasurement reports whether the circuit contains any measurement.
 func (c *Circuit) HasMeasurement() bool {
 	for _, g := range c.Gates {
@@ -201,17 +160,6 @@ func (c *Circuit) HasMeasurement() bool {
 		}
 	}
 	return false
-}
-
-// Unitaries returns the circuit's unitary gates in order (no copies).
-func (c *Circuit) Unitaries() []Gate {
-	out := make([]Gate, 0, len(c.Gates))
-	for _, g := range c.Gates {
-		if g.Kind.IsUnitary() {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // String renders the circuit one gate per line.

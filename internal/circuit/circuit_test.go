@@ -95,9 +95,6 @@ func TestBuilderHappyPath(t *testing.T) {
 	if !c.HasMeasurement() {
 		t.Error("HasMeasurement false")
 	}
-	if c.Depth() != 3 {
-		t.Errorf("depth %d want 3", c.Depth())
-	}
 }
 
 func TestBuilderErrorSticks(t *testing.T) {
@@ -119,24 +116,6 @@ func TestNewZeroWidth(t *testing.T) {
 	}
 }
 
-func TestDepthParallelism(t *testing.T) {
-	// Two disjoint H gates share a layer.
-	c := New("par", 2).H(0).H(1)
-	if c.Depth() != 1 {
-		t.Errorf("depth %d want 1", c.Depth())
-	}
-	// A barrier forces the next layer to start after both.
-	c = New("barrier", 3).H(0).Barrier().H(1)
-	if c.Depth() != 2 {
-		t.Errorf("depth with barrier %d want 2", c.Depth())
-	}
-	// Without the barrier the same gates would be one layer deep.
-	c = New("nobarrier", 3).H(0).H(1)
-	if c.Depth() != 1 {
-		t.Errorf("depth without barrier %d want 1", c.Depth())
-	}
-}
-
 func TestCounts(t *testing.T) {
 	c := New("counts", 3).H(0).H(1).CX(0, 1).CCX(0, 1, 2).RZ(0.3, 2).MeasureAll()
 	if got := c.CountKind(H); got != 2 {
@@ -144,16 +123,6 @@ func TestCounts(t *testing.T) {
 	}
 	if got := c.TwoQubitCount(); got != 2 {
 		t.Errorf("TwoQubitCount = %d", got)
-	}
-	m := c.CountByKind()
-	if m[H] != 2 || m[CX] != 1 || m[CCX] != 1 || m[RZ] != 1 {
-		t.Errorf("CountByKind = %v", m)
-	}
-	if _, ok := m[Measure]; ok {
-		t.Error("CountByKind should exclude measurements")
-	}
-	if got := len(c.Unitaries()); got != 5 {
-		t.Errorf("Unitaries = %d", got)
 	}
 }
 

@@ -137,11 +137,11 @@ func TestInverseDistanceEdges(t *testing.T) {
 		t.Error("negative distance should weigh 0")
 	}
 	if w.Weight(3) != 0 {
-		t.Error("default MaxD=2 should zero the third shell")
+		t.Error("HAMMER's kernel should zero the third shell")
 	}
-	wide := InverseDistanceEdges{MaxD: 6}
-	if wide.Weight(3) != 0.125 {
-		t.Errorf("MaxD=6 Weight(3) = %v", wide.Weight(3))
+	wide := halvingEdges{maxD: 6}
+	if wide.Weight(3) != 0.125 || wide.Weight(7) != 0 {
+		t.Errorf("halvingEdges{6}: Weight(3) = %v, Weight(7) = %v", wide.Weight(3), wide.Weight(7))
 	}
 }
 

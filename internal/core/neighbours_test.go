@@ -65,7 +65,7 @@ func TestNeighbourSumsMatchBrute(t *testing.T) {
 		{"hammer-clustered", poissonCounts(10, 0b1011001110, 1.5, 3000, 71), InverseDistanceEdges{}},
 		{"hammer-uniform", uniformDist(8, 150, 72), InverseDistanceEdges{}},
 		{"hammer-sparse", uniformDist(12, 150, 66), InverseDistanceEdges{}},
-		{"inverse-maxd6", uniformDist(11, 300, 73), InverseDistanceEdges{MaxD: 6}},
+		{"halving-maxd6", uniformDist(11, 300, 73), halvingEdges{maxD: 6}},
 		{"poisson-full-radius", poissonCounts(9, 0b101100111, 2, 2000, 74), PoissonEdges{Lambda: 2}},
 		{"single-outcome", poissonCounts(6, 0b101101, 0, 10, 75), InverseDistanceEdges{}},
 	}
@@ -121,6 +121,17 @@ func TestNeighbourSumsValidation(t *testing.T) {
 	}
 }
 
+// halvingEdges is InverseDistanceEdges' 2⁻ᵈ kernel with a wider cutoff:
+// weight 2⁻ᵈ for 0 <= d <= maxD, 0 beyond.
+type halvingEdges struct{ maxD int }
+
+func (w halvingEdges) Weight(d int) float64 {
+	if d < 0 || d > w.maxD {
+		return 0
+	}
+	return 1 / float64(int(1)<<d)
+}
+
 // radiusBoundedTable is the weight-table walk that stopped at the
 // model's tail cutoff: for the Poisson pmf the first k >= ⌊λ⌋ with
 // pmf(k) < ε, for the 2⁻ᵈ kernel the first d with weight < ε, clamped
@@ -133,7 +144,7 @@ func radiusBoundedTable(t *testing.T, w EdgeWeighter, eps float64, n int) weight
 		for w.Weight(r) >= eps {
 			r++
 		}
-	case InverseDistanceEdges:
+	case InverseDistanceEdges, halvingEdges:
 		r = 1
 		for r <= n && w.Weight(r) >= eps {
 			r++
@@ -159,7 +170,7 @@ func TestWeightTableMatchesRadiusBounded(t *testing.T) {
 	for l := 1; l <= 200; l++ {
 		models = append(models, PoissonEdges{Lambda: float64(l) / 10})
 	}
-	models = append(models, InverseDistanceEdges{}, InverseDistanceEdges{MaxD: 6}, InverseDistanceEdges{MaxD: 30})
+	models = append(models, InverseDistanceEdges{}, halvingEdges{maxD: 6}, halvingEdges{maxD: 30})
 	for n := 4; n <= 28; n++ {
 		for _, w := range models {
 			for _, eps := range []float64{0.01, 0.05, 0.2} {

@@ -39,30 +39,16 @@ func (p PoissonEdges) Weight(d int) float64 {
 }
 
 // InverseDistanceEdges is HAMMER's one-size-fits-all local weighting:
-// weight 2^(-d) truncated at MaxD (HAMMER's published neighborhood stops
-// at the second Hamming shell), independent of circuit and device. A
-// zero MaxD selects the default of 2.
-type InverseDistanceEdges struct {
-	MaxD int
-}
-
-func (w InverseDistanceEdges) maxD() int {
-	if w.MaxD <= 0 {
-		return 2
-	}
-	return w.MaxD
-}
+// weight 2^(-d) up to the second Hamming shell, where HAMMER's published
+// neighborhood stops, independent of circuit and device.
+type InverseDistanceEdges struct{}
 
 // Weight implements EdgeWeighter.
-func (w InverseDistanceEdges) Weight(d int) float64 {
-	if d < 0 || d > w.maxD() {
+func (InverseDistanceEdges) Weight(d int) float64 {
+	if d < 0 || d > 2 {
 		return 0
 	}
-	v := 1.0
-	for i := 0; i < d; i++ {
-		v /= 2
-	}
-	return v
+	return 1 / float64(int(1)<<d)
 }
 
 // node is one state-graph vertex: an observed bit-string with its

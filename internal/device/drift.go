@@ -80,26 +80,3 @@ func Drifted(b *Backend, severity float64, seed uint64) (*Backend, error) {
 func lognormalMean1(rng *mathx.RNG, sigma float64) float64 {
 	return math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
 }
-
-// CalibrationSeries generates days successive calibration snapshots for
-// the backend, each drifting further from the published one — a synthetic
-// stand-in for IBMQ's daily calibration history. Element 0 is the
-// original.
-func CalibrationSeries(b *Backend, days int, perDaySeverity float64, seed uint64) ([]*Backend, error) {
-	if days <= 0 {
-		return nil, fmt.Errorf("device: days %d must be positive", days)
-	}
-	out := make([]*Backend, days)
-	out[0] = b
-	cur := b
-	for d := 1; d < days; d++ {
-		next, err := Drifted(cur, perDaySeverity, seed+uint64(d))
-		if err != nil {
-			return nil, err
-		}
-		next.Name = fmt.Sprintf("%s-day%d", b.Name, d)
-		out[d] = next
-		cur = next
-	}
-	return out, nil
-}

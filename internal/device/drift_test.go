@@ -68,32 +68,3 @@ func TestDriftedDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestCalibrationSeries(t *testing.T) {
-	b, _ := ByName("eldorado")
-	series, err := CalibrationSeries(b, 4, 0.3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 4 {
-		t.Fatalf("series length %d", len(series))
-	}
-	if series[0] != b {
-		t.Error("day 0 should be the original")
-	}
-	// Divergence from day 0 should not shrink with time (statistically;
-	// assert it grows from day 1 to the last day on average T1 distance).
-	dist := func(x *Backend) float64 {
-		var s float64
-		for i := range x.Calibration.Qubits {
-			s += math.Abs(math.Log(x.Calibration.Qubits[i].T1 / b.Calibration.Qubits[i].T1))
-		}
-		return s
-	}
-	if dist(series[3]) <= 0 {
-		t.Error("no cumulative drift by day 3")
-	}
-	if _, err := CalibrationSeries(b, 0, 0.3, 1); err == nil {
-		t.Error("zero days should error")
-	}
-}

@@ -140,13 +140,3 @@ func FitPoissonMLE(values []int, weights []float64) (Poisson, error) {
 	}
 	return Poisson{Lambda: sum / wsum}, nil
 }
-
-// FitPoissonSpectrum fits a Poisson by MLE to a Hamming spectrum given as
-// mass per distance (index = distance).
-func FitPoissonSpectrum(spectrum []float64) (Poisson, error) {
-	values := make([]int, len(spectrum))
-	for i := range values {
-		values[i] = i
-	}
-	return FitPoissonMLE(values, spectrum)
-}

@@ -201,7 +201,11 @@ func TestFitPoissonRecoversLambda(t *testing.T) {
 	for _, lambda := range []float64{0.3, 1.7, 4} {
 		p := Poisson{Lambda: lambda}
 		spec := p.Spectrum(60)
-		fit, err := FitPoissonSpectrum(spec)
+		values := make([]int, len(spec))
+		for k := range values {
+			values[k] = k
+		}
+		fit, err := FitPoissonMLE(values, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,19 +171,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// CDFSeries returns the empirical CDF of xs as sorted (value, cumulative
-// probability) pairs — the series plotted in Figs. 6 and 10(b).
-func CDFSeries(xs []float64) (values, cum []float64) {
-	values = append([]float64(nil), xs...)
-	sort.Float64s(values)
-	cum = make([]float64, len(values))
-	n := float64(len(values))
-	for i := range values {
-		cum[i] = float64(i+1) / n
-	}
-	return values, cum
-}
-
 // FractionBelow returns the fraction of xs strictly below threshold.
 func FractionBelow(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {

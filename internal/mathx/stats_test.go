@@ -216,16 +216,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestCDFSeries(t *testing.T) {
-	v, c := CDFSeries([]float64{3, 1, 2})
-	if v[0] != 1 || v[2] != 3 {
-		t.Error("values not sorted")
-	}
-	if !approx(c[2], 1, 1e-12) || !approx(c[0], 1.0/3, 1e-12) {
-		t.Errorf("cum = %v", c)
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := FractionBelow(xs, 2.5); !approx(got, 0.5, 1e-12) {

@@ -1,6 +1,6 @@
-// Package metrics computes the evaluation metrics the paper reports:
-// Probability of Successful Trial (PST, Eq. 6), classical fidelity, Cost
-// Ratio improvements, and relative-change summaries.
+// Package metrics computes the evaluation metrics the paper reports
+// beside PST and fidelity: the Inference Strength of Trial and the
+// relative-change summaries of improvement ratios.
 package metrics
 
 import (
@@ -10,15 +10,6 @@ import (
 	"qbeep/internal/bitstring"
 	"qbeep/internal/mathx"
 )
-
-// PST returns the Probability of Successful Trial: the fraction of
-// observations equal to the correct bit-string (paper Eq. 6).
-func PST(counts *bitstring.Dist, correct bitstring.BitString) (float64, error) {
-	if counts == nil || counts.Total() == 0 {
-		return 0, fmt.Errorf("metrics: empty counts")
-	}
-	return counts.Prob(correct), nil
-}
 
 // IST returns the Inference Strength of Trial: P(correct) over the
 // probability of the strongest incorrect outcome — how decisively the
@@ -39,23 +30,6 @@ func IST(counts *bitstring.Dist, correct bitstring.BitString) (ist float64, ok b
 		return 0, false
 	}
 	return counts.Count(correct) / worst, true
-}
-
-// Fidelity is the classical (Bhattacharyya) fidelity between the ideal and
-// observed distributions — re-exported here so metric call sites read
-// uniformly.
-func Fidelity(ideal, observed *bitstring.Dist) float64 {
-	return bitstring.Fidelity(ideal, observed)
-}
-
-// RelativeImprovement returns after/before, the paper's improvement ratio
-// (1.77× etc.). A zero or negative baseline yields an error: the ratio is
-// undefined.
-func RelativeImprovement(before, after float64) (float64, error) {
-	if before <= 0 {
-		return 0, fmt.Errorf("metrics: baseline %v must be positive", before)
-	}
-	return after / before, nil
 }
 
 // Summary aggregates a series of per-circuit relative improvements the way
@@ -91,13 +65,6 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.3f median=%.3f max=%.3f min=%.3f regressions=%.1f%%",
 		s.N, s.Mean, s.Median, s.Max, s.Min, 100*s.FracLoss)
-}
-
-// GainPercent converts an improvement ratio to the percentage-gain form
-// the paper's abstract uses (2.346× → “234.6%” fidelity boost means the
-// ratio-minus-one percentage).
-func GainPercent(ratio float64) float64 {
-	return (ratio - 1) * 100
 }
 
 // SafeRatio returns after/before, or fallback when before is ~0 — used

@@ -8,25 +8,6 @@ import (
 	"qbeep/internal/bitstring"
 )
 
-func TestPST(t *testing.T) {
-	d := bitstring.NewDist(3)
-	d.Add(0b101, 75)
-	d.Add(0b100, 25)
-	got, err := PST(d, 0b101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.75 {
-		t.Errorf("PST = %v", got)
-	}
-	if _, err := PST(bitstring.NewDist(3), 0); err == nil {
-		t.Error("empty counts should error")
-	}
-	if _, err := PST(nil, 0); err == nil {
-		t.Error("nil counts should error")
-	}
-}
-
 func TestIST(t *testing.T) {
 	d := bitstring.NewDist(3)
 	d.Add(0b101, 80)
@@ -54,16 +35,6 @@ func TestIST(t *testing.T) {
 	}
 }
 
-func TestRelativeImprovement(t *testing.T) {
-	r, err := RelativeImprovement(0.2, 0.5)
-	if err != nil || math.Abs(r-2.5) > 1e-12 {
-		t.Errorf("ratio %v err %v", r, err)
-	}
-	if _, err := RelativeImprovement(0, 1); err == nil {
-		t.Error("zero baseline should error")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{0.5, 1.0, 2.0, 4.5})
 	if s.N != 4 {
@@ -86,15 +57,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestGainPercent(t *testing.T) {
-	if g := GainPercent(2.346); math.Abs(g-134.6) > 1e-9 {
-		t.Errorf("GainPercent(2.346) = %v", g)
-	}
-	if g := GainPercent(1); g != 0 {
-		t.Errorf("GainPercent(1) = %v", g)
-	}
-}
-
 func TestSafeRatio(t *testing.T) {
 	if r := SafeRatio(0.5, 1.0, 99); r != 2 {
 		t.Errorf("SafeRatio = %v", r)
@@ -104,13 +66,5 @@ func TestSafeRatio(t *testing.T) {
 	}
 	if r := SafeRatio(math.NaN(), 1, 7); r != 7 {
 		t.Errorf("NaN fallback = %v", r)
-	}
-}
-
-func TestFidelityReexport(t *testing.T) {
-	d := bitstring.NewDist(2)
-	d.Add(0, 1)
-	if Fidelity(d, d) != bitstring.Fidelity(d, d) {
-		t.Error("re-export mismatch")
 	}
 }

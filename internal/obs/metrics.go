@@ -35,16 +35,6 @@ type Gauge struct {
 // Set records v as the current value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add offsets the current value by v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -110,12 +100,6 @@ func (h *Histogram) ObserveTrace(v float64, trace uint64) {
 		h.wlen++
 	}
 	h.mu.Unlock()
-}
-
-// BucketBounds returns the shared upper bounds of the lifetime buckets
-// (the +Inf bucket is implicit).
-func BucketBounds() []float64 {
-	return append([]float64(nil), histBuckets[:]...)
 }
 
 // CumulativeBuckets returns the Prometheus-style cumulative counts, one

@@ -118,16 +118,6 @@ func closeAfterWriters(h *Histogram, want int, stop chan struct{}) {
 	close(stop)
 }
 
-func TestGaugeAdd(t *testing.T) {
-	var g Gauge
-	g.Set(1.5)
-	g.Add(2.25)
-	g.Add(-0.75)
-	if v := g.Value(); math.Abs(v-3) > 1e-12 {
-		t.Fatalf("gauge = %v, want 3", v)
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	// 1..100: exact order statistics under linear interpolation.

@@ -8,9 +8,8 @@ import (
 )
 
 // BenchmarkForEachTinyTasks measures dispatch overhead when the tasks
-// themselves are nearly free — the regime where the buffered dispatch
-// channel matters: with an unbuffered channel every task pays a
-// synchronous producer→worker handoff, which serializes the batch.
+// themselves are nearly free: the per-batch Shards binding plus one
+// atomic claim and one ctx poll per task.
 func BenchmarkForEachTinyTasks(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {

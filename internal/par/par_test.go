@@ -2,26 +2,34 @@ package par
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"qbeep/internal/testutil"
 )
+
+// Every ForEachCtx test below sweeps the worker counts of
+// testutil.WorkerMatrix: 1, 2, 4 and 8, GOMAXPROCS, and any
+// QBEEP_TEST_WORKERS extras.
 
 func TestForEachRunsAll(t *testing.T) {
 	const n = 100
-	results := make([]int, n)
-	err := ForEachCtx(context.Background(), n, 8, func(i int) error {
-		results[i] = i * i
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range results {
-		if v != i*i {
-			t.Fatalf("slot %d = %d", i, v)
+	for _, workers := range testutil.WorkerMatrix(t) {
+		runs := make([]atomic.Int32, n)
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) error {
+			runs[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
+			}
 		}
 	}
 }
@@ -42,32 +50,91 @@ func TestForEachSequentialFallback(t *testing.T) {
 	}
 }
 
+// TestForEachPropagatesError: when tasks 3 and 7 both fail, task 3's
+// error comes back at every worker count — even though task 3 is slow
+// and task 7 usually fails first — and every other task still runs.
 func TestForEachPropagatesError(t *testing.T) {
-	var calls int64
-	err := ForEachCtx(context.Background(), 50, 4, func(i int) error {
-		atomic.AddInt64(&calls, 1)
-		if i == 13 {
-			return fmt.Errorf("boom at %d", i)
+	const n = 50
+	for _, workers := range testutil.WorkerMatrix(t) {
+		var calls atomic.Int64
+		err := ForEachCtx(context.Background(), n, workers, func(i int) error {
+			calls.Add(1)
+			switch i {
+			case 3:
+				time.Sleep(time.Millisecond)
+				return fmt.Errorf("fail %d", i)
+			case 7:
+				return fmt.Errorf("fail %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail 3" {
+			t.Fatalf("workers=%d: err = %v, want task 3's", workers, err)
 		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if calls != 50 {
-		t.Fatalf("tasks should all run; got %d", calls)
+		if got := calls.Load(); got != n {
+			t.Fatalf("workers=%d: %d of %d tasks ran", workers, got, n)
+		}
 	}
 }
 
-// TestForEachStatsErrorMidBatch pins the documented behaviour: a
-// mid-batch error is reported (with its index) but every remaining task
-// still runs to completion.
+// TestForEachPanicBecomesError: a panicking task fails the batch with
+// an error naming its index and the panic value, and the other tasks
+// still run.
+func TestForEachPanicBecomesError(t *testing.T) {
+	const n = 20
+	for _, workers := range testutil.WorkerMatrix(t) {
+		var calls atomic.Int64
+		err := ForEachCtx(context.Background(), n, workers, func(i int) error {
+			calls.Add(1)
+			if i == 11 {
+				panic("kaboom")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: panic was swallowed", workers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "task 11") || !strings.Contains(msg, "kaboom") {
+			t.Fatalf("workers=%d: err = %q, want the task index and panic value", workers, msg)
+		}
+		if got := calls.Load(); got != n {
+			t.Fatalf("workers=%d: %d of %d tasks ran", workers, got, n)
+		}
+	}
+}
+
+// TestForEachHonoursCtx: once a task cancels the batch's ctx, workers
+// stop claiming tasks and ForEachCtx reports the cancellation.
+func TestForEachHonoursCtx(t *testing.T) {
+	const n = 10000
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		err := ForEachCtx(ctx, n, workers, func(i int) error {
+			calls.Add(1)
+			if i == 5 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if got := calls.Load(); got > n/10 {
+			t.Fatalf("workers=%d: %d of %d tasks ran after cancellation", workers, got, n)
+		}
+	}
+}
+
+// TestForEachStatsErrorMidBatch: a task failing mid-batch does not stop
+// the others, and its error is the one returned.
 func TestForEachStatsErrorMidBatch(t *testing.T) {
+	const n = 60
 	for _, workers := range []int{1, 4} {
-		var calls int64
-		const n = 60
-		stats, err := forEachStats(context.Background(), n, workers, func(i int) error {
-			atomic.AddInt64(&calls, 1)
+		var calls atomic.Int64
+		err := ForEachCtx(context.Background(), n, workers, func(i int) error {
+			calls.Add(1)
 			if i == 7 {
 				return fmt.Errorf("boom at %d", i)
 			}
@@ -76,57 +143,50 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "boom at 7") {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
-		if got := atomic.LoadInt64(&calls); got != n {
+		if got := calls.Load(); got != n {
 			t.Fatalf("workers=%d: only %d of %d tasks ran after mid-batch error", workers, got, n)
-		}
-		if stats.firstErr != 7 {
-			t.Fatalf("workers=%d: FirstErr = %d, want 7", workers, stats.firstErr)
 		}
 	}
 }
 
-// TestForEachStatsFirstErrMatchesError checks the index always names the
-// task whose error was returned, even when several tasks fail.
+// TestForEachStatsFirstErrMatchesError: with every third task failing,
+// the returned error is the lowest-index one, task 0's.
 func TestForEachStatsFirstErrMatchesError(t *testing.T) {
-	stats, err := forEachStats(context.Background(), 40, 4, func(i int) error {
+	err := ForEachCtx(context.Background(), 40, 4, func(i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("fail %d", i)
 		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	if want := fmt.Sprintf("fail %d", stats.firstErr); err.Error() != want {
-		t.Fatalf("FirstErr %d does not match returned error %q", stats.firstErr, err)
+	if err == nil || err.Error() != "fail 0" {
+		t.Fatalf("err = %v, want task 0's", err)
 	}
 }
 
+// TestForEachStatsDurations: each shard's "par.worker" span duration
+// covers the work it ran, and a ForEachCtx batch observes par.batch as
+// at least its longest task.
 func TestForEachStatsDurations(t *testing.T) {
-	const n = 8
-	stats, err := forEachStats(context.Background(), n, 4, func(i int) error {
-		time.Sleep(time.Duration(i%2+1) * time.Millisecond)
-		return nil
-	})
-	if err != nil {
+	sh := NewShards(4, func(k int) { time.Sleep(time.Duration(k%2+1) * time.Millisecond) })
+	if err := sh.Run(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.durations) != n {
-		t.Fatalf("got %d durations, want %d", len(stats.durations), n)
-	}
-	for i, d := range stats.durations {
-		if d < time.Millisecond {
-			t.Fatalf("task %d duration %v implausibly small", i, d)
+	for k := range sh.Len() {
+		if d, want := sh.Elapsed(k), time.Duration(k%2+1)*time.Millisecond; d < want {
+			t.Fatalf("shard %d duration %v, want >= %v", k, d, want)
 		}
 	}
-	if stats.firstErr != -1 {
-		t.Fatalf("FirstErr = %d on a clean batch", stats.firstErr)
+
+	before := metBatch.Snapshot()
+	if err := ForEachCtx(context.Background(), 8, 4, func(i int) error {
+		time.Sleep(time.Duration(i%2+1) * time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if stats.workers != 4 || stats.elapsed <= 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if u := stats.utilization(); u <= 0 || u > 1.5 {
-		t.Fatalf("utilization = %v outside plausible range", u)
+	after := metBatch.Snapshot()
+	if after.Count != before.Count+1 || after.Sum-before.Sum < (2*time.Millisecond).Seconds() {
+		t.Fatalf("par.batch %+v -> %+v, want one observation >= 2ms", before, after)
 	}
 }
 
@@ -149,83 +209,37 @@ func TestForEachDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkerBusyAccounting: every worker's busy clock must be populated,
-// their sum must equal the summed task durations, and the busy-ratio
-// reduction must stay ordered and within [0, 1].
+// TestWorkerBusyAccounting: after a batch, par.batch has observed the
+// longest worker span (at least one task's sleep), the busy-ratio
+// gauges lie in (0, 1], and the max reads 1.
 func TestWorkerBusyAccounting(t *testing.T) {
-	const n, workers = 32, 4
-	stats, err := forEachStats(context.Background(), n, workers, func(i int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.workerBusy) != workers {
-		t.Fatalf("WorkerBusy has %d entries, want %d", len(stats.workerBusy), workers)
-	}
-	var fromWorkers, fromTasks time.Duration
-	for _, b := range stats.workerBusy {
-		fromWorkers += b
-	}
-	for _, d := range stats.durations {
-		fromTasks += d
-	}
-	if fromWorkers != fromTasks {
-		t.Fatalf("worker busy sum %v != task duration sum %v", fromWorkers, fromTasks)
-	}
-	min, mean, max := stats.workerBusyRatios()
-	if min < 0 || min > mean || mean > max || max > 1 {
-		t.Fatalf("busy ratios min/mean/max = %v/%v/%v not ordered in [0,1]", min, mean, max)
-	}
-	if max <= 0 {
-		t.Fatal("no worker reported busy time")
-	}
-}
-
-// TestWorkerBusySingleWorker: the sequential fast path accounts its one
-// worker too.
-func TestWorkerBusySingleWorker(t *testing.T) {
-	stats, err := forEachStats(context.Background(), 8, 1, func(int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.workerBusy) != 1 || stats.workerBusy[0] <= 0 {
-		t.Fatalf("WorkerBusy = %v", stats.workerBusy)
-	}
-	if _, _, max := stats.workerBusyRatios(); max <= 0 {
-		t.Fatal("single-worker busy ratio is zero")
-	}
-}
-
-// TestForEachPanicBecomesError: a panicking task fails the batch with
-// an error naming its index and the panic value, the other tasks still
-// run, and batchStats.firstErr points at the panicking task.
-func TestForEachPanicBecomesError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var calls int64
-		const n = 20
-		stats, err := forEachStats(context.Background(), n, workers, func(i int) error {
-			atomic.AddInt64(&calls, 1)
-			if i == 11 {
-				panic("kaboom")
-			}
+	const sleep = 200 * time.Microsecond
+	for _, workers := range testutil.WorkerMatrix(t) {
+		before := metBatch.Snapshot()
+		if err := ForEachCtx(context.Background(), 16, workers, func(int) error {
+			time.Sleep(sleep)
 			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: panic was swallowed", workers)
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "task 11") || !strings.Contains(msg, "kaboom") {
-			t.Fatalf("workers=%d: err = %q, want the task index and panic value", workers, msg)
+		after := metBatch.Snapshot()
+		if after.Count != before.Count+1 || after.Sum-before.Sum < sleep.Seconds() {
+			t.Fatalf("workers=%d: par.batch %+v -> %+v, want one observation >= %v", workers, before, after, sleep)
 		}
-		if stats.firstErr != 11 {
-			t.Fatalf("workers=%d: FirstErr = %d, want 11", workers, stats.firstErr)
+		lo, mean, hi := metWorkerBusyMin.Value(), metWorkerBusyAvg.Value(), metWorkerBusyMax.Value()
+		if lo <= 0 || lo > mean || mean > hi || hi != 1 {
+			t.Fatalf("workers=%d: busy ratios min/mean/max = %v/%v/%v, want ordered in (0, 1] with max 1", workers, lo, mean, hi)
 		}
-		if got := atomic.LoadInt64(&calls); got != n {
-			t.Fatalf("workers=%d: %d of %d tasks ran", workers, got, n)
-		}
+	}
+}
+
+// TestWorkerBusySingleWorker: a one-worker batch is its own longest
+// worker, so every busy ratio reads exactly 1.
+func TestWorkerBusySingleWorker(t *testing.T) {
+	if err := ForEachCtx(context.Background(), 8, 1, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if lo, mean, hi := metWorkerBusyMin.Value(), metWorkerBusyAvg.Value(), metWorkerBusyMax.Value(); lo != 1 || mean != 1 || hi != 1 {
+		t.Fatalf("busy ratios min/mean/max = %v/%v/%v, want 1/1/1", lo, mean, hi)
 	}
 }

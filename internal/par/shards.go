@@ -4,18 +4,18 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"qbeep/internal/obs"
 )
 
-// Shards is a reusable fixed fan-out for hot kernels: up to Len() shard
-// tasks bound once to one function, run together by Run. ForEachCtx
-// builds a dispatch queue, a stats record and per-task clocks on every
-// batch; a Shards value allocates only in NewShards, so a kernel that
-// fans out thousands of times per second (one flow-iteration phase, one
-// gate) stays allocation-free. Per-call arguments travel through the
-// owner's fields: fn reads them, and the goroutine starts in Run order
-// the owner's writes before every shard.
+// Shards is the package's one fan-out: up to Len() shard tasks bound
+// once to one function, run together by Run. A Shards value allocates
+// only in NewShards, so a kernel that fans out thousands of times per
+// second (one flow-iteration phase, one gate) stays allocation-free;
+// ForEachCtx binds a fresh one per batch. Per-call arguments travel
+// through the owner's fields: fn reads them, and the goroutine starts
+// in Run order the owner's writes before every shard.
 //
 // A Shards value is not safe for concurrent Run calls; an owner that
 // runs one kernel at a time (a graph, a state vector) holds one.
@@ -23,7 +23,10 @@ type Shards struct {
 	fn     func(k int)
 	launch []func() // launch[k] runs shard k on its own goroutine
 	errs   []error  // per-shard panic slot, cleared by Run
-	wg     sync.WaitGroup
+	// durs holds each shard's "par.worker" span duration from the last
+	// Run: the span clock is the only one par reads.
+	durs []time.Duration
+	wg   sync.WaitGroup
 	// ctx parents the shards' "par.worker" spans during one Run.
 	ctx context.Context
 }
@@ -34,7 +37,7 @@ func NewShards(n int, fn func(k int)) *Shards {
 	if n < 1 {
 		n = 1
 	}
-	s := &Shards{fn: fn, launch: make([]func(), n), errs: make([]error, n)}
+	s := &Shards{fn: fn, launch: make([]func(), n), errs: make([]error, n), durs: make([]time.Duration, n)}
 	for k := range s.launch {
 		s.launch[k] = func() {
 			defer s.wg.Done()
@@ -46,6 +49,10 @@ func NewShards(n int, fn func(k int)) *Shards {
 
 // Len returns the number of bound shard slots.
 func (s *Shards) Len() int { return len(s.launch) }
+
+// Elapsed returns how long shard k's "par.worker" span ran in the last
+// Run that included it.
+func (s *Shards) Elapsed(k int) time.Duration { return s.durs[k] }
 
 // Run executes fn(k) for k in [0, n) — n clamped to [1, Len()] — with
 // shard 0 on the calling goroutine and the rest on fresh goroutines, and
@@ -81,14 +88,16 @@ func (s *Shards) Run(ctx context.Context, n int) error {
 }
 
 // run executes one shard under its worker span, converting a panic into
-// the shard's error slot.
+// the shard's error slot and recording the span's duration.
 func (s *Shards) run(k int) {
 	_, sp := obs.Start(s.ctx, "par.worker")
-	defer sp.End()
+	defer s.endShard(k, &sp)
 	defer s.recoverShard(k)
 	sp.SetAttr("worker", k)
 	s.fn(k)
 }
+
+func (s *Shards) endShard(k int, sp *obs.Span) { s.durs[k] = sp.End() }
 
 func (s *Shards) recoverShard(k int) {
 	if r := recover(); r != nil {
