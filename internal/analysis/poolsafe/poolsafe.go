@@ -3,7 +3,7 @@
 //
 //	//qbeep:pooled
 //
-// (shotArena, scanScratch, stepScratch) own reusable buffers that cycle
+// (shotArena, stepScratch) own reusable buffers that cycle
 // through worker pools, so an alias to one of their reference fields
 // that outlives the borrow is a data race waiting for the next
 // checkout. Two rules, both intraprocedural heuristics:
@@ -24,9 +24,7 @@
 // the checkout site.
 //
 // //qbeep:allow-poolretain and //qbeep:allow-poolreset suppress
-// deliberate violations with a rationale — the edgescan serial fast
-// path, whose scratch is function-local and hands its buffer off
-// without a copy, is the one sanctioned retention.
+// deliberate violations with a rationale.
 package poolsafe
 
 import (

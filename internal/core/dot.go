@@ -50,9 +50,9 @@ func (g *StateGraph) WriteDOT(w io.Writer, maxEdges int) error {
 	}
 	edges := make([]dotEdge, 0, g.NumEdges())
 	for a := range g.nodes {
-		for p := g.adjStart[a]; p < g.adjStart[a+1]; p++ {
-			if b := g.adjNbr[p]; int(b) > a {
-				edges = append(edges, dotEdge{int32(a), b, g.tab.perString[g.adjDist[p]]})
+		for _, e := range g.adj[g.adjStart[a]:g.adjStart[a+1]] {
+			if b := int32(e >> 8); int(b) > a {
+				edges = append(edges, dotEdge{int32(a), b, g.tab.perString[uint8(e)]})
 			}
 		}
 	}
@@ -80,11 +80,11 @@ func (g *StateGraph) ensureRows() error {
 	for i, nd := range g.nodes {
 		vals[i] = nd.value
 	}
-	start, nbr, dist, _, _, err := scanEdges(g.ctx, vals, g.n, g.radius, &g.tab, g.workers, scanAuto)
+	start, adj, _, _, err := scanEdges(g.ctx, vals, g.n, g.radius, &g.tab, g.workers, scanAuto)
 	if err != nil {
 		return err
 	}
-	g.adjStart, g.adjNbr, g.adjDist = start, nbr, dist
+	g.adjStart, g.adj = start, adj
 	return nil
 }
 

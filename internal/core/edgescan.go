@@ -17,12 +17,12 @@ package core
 //   - a plain pair scan for everything else: registers wider than
 //     sphereMaxWidth, and vertex sets too small for the ball to pay;
 //   - one cut of the vertex range into contiguous ranges of equal
-//     estimated work, drained by internal/par workers with per-worker
-//     packed-pair scratch. Each range appends its forward pairs (a, b),
-//     b > a, in the order it finds them; two counting transposes over the
-//     ranges in ascending order lay out the graph's adjacency rows, each
-//     ascending by construction — bit-for-bit identical to the serial
-//     O(V²) scan for either strategy and any worker count.
+//     estimated work, drained by the shards of one internal/par Shards
+//     into per-shard chunked pair buffers. Each range appends its forward
+//     pairs (a, b), b > a, in the order it finds them; a two-level
+//     counting sort on the same shards lays out the graph's adjacency
+//     rows, each ascending by construction — bit-for-bit identical to
+//     the serial O(V²) scan for either strategy and any worker count.
 //
 // The seed's serial scan survives in the tests as bruteScanEdges: the
 // randomized equivalence tests use it as the oracle, and
@@ -32,6 +32,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync/atomic"
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/par"
@@ -136,6 +137,9 @@ type edgeScanner struct {
 	n      int
 	radius int
 	tab    *weightTable
+	// room bounds the forward pairs one vertex can find: the strings at
+	// the distances that carry an edge, and the other vertices.
+	room int
 
 	// Sphere strategy only. seen is a presence bitmap probed on every
 	// ball position: at 2^n bits it stays L1-resident (8 KiB at n = 16)
@@ -206,32 +210,186 @@ type scanTask struct {
 	lo, hi int
 }
 
-// scanScratch is one worker's reusable discovery state: the packed-pair
-// buffer. Scratches cycle through a buffered-channel pool, so a worker
-// draining many tasks allocates only the exact-size per-task pair copies
-// after warm-up.
-//
-//qbeep:pooled
-type scanScratch struct {
-	hits []uint64
-}
-
-// scanResult is one task's share of the discovery output: its forward
-// pairs packed a<<32 | b (8 bytes each), a ascending, until every task is
-// done and the rows can be allocated at their exact size.
-type scanResult struct {
-	hits   []uint64
+// pairBuf is one shard's forward-pair buffer: pairs packed a<<32 | b,
+// 8 bytes each, until every task is done and the rows can be allocated
+// at their exact size. The scan appends into the current chunk and,
+// before each vertex, starts a new chunk if the free space could not
+// hold the most pairs a vertex can find (edgeScanner.room), so no
+// append reallocates and no pair is ever copied. A chunk holds at least
+// twice that many. A task's pairs are the pieces it filled, in order.
+type pairBuf struct {
+	cur    []uint64 // the current chunk; its open piece starts at mark
+	mark   int
+	pieces [][]uint64 // closed pieces, in fill order
+	chunk  int        // the capacity of a new chunk
 	pruned int
 }
 
+// closePiece ends the open piece at the chunk's fill mark.
+func (b *pairBuf) closePiece() {
+	if len(b.cur) > b.mark {
+		b.pieces = append(b.pieces, b.cur[b.mark:len(b.cur):len(b.cur)])
+	}
+	b.mark = len(b.cur)
+}
+
+// newChunk closes the open piece of hits, the current chunk as filled so
+// far, and returns an empty chunk.
+func (b *pairBuf) newChunk(hits []uint64) []uint64 {
+	b.cur = hits
+	b.closePiece()
+	b.cur, b.mark = make([]uint64, 0, b.chunk), 0
+	return b.cur
+}
+
+// taskPieces locates one finished task's pairs: pieces [first, last) of
+// shard's buffer.
+type taskPieces struct {
+	shard, first, last int
+}
+
+// Phases of scanEdges, all run on one par.Shards (see scanBuild.run).
+const (
+	phaseScan  = iota // each shard drains tasks into its pair buffer
+	phaseCount        // group g counts its pairs' row entries
+	phaseLower        // group g scatters a into the lower part of row b
+	phaseUpper        // group g packs its rows' lower parts, mirroring each into the upper parts
+)
+
+// scanBuild is one scanEdges run, shared by the shards of its phases.
+// The scan's shards claim tasks in ascending order through next, so a
+// shard runs one task at a time and its pieces follow the task order.
+// The layout then cuts the tasks into contiguous groups, one per shard:
+// group g owns the tasks [groups[g], groups[g+1]), whose pairs (a, b)
+// have a in its rows [bound[g], bound[g+1]).
+type scanBuild struct {
+	ctx   context.Context
+	sc    *edgeScanner
+	strat scanStrategy
+	tasks []scanTask
+	next  atomic.Int64
+	bufs  []pairBuf    // per shard
+	found []taskPieces // per task
+	phase int
+
+	groups []int
+	bound  []int32
+	// cur holds 2G cursor rows of V entries. Row g counts, then places,
+	// the lower entries group g's pairs put in each row; row G+h the
+	// upper entries group h's rows put in each row (pair (a, b) gives
+	// row a the upper entry b, placed by the group that owns row b).
+	cur   []int32
+	start []int32
+	adj   []uint32
+}
+
+// run is the Shards task: shard k's share of the current phase.
+func (s *scanBuild) run(k int) {
+	switch s.phase {
+	case phaseScan:
+		s.scan(k)
+	case phaseCount:
+		s.count(k)
+	case phaseLower:
+		s.scatterLower(k)
+	case phaseUpper:
+		s.scatterUpper(k)
+	}
+}
+
+// scan drains tasks into shard k's pair buffer until none is left or
+// ctx is done; scanEdges reports ctx's error.
+func (s *scanBuild) scan(k int) {
+	b := &s.bufs[k]
+	for {
+		ti := int(s.next.Add(1) - 1)
+		if ti >= len(s.tasks) {
+			return
+		}
+		first := len(b.pieces)
+		if err := s.sc.scanRange(s.ctx, s.tasks[ti], s.strat, b); err != nil {
+			return
+		}
+		s.found[ti] = taskPieces{k, first, len(b.pieces)}
+	}
+}
+
+// pieces returns task ti's pairs, in the order its scan found them.
+func (s *scanBuild) pieces(ti int) [][]uint64 {
+	f := s.found[ti]
+	return s.bufs[f.shard].pieces[f.first:f.last]
+}
+
+// count tallies group g's pairs (a, b): one lower entry of row b from
+// group g, and one upper entry of row a from the group that owns row b.
+// Group g owns every a it sees, so no two groups write one counter.
+func (s *scanBuild) count(g int) {
+	nV, bound := len(s.sc.vals), s.bound
+	lower, upper := s.cur[g*nV:(g+1)*nV], s.cur[(len(bound)-1)*nV:]
+	for ti := s.groups[g]; ti < s.groups[g+1]; ti++ {
+		for _, piece := range s.pieces(ti) {
+			for _, p := range piece {
+				a, b := int(p>>32), int32(uint32(p))
+				lower[b]++
+				h := g
+				for b >= bound[h+1] {
+					h++
+				}
+				upper[h*nV+a]++
+			}
+		}
+	}
+}
+
+// scatterLower appends each of group g's pairs (a, b) to row b at group
+// g's cursor. Pairs come in ascending a within the group, and the groups'
+// cursors follow one another in group order, so every row's lower part
+// ascends.
+func (s *scanBuild) scatterLower(g int) {
+	nV, adj := len(s.sc.vals), s.adj
+	lower := s.cur[g*nV : (g+1)*nV]
+	for ti := s.groups[g]; ti < s.groups[g+1]; ti++ {
+		for _, piece := range s.pieces(ti) {
+			for _, p := range piece {
+				b := uint32(p)
+				adj[lower[b]] = uint32(p >> 32)
+				lower[b]++
+			}
+		}
+	}
+}
+
+// scatterUpper walks group g's rows b in ascending order. It packs each
+// lower entry a in place as a<<8 | d(a, b) and appends b<<8 | d(a, b) to
+// row a's upper part at group g's cursor, so every row's upper part
+// ascends too, after its lower part. The last lower cursors now mark the
+// end of each row's lower part; the upper parts written here belong to
+// rows a < b, which no group reads in this phase.
+func (s *scanBuild) scatterUpper(g int) {
+	vals, start, adj := s.sc.vals, s.start, s.adj
+	nV, groups := len(vals), len(s.bound)-1
+	lowerEnd := s.cur[(groups-1)*nV : groups*nV]
+	upper := s.cur[(groups+g)*nV : (groups+g+1)*nV]
+	for b := s.bound[g]; b < s.bound[g+1]; b++ {
+		vb := vals[b]
+		row := adj[start[b]:lowerEnd[b]]
+		for q, a := range row {
+			d := uint32(bitstring.Hamming(vals[a], vb))
+			row[q] = a<<8 | d
+			adj[upper[a]] = uint32(b)<<8 | d
+			upper[a]++
+		}
+	}
+}
+
 // planScanTasks cuts [0, nV) into min(8·workers, 64) contiguous ranges of
-// near-equal estimated work; over-decomposing lets the par queue absorb
-// the estimate's error and the triangular shape of the work (vertex a
-// scans only neighbours b > a). A sphere vertex's estimate is its exact
-// probe count, the sizes of the mask groups whose top bit is clear in
-// its value; a pair vertex compares itself with the nV−1−a vertices
-// above it. The ranges ascend, which keeps the row layout canonical for
-// any worker count.
+// near-equal estimated work; over-decomposing lets the shards' queue
+// absorb the estimate's error and the triangular shape of the work
+// (vertex a scans only neighbours b > a). A sphere vertex's estimate is
+// its exact probe count, the sizes of the mask groups whose top bit is
+// clear in its value; a pair vertex compares itself with the nV−1−a
+// vertices above it. The ranges ascend, which keeps the row layout
+// canonical for any worker count.
 func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask {
 	nV := len(sc.vals)
 	k := min(8*workers, 64, nV)
@@ -270,27 +428,45 @@ func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask
 }
 
 // scanEdges discovers every thresholded edge and lays the result out as
-// the graph's adjacency rows: vertex i's neighbours, ascending, are
-// nbr[start[i]:start[i+1]], each with its Hamming distance in dist.
-// Every edge appears in both endpoints' rows, and the rows are identical
-// regardless of strategy, partitioning, or worker count; pruned counts
-// candidate pairs within the radius dropped by ε, matching the serial
-// scan's accounting exactly. A cancelled ctx, or a scan task that fails,
-// fails the scan with that error.
-func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab *weightTable, workers int, strat scanStrategy) (start, nbr []int32, dist []uint8, pruned int, used scanStrategy, err error) {
+// the graph's adjacency rows: vertex i's row is
+// adj[start[i]:start[i+1]], one packed entry j<<8 | d(i, j) per
+// neighbour j, ascending in j. Every edge appears in both endpoints'
+// rows, and the rows are identical regardless of strategy, partitioning,
+// or worker count; pruned counts candidate pairs within the radius
+// dropped by ε, matching the serial scan's accounting exactly. A
+// cancelled ctx fails the scan with its error, and so does a phase
+// that panics. vals must have fewer than maxVertices entries.
+//
+// The scan and the layout run on one par.Shards. The tasks' forward
+// pairs (a, b), b > a, come in ascending a when read in task order; the
+// layout is a two-level counting sort over them. The tasks are cut into
+// contiguous groups of about equal pair counts, one per shard. Each group
+// counts, per row, the lower entries its pairs give row b and the upper
+// entries they give row a, split by the group that owns row b; one serial
+// prefix sum over the rows turns the counts into per-group cursors. Then
+// each group scatters its pairs' a into the rows b, and finally, over
+// its own rows b, packs each lower entry's distance in place and mirrors
+// the entry into the upper part of row a. With one group these are the
+// degree pass and the two counting transposes of a serial layout.
+func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab *weightTable, workers int, strat scanStrategy) (start []int32, adj []uint32, pruned int, used scanStrategy, err error) {
 	nV := len(vals)
 	if radius <= 0 || nV < 2 {
-		return make([]int32, nV+1), nil, nil, 0, scanNone, nil
+		return make([]int32, nV+1), nil, 0, scanNone, nil
 	}
 	sc := &edgeScanner{vals: vals, n: n, radius: radius, tab: tab}
 
 	// Candidate counts drive both the strategy choice and the
 	// serial-vs-parallel decision: the walk probes half the ball per
 	// vertex (top-bit grouping), the pair scan compares each pair once.
-	var ball float64
+	// Only the shells that carry an edge can add a pair.
+	var ball, shells float64
 	for d := 1; d <= radius && d <= n; d++ {
 		ball += float64(bitstring.SphereSize(n, d))
+		if tab.perString[d] != 0 {
+			shells += float64(bitstring.SphereSize(n, d))
+		}
 	}
+	sc.room = int(min(shells, float64(nV-1)))
 	probes, pairs := float64(nV)*ball/2, float64(nV)*float64(nV-1)/2
 	if strat == scanAuto {
 		// A probe — XOR plus one cache-resident bitmap load — counts as
@@ -327,124 +503,129 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 	if cand < scanSerialThreshold {
 		workers = 1
 	}
-	tasks := sc.planScanTasks(strat, workers)
-
-	results := make([]scanResult, len(tasks))
-	// Expected pairs per task under a uniform corpus, where either
-	// strategy finds pairs in proportion to its work and the tasks share
-	// the work evenly — presizes the pair buffers so discovery appends
-	// rarely reallocate. Clustered corpora exceed it and fall back to
-	// append growth.
-	hitEst := 0.5 * ball * float64(nV) * math.Ldexp(float64(nV), -n)
-	hitCap := int(1.2*hitEst/float64(len(tasks))) + 64
-
-	if len(tasks) == 1 {
-		// Serial fast path: scan straight into the result, no copy.
-		s := &scanScratch{hits: make([]uint64, 0, hitCap)}
-		pr, err := sc.scanRange(ctx, tasks[0], strat, s)
-		if err != nil {
-			return nil, nil, nil, 0, strat, err
-		}
-		results[0] = scanResult{hits: s.hits, pruned: pr} //qbeep:allow-poolretain serial path: the scratch is function-local, never pooled, and dies with this frame
-	} else {
-		pool := make(chan *scanScratch, workers)
-		for i := 0; i < workers; i++ {
-			pool <- &scanScratch{hits: make([]uint64, 0, hitCap)}
-		}
-		err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
-			s := <-pool
-			s.hits = s.hits[:0]
-			pr, err := sc.scanRange(ctx, tasks[ti], strat, s)
-			if err == nil {
-				hits := make([]uint64, len(s.hits))
-				copy(hits, s.hits)
-				results[ti] = scanResult{hits: hits, pruned: pr}
-			}
-			pool <- s
-			return err
-		})
-		// A failed task left its result empty: the rows would silently
-		// miss its vertices' forward edges.
-		if err != nil {
-			return nil, nil, nil, 0, strat, err
-		}
+	s := &scanBuild{ctx: ctx, sc: sc, strat: strat, tasks: sc.planScanTasks(strat, workers)}
+	shards := min(workers, len(s.tasks))
+	s.found = make([]taskPieces, len(s.tasks))
+	s.bufs = make([]pairBuf, shards)
+	// Expected pairs per shard under a uniform corpus, where the shards
+	// share the edge shells' pairs evenly, sizes the chunks, so a uniform
+	// scan fills about one per shard. Clustered corpora exceed it and
+	// take more chunks. One arena holds every shard's piece list, with
+	// room for a piece per task each before any list grows.
+	hitEst := 0.5 * shells * float64(nV) * math.Ldexp(float64(nV), -n)
+	arena := make([][]uint64, shards*len(s.tasks))
+	for k := range s.bufs {
+		s.bufs[k].chunk = max(int(1.2*hitEst/float64(shards))+64, 2*sc.room)
+		s.bufs[k].pieces = arena[k*len(s.tasks) : k*len(s.tasks) : (k+1)*len(s.tasks)]
+	}
+	sh := par.NewShards(shards, s.run)
+	if err := s.runPhase(sh, phaseScan, shards); err != nil {
+		return nil, nil, 0, strat, err
+	}
+	// A task stopped by ctx left its pairs out: the rows would silently
+	// miss its vertices' forward edges.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, 0, strat, err
+	}
+	for k := range s.bufs {
+		pruned += s.bufs[k].pruned
 	}
 
-	// Rows from the forward pairs (a, b), b > a, which the tasks hold in
-	// ascending a: one degree pass, then two counting transposes. The
-	// first visits the pairs in ascending a and appends a to row b, so
-	// each row's lower neighbours come out ascending. The second visits
-	// the rows in ascending b and appends b to the row of each of b's
-	// lower neighbours, so each row's upper neighbours follow them, also
-	// ascending. When row b is visited its own upper part is still empty
-	// (those appends come from rows c > b), so next[b] bounds its lower
-	// part. The distances follow in one sequential pass over the finished
-	// rows: a popcount per entry costs less than carrying each distance
-	// through both transposes' scattered writes. dist is allocated with
-	// nbr, while the pair buffers are still live: allocated after them, it
-	// lands on top of the buffers whenever a GC cycle has just marked them
-	// live, which raised the peak heap of a counts-large request from 159
-	// to 171 MB in some runs.
-	start = make([]int32, nV+1)
-	for ti := range results {
-		pruned += results[ti].pruned
-		for _, p := range results[ti].hits {
-			start[p>>32+1]++
-			start[uint32(p)+1]++
+	total := s.planGroups(shards)
+
+	// adj is allocated while the pair buffers are still live: allocated
+	// after the counts, it could land on top of pair buffers that a GC
+	// mark has just found live, and raise the build's peak heap.
+	s.adj = make([]uint32, 2*total)
+	s.cur = make([]int32, 2*shards*nV)
+	if err := s.runPhase(sh, phaseCount, shards); err != nil {
+		return nil, nil, 0, strat, err
+	}
+	// Row v holds the lower entries of groups 0..G−1, then the upper
+	// entries of groups 0..G−1: cursor rows 0..2G−1 in order.
+	s.start = make([]int32, nV+1)
+	var off int32
+	for v := 0; v < nV; v++ {
+		s.start[v] = off
+		for c := v; c < len(s.cur); c += nV {
+			s.cur[c], off = off, off+s.cur[c]
 		}
 	}
-	for i := 0; i < nV; i++ {
-		start[i+1] += start[i]
+	s.start[nV] = off
+	if err := s.runPhase(sh, phaseLower, shards); err != nil {
+		return nil, nil, 0, strat, err
 	}
-	nbr = make([]int32, start[nV])
-	dist = make([]uint8, start[nV])
-	next := make([]int32, nV)
-	copy(next, start[:nV])
-	for ti := range results {
-		for _, p := range results[ti].hits {
-			b := uint32(p)
-			nbr[next[b]] = int32(p >> 32)
-			next[b]++
+	if err := s.runPhase(sh, phaseUpper, shards); err != nil {
+		return nil, nil, 0, strat, err
+	}
+	return s.start, s.adj, pruned, strat, nil
+}
+
+// planGroups cuts the finished tasks into n contiguous groups of about
+// equal pair counts, one per shard, and returns the pair count.
+func (s *scanBuild) planGroups(n int) int {
+	pairs := func(ti int) int {
+		c := 0
+		for _, piece := range s.pieces(ti) {
+			c += len(piece)
+		}
+		return c
+	}
+	total := 0
+	for ti := range s.tasks {
+		total += pairs(ti)
+	}
+	s.groups = make([]int, n+1)
+	g, acc := 1, 0
+	for ti := range s.tasks {
+		// Cut before task ti once the pairs so far reach g/n of them.
+		for ; g < n && acc*n >= total*g; g++ {
+			s.groups[g] = ti
+		}
+		acc += pairs(ti)
+	}
+	for ; g <= n; g++ {
+		s.groups[g] = len(s.tasks)
+	}
+	nV := len(s.sc.vals)
+	s.bound = make([]int32, n+1)
+	for g, ti := range s.groups {
+		s.bound[g] = int32(nV)
+		if ti < len(s.tasks) {
+			s.bound[g] = int32(s.tasks[ti].lo)
 		}
 	}
-	for b := 0; b < nV; b++ {
-		for _, a := range nbr[start[b]:next[b]] {
-			nbr[next[a]] = int32(b)
-			next[a]++
-		}
-	}
-	for i, v := range vals {
-		row := nbr[start[i]:start[i+1]]
-		d := dist[start[i]:start[i+1]]
-		for k, j := range row {
-			d[k] = uint8(bitstring.Hamming(v, vals[j]))
-		}
-	}
-	return start, nbr, dist, pruned, strat, nil
+	return total
+}
+
+// runPhase runs one phase on the first n shards.
+func (s *scanBuild) runPhase(sh *par.Shards, phase, n int) error {
+	s.phase = phase
+	return sh.Run(s.ctx, n)
 }
 
 // scanRange appends the edges (a, b) with a in the task's range and
-// b > a, packed a<<32 | b, to the scratch pair buffer (s.hits, reset by
-// the caller): a ascends, each vertex's b come in the order found.
-// Returns the pruned count, or ctx's error when it is done at one of the
-// checks every scanCtxChunk vertices.
-func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStrategy, s *scanScratch) (int, error) {
+// b > a, packed a<<32 | b, to the shard's pair buffer as the pieces it
+// closes: a ascends, each vertex's b come in the order found. It adds
+// the pruned count to the buffer's, or returns ctx's error when it is
+// done at one of the checks every scanCtxChunk vertices.
+func (sc *edgeScanner) scanRange(ctx context.Context, t scanTask, strat scanStrategy, b *pairBuf) error {
 	if strat == scanSphere {
-		return sc.sphereRange(ctx, t, s)
+		return sc.sphereRange(ctx, t, b)
 	}
-	return sc.pairRange(ctx, t, s)
+	return sc.pairRange(ctx, t, b)
 }
 
 // sphereRange is scanRange's Hamming-ball walk.
-func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScratch) (int, error) {
+func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, b *pairBuf) error {
 	lo, hi := t.lo, t.hi
 	pruned := 0
-	hits := s.hits
+	hits := b.cur
 	// Hoist the scanner fields: the appends below keep the compiler from
 	// proving the fields loop-invariant, and this is the hottest loop in
 	// the pipeline.
 	vals, tab := sc.vals, &sc.tab.perString
-	seen, lut, masks := sc.seen, sc.lut, sc.masks
+	seen, lut, masks, room := sc.seen, sc.lut, sc.masks, sc.room
 	// idxOf resolves a confirmed hit to its node index: direct table
 	// on narrow registers, binary search over the ascending value
 	// slice past the LUT width. Only hits pay it — the bitmap has
@@ -471,8 +652,11 @@ func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScrat
 	for a := lo; a < hi; a++ {
 		if (a-lo)%scanCtxChunk == 0 {
 			if err := ctx.Err(); err != nil {
-				return 0, err
+				return err
 			}
+		}
+		if cap(hits)-len(hits) < room {
+			hits = b.newChunk(hits)
 		}
 		va, pa := vals[a], uint64(a)<<32
 		for t, group := range masks {
@@ -518,22 +702,27 @@ func (sc *edgeScanner) sphereRange(ctx context.Context, t scanTask, s *scanScrat
 			}
 		}
 	}
-	s.hits = hits
-	return pruned, nil
+	b.cur = hits
+	b.closePiece()
+	b.pruned += pruned
+	return nil
 }
 
 // pairRange is scanRange's pair scan: vertex a compares itself with
 // every b > a.
-func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, s *scanScratch) (int, error) {
+func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, b *pairBuf) error {
 	lo, hi := t.lo, t.hi
 	pruned := 0
-	hits := s.hits
-	vals, tab, radius := sc.vals, &sc.tab.perString, sc.radius
+	hits := b.cur
+	vals, tab, radius, room := sc.vals, &sc.tab.perString, sc.radius, sc.room
 	for a := lo; a < hi; a++ {
 		if (a-lo)%scanCtxChunk == 0 {
 			if err := ctx.Err(); err != nil {
-				return 0, err
+				return err
 			}
+		}
+		if cap(hits)-len(hits) < room {
+			hits = b.newChunk(hits)
 		}
 		va := vals[a]
 		for j, vb := range vals[a+1:] {
@@ -548,6 +737,8 @@ func (sc *edgeScanner) pairRange(ctx context.Context, t scanTask, s *scanScratch
 			hits = append(hits, uint64(a)<<32|uint64(a+1+j))
 		}
 	}
-	s.hits = hits
-	return pruned, nil
+	b.cur = hits
+	b.closePiece()
+	b.pruned += pruned
+	return nil
 }

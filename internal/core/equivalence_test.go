@@ -54,10 +54,10 @@ func sameEdges(t *testing.T, label string, want, got *StateGraph) {
 			t.Fatalf("%s: adjStart[%d] = %d want %d", label, i, got.adjStart[i], want.adjStart[i])
 		}
 	}
-	for p := range want.adjNbr {
-		if got.adjNbr[p] != want.adjNbr[p] || got.adjDist[p] != want.adjDist[p] {
+	for p, w := range want.adj {
+		if g := got.adj[p]; g != w {
 			t.Fatalf("%s: row entry %d = (%d, d=%d) want (%d, d=%d)",
-				label, p, got.adjNbr[p], got.adjDist[p], want.adjNbr[p], want.adjDist[p])
+				label, p, g>>8, uint8(g), w>>8, uint8(w))
 		}
 	}
 	we, ge := edgesOf(want), edgesOf(got)
@@ -355,6 +355,51 @@ func TestStepAllocationFree(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("workers=%d spectrum Step allocates %v per op after warm-up", c.workers, n)
 		}
+	}
+}
+
+// TestBuildAllocationsFlatInWorkers pins the scan's buffers: each shard
+// keeps one chunked pair buffer and each task records pieces of it, with
+// no scratch pool and no per-task copy, so the build's allocations grow
+// by the shard's own few — its bound goroutine closure and its first
+// pair chunk — and not by the task count (min(8·workers, 64)). On the
+// V4096 λ = 1 corpus a build allocates 30–32 times at one worker and
+// 44–46 at eight; a per-task copy alone would add 64 at eight. The slack
+// of 4 absorbs the count's run-to-run spread.
+func TestBuildAllocationsFlatInWorkers(t *testing.T) {
+	raw := benchGraphDist(4096)
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1}, 0.05, workers, scanAuto); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(1)
+	for _, workers := range []int{2, 4, 8} {
+		if n, limit := allocs(workers), base+3*float64(workers-1)+4; n > limit {
+			t.Errorf("workers=%d: %v allocations per build, want <= %v (%v at one worker, plus 3 per extra shard, plus 4)", workers, n, limit, base)
+		}
+	}
+}
+
+// TestVertexCountLimit: a row entry keeps its neighbour index in 24
+// bits, so a build of 2²⁴ or more vertices fails instead of wrapping the
+// index. The check runs on the count alone, before any vertex is
+// allocated, so it is tested on the count.
+func TestVertexCountLimit(t *testing.T) {
+	if err := checkVertexCount(maxVertices - 1); err != nil {
+		t.Fatalf("%d vertices: %v", maxVertices-1, err)
+	}
+	for _, nV := range []int{maxVertices, maxVertices + 1, 1 << 30} {
+		if err := checkVertexCount(nV); err == nil {
+			t.Fatalf("%d vertices: want an error", nV)
+		}
+	}
+	// The largest index packs and unpacks intact.
+	j := uint32(maxVertices - 1)
+	if e := j<<8 | 255; e>>8 != j || uint8(e) != 255 {
+		t.Fatalf("entry %#x does not round-trip index %d", e, j)
 	}
 }
 

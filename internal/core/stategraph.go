@@ -64,11 +64,14 @@ type node struct {
 // model weight passes the ε threshold.
 //
 // The adjacency has one of two representations, chosen at build time
-// (DESIGN.md §7). CSR rows: vertex i's neighbours are
-// adjNbr[adjStart[i]:adjStart[i+1]], ascending, and adjDist holds each
-// entry's Hamming distance, which indexes the per-distance weight table.
-// Every edge appears in both endpoints' rows, so an edge costs
-// 2×(4+1) = 10 resident bytes. Or, on narrow registers where the graph
+// (DESIGN.md §7). CSR rows: vertex i's row is adj[adjStart[i]:adjStart[i+1]],
+// one 4-byte entry j<<8 | d(i, j) per neighbour j, ascending in j; the
+// Hamming distance d in the low byte indexes the per-distance weight
+// table. The 24-bit index is why a graph holds fewer than maxVertices
+// (2²⁴) vertices. Every edge appears in both endpoints' rows, so an edge
+// costs 2×4 = 8 resident bytes. scanEdges lays the rows out with a
+// two-level counting sort on the scan's shards, and Step sums each row in
+// a fixed four-way order (passRange). Or, on narrow registers where the graph
 // is dense enough, a spectrum (spectrum.go): Step computes the same
 // neighbour sums by Walsh–Hadamard transforms and no edge is stored; the
 // rows are built only if WriteDOT asks for them. Step's working set
@@ -78,8 +81,7 @@ type StateGraph struct {
 	n          int
 	nodes      []node
 	adjStart   []int32   // CSR row offsets, len V+1
-	adjNbr     []int32   // neighbour indices, ascending within each row
-	adjDist    []uint8   // Hamming distance of each row entry
+	adj        []uint32  // row entries j<<8 | d(i, j), ascending in j within each row
 	spec       *spectrum // non-nil: Step runs on the spectrum, the rows may be absent
 	tab        weightTable
 	total      float64
@@ -100,6 +102,18 @@ func validateInputs(counts *bitstring.Dist, w EdgeWeighter) error {
 	}
 	if w == nil {
 		return fmt.Errorf("core: nil edge weighter")
+	}
+	return nil
+}
+
+// maxVertices bounds a graph's vertex count: a row entry keeps the
+// neighbour index in its top 24 bits.
+const maxVertices = 1 << 24
+
+// checkVertexCount rejects a vertex count the row entries cannot index.
+func checkVertexCount(nV int) error {
+	if nV >= maxVertices {
+		return fmt.Errorf("core: %d observed outcomes, a state graph holds fewer than %d", nV, maxVertices)
 	}
 	return nil
 }
@@ -164,8 +178,12 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 
 // buildGraph builds the graph whose edges are the vertex pairs at the
 // distances tab gives a nonzero weight, scanning to the largest such
-// distance; self is the weight at distance 0.
+// distance; self is the weight at distance 0. It fails on maxVertices or
+// more outcomes.
 func buildGraph(ctx context.Context, counts *bitstring.Dist, self float64, tab weightTable, workers int, strat scanStrategy) (*StateGraph, error) {
+	if err := checkVertexCount(counts.Support()); err != nil {
+		return nil, err
+	}
 	g, vals := initStateGraph(counts, self)
 	g.workers, g.ctx = workers, ctx
 	ctx, sp := obs.Start(ctx, "core.graph.build")
@@ -188,7 +206,7 @@ func buildGraph(ctx context.Context, counts *bitstring.Dist, self float64, tab w
 			strat = scanAuto
 		}
 		var err error
-		g.adjStart, g.adjNbr, g.adjDist, g.pruned, used, err = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
+		g.adjStart, g.adj, g.pruned, used, err = scanEdges(ctx, vals, g.n, g.radius, &g.tab, workers, strat)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +249,7 @@ func (g *StateGraph) NumEdges() int {
 	if g.spec != nil {
 		return g.spec.edges
 	}
-	return len(g.adjNbr) / 2
+	return len(g.adj) / 2
 }
 
 // Radius returns the maximum Hamming distance spanned by edges: the
@@ -326,7 +344,7 @@ func (g *StateGraph) stepWorkers() int {
 	w := g.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-		if limit := len(g.adjNbr) / stepParMinHalfEdges; w > limit {
+		if limit := len(g.adj) / stepParMinHalfEdges; w > limit {
 			w = limit
 		}
 	}
@@ -407,22 +425,30 @@ func (g *StateGraph) stepShard(k int) {
 // sum; on a spectrum graph spectrumSums has already left them there — then
 // the pass's epilogue per vertex, which writes only vertex i's entries.
 // The row sums get a loop of their own: folded into the epilogue loop,
-// they left too few registers for the row loop's counter.
+// they left too few registers for the row loop's counter. A row sum runs
+// four accumulators, entry p of each block of four into s_p and the last
+// len%4 entries into s0, combined as (s0+s1)+(s2+s3): the order is fixed
+// per row, so the sums do not depend on the shard count.
 //
 //qbeep:allocfree
 func (g *StateGraph) passRange(k, lo, hi int) {
 	s := &g.scratch
 	sums := s.sum[lo:hi]
 	if g.spec == nil {
-		w, start, nbr, dist, x := &g.tab.perString, g.adjStart, g.adjNbr, g.adjDist, s.x
+		w, start, adj, x := &g.tab.perString, g.adjStart, g.adj, s.x
 		for i := range sums {
-			row, ds := nbr[start[lo+i]:start[lo+i+1]], dist[start[lo+i]:start[lo+i+1]]
-			ds = ds[:len(row)]
-			var sum float64
-			for p, j := range row {
-				sum += w[ds[p]] * x[j]
+			row := adj[start[lo+i]:start[lo+i+1]]
+			var s0, s1, s2, s3 float64
+			for ; len(row) >= 4; row = row[4:] {
+				s0 += w[uint8(row[0])] * x[row[0]>>8]
+				s1 += w[uint8(row[1])] * x[row[1]>>8]
+				s2 += w[uint8(row[2])] * x[row[2]>>8]
+				s3 += w[uint8(row[3])] * x[row[3]>>8]
 			}
-			sums[i] = sum
+			for _, e := range row {
+				s0 += w[uint8(e)] * x[e>>8]
+			}
+			sums[i] = (s0 + s1) + (s2 + s3)
 		}
 	}
 	prob, a, as, out, delta := s.prob, s.a, s.as, s.out, s.delta

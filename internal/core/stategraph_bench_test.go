@@ -179,15 +179,20 @@ func BenchmarkMitigate(b *testing.B) {
 // more, so without the reset ns/op would depend on b.N — that is, on
 // -benchtime and machine speed. The O(V) reset is timed with the step.
 //
-// The n10 rows are the near-complete graphs that dominate qaoa-fleet:
-// V = 1000 of the 1024 strings on 10 qubits at λ = 5 (E ≈ 2×10⁵), on
-// CSR rows and on the spectrum, forced through the build's seam.
+// The clustered row is the counts-large corpus of
+// BenchmarkBuildStateGraph. The n10 rows are the near-complete graphs
+// that dominate qaoa-fleet: V = 1000 of the 1024 strings on 10 qubits at
+// λ = 5 (E ≈ 2×10⁵), on CSR rows and on the spectrum, forced through the
+// build's seam.
 func BenchmarkStateGraphStep(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
 			benchStep(b, benchGraphDist(c.v), c.lambda, scanAuto)
 		})
 	}
+	b.Run("clustered/n20/c8/lambda1.5", func(b *testing.B) {
+		benchStep(b, benchClusterDist(20, 8, 1_000_000, 1.5), 1.5, scanAuto)
+	})
 	for _, rep := range stepReps {
 		b.Run("n10/V1000/lambda5/"+rep.name, func(b *testing.B) {
 			benchStep(b, benchScaleDist(10, 1000), 5, rep.strat)

@@ -32,9 +32,9 @@ func edgesOf(g *StateGraph) []edge {
 	}
 	var out []edge
 	for a := range g.nodes {
-		for p := g.adjStart[a]; p < g.adjStart[a+1]; p++ {
-			if b := int(g.adjNbr[p]); b > a {
-				out = append(out, edge{a: a, b: b, weight: g.tab.perString[g.adjDist[p]]})
+		for _, e := range g.adj[g.adjStart[a]:g.adjStart[a+1]] {
+			if b := int(e >> 8); b > a {
+				out = append(out, edge{a: a, b: b, weight: g.tab.perString[uint8(e)]})
 			}
 		}
 	}
@@ -100,8 +100,7 @@ func rowsFromEdges(g *StateGraph, edges []edge) {
 	for i := 0; i < nV; i++ {
 		start[i+1] += start[i]
 	}
-	nbr := make([]int32, start[nV])
-	dist := make([]uint8, start[nV])
+	adj := make([]uint32, start[nV])
 	next := append([]int32(nil), start[:nV]...)
 	for _, e := range edges {
 		d := bitstring.Hamming(g.nodes[e.a].value, g.nodes[e.b].value)
@@ -109,12 +108,12 @@ func rowsFromEdges(g *StateGraph, edges []edge) {
 			panic(fmt.Sprintf("edges at distance %d disagree on weight: %v vs %v", d, old, e.weight))
 		}
 		g.tab.perString[d] = e.weight
-		nbr[next[e.a]], dist[next[e.a]] = int32(e.b), uint8(d)
+		adj[next[e.a]] = uint32(e.b)<<8 | uint32(d)
 		next[e.a]++
-		nbr[next[e.b]], dist[next[e.b]] = int32(e.a), uint8(d)
+		adj[next[e.b]] = uint32(e.a)<<8 | uint32(d)
 		next[e.b]++
 	}
-	g.adjStart, g.adjNbr, g.adjDist = start, nbr, dist
+	g.adjStart, g.adj = start, adj
 }
 
 // checkRows asserts the row invariants every graph must satisfy: rows
@@ -128,28 +127,30 @@ func checkRows(t *testing.T, label string, g *StateGraph) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	nV := g.NumVertices()
-	if len(g.adjStart) != nV+1 || g.adjStart[0] != 0 || len(g.adjDist) != len(g.adjNbr) {
-		t.Fatalf("%s: row arrays malformed: %d offsets, %d neighbours, %d distances",
-			label, len(g.adjStart), len(g.adjNbr), len(g.adjDist))
+	if len(g.adjStart) != nV+1 || g.adjStart[0] != 0 || int(g.adjStart[nV]) != len(g.adj) {
+		t.Fatalf("%s: row arrays malformed: %d offsets ending at %d, %d entries",
+			label, len(g.adjStart), g.adjStart[len(g.adjStart)-1], len(g.adj))
 	}
 	degSum := 0
 	for i := 0; i < nV; i++ {
-		row := g.adjNbr[g.adjStart[i]:g.adjStart[i+1]]
+		row := g.adj[g.adjStart[i]:g.adjStart[i+1]]
 		degSum += len(row)
-		for k, j := range row {
-			if int(j) == i || (k > 0 && row[k-1] >= j) {
-				t.Fatalf("%s: vertex %d: row not strictly ascending or self-looped: %v", label, i, row)
+		for k, e := range row {
+			// The neighbour index is the entry's top 24 bits, so
+			// ascending entries mean ascending neighbours.
+			j, d := int(e>>8), uint8(e)
+			if j == i || j >= nV || (k > 0 && row[k-1]>>8 >= e>>8) {
+				t.Fatalf("%s: vertex %d: row not strictly ascending, out of range or self-looped: %v", label, i, row)
 			}
-			d := g.adjDist[int(g.adjStart[i])+k]
 			if want := bitstring.Hamming(g.nodes[i].value, g.nodes[j].value); int(d) != want {
 				t.Fatalf("%s: entry (%d,%d) distance %d want %d", label, i, j, d, want)
 			}
 			if g.tab.perString[d] == 0 {
 				t.Fatalf("%s: entry (%d,%d) at distance %d has no weight", label, i, j, d)
 			}
-			back := g.adjNbr[g.adjStart[j]:g.adjStart[j+1]]
-			q := sort.Search(len(back), func(x int) bool { return back[x] >= int32(i) })
-			if q == len(back) || back[q] != int32(i) || g.adjDist[int(g.adjStart[j])+q] != d {
+			back := g.adj[g.adjStart[j]:g.adjStart[j+1]]
+			q := sort.Search(len(back), func(x int) bool { return int(back[x]>>8) >= i })
+			if q == len(back) || back[q] != uint32(i)<<8|uint32(d) {
 				t.Fatalf("%s: entry (%d,%d) has no mirror (%d,%d)", label, i, j, j, i)
 			}
 		}

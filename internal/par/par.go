@@ -19,8 +19,9 @@ import (
 // Fan-out metrics (see internal/obs), all read off the batch's
 // "par.worker" spans: par.batch is the longest worker span, and the
 // busy-ratio gauges reduce each worker's span to a fraction of that
-// longest one (min/mean/max across the pool) — a wide spread separates
-// "one straggler worker" from "pool saturated".
+// longest one (min and mean across the pool; the max is 1 by
+// construction) — a wide spread separates "one straggler worker" from
+// "pool saturated".
 var (
 	metBatch         = obs.Default.Timer("par.batch")
 	metTasks         = obs.Default.Counter("par.tasks")
@@ -28,7 +29,6 @@ var (
 	metWorkers       = obs.Default.Gauge("par.workers")
 	metWorkerBusyMin = obs.Default.Gauge("par.worker_busy_ratio_min")
 	metWorkerBusyAvg = obs.Default.Gauge("par.worker_busy_ratio_mean")
-	metWorkerBusyMax = obs.Default.Gauge("par.worker_busy_ratio_max")
 )
 
 // failure is a worker's lowest-index failed task.
@@ -107,7 +107,6 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 	metWorkers.Set(float64(workers))
 	metWorkerBusyMin.Set(busyMin)
 	metWorkerBusyAvg.Set(busyMean)
-	metWorkerBusyMax.Set(1)
 	// Enabled-gated: the variadic args would box on every call
 	// otherwise, even with debug logging off.
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {

@@ -96,7 +96,6 @@ measure q[1] -> c[1];
 		`qbeep_smoke_stamped_window_worst{trace="7"} 0.5`,
 		"# TYPE qbeep_par_worker_busy_ratio_min gauge",
 		"# TYPE qbeep_par_worker_busy_ratio_mean gauge",
-		"# TYPE qbeep_par_worker_busy_ratio_max gauge",
 		// Quality-observatory families (DESIGN.md §16): the mitigation
 		// above observed the shift histogram, estimation labeled the λ
 		// gauge, and the synthetic PST ratio carried its trace stamp.
