@@ -16,7 +16,7 @@
 //	ctxflow    context.Background()/TODO() only at the process edge
 //	           (package main); received ctx must thread
 //	poolsafe   //qbeep:pooled scratch fields must not outlive the
-//	           borrow; pool checkouts must reset before reuse
+//	           borrow
 //	directive  the //qbeep: grammar itself: unknown verbs, unknown
 //	           allow-keys, missing rationales, misplaced directives
 //	gcfacts    the compiler-fact gate: //qbeep:allocfree, noescape and

@@ -271,15 +271,7 @@ func recordLedger(ctx context.Context, cfg config, file *results.File, qasmSrc [
 		Lambda:      lam,
 		Shots:       shots,
 		Stages:      stages,
-		Quality: runledger.Quality{
-			HellingerShift:   q.HellingerShift,
-			PosteriorEntropy: q.PosteriorEntropy,
-			Iterations:       q.Iterations,
-			Converged:        q.Converged,
-			SpectrumRef:      q.SpectrumRef,
-			SpectrumBefore:   q.SpectrumBefore,
-			SpectrumAfter:    q.SpectrumAfter,
-		},
+		Quality:     q,
 	}
 	if err := obs.RecordRun(&rec); err != nil {
 		obs.Logger().Warn("run-ledger append failed", "err", err)

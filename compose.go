@@ -54,13 +54,13 @@ type EnsembleRun struct {
 	Lambda float64
 }
 
-// MitigateEnsemble mitigates each run with Q-BEEP and merges the results
-// weighted by predicted quality (e^-λ) — the Quancorde-style composition
-// the paper sketches in §3.5. All runs must share one register width; the
-// output totals the mean run total. opts.Iterations, Epsilon and
-// ConvergeTol apply to every run; opts.OnQuality is not called, because
-// the runs are mitigated concurrently.
-func MitigateEnsemble(runs []EnsembleRun, opts Options) (Counts, error) {
+// MitigateEnsembleCtx mitigates each run with Q-BEEP and merges the
+// results weighted by predicted quality (e^-λ) — the Quancorde-style
+// composition the paper sketches in §3.5. All runs must share one
+// register width; the output totals the mean run total. opts.Iterations,
+// Epsilon and ConvergeTol apply to every run; opts.OnQuality is not
+// called, because the runs are mitigated concurrently.
+func MitigateEnsembleCtx(ctx context.Context, runs []EnsembleRun, opts Options) (Counts, error) {
 	members := make([]core.EnsembleMember, len(runs))
 	for i, r := range runs {
 		d, err := bitstring.FromStringCounts(r.Counts)
@@ -69,11 +69,8 @@ func MitigateEnsemble(runs []EnsembleRun, opts Options) (Counts, error) {
 		}
 		members[i] = core.EnsembleMember{Counts: d, Lambda: r.Lambda}
 	}
-	out, err := core.MitigateEnsemble(context.Background(), members, core.Options{ //qbeep:allow-ctx ctx-less public convenience form roots its own context
-		Iterations:  opts.Iterations,
-		Epsilon:     opts.Epsilon,
-		ConvergeTol: opts.ConvergeTol,
-	})
+	opts.OnQuality = nil
+	out, err := core.MitigateEnsemble(ctx, members, opts.coreOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package qbeep
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -66,7 +67,7 @@ func TestReadoutThenQBEEPComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Simulate(src, "dresden", 4096, 5) // dresden: noisy 7-qubit chain
+	sim, err := SimulateCtx(context.Background(), src, "dresden", 4096, 5) // dresden: noisy 7-qubit chain
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestReadoutThenQBEEPComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	composed, err := Mitigate(corrected, sim.Lambda.Total(), NewOptions())
+	composed, err := MitigateCtx(context.Background(), corrected, sim.Lambda.Total(), NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestMitigateEnsemblePublic(t *testing.T) {
 	keep, _ := DataQubits(len(secret))
 	var runs []EnsembleRun
 	for i, backend := range []string{"galway", "istanbul", "nairobi2"} {
-		sim, err := Simulate(src, backend, 2048, uint64(40+i))
+		sim, err := SimulateCtx(context.Background(), src, backend, 2048, uint64(40+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestMitigateEnsemblePublic(t *testing.T) {
 		}
 		runs = append(runs, EnsembleRun{Counts: raw, Lambda: sim.Lambda.Total()})
 	}
-	merged, err := MitigateEnsemble(runs, NewOptions())
+	merged, err := MitigateEnsembleCtx(context.Background(), runs, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +143,10 @@ func TestMitigateEnsemblePublic(t *testing.T) {
 	if pst <= worst {
 		t.Errorf("ensemble PST %v should beat the worst raw member %v", pst, worst)
 	}
-	if _, err := MitigateEnsemble(nil, NewOptions()); err == nil {
+	if _, err := MitigateEnsembleCtx(context.Background(), nil, NewOptions()); err == nil {
 		t.Error("empty ensemble should error")
 	}
-	if _, err := MitigateEnsemble([]EnsembleRun{{Counts: Counts{"0x": 1}}}, NewOptions()); err == nil {
+	if _, err := MitigateEnsembleCtx(context.Background(), []EnsembleRun{{Counts: Counts{"0x": 1}}}, NewOptions()); err == nil {
 		t.Error("bad counts should error")
 	}
 }
@@ -162,7 +163,7 @@ func TestMitigateEnsembleConvergeTol(t *testing.T) {
 	}
 	mitigate := func(opts Options) Counts {
 		t.Helper()
-		out, err := MitigateEnsemble(runs, opts)
+		out, err := MitigateEnsembleCtx(context.Background(), runs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package qbeep_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -9,7 +10,7 @@ import (
 
 // The canonical post-processing flow: estimate λ from the circuit and the
 // backend calibration, then reflow the raw counts.
-func ExampleMitigate() {
+func ExampleMitigateCtx() {
 	raw := qbeep.Counts{
 		"1011": 3600, // the true answer
 		"1010": 160,  // distance-1 errors
@@ -17,7 +18,7 @@ func ExampleMitigate() {
 		"0011": 140,
 		"0110": 46, // a distance-2 error
 	}
-	mitigated, err := qbeep.Mitigate(raw, 0.8, qbeep.NewOptions())
+	mitigated, err := qbeep.MitigateCtx(context.Background(), raw, 0.8, qbeep.NewOptions())
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -31,13 +32,13 @@ func ExampleMitigate() {
 
 // Estimating λ needs only the circuit and the calibration snapshot — it
 // never sees measurement data.
-func ExampleEstimateLambdaQASM() {
+func ExampleEstimateLambdaQASMCtx() {
 	src, err := qbeep.BernsteinVaziraniQASM("1011")
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	lambda, err := qbeep.EstimateLambdaQASM(src, "galway")
+	lambda, err := qbeep.EstimateLambdaQASMCtx(context.Background(), src, "galway")
 	if err != nil {
 		fmt.Println(err)
 		return

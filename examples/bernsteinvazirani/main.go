@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	widths := []int{5, 7, 9, 11}
 	machines := []string{"istanbul", "kyiv", "medellin", "nairobi2"}
 	rng := rand.New(rand.NewSource(7))
@@ -30,7 +32,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sim, err := qbeep.Simulate(src, m, 4096, rng.Uint64())
+			sim, err := qbeep.SimulateCtx(ctx, src, m, 4096, rng.Uint64())
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -42,7 +44,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			mitigated, err := qbeep.Mitigate(raw, sim.Lambda.Total(), qbeep.NewOptions())
+			mitigated, err := qbeep.MitigateCtx(ctx, raw, sim.Lambda.Total(), qbeep.NewOptions())
 			if err != nil {
 				log.Fatal(err)
 			}

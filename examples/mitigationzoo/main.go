@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 const secret = "1011010"
 
 func main() {
+	ctx := context.Background()
 	src, err := qbeep.BernsteinVaziraniQASM(secret)
 	if err != nil {
 		log.Fatal(err)
@@ -27,7 +29,7 @@ func main() {
 
 	// One reference induction on a mid-quality machine.
 	const machine = "istanbul"
-	sim, err := qbeep.Simulate(src, machine, 4096, 2)
+	sim, err := qbeep.SimulateCtx(ctx, src, machine, 4096, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,14 +62,14 @@ func main() {
 	report("readout", corrected)
 
 	// Q-BEEP alone.
-	qb, err := qbeep.Mitigate(raw, sim.Lambda.Total(), qbeep.NewOptions())
+	qb, err := qbeep.MitigateCtx(ctx, raw, sim.Lambda.Total(), qbeep.NewOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("qbeep", qb)
 
 	// Readout then Q-BEEP.
-	both, err := qbeep.Mitigate(corrected, sim.Lambda.Total(), qbeep.NewOptions())
+	both, err := qbeep.MitigateCtx(ctx, corrected, sim.Lambda.Total(), qbeep.NewOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,11 +78,11 @@ func main() {
 	// Zero-noise extrapolation of the PST (3 folded inductions).
 	var pts []qbeep.ZNEPoint
 	for _, scale := range []int{1, 3, 5} {
-		folded, err := qbeep.FoldQASM(src, scale)
+		folded, err := qbeep.FoldQASMCtx(ctx, src, scale)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fsim, err := qbeep.Simulate(folded, machine, 4096, uint64(10+scale))
+		fsim, err := qbeep.SimulateCtx(ctx, folded, machine, 4096, uint64(10+scale))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -104,7 +106,7 @@ func main() {
 	// 3-machine ensemble, each member Q-BEEP-mitigated and e^-λ weighted.
 	var runs []qbeep.EnsembleRun
 	for i, m := range []string{"istanbul", "kyiv", "galway"} {
-		msim, err := qbeep.Simulate(src, m, 4096, uint64(20+i))
+		msim, err := qbeep.SimulateCtx(ctx, src, m, 4096, uint64(20+i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,7 +116,7 @@ func main() {
 		}
 		runs = append(runs, qbeep.EnsembleRun{Counts: mraw, Lambda: msim.Lambda.Total()})
 	}
-	ens, err := qbeep.MitigateEnsemble(runs, qbeep.NewOptions())
+	ens, err := qbeep.MitigateEnsembleCtx(ctx, runs, qbeep.NewOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,8 +19,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := mathx.NewRNG(11)
-	instances, err := qaoa.Dataset(context.Background(), 8, 6, 10, 2, rng)
+	instances, err := qaoa.Dataset(ctx, 8, 6, 10, 2, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,11 +37,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := qbeep.Simulate(src, m, 4096, rng.Uint64())
+		sim, err := qbeep.SimulateCtx(ctx, src, m, 4096, rng.Uint64())
 		if err != nil {
 			log.Fatal(err)
 		}
-		mitigated, err := qbeep.Mitigate(sim.Raw, sim.Lambda.Total(), qbeep.NewOptions())
+		mitigated, err := qbeep.MitigateCtx(ctx, sim.Raw, sim.Lambda.Total(), qbeep.NewOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	machines := []string{"carthage", "eldorado", "istanbul"}
 
 	type row struct {
@@ -33,7 +35,7 @@ func main() {
 		entropy := shannon(ideal)
 		var gains []float64
 		for i, m := range machines {
-			sim, err := qbeep.Simulate(src, m, 4096, uint64(100+i))
+			sim, err := qbeep.SimulateCtx(ctx, src, m, 4096, uint64(100+i))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -41,7 +43,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			mitigated, err := qbeep.Mitigate(raw, sim.Lambda.Total(), qbeep.NewOptions())
+			mitigated, err := qbeep.MitigateCtx(ctx, raw, sim.Lambda.Total(), qbeep.NewOptions())
 			if err != nil {
 				log.Fatal(err)
 			}

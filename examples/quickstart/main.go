@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const secret = "10110100"
 
 	// 1. Build the circuit (OpenQASM 2.0).
@@ -22,8 +24,8 @@ func main() {
 
 	// 2. Run it on a synthetic calibrated backend under hardware-style
 	// noise. On real hardware you would submit src and collect counts;
-	// Simulate also returns the pre-induction λ estimate (paper Eq. 2).
-	sim, err := qbeep.Simulate(src, "istanbul", 4096, 1)
+	// SimulateCtx also returns the pre-induction λ estimate (paper Eq. 2).
+	sim, err := qbeep.SimulateCtx(ctx, src, "istanbul", 4096, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	}
 
 	// 4. Mitigate with the paper's published configuration.
-	mitigated, err := qbeep.Mitigate(raw, sim.Lambda.Total(), qbeep.NewOptions())
+	mitigated, err := qbeep.MitigateCtx(ctx, raw, sim.Lambda.Total(), qbeep.NewOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,7 +90,7 @@ var AllowKeys = map[string]bool{
 	// ctxflow
 	"ctx": true,
 	// poolsafe
-	"poolretain": true, "poolreset": true,
+	"poolretain": true,
 	// gcfacts
 	"allocfree": true, "noescape": true, "mustinline": true,
 	// directive (the grammar checker itself)

@@ -1,12 +1,12 @@
-// Package poolsafe guards the arena/scratch ownership discipline from
-// PRs 7-8: types marked
+// Package poolsafe guards the arena/scratch ownership discipline: types
+// marked
 //
 //	//qbeep:pooled
 //
-// (shotArena, stepScratch) own reusable buffers that cycle
-// through worker pools, so an alias to one of their reference fields
-// that outlives the borrow is a data race waiting for the next
-// checkout. Two rules, both intraprocedural heuristics:
+// (shotArena, stepScratch) own buffers that one shot engine or one
+// state graph reuses across its shard passes, so an alias to one of
+// their reference fields that outlives the borrow is a data race
+// waiting for the next pass. One rule, an intraprocedural heuristic:
 //
 // poolretain — a reference field of a pooled value (slice, map,
 // pointer, Dist) must not be retained past the frame: returning it,
@@ -16,15 +16,8 @@
 // a borrow and stays legal, as do plain local aliases (`hits := s.hits`
 // ... `s.hits = hits`) and writes back into the same pooled value.
 //
-// poolreset — a value checked out of a pool (`s := <-pool`, or
-// `s := p.Get().(*T)` from a sync.Pool) must be re-armed before use:
-// some following statement in the same block has to call a Reset-like
-// method on it or assign one of its fields (the `s.hits = s.hits[:0]`
-// truncation idiom). A checkout with no such statement is flagged at
-// the checkout site.
-//
-// //qbeep:allow-poolretain and //qbeep:allow-poolreset suppress
-// deliberate violations with a rationale.
+// //qbeep:allow-poolretain suppresses a deliberate violation with a
+// rationale.
 package poolsafe
 
 import (
@@ -38,9 +31,8 @@ import (
 // Analyzer is the poolsafe checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolsafe",
-	Doc: "fields of //qbeep:pooled scratch types must not be retained past return or cross " +
-		"goroutines, and pool checkouts must reset before reuse",
-	Run: run,
+	Doc:  "fields of //qbeep:pooled scratch types must not be retained past return or cross goroutines",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -51,13 +43,10 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		parents := parentMap(file)
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if base, ok := pooledFieldAccess(pass, pooled, n); ok {
-					checkRetention(pass, n, base, parents)
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if base, ok := pooledFieldAccess(pass, pooled, sel); ok {
+					checkRetention(pass, sel, base, parents)
 				}
-			case *ast.AssignStmt:
-				checkCheckout(pass, pooled, n, parents)
 			}
 			return true
 		})
@@ -240,7 +229,7 @@ func retainingAssign(pass *analysis.Pass, a *ast.AssignStmt, rhs ast.Node, base 
 		switch lhs := l.(type) {
 		case *ast.Ident:
 			// A plain local (or blank) is a frame-scoped borrow; a
-			// package-level variable outlives every checkout.
+			// package-level variable outlives every borrow.
 			obj := pass.Info.Uses[lhs]
 			if obj == nil {
 				obj = pass.Info.Defs[lhs]
@@ -265,98 +254,6 @@ func containsNode(root ast.Node, target ast.Node) bool {
 	ast.Inspect(root, func(n ast.Node) bool {
 		if n == target {
 			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkCheckout flags pool checkouts with no reset before reuse.
-func checkCheckout(pass *analysis.Pass, pooled map[types.Object]bool, a *ast.AssignStmt, parents map[ast.Node]ast.Node) {
-	if len(a.Lhs) != 1 || len(a.Rhs) != 1 {
-		return
-	}
-	id, ok := a.Lhs[0].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	if !isCheckout(pass, pooled, a.Rhs[0]) {
-		return
-	}
-	obj := pass.Info.Defs[id]
-	if obj == nil {
-		obj = pass.Info.Uses[id]
-	}
-	if obj == nil {
-		return
-	}
-	block, ok := parents[a].(*ast.BlockStmt)
-	if !ok {
-		return
-	}
-	after := false
-	for _, stmt := range block.List {
-		if stmt == ast.Stmt(a) {
-			after = true
-			continue
-		}
-		if after && resetsVar(pass, stmt, obj) {
-			return
-		}
-	}
-	pass.Report(a.Pos(), "poolreset",
-		"%s is checked out of a pool without a reset: call its Reset method or truncate its buffers (e.g. %s.buf = %s.buf[:0]) before reuse (//qbeep:allow-poolreset to override)",
-		id.Name, id.Name, id.Name)
-}
-
-// isCheckout reports whether rhs pulls a pooled value out of a pool:
-// a channel receive of a pooled pointer or a sync.Pool Get assertion.
-func isCheckout(pass *analysis.Pass, pooled map[types.Object]bool, rhs ast.Expr) bool {
-	switch e := rhs.(type) {
-	case *ast.UnaryExpr:
-		if e.Op.String() != "<-" {
-			return false
-		}
-		tv, ok := pass.Info.Types[e]
-		return ok && isPooledType(pooled, tv.Type)
-	case *ast.TypeAssertExpr:
-		tv, ok := pass.Info.Types[e]
-		if !ok || !isPooledType(pooled, tv.Type) {
-			return false
-		}
-		call, ok := e.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		return ok && sel.Sel.Name == "Get"
-	}
-	return false
-}
-
-// resetsVar reports whether stmt re-arms obj: a method call on it whose
-// name mentions Reset/ensure, or an assignment into one of its fields.
-func resetsVar(pass *analysis.Pass, stmt ast.Stmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-					name := strings.ToLower(sel.Sel.Name)
-					if strings.Contains(name, "reset") || strings.Contains(name, "ensure") {
-						found = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				if sel, ok := l.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-						found = true
-					}
-				}
-			}
 		}
 		return !found
 	})

@@ -1,8 +1,6 @@
-// Package a exercises the poolsafe retention and reset rules against a
-// pooled scratch type modeled on the repo's shotArena/scanScratch.
+// Package a exercises the poolsafe retention rule against a pooled
+// scratch type modeled on the repo's shotArena/stepScratch.
 package a
-
-import "sync"
 
 // arena is one worker's reusable scratch.
 //
@@ -10,11 +8,9 @@ import "sync"
 type arena struct {
 	hits  []uint64
 	probs []float64
-	n     int
 }
 
-func (a *arena) Reset()            { a.hits = a.hits[:0] }
-func (a *arena) resetCounts(n int) { a.n = n }
+func (a *arena) Reset() { a.hits = a.hits[:0] }
 
 type result struct {
 	hits []uint64
@@ -76,51 +72,4 @@ func borrows(a *arena) int {
 // allowRetain is the audited escape hatch.
 func allowRetain(a *arena, out []result) {
 	out[0] = result{hits: a.hits} //qbeep:allow-poolretain fixture: deliberate hand-off
-}
-
-// checkouts.
-
-func checkoutNoReset(pool chan *arena) int {
-	a := <-pool // want `a is checked out of a pool without a reset`
-	n := consume(a.hits)
-	pool <- a
-	return n
-}
-
-func checkoutTruncates(pool chan *arena) int {
-	a := <-pool
-	a.hits = a.hits[:0]
-	n := consume(a.hits)
-	pool <- a
-	return n
-}
-
-func checkoutResets(pool chan *arena) int {
-	a := <-pool
-	a.Reset()
-	n := consume(a.hits)
-	pool <- a
-	return n
-}
-
-func checkoutSyncPool(p *sync.Pool) int {
-	a := p.Get().(*arena) // want `a is checked out of a pool without a reset`
-	n := consume(a.hits)
-	p.Put(a)
-	return n
-}
-
-func checkoutSyncPoolReset(p *sync.Pool) int {
-	a := p.Get().(*arena)
-	a.resetCounts(0)
-	n := consume(a.hits)
-	p.Put(a)
-	return n
-}
-
-func checkoutAllowed(pool chan *arena) int {
-	a := <-pool //qbeep:allow-poolreset fixture: buffers proven clean by caller
-	n := consume(a.hits)
-	pool <- a
-	return n
 }

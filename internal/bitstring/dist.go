@@ -305,7 +305,13 @@ func Fidelity(p, q *Dist) float64 {
 // Hellinger computes the Hellinger distance between two distributions:
 // H = sqrt(1 - Σ sqrt(p_i q_i)), in [0, 1].
 func Hellinger(p, q *Dist) float64 {
-	bc := math.Sqrt(Fidelity(p, q))
+	return HellingerFromFidelity(Fidelity(p, q))
+}
+
+// HellingerFromFidelity converts a Bhattacharyya fidelity F = BC² into
+// the Hellinger distance sqrt(1 − BC), for callers that already hold F.
+func HellingerFromFidelity(f float64) float64 {
+	bc := math.Sqrt(f)
 	if bc > 1 {
 		bc = 1
 	}

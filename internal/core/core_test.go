@@ -84,6 +84,15 @@ func TestEstimateLambdaErrors(t *testing.T) {
 	}
 }
 
+// estimateLambdaFor transpiles c onto b and evaluates Eq. 2.
+func estimateLambdaFor(c *circuit.Circuit, b *device.Backend) (LambdaBreakdown, error) {
+	res, err := transpile.TranspileCtx(context.Background(), c, b, nil)
+	if err != nil {
+		return LambdaBreakdown{}, err
+	}
+	return EstimateLambda(res, b)
+}
+
 func TestEstimateLambdaGrowsWithDepth(t *testing.T) {
 	b, _ := device.ByName("eldorado")
 	shallow := circuit.New("s", 4).H(0).CX(0, 1)
@@ -91,11 +100,11 @@ func TestEstimateLambdaGrowsWithDepth(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		deep.H(0).CX(0, 1).CX(1, 2).CX(2, 3)
 	}
-	lbS, _, err := EstimateLambdaForCtx(context.Background(), shallow, b)
+	lbS, err := estimateLambdaFor(shallow, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbD, _, err := EstimateLambdaForCtx(context.Background(), deep, b)
+	lbD, err := estimateLambdaFor(deep, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +117,11 @@ func TestEstimateLambdaWorseMachineHigher(t *testing.T) {
 	good, _ := device.ByName("galway")  // quality 0.7
 	bad, _ := device.ByName("nairobi2") // quality 1.8
 	c := circuit.New("chain", 5).H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4)
-	lbG, _, err := EstimateLambdaForCtx(context.Background(), c, good)
+	lbG, err := estimateLambdaFor(c, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbB, _, err := EstimateLambdaForCtx(context.Background(), c, bad)
+	lbB, err := estimateLambdaFor(c, bad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"qbeep/internal/circuit"
 	"qbeep/internal/device"
 	"qbeep/internal/obs"
 	"qbeep/internal/transpile"
@@ -69,19 +67,4 @@ func EstimateLambda(res *transpile.Result, b *device.Backend) (LambdaBreakdown, 
 		obs.Default.LabeledGauge("quality.lambda", "backend", b.Name).Set(out.Lambda())
 	}
 	return out, nil
-}
-
-// EstimateLambdaForCtx transpiles the logical circuit onto the backend
-// and evaluates Eq. 2 — the one-call convenience used by examples and the
-// CLI. The "transpile" span parents under the span active in ctx.
-func EstimateLambdaForCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend) (LambdaBreakdown, *transpile.Result, error) {
-	res, err := transpile.TranspileCtx(ctx, c, b, nil)
-	if err != nil {
-		return LambdaBreakdown{}, nil, err
-	}
-	lb, err := EstimateLambda(res, b)
-	if err != nil {
-		return LambdaBreakdown{}, nil, err
-	}
-	return lb, res, nil
 }

@@ -7,38 +7,8 @@ import (
 
 	"qbeep/internal/bitstring"
 	"qbeep/internal/obs"
+	"qbeep/internal/runledger"
 )
-
-// QualityStats is the end-of-run quality record the mitigation loop
-// hands to Options.OnQuality: the Hamming-spectrum quality block of a
-// runledger.Record (DESIGN.md §16), computed once after the final
-// iteration. The ground-truth fields are populated only on tracked
-// runs (MitigateTrackedCtx); spectra are centered on the ideal mode when
-// one is known, else on the raw mode.
-type QualityStats struct {
-	// HellingerShift is H(raw, mitigated): how far induction moved the
-	// distribution (needs no ground truth).
-	HellingerShift float64
-	// PosteriorEntropy is the Shannon entropy (bits) of the mitigated
-	// distribution.
-	PosteriorEntropy float64
-	// Iterations actually executed; Converged reports whether the
-	// adaptive tolerance (Options.ConvergeTol) was met.
-	Iterations int
-	Converged  bool
-	// SpectrumRef names the spectrum center: "expected" (ideal mode)
-	// or "mode" (raw mode). SpectrumBefore/After are per-Hamming-
-	// distance probability mass around it, index i = distance i.
-	SpectrumRef    string
-	SpectrumBefore []float64
-	SpectrumAfter  []float64
-	// Ground truth (tracked runs only): Bhattacharyya fidelity and
-	// Hellinger distance to the ideal, before and after mitigation.
-	FidelityRaw        float64
-	FidelityMitigated  float64
-	HellingerRaw       float64
-	HellingerMitigated float64
-}
 
 // Options configures the iterative mitigation. NewOptions returns the
 // paper's published configuration (§4.1): ε = 0.05, 20 iterations,
@@ -53,14 +23,20 @@ type Options struct {
 	// dampened 1/i schedule that prevents cycling between local nodes.
 	LearningRate func(i int) float64
 	// Weighter is the edge model; nil selects PoissonEdges with the λ
-	// passed to Mitigate.
+	// passed to MitigateCtx.
 	Weighter EdgeWeighter
-	// OnQuality, when non-nil, receives one QualityStats after the
-	// final iteration — the hook the -run-ledger recorder hangs off.
-	// The Hamming spectra and entropy are computed only when set
-	// (two O(support) passes); the Hellinger shift itself is always
-	// observed into the quality.hellinger_shift histogram.
-	OnQuality func(QualityStats)
+	// OnQuality, when non-nil, receives the run's quality block after
+	// the final iteration — the hook the -run-ledger recorder hangs off
+	// (DESIGN.md §16). The loop fills the Hellinger shift, posterior
+	// entropy, iteration count, convergence and the Hamming spectra
+	// (centered on the ideal mode on tracked runs, else on the raw
+	// mode); tracked runs (MitigateTrackedCtx) add the ground-truth
+	// fidelity and Hellinger pairs. PST and IST are left to callers
+	// that know the correct bitstring. The spectra and entropy are
+	// computed only when set (two O(support) passes); the Hellinger
+	// shift itself is always observed into the
+	// quality.hellinger_shift histogram.
+	OnQuality func(runledger.Quality)
 	// ConvergeTol, when positive, exits the update loop early once the
 	// per-iteration Hellinger delta (StepStats.Hellinger) falls to or
 	// below the tolerance — the flow plateaus well before the paper's
@@ -184,7 +160,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 			// the nodes are scanned once per iteration, not twice.
 			f := g.Fidelity(ideal)
 			trace = append(trace, f)
-			h := hellingerFromFidelity(f)
+			h := bitstring.HellingerFromFidelity(f)
 			metHellinger.ObserveTrace(h, traceID)
 			isp.SetAttr("hellinger", h)
 		}
@@ -213,9 +189,11 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	sp.SetAttr("iterations", executed)
 	sp.SetAttr("iterations_saved", saved)
 	sp.SetAttr("vertices", g.NumVertices())
+	sp.SetAttr("edges", g.NumEdges())
+	sp.SetAttr("final_l1_delta", last.L1Delta)
 	sp.SetAttr("hellinger_shift", shift)
 	if opts.OnQuality != nil {
-		q := QualityStats{
+		q := runledger.Quality{
 			HellingerShift:   shift,
 			PosteriorEntropy: out.Entropy(),
 			Iterations:       executed,
@@ -224,8 +202,8 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 		if ideal != nil {
 			q.FidelityRaw = trace[0]
 			q.FidelityMitigated = trace[len(trace)-1]
-			q.HellingerRaw = hellingerFromFidelity(q.FidelityRaw)
-			q.HellingerMitigated = hellingerFromFidelity(q.FidelityMitigated)
+			q.HellingerRaw = bitstring.HellingerFromFidelity(q.FidelityRaw)
+			q.HellingerMitigated = bitstring.HellingerFromFidelity(q.FidelityMitigated)
 			if center, ok := ideal.Top(); ok {
 				q.SpectrumRef = "expected"
 				q.SpectrumBefore = counts.HammingSpectrum(center)
@@ -239,8 +217,5 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 		opts.OnQuality(q)
 	}
 	metMitigate.ObserveDuration(sp.End())
-	obs.Logger().Debug("mitigation finished",
-		"iterations", executed, "iterations_saved", saved, "vertices", g.NumVertices(),
-		"edges", g.NumEdges(), "final_l1_delta", last.L1Delta)
 	return out, trace, nil
 }

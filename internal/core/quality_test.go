@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qbeep/internal/bitstring"
+	"qbeep/internal/runledger"
 )
 
 // qualityFixture is the TestMitigateTrackedTrace distribution: truth
@@ -25,8 +26,8 @@ func qualityFixture() (raw, ideal *bitstring.Dist) {
 func TestOnQualityUntracked(t *testing.T) {
 	raw, _ := qualityFixture()
 	opts := NewOptions()
-	var got []QualityStats
-	opts.OnQuality = func(q QualityStats) { got = append(got, q) }
+	var got []runledger.Quality
+	opts.OnQuality = func(q runledger.Quality) { got = append(got, q) }
 	out, err := MitigateCtx(context.Background(), raw, 1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +73,8 @@ func TestOnQualityUntracked(t *testing.T) {
 func TestOnQualityTracked(t *testing.T) {
 	raw, ideal := qualityFixture()
 	opts := NewOptions()
-	var q QualityStats
-	opts.OnQuality = func(s QualityStats) { q = s }
+	var q runledger.Quality
+	opts.OnQuality = func(s runledger.Quality) { q = s }
 	out, trace, err := MitigateTrackedCtx(context.Background(), raw, 1, opts, ideal)
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +102,8 @@ func TestOnQualityConverged(t *testing.T) {
 	raw, _ := qualityFixture()
 	opts := NewOptions()
 	opts.ConvergeTol = 0.5 // trips immediately
-	var q QualityStats
-	opts.OnQuality = func(s QualityStats) { q = s }
+	var q runledger.Quality
+	opts.OnQuality = func(s runledger.Quality) { q = s }
 	if _, err := MitigateCtx(context.Background(), raw, 1, opts); err != nil {
 		t.Fatal(err)
 	}

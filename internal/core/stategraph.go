@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"runtime"
 	"slices"
@@ -227,17 +226,9 @@ func buildGraph(ctx context.Context, counts *bitstring.Dist, self float64, tab w
 	sp.SetAttr("edges", g.NumEdges())
 	sp.SetAttr("pruned", g.pruned)
 	sp.SetAttr("strategy", used.String())
-	elapsed := sp.End()
-	metGraphBuild.ObserveDuration(elapsed)
-	// Gated on the level check: assembling the key/value list boxes a
-	// dozen arguments, a measurable slice of the per-build allocations
-	// when debug logging is off (the default).
-	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
-		l.Debug("state graph built",
-			"vertices", len(g.nodes), "edges", g.NumEdges(), "pruned", g.pruned,
-			"radius", g.radius, "width", g.n, "strategy", used.String(),
-			"elapsed", elapsed)
-	}
+	sp.SetAttr("radius", g.radius)
+	sp.SetAttr("width", g.n)
+	metGraphBuild.ObserveDuration(sp.End())
 	return g, nil
 }
 
@@ -289,16 +280,6 @@ func (g *StateGraph) Fidelity(ideal *bitstring.Dist) float64 {
 		}
 	}
 	return s * s
-}
-
-// hellingerFromFidelity converts a Bhattacharyya fidelity F = BC² into
-// the Hellinger distance sqrt(1 − BC), mirroring bitstring.Hellinger.
-func hellingerFromFidelity(f float64) float64 {
-	bc := math.Sqrt(f)
-	if bc > 1 {
-		bc = 1
-	}
-	return math.Sqrt(1 - bc)
 }
 
 // stepParMinHalfEdges is the auto-mode shard grain: each flow-iteration

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
-	"qbeep/internal/core"
+	"qbeep/internal/bitstring"
 	"qbeep/internal/metrics"
 	"qbeep/internal/obs"
 	"qbeep/internal/runledger"
@@ -106,40 +105,29 @@ func qualitySummary() []FigureQuality {
 	return out
 }
 
-// hellingerFromFidelity converts Bhattacharyya fidelity (F = BC²) to
-// the Hellinger distance sqrt(1−BC) — the same transform the core
-// tracked loop uses, so report and ledger numbers agree with spans.
-func hellingerFromFidelity(f float64) float64 {
-	bc := math.Sqrt(f)
-	if bc > 1 {
-		bc = 1
-	}
-	return math.Sqrt(1 - bc)
-}
-
 // recordQuality is runWorkload's quality epilogue: o is the completed
-// outcome, q the core loop's QualityStats, mitigateWallS the duration
-// of the mitigation span. It prefers the workload's exact expected
-// bitstring over core's mode-derived spectrum center, observes the
-// PST-improvement histogram, feeds the report aggregator, and appends
-// a ledger record, stamped with the trace active in ctx, when one is
-// installed.
-func recordQuality(ctx context.Context, o *Outcome, q core.QualityStats, mitigateWallS float64) {
+// outcome, q the core loop's quality block, mitigateWallS the duration
+// of the mitigation span. It adds the workload's ground truth (fidelity
+// and Hellinger pairs, and PST and IST on deterministic workloads, whose
+// exact expected bitstring also replaces core's mode-derived spectrum
+// center), observes the PST-improvement histogram, feeds the report
+// aggregator, and appends a ledger record, stamped with the trace
+// active in ctx, when one is installed.
+func recordQuality(ctx context.Context, o *Outcome, q runledger.Quality, mitigateWallS float64) {
 	fRaw, fQB, _ := o.fidelity3()
 	q.FidelityRaw, q.FidelityMitigated = fRaw, fQB
-	q.HellingerRaw = hellingerFromFidelity(fRaw)
-	q.HellingerMitigated = hellingerFromFidelity(fQB)
+	q.HellingerRaw = bitstring.HellingerFromFidelity(fRaw)
+	q.HellingerMitigated = bitstring.HellingerFromFidelity(fQB)
 
-	var pstRaw, pstQB, pstImprovement, ist float64
 	if o.Workload.Deterministic {
 		e := o.Workload.Expected
-		pstRaw, pstQB = o.Raw.Prob(e), o.QBeep.Prob(e)
-		pstImprovement = metrics.SafeRatio(pstRaw, pstQB, 0)
-		if pstImprovement > 0 {
-			metQualityPST.Observe(pstImprovement)
+		q.PSTRaw, q.PSTMitigated = o.Raw.Prob(e), o.QBeep.Prob(e)
+		q.PSTImprovement = metrics.SafeRatio(q.PSTRaw, q.PSTMitigated, 0)
+		if q.PSTImprovement > 0 {
+			metQualityPST.Observe(q.PSTImprovement)
 		}
 		if v, ok := metrics.IST(o.QBeep, e); ok {
-			ist = v
+			q.IST = v
 		}
 		// Exact ground truth beats core's ideal-mode center.
 		q.SpectrumRef = "expected"
@@ -154,7 +142,7 @@ func recordQuality(ctx context.Context, o *Outcome, q core.QualityStats, mitigat
 		hellingerShift: q.HellingerShift,
 		fidelityRaw:    fRaw,
 		fidelityQB:     fQB,
-		pstImprovement: pstImprovement,
+		pstImprovement: q.PSTImprovement,
 	})
 	qualityMu.Unlock()
 
@@ -171,23 +159,7 @@ func recordQuality(ctx context.Context, o *Outcome, q core.QualityStats, mitigat
 		Lambda:      o.Lambda.Lambda(),
 		Shots:       o.Raw.Total(),
 		Stages:      []runledger.Stage{{Name: "mitigate", WallS: mitigateWallS}},
-		Quality: runledger.Quality{
-			HellingerShift:     q.HellingerShift,
-			HellingerRaw:       q.HellingerRaw,
-			HellingerMitigated: q.HellingerMitigated,
-			FidelityRaw:        q.FidelityRaw,
-			FidelityMitigated:  q.FidelityMitigated,
-			PSTRaw:             pstRaw,
-			PSTMitigated:       pstQB,
-			PSTImprovement:     pstImprovement,
-			IST:                ist,
-			PosteriorEntropy:   q.PosteriorEntropy,
-			Iterations:         q.Iterations,
-			Converged:          q.Converged,
-			SpectrumRef:        q.SpectrumRef,
-			SpectrumBefore:     q.SpectrumBefore,
-			SpectrumAfter:      q.SpectrumAfter,
-		},
+		Quality:     q,
 	}
 	if err := obs.RecordRun(&rec); err != nil {
 		obs.Logger().Warn("run-ledger append failed", "err", err)

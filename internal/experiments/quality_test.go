@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"qbeep/internal/algorithms"
+	"qbeep/internal/core"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 	"qbeep/internal/obs"
@@ -87,6 +89,59 @@ func TestRunWorkloadEmitsLedgerRecord(t *testing.T) {
 	}
 	if mwall, ok := runledger.MetricValue(&r, runledger.MetricMitigateWallS); !ok || mwall <= 0 {
 		t.Fatalf("mitigate stage timing missing: %+v", r.Stages)
+	}
+}
+
+// TestLedgerCarriesLoopQuality: on a workload with no single correct
+// answer, the ledger record's iteration count, convergence flag and
+// spectra are exactly the mitigation loop's quality block.
+func TestLedgerCarriesLoopQuality(t *testing.T) {
+	resetQualitySamples()
+	path := filepath.Join(t.TempDir(), "ledger.ndjson")
+	f := obs.LedgerFlags{Path: path}
+	stop, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := algorithms.CatState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := device.ByName("eldorado")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := QuickConfig()
+	opts := cfg.mitigateOptions()
+	opts.ConvergeTol = 0.5 // trips on the first iteration
+	out, err := runWorkload(context.Background(), w, b, 256, opts, mathx.NewRNG(99), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := runledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("want 1 ledger record, got %d", len(recs))
+	}
+	// The loop is deterministic: rerunning it on the same counts and λ
+	// reproduces the block runWorkload handed to the ledger.
+	var loop runledger.Quality
+	opts.OnQuality = func(q runledger.Quality) { loop = q }
+	if _, err := core.MitigateCtx(context.Background(), out.Raw, out.Lambda.Lambda(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if !loop.Converged || loop.Iterations >= opts.Iterations || loop.SpectrumRef != "mode" {
+		t.Fatalf("fixture must converge early on a mode-centered run: %+v", loop)
+	}
+	got := recs[0].Quality
+	if got.Iterations != loop.Iterations || got.Converged != loop.Converged || got.SpectrumRef != loop.SpectrumRef ||
+		!reflect.DeepEqual(got.SpectrumBefore, loop.SpectrumBefore) || !reflect.DeepEqual(got.SpectrumAfter, loop.SpectrumAfter) {
+		t.Fatalf("ledger quality %+v lost the loop's %+v", got, loop)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"qbeep/internal/mathx"
 	"qbeep/internal/noise"
 	"qbeep/internal/obs"
+	"qbeep/internal/runledger"
 )
 
 // Outcome bundles one circuit induction with all three post-processing
@@ -60,11 +61,11 @@ func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend,
 	if err != nil {
 		return nil, err
 	}
-	// Capture the core loop's end-of-run quality stats; recordQuality
-	// below merges them with the workload's exact ground truth and
-	// forwards everything to the report aggregator and the run ledger.
-	var qstats core.QualityStats
-	opts.OnQuality = func(q core.QualityStats) { qstats = q }
+	// Capture the core loop's quality block; recordQuality below adds
+	// the workload's exact ground truth and forwards it to the report
+	// aggregator and the run ledger.
+	var qstats runledger.Quality
+	opts.OnQuality = func(q runledger.Quality) { qstats = q }
 	var qb *bitstring.Dist
 	var trace []float64
 	mctx, msp := obs.Start(ctx, "experiments.mitigate")

@@ -105,6 +105,7 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 		return nil, err
 	}
 	sp.SetAttr("circuit", logical.Name)
+	sp.SetAttr("backend", e.backend.Name)
 	sp.SetAttr("shots", shots)
 	sp.SetAttr("shards", eng.n)
 	elapsed := sp.End()
@@ -113,9 +114,6 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 	if secs := elapsed.Seconds(); secs > 0 {
 		metShotsPerSec.Set(float64(shots) / secs)
 	}
-	obs.Logger().Debug("noisy induction",
-		"circuit", logical.Name, "backend", e.backend.Name,
-		"shots", shots, "shards", eng.n, "elapsed", elapsed)
 	return &Run{
 		Counts:     counts,
 		Ideal:      ideal,

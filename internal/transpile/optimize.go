@@ -288,13 +288,12 @@ func TranspileCtx(ctx context.Context, c *circuit.Circuit, b *device.Backend, la
 	sp.SetAttr("circuit", c.Name)
 	sp.SetAttr("backend", b.Name)
 	sp.SetAttr("swaps", res.SwapsAdded)
+	sp.SetAttr("gates_before", res.GatesBefore)
 	sp.SetAttr("gates_after", res.GatesAfter)
+	sp.SetAttr("schedule_s", t)
 	metTranspile.ObserveDuration(sp.End())
 	metRuns.Inc()
 	metSwaps.Add(int64(res.SwapsAdded))
-	obs.Logger().Debug("transpiled",
-		"circuit", c.Name, "backend", b.Name, "gates_before", res.GatesBefore,
-		"gates_after", res.GatesAfter, "swaps", res.SwapsAdded, "schedule_s", t)
 	return res, nil
 }
 

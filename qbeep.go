@@ -10,10 +10,16 @@
 // applies after running a circuit:
 //
 //	counts := map[string]float64{"1011": 3800, "1010": 120, ...}
-//	lambda, _ := qbeep.EstimateLambdaQASM(qasmSource, "istanbul")
-//	mitigated, _ := qbeep.Mitigate(counts, lambda.Total(), qbeep.NewOptions())
+//	ctx := context.Background()
+//	lambda, _ := qbeep.EstimateLambdaQASMCtx(ctx, qasmSource, "istanbul")
+//	mitigated, _ := qbeep.MitigateCtx(ctx, counts, lambda.Total(), qbeep.NewOptions())
 //
-// For experimentation without hardware, Simulate runs the whole pipeline
+// Every operation that parses, transpiles, simulates or mitigates takes
+// a context first: its spans parent under the span active in ctx, and a
+// cancelled ctx stops transpilation, simulation and mitigation with
+// ctx's error.
+//
+// For experimentation without hardware, SimulateCtx runs the whole pipeline
 // (parse → transpile → noisy induction → λ estimation) against the
 // synthetic backend catalog. The cmd/ binaries and examples/ programs are
 // built on this surface; the paper's figures are regenerated by
@@ -30,6 +36,7 @@ import (
 	"qbeep/internal/mathx"
 	"qbeep/internal/noise"
 	"qbeep/internal/qasm"
+	"qbeep/internal/runledger"
 	"qbeep/internal/transpile"
 )
 
@@ -38,12 +45,13 @@ import (
 // allowed: mitigation redistributes flow.
 type Counts = map[string]float64
 
-// QualityStats is the end-of-run quality summary delivered to
+// QualityStats is the end-of-run quality block delivered to
 // Options.OnQuality: the raw→mitigated Hellinger shift, posterior
 // entropy, iteration count and convergence, and the per-Hamming-distance
-// mass spectrum before and after mitigation. It feeds the run ledger
-// (cmd/qbeep -run-ledger) and the qbeep_quality_* metric families.
-type QualityStats = core.QualityStats
+// mass spectrum before and after mitigation (tracked runs add the
+// fidelity and Hellinger pairs against the ideal). It is the quality
+// block of a run-ledger record (cmd/qbeep -run-ledger).
+type QualityStats = runledger.Quality
 
 // Options configures the iterative state-graph mitigation. The zero value
 // is invalid; use NewOptions for the paper's published configuration
@@ -62,8 +70,18 @@ type Options struct {
 	ConvergeTol float64
 	// OnQuality, when non-nil, receives the end-of-run QualityStats once
 	// the mitigation loop finishes. It is called synchronously, after the
-	// last iteration and before Mitigate returns.
+	// last iteration and before MitigateCtx returns.
 	OnQuality func(QualityStats)
+}
+
+// coreOptions converts the public options to the mitigation core's.
+func (o Options) coreOptions() core.Options {
+	return core.Options{
+		Iterations:  o.Iterations,
+		Epsilon:     o.Epsilon,
+		ConvergeTol: o.ConvergeTol,
+		OnQuality:   o.OnQuality,
+	}
 }
 
 // NewOptions returns the paper's defaults.
@@ -82,43 +100,29 @@ type Lambda struct {
 // Total returns the combined Poisson rate λ.
 func (l Lambda) Total() float64 { return l.T1 + l.T2 + l.Gates }
 
-// Mitigate applies Q-BEEP to raw counts with the pre-induction rate
+// MitigateCtx applies Q-BEEP to raw counts with the pre-induction rate
 // lambda and returns the mitigated distribution (same total mass). All
-// keys must share one register width.
-func Mitigate(counts Counts, lambda float64, opts Options) (Counts, error) {
-	return MitigateCtx(context.Background(), counts, lambda, opts) //qbeep:allow-ctx ctx-less public convenience form roots its own context
-}
-
-// MitigateCtx is Mitigate with trace-context propagation: the
-// "core.mitigate" span (and its per-iteration children) parents under the
-// span active in ctx, so CLI pipeline roots see the mitigation subtree.
+// keys must share one register width. The "core.mitigate" span (and its
+// per-iteration children) parents under the span active in ctx, so CLI
+// pipeline roots see the mitigation subtree; a cancelled ctx stops the
+// run before the next flow iteration.
 func MitigateCtx(ctx context.Context, counts Counts, lambda float64, opts Options) (Counts, error) {
 	dist, err := bitstring.FromStringCounts(counts)
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.MitigateCtx(ctx, dist, lambda, core.Options{
-		Iterations:  opts.Iterations,
-		Epsilon:     opts.Epsilon,
-		ConvergeTol: opts.ConvergeTol,
-		OnQuality:   opts.OnQuality,
-	})
+	out, err := core.MitigateCtx(ctx, dist, lambda, opts.coreOptions())
 	if err != nil {
 		return nil, err
 	}
 	return out.StringCounts(), nil
 }
 
-// MitigateTracked is Mitigate plus the per-iteration fidelity trace
-// against a known ideal distribution (useful for convergence plots;
-// paper Fig. 7(c)). trace[0] is the pre-mitigation fidelity.
-func MitigateTracked(counts Counts, lambda float64, opts Options, ideal Counts) (Counts, []float64, error) {
-	return MitigateTrackedCtx(context.Background(), counts, lambda, opts, ideal) //qbeep:allow-ctx ctx-less public convenience form roots its own context
-}
-
-// MitigateTrackedCtx is MitigateTracked with trace-context propagation
-// (see MitigateCtx); per-iteration spans additionally carry the Hellinger
-// distance to the ideal distribution.
+// MitigateTrackedCtx is MitigateCtx plus the per-iteration fidelity
+// trace against a known ideal distribution (useful for convergence
+// plots; paper Fig. 7(c)). trace[0] is the pre-mitigation fidelity.
+// Per-iteration spans additionally carry the Hellinger distance to the
+// ideal distribution.
 func MitigateTrackedCtx(ctx context.Context, counts Counts, lambda float64, opts Options, ideal Counts) (Counts, []float64, error) {
 	dist, err := bitstring.FromStringCounts(counts)
 	if err != nil {
@@ -128,29 +132,18 @@ func MitigateTrackedCtx(ctx context.Context, counts Counts, lambda float64, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	out, trace, err := core.MitigateTrackedCtx(ctx, dist, lambda, core.Options{
-		Iterations:  opts.Iterations,
-		Epsilon:     opts.Epsilon,
-		ConvergeTol: opts.ConvergeTol,
-		OnQuality:   opts.OnQuality,
-	}, idealDist)
+	out, trace, err := core.MitigateTrackedCtx(ctx, dist, lambda, opts.coreOptions(), idealDist)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out.StringCounts(), trace, nil
 }
 
-// EstimateLambdaQASM transpiles an OpenQASM 2.0 circuit onto a named
+// EstimateLambdaQASMCtx transpiles an OpenQASM 2.0 circuit onto a named
 // catalog backend and evaluates the Eq. 2 λ model from the backend's
 // calibration snapshot — strictly pre-induction. Backend names resolve
-// exactly like Simulate/SimulateExact, including "ion-5".
-func EstimateLambdaQASM(qasmSource, backend string) (Lambda, error) {
-	return EstimateLambdaQASMCtx(context.Background(), qasmSource, backend) //qbeep:allow-ctx ctx-less public convenience form roots its own context
-}
-
-// EstimateLambdaQASMCtx is EstimateLambdaQASM with trace-context
-// propagation: the parse and transpile spans parent under the span active
-// in ctx.
+// exactly like SimulateCtx/SimulateExactCtx, including "ion-5". The
+// parse and transpile spans parent under the span active in ctx.
 func EstimateLambdaQASMCtx(ctx context.Context, qasmSource, backend string) (Lambda, error) {
 	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
@@ -160,7 +153,11 @@ func EstimateLambdaQASMCtx(ctx context.Context, qasmSource, backend string) (Lam
 	if err != nil {
 		return Lambda{}, err
 	}
-	lb, _, err := core.EstimateLambdaForCtx(ctx, c, b)
+	res, err := transpile.TranspileCtx(ctx, c, b, nil)
+	if err != nil {
+		return Lambda{}, err
+	}
+	lb, err := core.EstimateLambda(res, b)
 	if err != nil {
 		return Lambda{}, err
 	}
@@ -217,20 +214,15 @@ type SimResult struct {
 	Swaps int
 }
 
-// Simulate parses an OpenQASM 2.0 circuit, transpiles it onto a named
+// SimulateCtx parses an OpenQASM 2.0 circuit, transpiles it onto a named
 // catalog backend, runs it for shots under the hardware-style noise model
 // (calibrated gate errors, decoherence, readout, correlated Poisson
 // bursts) and returns raw counts, the ideal distribution, and the λ
-// estimate. seed makes the run reproducible.
-func Simulate(qasmSource, backend string, shots int, seed uint64) (*SimResult, error) {
-	return SimulateCtx(context.Background(), qasmSource, backend, shots, seed) //qbeep:allow-ctx ctx-less public convenience form roots its own context
-}
-
-// SimulateCtx is Simulate with trace-context propagation: the parse,
-// transpile, ideal-run and noisy-induction spans all parent under the span
-// active in ctx, giving one connected trace for the whole synthetic
-// pipeline. The shot loop fans across cores, and the counts depend on
-// seed alone, at any GOMAXPROCS.
+// estimate. seed makes the run reproducible: the shot loop fans across
+// cores, and the counts depend on seed alone, at any GOMAXPROCS. The
+// parse, transpile, ideal-run and noisy-induction spans all parent under
+// the span active in ctx, giving one connected trace for the whole
+// synthetic pipeline.
 func SimulateCtx(ctx context.Context, qasmSource, backend string, shots int, seed uint64) (*SimResult, error) {
 	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
@@ -261,13 +253,12 @@ func SimulateCtx(ctx context.Context, qasmSource, backend string, shots int, see
 	}, nil
 }
 
-// SimulateExact runs the circuit through the exact density-matrix engine
-// (Kraus channels after every gate; O(4^n), registers ≤ 10 qubits): the
-// returned Exact distribution has no sampling error, and Sampled draws
-// shots outcomes from it. Use it to validate results from the fast
-// hardware-style model at small widths.
-func SimulateExact(qasmSource, backend string, shots int, seed uint64) (exact, sampled Counts, err error) {
-	ctx := context.Background() //qbeep:allow-ctx ctx-less public convenience form roots its own context
+// SimulateExactCtx runs the circuit through the exact density-matrix
+// engine (Kraus channels after every gate; O(4^n), registers ≤ 10
+// qubits): the returned exact distribution has no sampling error, and
+// sampled draws shots outcomes from it. Use it to validate results from
+// the fast hardware-style model at small widths.
+func SimulateExactCtx(ctx context.Context, qasmSource, backend string, shots int, seed uint64) (exact, sampled Counts, err error) {
 	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return nil, nil, err
@@ -342,11 +333,10 @@ func PST(counts Counts, correct string) (float64, error) {
 	return d.Prob(v), nil
 }
 
-// TranspileQASM lowers an OpenQASM 2.0 circuit onto a named backend's
+// TranspileQASMCtx lowers an OpenQASM 2.0 circuit onto a named backend's
 // basis and topology and returns the routed program as OpenQASM, plus the
 // scheduled duration in seconds.
-func TranspileQASM(qasmSource, backend string) (string, float64, error) {
-	ctx := context.Background() //qbeep:allow-ctx ctx-less public convenience form roots its own context
+func TranspileQASMCtx(ctx context.Context, qasmSource, backend string) (string, float64, error) {
 	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return "", 0, err

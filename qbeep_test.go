@@ -17,7 +17,7 @@ func TestEndToEndBVPipeline(t *testing.T) {
 	if !strings.Contains(src, "OPENQASM 2.0;") {
 		t.Fatal("not QASM")
 	}
-	sim, err := Simulate(src, "istanbul", 4096, 7)
+	sim, err := SimulateCtx(context.Background(), src, "istanbul", 4096, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestEndToEndBVPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mitigated, err := Mitigate(raw, sim.Lambda.Total(), NewOptions())
+	mitigated, err := MitigateCtx(context.Background(), raw, sim.Lambda.Total(), NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,38 +62,75 @@ func TestEndToEndBVPipeline(t *testing.T) {
 }
 
 func TestMitigateValidatesInput(t *testing.T) {
-	if _, err := Mitigate(Counts{}, 1, NewOptions()); err == nil {
+	if _, err := MitigateCtx(context.Background(), Counts{}, 1, NewOptions()); err == nil {
 		t.Error("empty counts should error")
 	}
-	if _, err := Mitigate(Counts{"01": 1, "011": 1}, 1, NewOptions()); err == nil {
+	if _, err := MitigateCtx(context.Background(), Counts{"01": 1, "011": 1}, 1, NewOptions()); err == nil {
 		t.Error("mixed widths should error")
 	}
-	if _, err := Mitigate(Counts{"01": 1}, -1, NewOptions()); err == nil {
+	if _, err := MitigateCtx(context.Background(), Counts{"01": 1}, -1, NewOptions()); err == nil {
 		t.Error("negative lambda should error")
 	}
-	if _, err := Mitigate(Counts{"01": 1}, 1, Options{}); err == nil {
+	if _, err := MitigateCtx(context.Background(), Counts{"01": 1}, 1, Options{}); err == nil {
 		t.Error("zero options should error")
 	}
 }
 
-// TestMitigateCtxCancelled: the public Ctx forms hand a cancelled ctx
-// through to the flow iteration, which returns ctx's error.
-func TestMitigateCtxCancelled(t *testing.T) {
+// TestCtxEntriesCancelled: every public ctx entry that parses,
+// transpiles, simulates or mitigates returns ctx's error on a
+// cancelled ctx.
+func TestCtxEntriesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	counts := Counts{"101": 90, "100": 10}
-	if _, err := MitigateCtx(ctx, counts, 1, NewOptions()); !errors.Is(err, context.Canceled) {
-		t.Errorf("MitigateCtx: err = %v", err)
+	src, err := BernsteinVaziraniQASM("101")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := MitigateTrackedCtx(ctx, counts, 1, NewOptions(), Counts{"101": 1}); !errors.Is(err, context.Canceled) {
-		t.Errorf("MitigateTrackedCtx: err = %v", err)
+	entries := []struct {
+		name string
+		call func() error
+	}{
+		{"MitigateCtx", func() error {
+			_, err := MitigateCtx(ctx, counts, 1, NewOptions())
+			return err
+		}},
+		{"MitigateTrackedCtx", func() error {
+			_, _, err := MitigateTrackedCtx(ctx, counts, 1, NewOptions(), Counts{"101": 1})
+			return err
+		}},
+		{"MitigateEnsembleCtx", func() error {
+			_, err := MitigateEnsembleCtx(ctx, []EnsembleRun{{Counts: counts, Lambda: 1}}, NewOptions())
+			return err
+		}},
+		{"EstimateLambdaQASMCtx", func() error {
+			_, err := EstimateLambdaQASMCtx(ctx, src, "galway")
+			return err
+		}},
+		{"SimulateCtx", func() error {
+			_, err := SimulateCtx(ctx, src, "galway", 64, 1)
+			return err
+		}},
+		{"SimulateExactCtx", func() error {
+			_, _, err := SimulateExactCtx(ctx, src, "galway", 64, 1)
+			return err
+		}},
+		{"TranspileQASMCtx", func() error {
+			_, _, err := TranspileQASMCtx(ctx, src, "galway")
+			return err
+		}},
+	}
+	for _, e := range entries {
+		if err := e.call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", e.name, err)
+		}
 	}
 }
 
 func TestMitigateTrackedTrace(t *testing.T) {
 	raw := Counts{"000": 70, "001": 15, "010": 10, "111": 5}
 	ideal := Counts{"000": 1}
-	out, trace, err := MitigateTracked(raw, 1, NewOptions(), ideal)
+	out, trace, err := MitigateTrackedCtx(context.Background(), raw, 1, NewOptions(), ideal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,44 +147,44 @@ func TestMitigateTrackedTrace(t *testing.T) {
 
 func TestEstimateLambdaQASM(t *testing.T) {
 	src, _ := BernsteinVaziraniQASM("1011")
-	lb, err := EstimateLambdaQASM(src, "galway")
+	lb, err := EstimateLambdaQASMCtx(context.Background(), src, "galway")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lb.Total() <= 0 || lb.Time <= 0 {
 		t.Errorf("lambda %+v", lb)
 	}
-	if _, err := EstimateLambdaQASM(src, "nope"); err == nil {
+	if _, err := EstimateLambdaQASMCtx(context.Background(), src, "nope"); err == nil {
 		t.Error("unknown backend should error")
 	}
-	if _, err := EstimateLambdaQASM("not qasm", "galway"); err == nil {
+	if _, err := EstimateLambdaQASMCtx(context.Background(), "not qasm", "galway"); err == nil {
 		t.Error("bad QASM should error")
 	}
 }
 
 // TestEstimateLambdaQASMIonBackend is the regression test for the
-// backend-name inconsistency: Simulate/SimulateExact accepted "ion-5"
-// while EstimateLambdaQASM rejected it (it consulted the catalog
+// backend-name inconsistency: SimulateCtx/SimulateExactCtx accepted
+// "ion-5" while EstimateLambdaQASMCtx rejected it (it consulted the catalog
 // directly). All three must resolve names identically.
 func TestEstimateLambdaQASMIonBackend(t *testing.T) {
 	src, err := BernsteinVaziraniQASM("1011")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := EstimateLambdaQASM(src, "ion-5")
+	lb, err := EstimateLambdaQASMCtx(context.Background(), src, "ion-5")
 	if err != nil {
-		t.Fatalf("EstimateLambdaQASM rejects ion-5 while Simulate accepts it: %v", err)
+		t.Fatalf("EstimateLambdaQASMCtx rejects ion-5 while SimulateCtx accepts it: %v", err)
 	}
 	if lb.Total() <= 0 || lb.Time <= 0 {
 		t.Errorf("ion-5 lambda %+v", lb)
 	}
-	// Same pipeline through Simulate must agree on the estimate.
-	sim, err := Simulate(src, "ion-5", 64, 1)
+	// Same pipeline through SimulateCtx must agree on the estimate.
+	sim, err := SimulateCtx(context.Background(), src, "ion-5", 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := lb.Total(), sim.Lambda.Total(); got != want {
-		t.Errorf("lambda mismatch: EstimateLambdaQASM %v vs Simulate %v", got, want)
+		t.Errorf("lambda mismatch: EstimateLambdaQASMCtx %v vs SimulateCtx %v", got, want)
 	}
 }
 
@@ -207,7 +244,7 @@ func TestSuiteCircuits(t *testing.T) {
 
 func TestSimulateOnIonBackend(t *testing.T) {
 	src, _ := BernsteinVaziraniQASM("101")
-	sim, err := Simulate(src, "ion-5", 512, 3)
+	sim, err := SimulateCtx(context.Background(), src, "ion-5", 512, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +274,7 @@ func TestFidelityAndPSTHelpers(t *testing.T) {
 
 func TestTranspileQASM(t *testing.T) {
 	src, _ := BernsteinVaziraniQASM("1101")
-	out, dur, err := TranspileQASM(src, "carthage")
+	out, dur, err := TranspileQASMCtx(context.Background(), src, "carthage")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +313,7 @@ func TestSimulateExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, sampled, err := SimulateExact(src, "auckland", 2000, 3)
+	exact, sampled, err := SimulateExactCtx(context.Background(), src, "auckland", 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,13 +332,13 @@ func TestSimulateExact(t *testing.T) {
 		t.Errorf("sampled shots %v", shots)
 	}
 	// Zero shots: no sampled map.
-	_, none, err := SimulateExact(src, "auckland", 0, 0)
+	_, none, err := SimulateExactCtx(context.Background(), src, "auckland", 0, 0)
 	if err != nil || none != nil {
 		t.Errorf("zero-shot: %v %v", none, err)
 	}
 	// Over-wide circuit rejected.
 	wide, _ := BernsteinVaziraniQASM("10110101011")
-	if _, _, err := SimulateExact(wide, "galway", 0, 0); err == nil {
+	if _, _, err := SimulateExactCtx(context.Background(), wide, "galway", 0, 0); err == nil {
 		t.Error("over-wide should error")
 	}
 }

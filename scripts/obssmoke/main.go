@@ -29,19 +29,20 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	obs.Default.Counter("smoke.hits").Inc()
 	obs.Default.Gauge("smoke.level").Set(3.5)
 	obs.Default.Histogram("smoke.latency").Observe(0.012)
 	// A trace-stamped worst observation must surface as _window_worst.
 	obs.Default.Histogram("smoke.stamped").ObserveTrace(0.5, 7)
 	// One real fan-out batch populates the par_worker_busy_ratio gauges.
-	if err := par.ForEachCtx(context.Background(), 8, 2, func(int) error { return nil }); err != nil {
+	if err := par.ForEachCtx(ctx, 8, 2, func(int) error { return nil }); err != nil {
 		return err
 	}
 	// A real tiny mitigation and λ estimation drive the quality families
 	// live: the core loop observes qbeep_quality_hellinger_shift, Eq. 2
 	// estimation sets the per-backend qbeep_quality_lambda gauge.
-	if _, err := qbeep.Mitigate(qbeep.Counts{"000": 900, "001": 50, "010": 30, "100": 20}, 1.2, qbeep.NewOptions()); err != nil {
+	if _, err := qbeep.MitigateCtx(ctx, qbeep.Counts{"000": 900, "001": 50, "010": 30, "100": 20}, 1.2, qbeep.NewOptions()); err != nil {
 		return err
 	}
 	const bell = `OPENQASM 2.0;
@@ -53,7 +54,7 @@ cx q[0],q[1];
 measure q[0] -> c[0];
 measure q[1] -> c[1];
 `
-	if _, err := qbeep.EstimateLambdaQASM(bell, "istanbul"); err != nil {
+	if _, err := qbeep.EstimateLambdaQASMCtx(ctx, bell, "istanbul"); err != nil {
 		return err
 	}
 	// PST improvement lives in the experiments layer; a synthetic

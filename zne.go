@@ -2,19 +2,20 @@ package qbeep
 
 import (
 	"context"
+
 	"qbeep/internal/qasm"
 	"qbeep/internal/zne"
 )
 
-// FoldQASM amplifies a circuit's noise exposure by unitary gate folding
+// FoldQASMCtx amplifies a circuit's noise exposure by unitary gate folding
 // (G → G·G†·G at scale 3, and so on for odd scales): the returned OpenQASM
 // program computes the same unitary with scale× the gate count. Run the
 // folded variants and extrapolate an observable to zero noise with
 // ExtrapolateZero — zero-noise extrapolation, a QEM technique that
 // composes with Q-BEEP (ZNE corrects expectation values, Q-BEEP corrects
 // distributions).
-func FoldQASM(qasmSource string, scale int) (string, error) {
-	c, err := qasm.ParseCtx(context.Background(), qasmSource) //qbeep:allow-ctx ctx-less public convenience form roots its own context
+func FoldQASMCtx(ctx context.Context, qasmSource string, scale int) (string, error) {
+	c, err := qasm.ParseCtx(ctx, qasmSource)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package qbeep
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ func TestFoldQASM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := FoldQASM(src, 3)
+	folded, err := FoldQASMCtx(context.Background(), src, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +23,10 @@ func TestFoldQASM(t *testing.T) {
 	if strings.Count(folded, ";") <= strings.Count(src, ";") {
 		t.Error("folding did not grow the program")
 	}
-	if _, err := FoldQASM(src, 2); err == nil {
+	if _, err := FoldQASMCtx(context.Background(), src, 2); err == nil {
 		t.Error("even scale should error")
 	}
-	if _, err := FoldQASM("garbage", 3); err == nil {
+	if _, err := FoldQASMCtx(context.Background(), "garbage", 3); err == nil {
 		t.Error("bad QASM should error")
 	}
 }
@@ -37,15 +38,15 @@ func TestFoldQASMSemanticsThroughSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := FoldQASM(src, 3)
+	folded, err := FoldQASMCtx(context.Background(), src, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Simulate(src, "galway", 64, 1)
+	a, err := SimulateCtx(context.Background(), src, "galway", 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(folded, "galway", 64, 1)
+	b, err := SimulateCtx(context.Background(), folded, "galway", 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
