@@ -67,9 +67,12 @@ race:
 # bench-smoke: one short pass over the mitigation hot path to catch
 # gross regressions (the observability layer must stay ~free when off),
 # plus one pass over the count-conversion layer, one over the
-# failure-event shot loop and one over the HAMMER baseline.
+# failure-event shot loop, one over the HAMMER baseline and one over
+# the spectrum step on the 20-qubit counts-large corpus (the blocked
+# transform on its shards).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMitigateThroughput' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkStateGraphStep/clustered/n20/c8/lambda1.5/spectrum' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDistConvert' -benchmem -benchtime 1x ./internal/bitstring
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleShots' -benchmem -benchtime 1x ./internal/noise
 	$(GO) test -run '^$$' -bench 'BenchmarkHammerMitigate' -benchmem -benchtime 1x ./internal/hammer
@@ -101,9 +104,11 @@ bench-gate:
 	$(GO) run ./cmd/qbeep-bench -suites core,sim -compare -trajectory '' -benchtime 100ms -commit "$$(git rev-parse --short HEAD)"
 
 # bench-record: refresh BENCH_trajectory.json with one row per suite at
-# the current commit (idempotent: re-running replaces the rows).
+# the current commit, at GOMAXPROCS 1 and 2 so the rows show parallel
+# scaling (idempotent: re-running replaces the rows).
 bench-record:
-	$(GO) run ./cmd/qbeep-bench -suites core,sim -commit "$$(git rev-parse --short HEAD)"
+	GOMAXPROCS=1 $(GO) run ./cmd/qbeep-bench -suites core,sim -commit "$$(git rev-parse --short HEAD)"
+	GOMAXPROCS=2 $(GO) run ./cmd/qbeep-bench -suites core,sim -commit "$$(git rev-parse --short HEAD)"
 
 # fuzz-smoke: a few seconds on each native fuzz target — enough to
 # re-check the seed corpus plus a short random walk on every commit.

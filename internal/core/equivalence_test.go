@@ -84,7 +84,7 @@ func sameDist(t *testing.T, label string, want, got *bitstring.Dist) {
 
 // TestScanMatchesBruteOracle drives both discovery strategies and the
 // full worker matrix against the seed's serial O(V²) scan on randomized
-// inputs across widths 4–16, asserting bit-for-bit identical edge sets,
+// inputs across widths 4–20, asserting bit-for-bit identical edge sets,
 // weights, pruned counts, and CSR layout. The n = 10 corpora at λ >= 13
 // are the far end of the Eq. 2 range: only the outermost shells pass ε
 // (at λ = 14 and 14.5 only d = n, so complements are the only edges),
@@ -150,21 +150,57 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 						sameEdges(t, label+" vs ref", ref, g)
 					}
 					if strat != scanAuto && c.n <= spectrumMaxWidth {
-						sameHistogram(t, label, raw, g)
+						sameHistogram(t, label, raw, g, w)
 					}
 				}
 			}
 		}
 	}
+	// The histogram at the widths its transform shards, 13–20, up to
+	// λ = 12, where the radius reaches n − 2 to n: the pair scan must
+	// match the brute oracle, and the histogram at every worker count
+	// its tallies. The ball walk would probe most of the register per
+	// vertex here.
+	for _, c := range []struct {
+		n, support int
+		lambda     float64
+		seed       uint64
+	}{
+		{13, 300, 6, 21}, {14, 300, 12, 22}, {15, 400, 1.5, 23}, {16, 300, 12, 24},
+		{17, 400, 4, 25}, {18, 300, 12, 26}, {19, 400, 8, 27}, {20, 300, 12, 28},
+	} {
+		dists := map[string]*bitstring.Dist{
+			"clustered": poissonCounts(c.n, bitstring.BitString(0x5a5a5)&(1<<uint(c.n)-1), c.lambda, c.support*3, c.seed),
+			"uniform":   uniformDist(c.n, c.support, c.seed+100),
+		}
+		for kind, raw := range dists {
+			oracle, err := buildStateGraphBrute(raw, PoissonEdges{Lambda: c.lambda}, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range workers {
+				label := fmt.Sprintf("n=%d λ=%g %s pairs workers=%d", c.n, c.lambda, kind, w)
+				g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, scanPairs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if w == workers[0] {
+					sameEdges(t, label+" vs oracle", oracle, g)
+				}
+				sameHistogram(t, label, raw, g, w)
+			}
+		}
+	}
 }
 
-// sameHistogram checks the pair-distance histogram, an independent
-// oracle for the scan's tallies on the widths the spectrum serves: its
-// edge and pruned counts must equal those of the rows g's scan laid out.
-func sameHistogram(t *testing.T, label string, raw *bitstring.Dist, g *StateGraph) {
+// sameHistogram checks the pair-distance histogram, computed on a
+// spectrum with workers shards, an independent oracle for the scan's
+// tallies on the widths the spectrum serves: its edge and pruned counts
+// must equal those of the rows g's scan laid out.
+func sameHistogram(t *testing.T, label string, raw *bitstring.Dist, g *StateGraph, workers int) {
 	t.Helper()
 	vals := raw.Outcomes()
-	_, pairs := newSpectrum(vals, g.n, krawtchouk(g.n))
+	pairs := newSpectrum(g.n, workers).pairHistogram(context.Background(), vals, krawtchouk(g.n))
 	edges, pruned := g.tab.tallyPairs(pairs[:], g.radius)
 	if edges != g.NumEdges() || pruned != g.pruned {
 		t.Fatalf("%s: histogram gives %d edges, %d pruned; the scan %d, %d", label, edges, pruned, g.NumEdges(), g.pruned)
@@ -334,11 +370,13 @@ func TestStepAllocationFree(t *testing.T) {
 		t.Fatalf("sharded Step allocates %v per op after warm-up", n)
 	}
 
-	// The spectrum, whose transforms run inline at any worker count.
+	// The spectrum: at n <= 12 its transforms run inline at any worker
+	// count, at n = 16 on the spectrum's own two shards; the row passes
+	// bind none either way.
 	for _, c := range []struct {
-		raw     *bitstring.Dist
-		workers int
-	}{{raw, 1}, {big, 2}} {
+		raw             *bitstring.Dist
+		workers, shards int
+	}{{raw, 1, 0}, {big, 2, 0}, {poissonCounts(16, 0b1011001110100101, 1.5, 3000, 67), 2, 2}} {
 		g, err := buildStateGraphCtx(context.Background(), c.raw, PoissonEdges{Lambda: 1.5}, 0.05, c.workers, scanSpectrum)
 		if err != nil {
 			t.Fatal(err)
@@ -348,7 +386,10 @@ func TestStepAllocationFree(t *testing.T) {
 		}
 		g.Step(1)
 		if g.scratch.shards != nil {
-			t.Fatalf("workers=%d spectrum graph bound shards", c.workers)
+			t.Fatalf("workers=%d spectrum graph bound row shards", c.workers)
+		}
+		if shards := g.spec.shards; (shards == nil && c.shards != 0) || (shards != nil && shards.Len() != c.shards) {
+			t.Fatalf("workers=%d n=%d: spectrum shards %v, want %d", c.workers, g.n, shards, c.shards)
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			g.Step(0.5)

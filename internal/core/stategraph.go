@@ -70,10 +70,11 @@ type node struct {
 // (2²⁴) vertices. Every edge appears in both endpoints' rows, so an edge
 // costs 2×4 = 8 resident bytes. scanEdges lays the rows out with a
 // two-level counting sort on the scan's shards, and Step sums each row in
-// a fixed four-way order (passRange). Or, on narrow registers where the graph
-// is dense enough, a spectrum (spectrum.go): Step computes the same
-// neighbour sums by Walsh–Hadamard transforms and no edge is stored; the
-// rows are built only if WriteDOT asks for them. Step's working set
+// a fixed four-way order (passRange). Or, on registers of up to
+// spectrumMaxWidth (20) qubits where the graph is dense enough, a
+// spectrum (spectrum.go): Step computes the same neighbour sums by
+// Walsh–Hadamard transforms and no edge is stored; the rows are built
+// only if WriteDOT asks for them. Step's working set
 // lives in a reusable scratch struct, so the 20-iteration mitigation
 // loop is allocation-free after the first call.
 type StateGraph struct {
@@ -194,9 +195,10 @@ func buildGraph(ctx context.Context, counts *bitstring.Dist, self float64, tab w
 	// and the largest shells are the outer ones.
 	g.radius = g.tab.effectiveRadius()
 	used := scanSpectrum
-	if g.spec = g.trySpectrum(vals, strat); g.spec != nil {
-		// The transforms take well under a millisecond (n <= 12), so
-		// one check after them stands in for the scan's periodic ones.
+	if g.spec = g.trySpectrum(ctx, vals, strat); g.spec != nil {
+		// The build's two transforms and sweeps over 2ⁿ entries take
+		// tens of milliseconds at most (n <= spectrumMaxWidth), so one
+		// check after them stands in for the scan's periodic ones.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -320,7 +322,7 @@ type stepScratch struct {
 // stepWorkers resolves the flow iteration's shard count.
 func (g *StateGraph) stepWorkers() int {
 	if g.spec != nil {
-		return 1 // the transforms run inline (see spectrumSums)
+		return 1 // the transforms run on the spectrum's shards (see spectrum.go)
 	}
 	w := g.workers
 	if w <= 0 {
@@ -365,7 +367,7 @@ func (g *StateGraph) initStep() {
 }
 
 // runPass runs one pass over every vertex: inline on an unsharded graph
-// (a spectrum graph's sums first, see spectrumSums), else across the
+// (a spectrum graph's sums first, see spectrum.sums), else across the
 // bound shards. A shard panic (only a corrupt graph can cause one)
 // resurfaces on the calling goroutine.
 //
@@ -383,7 +385,7 @@ func (g *StateGraph) runPass(pass int) {
 	}
 	if s.shards == nil {
 		if g.spec != nil {
-			g.spectrumSums()
+			g.spec.sums(g.ctx, s.x, s.sum)
 		}
 		g.passRange(0, 0, len(g.nodes))
 		return
@@ -403,7 +405,7 @@ func (g *StateGraph) stepShard(k int) {
 
 // passRange runs the current pass over shard k's vertices [lo, hi):
 // first every vertex's neighbour sum Σ_j w_ij·x_j into s.sum — its row
-// sum; on a spectrum graph spectrumSums has already left them there — then
+// sum; on a spectrum graph spectrum.sums has already left them there — then
 // the pass's epilogue per vertex, which writes only vertex i's entries.
 // The row sums get a loop of their own: folded into the epilogue loop,
 // they left too few registers for the row loop's counter. A row sum runs
@@ -503,9 +505,10 @@ func (g *StateGraph) passRange(k, lo, hi int) {
 // rounded product cannot exceed count_i (the spectrum clamps S_i at 0,
 // which keeps S_i <= Z_i). Each row lists its neighbours in a fixed
 // (ascending) order and the row passes shard across fixed vertex ranges
-// (see stepWorkers) with no shared writes; a spectrum graph runs its
-// transforms inline at any worker count. So the result is independent
-// of the shard count. It matches
+// (see stepWorkers) with no shared writes; a spectrum graph's
+// transforms split into blocks and column chunks whose butterflies do
+// not depend on which shard runs them. So the result is independent of
+// the shard count. It matches
 // the edge-ordered scatter oracle to rounding (DESIGN.md §7 has both
 // representations' bounds).
 //

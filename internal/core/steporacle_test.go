@@ -296,17 +296,22 @@ func stepCases() []stepCase {
 		// their a_i = η·M/w_0 must stay out of the transform.
 		{name: "zero-z-sparse", raw: uniformDist(12, 150, 66), w: zeroSelfEdges{PoissonEdges{Lambda: 0.5}}, eta: inv, zeroZ: true},
 		{name: "tiny-w0-sparse", raw: uniformDist(12, 150, 66), w: tinySelfEdges{PoissonEdges{Lambda: 0.5}}, eta: inv},
+		// Sixteen qubits: the spectrum's transform runs its low stages in
+		// sixteen blocks and the rest in column chunks, on shards.
+		{name: "n16-blocked", raw: poissonCounts(16, 0b1011001110100101, 1.5, 3000, 67), w: PoissonEdges{Lambda: 1.5}, eta: inv},
 	}
 }
 
-// stepReps are the two representations the step oracle tests force
-// through the build's strategy seam: CSR rows (every scan strategy lays
-// out the same rows) and the spectrum.
+// stepReps are the two representations the step oracle tests and the
+// state-graph benchmarks force through the build's strategy seam: CSR
+// rows and the spectrum. Every scan strategy lays out the same rows;
+// the rows come from the ball walk, the scan auto mode runs on the
+// benchmark corpora (the pair scan takes 2 s on the counts-large one).
 var stepReps = []struct {
 	name  string
 	strat scanStrategy
 }{
-	{"rows", scanPairs},
+	{"rows", scanSphere},
 	{"spectrum", scanSpectrum},
 }
 
@@ -479,8 +484,8 @@ func TestStepMatchesScatterOracle(t *testing.T) {
 
 // FuzzStepOracle compares Step on both representations against the
 // scatter reference within the DESIGN.md §7 bounds on random small
-// corpora, λ up to 20 (the top of the Eq. 2 range), learning rates and
-// worker counts {1, 2, 3}; η <= 1 must never
+// corpora of 2–20 qubits, λ up to 20 (the top of the Eq. 2 range),
+// learning rates and worker counts {1, 2, 3}; η <= 1 must never
 // run the cap pass. Every step starts from the oracle's counts: on
 // adversarial corpora the iteration itself amplifies a rounding residue
 // left on a drained vertex (the sixth seed: complements are the only
@@ -502,8 +507,14 @@ func FuzzStepOracle(f *testing.F) {
 	f.Add(uint64(7), uint8(8), uint8(150), uint8(129), uint8(5), uint8(1))
 	f.Add(uint64(8), uint8(8), uint8(150), uint8(144), uint8(5), uint8(1))
 	f.Add(uint64(9), uint8(8), uint8(150), uint8(199), uint8(5), uint8(1))
+	// Sixteen qubits, two workers: the spectrum's blocked transform on
+	// its shards.
+	f.Add(uint64(10), uint8(131), uint8(190), uint8(15), uint8(10), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, n, support, lambda10, eta10, workers uint8) {
 		width := int(n)%12 + 2
+		if n >= 128 {
+			width = int(n)%8 + 13 // the widths whose transform is blocked
+		}
 		sup := int(support)%200 + 1
 		if sup > 1<<width {
 			sup = 1 << width

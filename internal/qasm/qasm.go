@@ -143,11 +143,17 @@ var expanders = map[string]func(params []float64, qubits []int) ([]circuit.Gate,
 	},
 }
 
+// parseCheckLines is how many source lines ParseCtx reads between two
+// checks of its ctx.
+const parseCheckLines = 1024
+
 // ParseCtx reads an OpenQASM 2.0 program in the supported subset and
 // returns the circuit. The classical register is implicit (measurements
 // map qubit i to clbit i); gate parameters accept numeric literals and
 // simple pi-expressions (pi, -pi, pi/2, 3*pi/4, ...). The "qasm.parse"
-// span parents under the span active in ctx.
+// span parents under the span active in ctx. ParseCtx returns ctx's
+// error if ctx is done on entry or before a block of parseCheckLines
+// lines.
 func ParseCtx(ctx context.Context, src string) (*circuit.Circuit, error) {
 	_, sp := obs.Start(ctx, "qasm.parse")
 	// Ending via defer keeps the span from leaking on parse errors
@@ -159,6 +165,11 @@ func ParseCtx(ctx context.Context, src string) (*circuit.Circuit, error) {
 	var c *circuit.Circuit
 	lineNo := 0
 	for _, raw := range strings.Split(src, "\n") {
+		if lineNo%parseCheckLines == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("qasm: %w", err)
+			}
+		}
 		lineNo++
 		line := strings.TrimSpace(raw)
 		if i := strings.Index(line, "//"); i >= 0 {

@@ -119,6 +119,10 @@ func TestCtxEntriesCancelled(t *testing.T) {
 			_, _, err := TranspileQASMCtx(ctx, src, "galway")
 			return err
 		}},
+		{"FoldQASMCtx", func() error {
+			_, err := FoldQASMCtx(ctx, src, 3)
+			return err
+		}},
 	}
 	for _, e := range entries {
 		if err := e.call(); !errors.Is(err, context.Canceled) {
