@@ -67,12 +67,15 @@ race:
 # bench-smoke: one short pass over the mitigation hot path to catch
 # gross regressions (the observability layer must stay ~free when off),
 # plus one pass over the count-conversion layer, one over the
-# failure-event shot loop, one over the HAMMER baseline and one over
-# the spectrum step on the 20-qubit counts-large corpus (the blocked
-# transform on its shards).
+# failure-event shot loop, one over the HAMMER baseline, one over the
+# spectrum step on the 20-qubit counts-large corpus (the blocked
+# transform on its shards) and one over that corpus's forced rows build,
+# the only multi-million-edge input of the scan and its serial row
+# layout.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMitigateThroughput' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkStateGraphStep/clustered/n20/c8/lambda1.5/spectrum' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildStateGraph$$/clustered/n20/c8/lambda1.5/rows' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDistConvert' -benchmem -benchtime 1x ./internal/bitstring
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleShots' -benchmem -benchtime 1x ./internal/noise
 	$(GO) test -run '^$$' -bench 'BenchmarkHammerMitigate' -benchmem -benchtime 1x ./internal/hammer

@@ -19,10 +19,10 @@ package core
 //   - one cut of the vertex range into contiguous ranges of equal
 //     estimated work, drained by the shards of one internal/par Shards
 //     into per-shard chunked pair buffers. Each range appends its forward
-//     pairs (a, b), b > a, in the order it finds them; a two-level
-//     counting sort on the same shards lays out the graph's adjacency
-//     rows, each ascending by construction — bit-for-bit identical to
-//     the serial O(V²) scan for either strategy and any worker count.
+//     pairs (a, b), b > a, in the order it finds them; a counting sort
+//     on the calling goroutine lays out the graph's adjacency rows,
+//     each ascending by construction — bit-for-bit identical to the
+//     serial O(V²) scan for either strategy and any worker count.
 //
 // The seed's serial scan survives in the tests as bruteScanEdges: the
 // randomized equivalence tests use it as the oracle, and
@@ -248,20 +248,9 @@ type taskPieces struct {
 	shard, first, last int
 }
 
-// Phases of scanEdges, all run on one par.Shards (see scanBuild.run).
-const (
-	phaseScan  = iota // each shard drains tasks into its pair buffer
-	phaseCount        // group g counts its pairs' row entries
-	phaseLower        // group g scatters a into the lower part of row b
-	phaseUpper        // group g packs its rows' lower parts, mirroring each into the upper parts
-)
-
-// scanBuild is one scanEdges run, shared by the shards of its phases.
-// The scan's shards claim tasks in ascending order through next, so a
-// shard runs one task at a time and its pieces follow the task order.
-// The layout then cuts the tasks into contiguous groups, one per shard:
-// group g owns the tasks [groups[g], groups[g+1]), whose pairs (a, b)
-// have a in its rows [bound[g], bound[g+1]).
+// scanBuild is one scanEdges scan, shared by the shards of its
+// par.Shards. The shards claim tasks in ascending order through next, so
+// a shard runs one task at a time and its pieces follow the task order.
 type scanBuild struct {
 	ctx   context.Context
 	sc    *edgeScanner
@@ -270,31 +259,6 @@ type scanBuild struct {
 	next  atomic.Int64
 	bufs  []pairBuf    // per shard
 	found []taskPieces // per task
-	phase int
-
-	groups []int
-	bound  []int32
-	// cur holds 2G cursor rows of V entries. Row g counts, then places,
-	// the lower entries group g's pairs put in each row; row G+h the
-	// upper entries group h's rows put in each row (pair (a, b) gives
-	// row a the upper entry b, placed by the group that owns row b).
-	cur   []int32
-	start []int32
-	adj   []uint32
-}
-
-// run is the Shards task: shard k's share of the current phase.
-func (s *scanBuild) run(k int) {
-	switch s.phase {
-	case phaseScan:
-		s.scan(k)
-	case phaseCount:
-		s.count(k)
-	case phaseLower:
-		s.scatterLower(k)
-	case phaseUpper:
-		s.scatterUpper(k)
-	}
 }
 
 // scan drains tasks into shard k's pair buffer until none is left or
@@ -318,68 +282,6 @@ func (s *scanBuild) scan(k int) {
 func (s *scanBuild) pieces(ti int) [][]uint64 {
 	f := s.found[ti]
 	return s.bufs[f.shard].pieces[f.first:f.last]
-}
-
-// count tallies group g's pairs (a, b): one lower entry of row b from
-// group g, and one upper entry of row a from the group that owns row b.
-// Group g owns every a it sees, so no two groups write one counter.
-func (s *scanBuild) count(g int) {
-	nV, bound := len(s.sc.vals), s.bound
-	lower, upper := s.cur[g*nV:(g+1)*nV], s.cur[(len(bound)-1)*nV:]
-	for ti := s.groups[g]; ti < s.groups[g+1]; ti++ {
-		for _, piece := range s.pieces(ti) {
-			for _, p := range piece {
-				a, b := int(p>>32), int32(uint32(p))
-				lower[b]++
-				h := g
-				for b >= bound[h+1] {
-					h++
-				}
-				upper[h*nV+a]++
-			}
-		}
-	}
-}
-
-// scatterLower appends each of group g's pairs (a, b) to row b at group
-// g's cursor. Pairs come in ascending a within the group, and the groups'
-// cursors follow one another in group order, so every row's lower part
-// ascends.
-func (s *scanBuild) scatterLower(g int) {
-	nV, adj := len(s.sc.vals), s.adj
-	lower := s.cur[g*nV : (g+1)*nV]
-	for ti := s.groups[g]; ti < s.groups[g+1]; ti++ {
-		for _, piece := range s.pieces(ti) {
-			for _, p := range piece {
-				b := uint32(p)
-				adj[lower[b]] = uint32(p >> 32)
-				lower[b]++
-			}
-		}
-	}
-}
-
-// scatterUpper walks group g's rows b in ascending order. It packs each
-// lower entry a in place as a<<8 | d(a, b) and appends b<<8 | d(a, b) to
-// row a's upper part at group g's cursor, so every row's upper part
-// ascends too, after its lower part. The last lower cursors now mark the
-// end of each row's lower part; the upper parts written here belong to
-// rows a < b, which no group reads in this phase.
-func (s *scanBuild) scatterUpper(g int) {
-	vals, start, adj := s.sc.vals, s.start, s.adj
-	nV, groups := len(vals), len(s.bound)-1
-	lowerEnd := s.cur[(groups-1)*nV : groups*nV]
-	upper := s.cur[(groups+g)*nV : (groups+g+1)*nV]
-	for b := s.bound[g]; b < s.bound[g+1]; b++ {
-		vb := vals[b]
-		row := adj[start[b]:lowerEnd[b]]
-		for q, a := range row {
-			d := uint32(bitstring.Hamming(vals[a], vb))
-			row[q] = a<<8 | d
-			adj[upper[a]] = uint32(b)<<8 | d
-			upper[a]++
-		}
-	}
 }
 
 // planScanTasks cuts [0, nV) into min(8·workers, 64) contiguous ranges of
@@ -434,20 +336,17 @@ func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask
 // rows, and the rows are identical regardless of strategy, partitioning,
 // or worker count; pruned counts candidate pairs within the radius
 // dropped by ε, matching the serial scan's accounting exactly. A
-// cancelled ctx fails the scan with its error, and so does a phase
+// cancelled ctx fails the scan with its error, and so does a scan shard
 // that panics. vals must have fewer than maxVertices entries.
 //
-// The scan and the layout run on one par.Shards. The tasks' forward
-// pairs (a, b), b > a, come in ascending a when read in task order; the
-// layout is a two-level counting sort over them. The tasks are cut into
-// contiguous groups of about equal pair counts, one per shard. Each group
-// counts, per row, the lower entries its pairs give row b and the upper
-// entries they give row a, split by the group that owns row b; one serial
-// prefix sum over the rows turns the counts into per-group cursors. Then
-// each group scatters its pairs' a into the rows b, and finally, over
-// its own rows b, packs each lower entry's distance in place and mirrors
-// the entry into the upper part of row a. With one group these are the
-// degree pass and the two counting transposes of a serial layout.
+// The scan runs on a par.Shards; the layout runs on the calling
+// goroutine, as a counting sort over the tasks' forward pairs (a, b),
+// b > a, which come in ascending a when read in task order. A degree
+// pass and a prefix sum place the rows; a scatter appends each a to row
+// b, so every row's lower part (the neighbours below it) ascends; then a
+// pass over the rows b in ascending order packs each lower entry's
+// distance in place and mirrors the entry into row a, so every row's
+// upper part ascends too, after its lower part.
 func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab *weightTable, workers int, strat scanStrategy) (start []int32, adj []uint32, pruned int, used scanStrategy, err error) {
 	nV := len(vals)
 	if radius <= 0 || nV < 2 {
@@ -518,8 +417,7 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		s.bufs[k].chunk = max(int(1.2*hitEst/float64(shards))+64, 2*sc.room)
 		s.bufs[k].pieces = arena[k*len(s.tasks) : k*len(s.tasks) : (k+1)*len(s.tasks)]
 	}
-	sh := par.NewShards(shards, s.run)
-	if err := s.runPhase(sh, phaseScan, shards); err != nil {
+	if err := par.NewShards(shards, s.scan).Run(ctx, shards); err != nil {
 		return nil, nil, 0, strat, err
 	}
 	// A task stopped by ctx left its pairs out: the rows would silently
@@ -531,77 +429,46 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		pruned += s.bufs[k].pruned
 	}
 
-	total := s.planGroups(shards)
-
-	// adj is allocated while the pair buffers are still live: allocated
-	// after the counts, it could land on top of pair buffers that a GC
-	// mark has just found live, and raise the build's peak heap.
-	s.adj = make([]uint32, 2*total)
-	s.cur = make([]int32, 2*shards*nV)
-	if err := s.runPhase(sh, phaseCount, shards); err != nil {
-		return nil, nil, 0, strat, err
-	}
-	// Row v holds the lower entries of groups 0..G−1, then the upper
-	// entries of groups 0..G−1: cursor rows 0..2G−1 in order.
-	s.start = make([]int32, nV+1)
-	var off int32
-	for v := 0; v < nV; v++ {
-		s.start[v] = off
-		for c := v; c < len(s.cur); c += nV {
-			s.cur[c], off = off, off+s.cur[c]
-		}
-	}
-	s.start[nV] = off
-	if err := s.runPhase(sh, phaseLower, shards); err != nil {
-		return nil, nil, 0, strat, err
-	}
-	if err := s.runPhase(sh, phaseUpper, shards); err != nil {
-		return nil, nil, 0, strat, err
-	}
-	return s.start, s.adj, pruned, strat, nil
-}
-
-// planGroups cuts the finished tasks into n contiguous groups of about
-// equal pair counts, one per shard, and returns the pair count.
-func (s *scanBuild) planGroups(n int) int {
-	pairs := func(ti int) int {
-		c := 0
+	start = make([]int32, nV+1)
+	for ti := range s.tasks {
 		for _, piece := range s.pieces(ti) {
-			c += len(piece)
+			for _, p := range piece {
+				start[p>>32+1]++
+				start[uint32(p)+1]++
+			}
 		}
-		return c
 	}
-	total := 0
+	for v := 0; v < nV; v++ {
+		start[v+1] += start[v]
+	}
+	// adj is allocated while the pair buffers are still live: allocated
+	// after them, it could land on top of pair buffers that a GC mark has
+	// just found live, and raise the build's peak heap.
+	adj = make([]uint32, start[nV])
+	next := make([]int32, nV)
+	copy(next, start[:nV])
 	for ti := range s.tasks {
-		total += pairs(ti)
-	}
-	s.groups = make([]int, n+1)
-	g, acc := 1, 0
-	for ti := range s.tasks {
-		// Cut before task ti once the pairs so far reach g/n of them.
-		for ; g < n && acc*n >= total*g; g++ {
-			s.groups[g] = ti
-		}
-		acc += pairs(ti)
-	}
-	for ; g <= n; g++ {
-		s.groups[g] = len(s.tasks)
-	}
-	nV := len(s.sc.vals)
-	s.bound = make([]int32, n+1)
-	for g, ti := range s.groups {
-		s.bound[g] = int32(nV)
-		if ti < len(s.tasks) {
-			s.bound[g] = int32(s.tasks[ti].lo)
+		for _, piece := range s.pieces(ti) {
+			for _, p := range piece {
+				b := uint32(p)
+				adj[next[b]] = uint32(p >> 32)
+				next[b]++
+			}
 		}
 	}
-	return total
-}
-
-// runPhase runs one phase on the first n shards.
-func (s *scanBuild) runPhase(sh *par.Shards, phase, n int) error {
-	s.phase = phase
-	return sh.Run(s.ctx, n)
+	// When row b is visited its upper part is still empty (its entries
+	// come from the rows above b), so next[b] ends its lower part.
+	for b := 0; b < nV; b++ {
+		vb := vals[b]
+		row := adj[start[b]:next[b]]
+		for q, a := range row {
+			d := uint32(bitstring.Hamming(vals[a], vb))
+			row[q] = a<<8 | d
+			adj[next[a]] = uint32(b)<<8 | d
+			next[a]++
+		}
+	}
+	return start, adj, pruned, strat, nil
 }
 
 // scanRange appends the edges (a, b) with a in the task's range and

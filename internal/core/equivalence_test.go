@@ -88,7 +88,10 @@ func sameDist(t *testing.T, label string, want, got *bitstring.Dist) {
 // weights, pruned counts, and CSR layout. The n = 10 corpora at λ >= 13
 // are the far end of the Eq. 2 range: only the outermost shells pass ε
 // (at λ = 14 and 14.5 only d = n, so complements are the only edges),
-// or none does and the radius is 0.
+// or none does and the radius is 0. The uniform corpus of 995 of the
+// 1024 strings at λ = 14 is the rows graph the qaoa-fleet workload
+// builds: about 480 complement edges, too few for the spectrum, found
+// by a ball walk over the whole register on more than one shard.
 func TestScanMatchesBruteOracle(t *testing.T) {
 	cases := []struct {
 		n       int
@@ -108,6 +111,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 		{10, 300, 13, 9, []int{9, 10}},
 		{10, 300, 14, 10, []int{10}},
 		{10, 300, 14.5, 11, []int{10}},
+		{10, 995, 14, 13, []int{10}},
 		{10, 300, 20, 12, []int{}},
 	}
 	workers := testutil.WorkerMatrix(t)
@@ -404,9 +408,9 @@ func TestStepAllocationFree(t *testing.T) {
 // no scratch pool and no per-task copy, so the build's allocations grow
 // by the shard's own few — its bound goroutine closure and its first
 // pair chunk — and not by the task count (min(8·workers, 64)). On the
-// V4096 λ = 1 corpus a build allocates 30–32 times at one worker and
-// 44–46 at eight; a per-task copy alone would add 64 at eight. The slack
-// of 4 absorbs the count's run-to-run spread.
+// V4096 λ = 1 corpus a build allocates 39 times at one worker and 62 at
+// eight; a per-task copy alone would add 64 at eight. The slack of 4
+// absorbs the count's run-to-run spread.
 func TestBuildAllocationsFlatInWorkers(t *testing.T) {
 	raw := benchGraphDist(4096)
 	allocs := func(workers int) float64 {

@@ -69,8 +69,8 @@ type node struct {
 // table. The 24-bit index is why a graph holds fewer than maxVertices
 // (2²⁴) vertices. Every edge appears in both endpoints' rows, so an edge
 // costs 2×4 = 8 resident bytes. scanEdges lays the rows out with a
-// two-level counting sort on the scan's shards, and Step sums each row in
-// a fixed four-way order (passRange). Or, on registers of up to
+// counting sort after its sharded scan, and Step sums each row in a
+// fixed four-way order (passRange). Or, on registers of up to
 // spectrumMaxWidth (20) qubits where the graph is dense enough, a
 // spectrum (spectrum.go): Step computes the same neighbour sums by
 // Walsh–Hadamard transforms and no edge is stored; the rows are built
