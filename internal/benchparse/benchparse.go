@@ -231,6 +231,12 @@ var KnownRatios = map[string]RatioDef{
 		Slow: "BenchmarkBuildStateGraphBrute/V4096/lambda2",
 		Fast: "BenchmarkBuildStateGraph/V4096/lambda2",
 	},
+	// The AVX2 Walsh–Hadamard kernel against the portable Go body on one
+	// n = 20 transform: a host that silently runs the Go body reads ~1.
+	"wht_avx2_speedup_vs_portable_n20": {
+		Slow: "BenchmarkStateGraphWHT/n20/portable",
+		Fast: "BenchmarkStateGraphWHT/n20/avx2",
+	},
 	"fused_speedup_vs_naive":   {Slow: "BenchmarkNaiveRun", Fast: "BenchmarkRun"},
 	"unfused_speedup_vs_naive": {Slow: "BenchmarkNaiveRun", Fast: "BenchmarkRunUnfused"},
 }

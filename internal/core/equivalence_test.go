@@ -337,7 +337,8 @@ func TestCSRAdjacencyConsistent(t *testing.T) {
 
 // TestStepAllocationFree pins the scratch-reuse contract: after the
 // first call, the 20-iteration mitigation loop allocates nothing, on
-// rows (inline and sharded) and on the spectrum.
+// rows (inline and sharded) and on the spectrum under either transform
+// kernel.
 func TestStepAllocationFree(t *testing.T) {
 	raw := uniformDist(10, 300, 41)
 	g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0, scanPairs)
@@ -374,32 +375,37 @@ func TestStepAllocationFree(t *testing.T) {
 		t.Fatalf("sharded Step allocates %v per op after warm-up", n)
 	}
 
-	// The spectrum: at n <= 12 its transforms run inline at any worker
-	// count, at n = 16 on the spectrum's own two shards; the row passes
-	// bind none either way.
-	for _, c := range []struct {
-		raw             *bitstring.Dist
-		workers, shards int
-	}{{raw, 1, 0}, {big, 2, 0}, {poissonCounts(16, 0b1011001110100101, 1.5, 3000, 67), 2, 2}} {
-		g, err := buildStateGraphCtx(context.Background(), c.raw, PoissonEdges{Lambda: 1.5}, 0.05, c.workers, scanSpectrum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.spec == nil {
-			t.Fatal("the seam did not force the spectrum")
-		}
-		g.Step(1)
-		if g.scratch.shards != nil {
-			t.Fatalf("workers=%d spectrum graph bound row shards", c.workers)
-		}
-		if shards := g.spec.shards; (shards == nil && c.shards != 0) || (shards != nil && shards.Len() != c.shards) {
-			t.Fatalf("workers=%d n=%d: spectrum shards %v, want %d", c.workers, g.n, shards, c.shards)
-		}
-		if n := testing.AllocsPerRun(20, func() {
-			g.Step(0.5)
-		}); n != 0 {
-			t.Fatalf("workers=%d spectrum Step allocates %v per op after warm-up", c.workers, n)
-		}
+	// The spectrum, under both transform kernels: at n <= 12 its
+	// transforms run inline at any worker count, at n = 16 on the
+	// spectrum's own two shards; the row passes bind none either way.
+	for _, k := range whtKernels {
+		t.Run(k.name, func(t *testing.T) {
+			useWHTKernel(t, k.avx2)
+			for _, c := range []struct {
+				raw             *bitstring.Dist
+				workers, shards int
+			}{{raw, 1, 0}, {big, 2, 0}, {poissonCounts(16, 0b1011001110100101, 1.5, 3000, 67), 2, 2}} {
+				g, err := buildStateGraphCtx(context.Background(), c.raw, PoissonEdges{Lambda: 1.5}, 0.05, c.workers, scanSpectrum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.spec == nil {
+					t.Fatal("the seam did not force the spectrum")
+				}
+				g.Step(1)
+				if g.scratch.shards != nil {
+					t.Fatalf("workers=%d spectrum graph bound row shards", c.workers)
+				}
+				if shards := g.spec.shards; (shards == nil && c.shards != 0) || (shards != nil && shards.Len() != c.shards) {
+					t.Fatalf("workers=%d n=%d: spectrum shards %v, want %d", c.workers, g.n, shards, c.shards)
+				}
+				if n := testing.AllocsPerRun(20, func() {
+					g.Step(0.5)
+				}); n != 0 {
+					t.Fatalf("workers=%d spectrum Step allocates %v per op after warm-up", c.workers, n)
+				}
+			}
+		})
 	}
 }
 

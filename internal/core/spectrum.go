@@ -40,7 +40,12 @@ const spectrumMaxWidth = 20
 // and gather sweeps. A CSR graph costs 4 row entries per edge per step
 // (two passes, two entries per edge) plus csrScanCost per edge for its
 // scan and row layout, amortised over a 20-iteration run. DESIGN.md §7
-// records the measurement behind both.
+// records the measurement behind both. With the AVX2 kernel a
+// counts-large spectrum step measured 0.50 ns per n·2ⁿ at GOMAXPROCS 1
+// and 0.46 at 2, against 0.62 and 0.66 ns per row entry for its rows
+// (one 10-step sample each on a 2-vCPU Xeon): a ratio of 0.7–0.8, not
+// 1.5. The constant stays at 1.5 so that every build keeps its
+// representation and its outputs.
 const (
 	spectrumStepCost = 1.5
 	csrScanCost      = 4.0
@@ -104,6 +109,11 @@ type spectrum struct {
 	// weight[p] is wt(p) over one block: wt(y0+p) = wt(y0) + weight[p]
 	// for y0 a multiple of the block.
 	weight []uint8
+	// The build's shell sweep: shellInd[j] is the edge-shell
+	// indicator's spectrum at weight j, which it scales each entry by,
+	// and shard k adds F(y)² into shellSums[k][wt(y)].
+	shellInd  [spectrumMaxWidth + 1]float64
+	shellSums [][spectrumMaxWidth + 1]int64
 }
 
 // krawtchouk returns K_d(j) = Σ_s (−1)^s·C(j,s)·C(n−j,d−s) at
@@ -137,10 +147,16 @@ func krawtchouk(n int) []float64 {
 // stage-by-stage loop computes. From span 1, the first two pairs run
 // together on 16-entry groups; an odd stage count ends on a radix-2
 // stage. A stage is its own inverse up to a factor 2, so the forward
-// and the inverse transform share them.
+// and the inverse transform share them. With whtAVX2 the groups and
+// the radix-4 stages at h >= 4 run in the AVX2 kernel, whose lanes do
+// the same additions in the same order.
 //
 //qbeep:allocfree
 func whtStages(x []float64, h int) {
+	if h == 1 && len(x) >= 16 && whtAVX2 {
+		whtGroupsAVX2(x)
+		h = 16
+	}
 	if h == 1 && len(x) >= 16 {
 		// Spans 1, 2, 4 and 8, one 16-entry group at a time.
 		for i := 0; i < len(x); i += 16 {
@@ -158,6 +174,10 @@ func whtStages(x []float64, h int) {
 		h = 16
 	}
 	for ; 4*h <= len(x); h *= 4 {
+		if whtAVX2 && h >= 4 {
+			whtRadix4AVX2(x, h)
+			continue
+		}
 		for i := 0; i < len(x); i += 4 * h {
 			q0, q1, q2, q3 := x[i:i+h], x[i+h:i+2*h], x[i+2*h:i+3*h], x[i+3*h:i+4*h]
 			q1, q2, q3 = q1[:len(q0)], q2[:len(q0)], q3[:len(q0)]
@@ -203,7 +223,9 @@ func newSpectrum(n, workers int) *spectrum {
 
 // pairHistogram transforms the vertex indicator of vals (ascending)
 // into buf and returns pairs[d], the number of unordered vertex pairs
-// at Hamming distance d >= 1. ctx parents the transform's worker spans.
+// at Hamming distance d >= 1. The sweep that sums the shells, on the
+// transform's shards, also leaves F(y)·shellInd[wt(y)] in buf, the
+// input of finish's transform. ctx parents the worker spans.
 func (sp *spectrum) pairHistogram(ctx context.Context, vals []bitstring.BitString, kraw []float64) [spectrumMaxWidth + 1]int {
 	n := sp.n
 	for _, v := range vals {
@@ -212,15 +234,20 @@ func (sp *spectrum) pairHistogram(ctx context.Context, vals []bitstring.BitStrin
 	sp.wht(ctx, false)
 	// F(y) = (H·1_V)(y) is an integer with |F| <= V <= 2ⁿ, so F² is
 	// exact, Σ_y F(y)² = 2ⁿ·V <= 2⁴⁰, and every shell sum below is at
-	// most 2⁴⁰·C(n, d) < 2⁵⁸: int64 holds them all exactly.
+	// most 2⁴⁰·C(n, d) < 2⁵⁸: int64 holds them all exactly, so the
+	// shards' partial sums add up to the same shells in any order.
+	sp.shellSums = make([][spectrumMaxWidth + 1]int64, 1)
+	if sp.shards != nil {
+		sp.shellSums = make([][spectrumMaxWidth + 1]int64, sp.shards.Len())
+	}
+	sp.runPhase(ctx, phaseShells)
 	var shell [spectrumMaxWidth + 1]int64
-	block := len(sp.weight)
-	for y0 := 0; y0 < len(sp.buf); y0 += block {
-		sh := shell[bits.OnesCount(uint(y0)):]
-		for p, f := range sp.buf[y0 : y0+block] {
-			sh[sp.weight[p]] += int64(f) * int64(f)
+	for _, sums := range sp.shellSums {
+		for j, a := range sums {
+			shell[j] += a
 		}
 	}
+	sp.shellSums = nil
 	var pairs [spectrumMaxWidth + 1]int
 	for d := 1; d <= n; d++ {
 		var ordered int64
@@ -233,11 +260,13 @@ func (sp *spectrum) pairHistogram(ctx context.Context, vals []bitstring.BitStrin
 }
 
 // The phases a shard runs: a transform's block and column-chunk
-// stages, and the gather of the vertices' entries.
+// stages, the gather of the vertices' entries, and the build's shell
+// sweep.
 const (
 	phaseBlocks = iota
 	phaseChunks
 	phaseGather
+	phaseShells
 )
 
 // wht applies the Walsh–Hadamard transform to buf in place and, when
@@ -278,7 +307,9 @@ func (sp *spectrum) runPhase(ctx context.Context, phase int) {
 // copied into the shard's buffer row by row, so its stages are a
 // transform of that buffer from span w, the chunk width, on. The gather
 // reads each vertex's entry into out, 0 for an isolated vertex; exact
-// sums are >= 0, and the clamp removes a negative rounding residue.
+// sums are >= 0, and the clamp removes a negative rounding residue. The
+// shell sweep sums F(y)² by weight over whole blocks and scales each
+// entry by shellInd.
 //
 //qbeep:allocfree
 func (sp *spectrum) shard(k int) {
@@ -298,6 +329,20 @@ func (sp *spectrum) shard(k int) {
 			}
 			sp.out[i] = sum
 		}
+	case phaseShells:
+		var shell [spectrumMaxWidth + 1]int64
+		lo, hi := par.Range(k, shards, len(buf)/block)
+		for b := lo; b < hi; b++ {
+			j0 := bits.OnesCount(uint(b * block))
+			sh, ind := shell[j0:], sp.shellInd[j0:]
+			x := buf[b*block : (b+1)*block]
+			for p, f := range x {
+				w := sp.weight[p]
+				sh[w] += int64(f) * int64(f)
+				x[p] = f * ind[w]
+			}
+		}
+		sp.shellSums[k] = shell
 	case phaseBlocks:
 		lo, hi := par.Range(k, shards, len(buf)/block)
 		for b := lo; b < hi; b++ {
@@ -372,16 +417,11 @@ func (t *weightTable) tallyPairs(pairs []int, radius int) (edges, pruned int) {
 	return edges, pruned
 }
 
-// finish readies a spectrum whose buf holds the indicator transform for
-// Step: it marks the isolated vertices and fills ŵ/2ⁿ from the weight
-// table. buf becomes the work buffer. A vertex's neighbour count is the
-// indicator convolved with the edge-shell indicator, read off as 2ⁿ
-// times the count; the transform's rounding error stays below 4 at
-// n <= spectrumMaxWidth (DESIGN.md §7), so testing it against half of
-// 2ⁿ tells a count of 0 from one of 1 exactly.
-func (sp *spectrum) finish(ctx context.Context, vals []bitstring.BitString, tab *weightTable, kraw []float64, edges int) {
+// spectra fills shellInd, the edge-shell indicator's spectrum, and
+// ŵ/2ⁿ from the weight table: both are Krawtchouk sums over the shells
+// that pass ε.
+func (sp *spectrum) spectra(tab *weightTable, kraw []float64) {
 	n := sp.n
-	var shellInd [spectrumMaxWidth + 1]float64
 	sp.khat = make([]float64, n+1)
 	for j := 0; j <= n; j++ {
 		var ind, w float64
@@ -391,13 +431,21 @@ func (sp *spectrum) finish(ctx context.Context, vals []bitstring.BitString, tab 
 				w += tab.perString[d] * k
 			}
 		}
-		shellInd[j] = ind
+		sp.shellInd[j] = ind
 		sp.khat[j] = math.Ldexp(w, -n)
 	}
+}
+
+// finish readies a spectrum whose buf holds the indicator transform
+// scaled by shellInd for Step: it marks the isolated vertices. buf
+// becomes the work buffer. A vertex's neighbour count is the indicator
+// convolved with the edge-shell indicator, read off as 2ⁿ times the
+// count; the transform's rounding error stays below 4 at
+// n <= spectrumMaxWidth (DESIGN.md §7), so testing it against half of
+// 2ⁿ tells a count of 0 from one of 1 exactly.
+func (sp *spectrum) finish(ctx context.Context, vals []bitstring.BitString, edges int) {
+	n := sp.n
 	sp.segmentKhat()
-	for y := range sp.buf {
-		sp.buf[y] *= shellInd[bits.OnesCount64(uint64(y))]
-	}
 	sp.wht(ctx, false)
 	half := math.Ldexp(1, n-1)
 	sp.isolated = make([]bool, len(vals))
@@ -437,12 +485,13 @@ func (g *StateGraph) trySpectrum(ctx context.Context, vals []bitstring.BitString
 	}
 	kraw := krawtchouk(n)
 	sp := newSpectrum(n, g.workers)
+	sp.spectra(&g.tab, kraw)
 	pairs := sp.pairHistogram(ctx, vals, kraw)
 	edges, pruned := g.tab.tallyPairs(pairs[:], g.radius)
 	if strat == scanAuto && !spectrumPays(n, float64(edges)) {
 		return nil
 	}
-	sp.finish(ctx, vals, &g.tab, kraw, edges)
+	sp.finish(ctx, vals, edges)
 	g.pruned = pruned
 	return sp
 }

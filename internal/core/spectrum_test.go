@@ -26,13 +26,45 @@ func whtStageLoop(x []float64) {
 	}
 }
 
+// whtKernels are the two transform kernels the tests and benchmarks run
+// under: the AVX2 kernel, where the host has it, and the portable Go
+// body of whtStages.
+var whtKernels = []struct {
+	name string
+	avx2 bool
+}{{"avx2", true}, {"portable", false}}
+
+// hostAVX2 is the kernel choice made at init, before any test forces it.
+var hostAVX2 = whtAVX2
+
+// useWHTKernel is the test seam that forces a transform kernel: it sets
+// whtAVX2 for the rest of tb and restores the host's choice after. On a
+// host without the AVX2 kernel, asking for it skips tb.
+func useWHTKernel(tb testing.TB, avx2 bool) {
+	if avx2 && !hostAVX2 {
+		tb.Skip("no AVX2 kernel on this host (not amd64, no AVX2, or the OS does not save YMM state): only the portable path runs")
+	}
+	whtAVX2 = avx2
+	tb.Cleanup(func() { whtAVX2 = hostAVX2 })
+}
+
 // TestWHTMatchesStageLoop pins the blocked radix-4 transform to the
 // stage loop bit for bit, with and without the folded ŵ/2ⁿ scaling (a
 // random weight-indexed vector standing in for ŵ/2ⁿ), at every
 // width up to spectrumMaxWidth and every worker count: the low block
 // stages, the column-chunk stages and the shard split must not change a
-// single rounding.
+// single rounding, under either kernel. The odd widths end on the Go
+// radix-2 stage.
 func TestWHTMatchesStageLoop(t *testing.T) {
+	for _, k := range whtKernels {
+		t.Run(k.name, func(t *testing.T) {
+			useWHTKernel(t, k.avx2)
+			testWHTMatchesStageLoop(t)
+		})
+	}
+}
+
+func testWHTMatchesStageLoop(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	for n := 1; n <= spectrumMaxWidth; n++ {
 		in := make([]float64, 1<<n)

@@ -223,3 +223,33 @@ func benchStep(b *testing.B, raw *bitstring.Dist, lambda float64, strat scanStra
 		g.Step(0.5)
 	}
 }
+
+// BenchmarkStateGraphWHT times one n = 20 transform, the kernel of a
+// spectrum step, on one transform worker (no fan-out), under each
+// kernel: its avx2/portable ratio is gated (BENCH_core.json), so a host
+// that silently falls back to the Go body fails the gate. The scaling
+// by 2⁻¹⁰, exact, keeps the repeated transforms orthonormal, so the
+// entries neither overflow nor drift into the subnormal range.
+func BenchmarkStateGraphWHT(b *testing.B) {
+	const n = 20
+	for _, k := range whtKernels {
+		b.Run(fmt.Sprintf("n%d/%s", n, k.name), func(b *testing.B) {
+			useWHTKernel(b, k.avx2)
+			sp := newSpectrum(n, 1)
+			sp.khat = make([]float64, n+1)
+			for j := range sp.khat {
+				sp.khat[j] = 0x1p-10
+			}
+			sp.segmentKhat()
+			rng := mathx.NewRNG(7)
+			for y := range sp.buf {
+				sp.buf[y] = rng.Float64() - 0.5
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.wht(context.Background(), true)
+			}
+		})
+	}
+}

@@ -406,8 +406,18 @@ func checkStepVsOracle(t *testing.T, label string, g, oracle *StateGraph, spec, 
 // at every worker count, and bit-for-bit across worker counts (row
 // order and butterfly arithmetic are fixed, so the shard count cannot
 // change any sum). On the spectrum the per-step bounds accumulate over
-// the iterations. η <= 1 must never run the cap pass.
+// the iterations. η <= 1 must never run the cap pass. Both transform
+// kernels run it.
 func TestStepMatchesScatterOracle(t *testing.T) {
+	for _, k := range whtKernels {
+		t.Run(k.name, func(t *testing.T) {
+			useWHTKernel(t, k.avx2)
+			testStepMatchesScatterOracle(t)
+		})
+	}
+}
+
+func testStepMatchesScatterOracle(t *testing.T) {
 	for _, c := range stepCases() {
 		for _, rep := range stepReps {
 			const iters = 20
@@ -485,10 +495,10 @@ func TestStepMatchesScatterOracle(t *testing.T) {
 // FuzzStepOracle compares Step on both representations against the
 // scatter reference within the DESIGN.md §7 bounds on random small
 // corpora of 2–20 qubits, λ up to 20 (the top of the Eq. 2 range),
-// learning rates and worker counts {1, 2, 3}; η <= 1 must never
-// run the cap pass. Every step starts from the oracle's counts: on
-// adversarial corpora the iteration itself amplifies a rounding residue
-// left on a drained vertex (the sixth seed: complements are the only
+// learning rates and worker counts {1, 2, 3}, under both transform
+// kernels; η <= 1 must never run the cap pass. Every step starts from
+// the oracle's counts: on adversarial corpora the iteration itself
+// amplifies a rounding residue left on a drained vertex (the sixth seed: complements are the only
 // edges, w_3/w_0 = 34, so each step multiplies a residue by up to
 // 1 + 34η), and the comparison is of one step's arithmetic, not of the
 // iteration's conditioning.
@@ -523,37 +533,42 @@ func FuzzStepOracle(f *testing.F) {
 		eta := float64(eta10%40+1) / 10
 		w := int(workers)%3 + 1
 		raw := uniformDist(width, sup, seed)
-		oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanPairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges := edgesOf(oracle)
-		for _, rep := range stepReps {
-			g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, w, rep.strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i <= 6; i++ {
-				e := eta / float64(i)
-				copy(g.nodes, oracle.nodes)
-				g.total = oracle.total
-				want := scatterStep(oracle, edges, e)
-				got := g.Step(e)
-				var spec float64
-				if g.spec != nil {
-					spec = spectrumStepBound(g)
+		for _, k := range whtKernels {
+			t.Run(k.name, func(t *testing.T) {
+				useWHTKernel(t, k.avx2)
+				oracle, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanPairs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s iter %d workers=%d", rep.name, i, w)
-				checkStepVsOracle(t, label, g, oracle, spec, hellingerTol(massDev(g, oracle), want.Hellinger), got, want)
-				if e <= 1 && g.scratch.capped {
-					t.Fatalf("%s: η = %v ran the cap pass", label, e)
+				edges := edgesOf(oracle)
+				for _, rep := range stepReps {
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, w, rep.strat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 1; i <= 6; i++ {
+						e := eta / float64(i)
+						copy(g.nodes, oracle.nodes)
+						g.total = oracle.total
+						want := scatterStep(oracle, edges, e)
+						got := g.Step(e)
+						var spec float64
+						if g.spec != nil {
+							spec = spectrumStepBound(g)
+						}
+						label := fmt.Sprintf("%s iter %d workers=%d", rep.name, i, w)
+						checkStepVsOracle(t, label, g, oracle, spec, hellingerTol(massDev(g, oracle), want.Hellinger), got, want)
+						if e <= 1 && g.scratch.capped {
+							t.Fatalf("%s: η = %v ran the cap pass", label, e)
+						}
+					}
+					// Rewind the oracle for the next representation.
+					oracle, err = buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanPairs)
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			// Rewind the oracle for the next representation.
-			oracle, err = buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lam}, 0.05, 1, scanPairs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			})
 		}
 	})
 }
